@@ -6,6 +6,18 @@ Similarity is a weighted sum of state-token and history-token Jaccard overlap
 (default 0.75 state / 0.25 history). Ties are broken most-recent-first so a
 slowly drifting policy is represented by its freshest experience.
 
+Retrieval runs on an exact inverted index. Each distinct state token set and
+each distinct history token set is interned once, with its size and a
+token -> set-id posting list; each distinct (state set, history set) pair is
+interned too, and a row holds only its pair id. A query counts its
+intersection with every distinct set by one ``np.bincount`` over the postings
+of its tokens, computes each set's Jaccard once and each pair's weighted sum
+once, and gathers that per row. So the cost follows the number of distinct
+keys, and the similarities are bit-identical to :meth:`StateKey.similarity`.
+FIFO eviction moves the start of a live window; once the evicted prefix
+passes half of the rows, the rows and tables are rebuilt from the live
+entries.
+
 Concurrency: retrieval is pure given a snapshot of the store; many readers
 may share one store, but writes require exclusive access (the engine runs
 episodes sequentially, which provides that discipline).
@@ -15,6 +27,8 @@ run::
 
     {"state_text": ..., "history_text": ..., "action": ..., "return": ...,
      "episode": ..., "step": ..., "time": ...}
+
+Time indices strictly increase down a bank, so row position is time order.
 """
 
 from __future__ import annotations
@@ -22,12 +36,12 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from memsteer.scoring import make_scorer
 from memsteer.tokens import jaccard, tokenize
 
 __all__ = [
@@ -111,15 +125,24 @@ class ActionNormalizer:
     whitespace collapsing and casefolding. Used everywhere two action strings
     are compared (neighborhood filtering, candidate-set union), so e.g.
     ``click('1240')`` and ``click('88')`` can be configured to match.
+
+    Results are memoized per instance: a run compares the same few action
+    strings many times per step, and the rules never change after init.
     """
 
     def __init__(self, rules: Iterable[tuple[str, str]] = ()):
         self.rules = [(re.compile(pat), repl) for pat, repl in rules]
+        self._memo: dict[str, str] = {}
 
     def __call__(self, action: str) -> str:
-        for pattern, repl in self.rules:
-            action = pattern.sub(repl, action)
-        return " ".join(action.split()).casefold()
+        normalized = self._memo.get(action)
+        if normalized is None:
+            normalized = action
+            for pattern, repl in self.rules:
+                normalized = pattern.sub(repl, normalized)
+            normalized = " ".join(normalized.split()).casefold()
+            self._memo[action] = normalized
+        return normalized
 
 
 IDENTITY_NORMALIZER = ActionNormalizer()
@@ -170,6 +193,46 @@ class MemoryFormatError(ValueError):
         self.line_number = line_number
 
 
+class _TokenSetIndex:
+    """Distinct token sets, each interned once, with token -> set-id postings."""
+
+    def __init__(self):
+        self._ids: dict[frozenset[str], int] = {}
+        self._sizes = array("q")
+        self._postings: dict[str, array] = {}
+
+    def intern(self, tokens: frozenset[str]) -> int:
+        sid = self._ids.get(tokens)
+        if sid is None:
+            sid = self._ids[tokens] = len(self._sizes)
+            self._sizes.append(len(tokens))
+            for tok in tokens:
+                posting = self._postings.get(tok)
+                if posting is None:
+                    self._postings[tok] = array("q", (sid,))
+                else:
+                    posting.append(sid)
+        return sid
+
+    def jaccard(self, tokens: frozenset[str]) -> np.ndarray:
+        """Jaccard of ``tokens`` with every interned set, indexed by set id.
+
+        The arithmetic of :func:`memsteer.tokens.jaccard`: an exact integer
+        intersection count, one double division, 1.0 for two empty sets.
+        """
+        sizes = np.array(self._sizes, dtype=np.int64)
+        nq = len(tokens)
+        if nq == 0:
+            return (sizes == 0).astype(np.float64)
+        hits = array("q")
+        for tok in tokens:
+            posting = self._postings.get(tok)
+            if posting is not None:
+                hits += posting
+        inter = np.bincount(np.frombuffer(hits, dtype=np.int64), minlength=len(sizes))
+        return inter / (nq + sizes - inter)
+
+
 class MemoryStore:
     """Append-ordered triplet store with similarity retrieval.
 
@@ -179,58 +242,73 @@ class MemoryStore:
     """
 
     def __init__(self, capacity: int | None = None, state_weight: float = 0.75,
-                 history_weight: float = 0.25, backend: str | None = None):
+                 history_weight: float = 0.25):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be None or >= 1")
         self.capacity = capacity
         self.state_weight = state_weight
         self.history_weight = history_weight
-        self._entries: list[MemoryEntry] = []
-        self._times: list[int] = []
-        self._times_cache: np.ndarray | None = None
-        self._scorer = make_scorer(state_weight, history_weight, backend=backend)
+        self._rebuild([])
         self._clock = 0
         self.retrieval_count = 0
         self.insert_count = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) - self._start
 
     @property
     def entries(self) -> tuple[MemoryEntry, ...]:
-        return tuple(self._entries)
-
-    @property
-    def backend(self) -> str:
-        return self._scorer.backend
+        return tuple(self._entries[self._start:])
 
     def add(self, state: StateKey, action: str, return_value: float,
             episode: int = 0, step: int = 0) -> MemoryEntry:
         """Insert one triplet; the store assigns the time index."""
         entry = MemoryEntry(state=state, action=action, return_value=float(return_value),
                             episode=episode, step=step, time_index=self._clock)
-        return self._insert(entry)
+        self._insert(entry)
+        self.insert_count += 1
+        return entry
 
     def insert(self, entry: MemoryEntry) -> MemoryEntry:
         """Insert a prebuilt entry, reassigning its time index from the store clock."""
         stamped = MemoryEntry(state=entry.state, action=entry.action,
                               return_value=entry.return_value, episode=entry.episode,
                               step=entry.step, time_index=self._clock)
-        return self._insert(stamped)
+        self._insert(stamped)
+        self.insert_count += 1
+        return stamped
 
-    def _insert(self, entry: MemoryEntry) -> MemoryEntry:
+    def _insert(self, entry: MemoryEntry) -> None:
+        """Validate and append ``entry``, then evict the oldest past capacity."""
         entry.validate()
         self._entries.append(entry)
-        self._times.append(entry.time_index)
-        self._times_cache = None
-        self._scorer.append(entry.state.tokens, entry.state.history_tokens)
+        state = entry.state
+        key = (state.tokens, state.history_tokens)
+        pid = self._pairs.get(key)
+        if pid is None:
+            pid = self._pairs[key] = len(self._pair_states)
+            self._pair_states.append(self._states.intern(state.tokens))
+            self._pair_histories.append(self._histories.intern(state.history_tokens))
+        self._rows.append(pid)
         self._clock = entry.time_index + 1
-        self.insert_count += 1
-        if self.capacity is not None and len(self._entries) > self.capacity:
-            self._entries.pop(0)
-            self._times.pop(0)
-            self._scorer.pop_front()
-        return entry
+        if self.capacity is not None and len(self._entries) - self._start > self.capacity:
+            self._start += 1
+            if 2 * self._start > len(self._entries):
+                self._rebuild(self._entries[self._start:])
+
+    def _rebuild(self, live: list[MemoryEntry]) -> None:
+        """Index ``live`` afresh, so the tables hold only its distinct keys."""
+        self._entries: list[MemoryEntry] = []
+        self._start = 0
+        self._states = _TokenSetIndex()
+        self._histories = _TokenSetIndex()
+        # each distinct (state set, history set) pair -> its two set ids
+        self._pairs: dict[tuple[frozenset[str], frozenset[str]], int] = {}
+        self._pair_states = array("q")
+        self._pair_histories = array("q")
+        self._rows = array("q")  # pair id of each row
+        for entry in live:  # at most capacity entries, so none is evicted
+            self._insert(entry)
 
     def extend(self, entries: Iterable[MemoryEntry]) -> None:
         for entry in entries:
@@ -248,47 +326,61 @@ class MemoryStore:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
         self.retrieval_count += 1
-        n = len(self._entries)
-        if n == 0:
+        if len(self) == 0:
             return Neighborhood([], query, k, threshold)
-        sims = self._scorer.score(query.tokens, query.history_tokens)
-        keep = np.nonzero(sims >= threshold)[0]
+        lo = self._start
+        # weighted once per distinct set, summed once per distinct pair and
+        # gathered per row; the sum has the operand order of
+        # StateKey.similarity, so it is bit-identical. The array.array views
+        # are never bound to a name: a live export of a buffer would make the
+        # next append raise BufferError.
+        state_part = self.state_weight * self._states.jaccard(query.tokens)
+        history_part = self.history_weight * self._histories.jaccard(query.history_tokens)
+        pair_sims = (state_part[np.frombuffer(self._pair_states, dtype=np.int64)]
+                     + history_part[np.frombuffer(self._pair_histories, dtype=np.int64)])
+        sims = pair_sims[np.frombuffer(self._rows, dtype=np.int64)[lo:]]
+        keep = np.flatnonzero(sims >= threshold)
         if task_filter is not None:
             keep = np.array([i for i in keep
-                             if task_filter.admits(query, self._entries[i])], dtype=np.int64)
+                             if task_filter.admits(query, self._entries[lo + i])], dtype=np.int64)
         if keep.size == 0:
             return Neighborhood([], query, k, threshold)
-        if self._times_cache is None:
-            self._times_cache = np.asarray(self._times, dtype=np.int64)
-        times = self._times_cache
-        # similarity descending, then time index descending (recency first)
-        order = keep[np.lexsort((-times[keep], -sims[keep]))][:k]
-        chosen = [(self._entries[i], float(sims[i])) for i in order]
+        # similarity descending, then row position descending; time indices
+        # rise with position, so this is recency first
+        order = keep[np.lexsort((-keep, -sims[keep]))][:k]
+        chosen = [(self._entries[lo + i], float(sims[i])) for i in order]
         return Neighborhood(chosen, query, k, threshold)
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for entry in self._entries:
+            for entry in self._entries[self._start:]:
                 fh.write(encode_record(entry))
                 fh.write("\n")
 
     @classmethod
     def load(cls, path, capacity: int | None = None, state_weight: float = 0.75,
-             history_weight: float = 0.25, backend: str | None = None) -> "MemoryStore":
+             history_weight: float = 0.25) -> "MemoryStore":
+        """Read a bank, keeping its time indices; ``capacity`` evicts as inserts do.
+
+        Raises :class:`MemoryFormatError` on a malformed record or on a time
+        index that does not exceed the previous record's.
+        """
         store = cls(capacity=capacity, state_weight=state_weight,
-                    history_weight=history_weight, backend=backend)
+                    history_weight=history_weight)
+        previous: int | None = None
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 entry = decode_record(line, lineno)
-                store._entries.append(entry)
-                store._times.append(entry.time_index)
-                store._scorer.append(entry.state.tokens, entry.state.history_tokens)
-                store._clock = max(store._clock, entry.time_index + 1)
-        store._times_cache = None
+                if previous is not None and entry.time_index <= previous:
+                    raise MemoryFormatError(
+                        lineno, f"time {entry.time_index} does not exceed the previous "
+                                f"record's time {previous}")
+                previous = entry.time_index
+                store._insert(entry)
         return store
 
 

@@ -23,8 +23,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
-import requests
-
 from memsteer.memory import ActionNormalizer, IDENTITY_NORMALIZER
 
 log = logging.getLogger(__name__)
@@ -157,6 +155,8 @@ class HttpChatClient:
         self.retry_delay = retry_delay
 
     def complete(self, payload: dict) -> dict:
+        import requests  # deferred: only remote endpoints need it, and it is slow to import
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

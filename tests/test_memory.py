@@ -2,12 +2,10 @@ import math
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memsteer import scoring
 from memsteer.memory import (ActionNormalizer, MemoryEntry, MemoryFormatError, MemoryStore,
                              StateKey, TaskFilter, append_records, filter_by_action)
 from memsteer.tokens import jaccard, tokenize
@@ -297,6 +295,31 @@ def test_load_preserves_clock(tmp_path, rng):
     assert entry.time_index == 10
 
 
+def test_load_applies_capacity_and_keeps_time(tmp_path, rng):
+    store = populated_store(rng, 10)
+    path = tmp_path / "bank.jsonl"
+    store.save(path)
+    loaded = MemoryStore.load(path, capacity=3)
+    assert loaded.entries == store.entries[-3:]
+    assert loaded.add(StateKey("new"), "act", 0.0).time_index == 10
+    assert [e.time_index for e in loaded.entries] == [8, 9, 10]
+
+
+@pytest.mark.parametrize("swap", [True, False])
+def test_load_rejects_time_that_does_not_increase(tmp_path, rng, swap):
+    store = populated_store(rng, 4)
+    path = tmp_path / "bank.jsonl"
+    store.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if swap:
+        lines[1], lines[2] = lines[2], lines[1]
+    else:
+        lines[2] = lines[1]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MemoryFormatError, match="line 3: time"):
+        MemoryStore.load(path)
+
+
 # -- task filtering ---------------------------------------------------------------
 
 
@@ -322,49 +345,32 @@ def test_task_filter_admits_arithmetic():
     assert not gate.admits(StateKey("a b", history="qq zz"), entry)
 
 
-# -- scoring backends ---------------------------------------------------------------
+# -- index against the brute-force oracle -------------------------------------------
 
 
-def test_python_backend_retrieval_available(rng):
-    store = populated_store(rng, 50, backend="python")
-    assert store.backend == "python"
-    neighborhood = store.retrieve(StateKey("door key"), k=5, threshold=0.0)
-    assert len(neighborhood) == 5
+def _key(state: frozenset[str], history: frozenset[str]) -> StateKey:
+    return StateKey(" ".join(sorted(state)), history=" ".join(sorted(history)))
 
 
-@pytest.mark.skipif(not scoring.compiled_available(),
-                    reason="compiled kernel not built")
-def test_backends_agree_bit_for_bit(rng):
-    entries = random_entries(rng, 400)
-    compiled = MemoryStore(backend="compiled")
-    pure = MemoryStore(backend="python")
-    for entry in entries:
-        compiled.insert(entry)
-        pure.insert(entry)
-    for _ in range(25):
-        query = StateKey(" ".join(rng.choice(["door", "key", "hall", "gate", "zzz"],
-                                             size=int(rng.integers(0, 4)))),
-                         history=" ".join(rng.choice(["go", "north", "look"],
-                                                     size=int(rng.integers(0, 3)))))
-        a = compiled._scorer.score(query.tokens, query.history_tokens)
-        b = pure._scorer.score(query.tokens, query.history_tokens)
-        assert np.array_equal(a, b)
-        na = compiled.retrieve(query, k=7, threshold=0.2)
-        nb = pure.retrieve(query, k=7, threshold=0.2)
-        assert [(e.time_index, s) for e, s in na.entries] == \
-               [(e.time_index, s) for e, s in nb.entries]
-
-
-@pytest.mark.skipif(not scoring.compiled_available(),
-                    reason="compiled kernel not built")
-def test_compiled_backend_survives_eviction_compaction(rng):
-    compiled = MemoryStore(capacity=60, backend="compiled")
-    pure = MemoryStore(capacity=60, backend="python")
-    for entry in random_entries(rng, 400):
-        compiled.insert(entry)
-        pure.insert(entry)
-    query = StateKey("door key hall")
-    na = compiled.retrieve(query, k=10, threshold=0.0)
-    nb = pure.retrieve(query, k=10, threshold=0.0)
-    assert [(e.time_index, s) for e, s in na.entries] == \
-           [(e.time_index, s) for e, s in nb.entries]
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.tuples(token_sets, token_sets), min_size=25, max_size=60),
+       capacity=st.one_of(st.none(), st.integers(1, 10)),
+       query=st.tuples(token_sets, token_sets),
+       k=st.integers(1, 12),
+       threshold=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+       weights=st.sampled_from([(0.75, 0.25), (1.0, 0.0), (0.5, 0.5), (0.1, 0.7)]))
+def test_retrieve_matches_brute_force_ranking(keys, capacity, query, k, threshold, weights):
+    # at least 25 inserts into at most 10 rows evicts past the point where
+    # the store compacts and rebuilds its set tables
+    ws, wh = weights
+    store = MemoryStore(capacity=capacity, state_weight=ws, history_weight=wh)
+    q = _key(*query)
+    for i, (state, history) in enumerate(keys):
+        store.add(_key(state, history), f"act{i % 3}", float(i))
+        live = store.entries
+        ranked = sorted(((entry, q.similarity(entry.state, ws, wh), pos)
+                         for pos, entry in enumerate(live)),
+                        key=lambda item: (-item[1], -item[2]))
+        want = [(entry, sim) for entry, sim, _ in ranked if sim >= threshold][:k]
+        assert store.retrieve(q, k=k, threshold=threshold).entries == want
+    assert len(store) == min(len(keys), capacity or len(keys))
