@@ -4,10 +4,19 @@ States abstract to single-token keys ("s0", "s1", ...) so retrieval over a
 memory filled from rollouts reduces to exact state matching. The six-state
 fixture is tuned so that kNN value estimates at N=20000 samples sit well
 inside the convergence tolerances checked by the acceptance suite.
+
+Sampling is inverse-CDF on plain-list tables built once at construction: the
+``.tolist()`` of ``np.cumsum`` over each transition row and over the start
+distribution, searched with ``bisect.bisect_right``. That returns the index
+``np.searchsorted(side="right")`` would, with one ``rng.random()`` per draw
+and no numpy call. One ``StateKey`` per state and one name per action are
+built there too. The tables are read from the tensors only then, so
+mutating the tensors afterwards is not supported.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +33,10 @@ class TabularMDP:
     terminal: np.ndarray             # (S,) bool
     start: np.ndarray                # (S,) start-state distribution
     gamma: float = 0.99
-    _cum_next: np.ndarray = field(init=False, repr=False)
-    _cum_start: np.ndarray = field(init=False, repr=False)
+    _cum_next: list[list[list[float]]] = field(init=False, repr=False)
+    _cum_start: list[float] = field(init=False, repr=False)
+    _state_keys: list[StateKey] = field(init=False, repr=False)
+    _action_names: list[str] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
@@ -40,14 +51,19 @@ class TabularMDP:
         row_sums = self.transitions.sum(axis=2)
         if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
             raise ValueError("every transition row must sum to 1")
+        # also false for NaN, which the sum checks let through
+        if not np.all(self.transitions >= 0.0):
+            raise ValueError("transition probabilities must be non-negative")
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("rewards must be finite")
-        if abs(self.start.sum() - 1.0) > ROW_SUM_TOL or np.any(self.start < 0):
+        if abs(self.start.sum() - 1.0) > ROW_SUM_TOL or not np.all(self.start >= 0.0):
             raise ValueError("start distribution must be a probability vector")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        self._cum_next = np.cumsum(self.transitions, axis=2)
-        self._cum_start = np.cumsum(self.start)
+        self._cum_next = np.cumsum(self.transitions, axis=2).tolist()
+        self._cum_start = np.cumsum(self.start).tolist()
+        self._state_keys = [StateKey(text=f"s{i}") for i in range(s)]
+        self._action_names = [f"a{i}" for i in range(a)]
 
     @property
     def n_states(self) -> int:
@@ -58,18 +74,19 @@ class TabularMDP:
         return self.transitions.shape[1]
 
     def sample_start(self, rng: np.random.Generator) -> int:
-        i = int(np.searchsorted(self._cum_start, rng.random(), side="right"))
+        i = bisect_right(self._cum_start, rng.random())
         return min(i, self.n_states - 1)
 
     def sample_next(self, s: int, a: int, rng: np.random.Generator) -> int:
-        i = int(np.searchsorted(self._cum_next[s, a], rng.random(), side="right"))
+        i = bisect_right(self._cum_next[s][a], rng.random())
         return min(i, self.n_states - 1)
 
     def state_key(self, s: int) -> StateKey:
-        return StateKey(text=f"s{s}")
+        """The key ``StateKey("s<s>")``, one shared instance per state."""
+        return self._state_keys[s]
 
     def action_name(self, a: int) -> str:
-        return f"a{a}"
+        return self._action_names[a]
 
 
 def mdp_step(mdp: TabularMDP, s: int, a: int, rng: np.random.Generator,

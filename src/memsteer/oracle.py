@@ -10,6 +10,7 @@ converge to the closed form's answer; its discretization error is bounded by
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,22 +68,29 @@ def exact_policy_values(mdp: TabularMDP, policy: np.ndarray, gamma: float | None
 
 def rollout(mdp: TabularMDP, policy: np.ndarray, rng: np.random.Generator,
             start_state: int | None = None, step_cap: int = 1000):
-    """One episode under the policy: (states, actions, rewards) lists."""
+    """One episode under the policy: (states, actions, rewards) lists.
+
+    Draws are inverse-CDF with ``bisect.bisect_right``, the index
+    ``np.searchsorted(side="right")`` gives: actions on the policy cumsum,
+    next states on the MDP's list tables built at its construction. The
+    policy cumsum, terminal flags and rewards are read as plain lists once
+    per call.
+    """
     s = mdp.sample_start(rng) if start_state is None else start_state
-    policy_cum = np.cumsum(np.asarray(policy, dtype=np.float64), axis=1)
-    n_actions = mdp.n_actions
-    terminal = mdp.terminal
-    reward_table = mdp.rewards
+    policy_cum = np.cumsum(np.asarray(policy, dtype=np.float64), axis=1).tolist()
+    last_action = mdp.n_actions - 1
+    terminal = mdp.terminal.tolist()
+    reward_table = mdp.rewards.tolist()
+    sample_next = mdp.sample_next
     states, actions, rewards = [], [], []
     for _ in range(step_cap):
         if terminal[s]:
             break
-        a = int(np.searchsorted(policy_cum[s], rng.random(), side="right"))
-        a = min(a, n_actions - 1)
+        a = min(bisect_right(policy_cum[s], rng.random()), last_action)
         states.append(s)
         actions.append(a)
-        rewards.append(float(reward_table[s, a]))
-        s = mdp.sample_next(s, a, rng)
+        rewards.append(reward_table[s][a])
+        s = sample_next(s, a, rng)
     return states, actions, rewards
 
 

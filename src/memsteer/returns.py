@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from memsteer.memory import StateKey
+from memsteer.proposer import ProposerError
 
 log = logging.getLogger(__name__)
 
@@ -207,7 +208,7 @@ class RemoteEvaluator:
                 rewards = parse_step_scores(payload, len(trajectory.steps))
                 return EvaluationOutcome(rewards=rewards, used_fallback=False,
                                          raw_payload=payload)
-            except (EvaluatorError, OSError, ValueError) as exc:
+            except (EvaluatorError, ProposerError, OSError, ValueError) as exc:
                 last_error = exc
                 log.warning("evaluator attempt %d/%d failed: %s",
                             attempt + 1, 1 + self.max_retries, exc)

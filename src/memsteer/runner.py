@@ -493,18 +493,23 @@ def fill_memory_from_rollouts(mdp: TabularMDP, policy_of_episode, gamma: float,
     """Roll episodes until the store holds ``n_entries`` triplets.
 
     ``policy_of_episode(i)`` may drift across episodes; returns are realized
-    discounted tails, i.e. unbiased but noisy action-value samples.
+    discounted tails, i.e. unbiased but noisy action-value samples. A store
+    whose capacity is below ``n_entries`` could never fill, so it is rejected
+    before the first rollout.
     """
+    if store.capacity is not None and store.capacity < n_entries:
+        raise ValueError(f"store capacity {store.capacity} is below n_entries={n_entries}")
+    room = n_entries - len(store)
     episode = 0
-    while len(store) < n_entries:
+    while room > 0:
         policy = policy_of_episode(episode)
         states, actions, rewards = rollout(mdp, policy, rng)
         returns = episode_returns(rewards, gamma)
-        for t, (s, a, g) in enumerate(zip(states, actions, returns)):
-            if len(store) >= n_entries:
-                break
-            store.add(mdp.state_key(s), mdp.action_name(a), g,
+        taken = min(room, len(states))
+        for t in range(taken):
+            store.add(mdp.state_key(states[t]), mdp.action_name(actions[t]), returns[t],
                       episode=episode, step=t)
+        room -= taken
         episode += 1
 
 

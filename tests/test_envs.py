@@ -6,8 +6,8 @@ import pytest
 
 from memsteer.envs import Observation
 from memsteer.envs.abstraction import abstract_state, regularize_url
-from memsteer.envs.tabular import (TabularEnvAdapter, deterministic_chain, mdp_step,
-                                   six_state_fixture)
+from memsteer.envs.tabular import (TabularEnvAdapter, TabularMDP, deterministic_chain,
+                                   mdp_step, six_state_fixture)
 from memsteer.envs.textgame import (GameConfigError, InvalidActionError, TextMicroGame,
                                     advisor_action, key_door_config, key_door_game,
                                     load_game_config, noisy_advisor_policy, solution_path)
@@ -38,6 +38,20 @@ def test_mdp_step_range_checks(rng):
         mdp_step(mdp, 9, 0, rng)
     with pytest.raises(IndexError):
         mdp_step(mdp, 0, 4, rng)
+
+
+@pytest.mark.parametrize("head", [(1.25, -0.25), (np.nan, 1.0)])
+@pytest.mark.parametrize("table", ["transitions", "start"])
+def test_tabular_mdp_rejects_negative_or_nan_probability(table, head):
+    # inverse-CDF sampling needs non-decreasing cumsums; (1.25, -0.25) keeps
+    # the sum at 1, and a NaN fails every comparison
+    mdp = deterministic_chain(n_states=3)
+    tensors = dict(transitions=mdp.transitions.copy(), rewards=mdp.rewards,
+                   terminal=mdp.terminal, start=mdp.start.copy())
+    row = tensors["transitions"][0, 0] if table == "transitions" else tensors["start"]
+    row[:2] = head
+    with pytest.raises(ValueError, match="probabilit"):
+        TabularMDP(**tensors)
 
 
 def test_mdp_step_empirical_frequencies():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsteer.envs.tabular import TabularMDP, deterministic_chain, random_mdp, six_state_fixture
 from memsteer.oracle import (closed_form_kl_policy, episode_returns, exact_policy_values,
@@ -84,6 +86,95 @@ def test_rollout_terminates_and_reports_rewards(rng):
     states, actions, rewards = rollout(mdp, policy, rng, start_state=0)
     assert len(states) == len(actions) == len(rewards) >= 1
     assert all(0 <= s < 5 for s in states)
+
+
+# -- sampler bit-identity against numpy searchsorted -----------------------------------
+
+
+def reference_index(cum, u):
+    """Inverse-CDF draw on a numpy cumsum, clamped to the last index."""
+    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+
+
+def reference_rollout(mdp, policy, rng, start_state=None, step_cap=1000):
+    cum_next = np.cumsum(mdp.transitions, axis=2)
+    policy_cum = np.cumsum(np.asarray(policy, dtype=np.float64), axis=1)
+    s = reference_index(np.cumsum(mdp.start), rng.random()) if start_state is None \
+        else start_state
+    states, actions, rewards = [], [], []
+    for _ in range(step_cap):
+        if mdp.terminal[s]:
+            break
+        a = reference_index(policy_cum[s], rng.random())
+        states.append(s)
+        actions.append(a)
+        rewards.append(float(mdp.rewards[s, a]))
+        s = reference_index(cum_next[s, a], rng.random())
+    return states, actions, rewards
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 7),
+       n_actions=st.integers(1, 4), short_row=st.booleans())
+def test_sampler_matches_searchsorted_reference(seed, n_states, n_actions, short_row):
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, n_states=n_states, n_actions=n_actions)
+    policy = rng.dirichlet(np.ones(n_actions), size=n_states)
+    if short_row:  # state 0's policy cumsum ends at about 0.5, so the clamp fires
+        policy[0] *= 0.5
+    ours, ref = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    cum_start = np.cumsum(mdp.start)
+    for _ in range(20):
+        assert mdp.sample_start(ours) == reference_index(cum_start, ref.random())
+    cum_next = np.cumsum(mdp.transitions, axis=2)
+    for s in range(n_states):
+        for a in range(n_actions):
+            for _ in range(5):
+                assert mdp.sample_next(s, a, ours) == reference_index(cum_next[s, a],
+                                                                      ref.random())
+    for start_state in (None, 0, None):
+        assert rollout(mdp, policy, ours, start_state=start_state) == \
+            reference_rollout(mdp, policy, ref, start_state=start_state)
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+class FixedDraws:
+    """Stands in for a Generator: ``random()`` returns the given values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_sampler_matches_reference_on_boundary_draws():
+    # ten 0.1s sum to 1 - 2**-53 in floats, the largest draw random() can
+    # return, so that draw would index one past the end without the clamp; a
+    # draw equal to an inner cumsum value tells side="right" from side="left"
+    n = 11
+    P = np.zeros((n, 2, n))
+    P[:, :, :10] = 0.1
+    P[10, :] = np.eye(n)[10]
+    start = np.zeros(n)
+    start[:10] = 0.1
+    mdp = TabularMDP(transitions=P, rewards=np.arange(2.0 * n).reshape(n, 2),
+                     terminal=np.eye(n, dtype=bool)[10], start=start, gamma=0.9)
+    cum = np.cumsum(start)
+    top = np.nextafter(1.0, 0.0)
+    assert cum[-1] == top
+    for u in (0.0, cum[0], cum[1], cum[2], 0.5, top):
+        assert mdp.sample_start(FixedDraws([u])) == reference_index(cum, u)
+        assert mdp.sample_next(3, 1, FixedDraws([u])) == reference_index(np.cumsum(P[3, 1]), u)
+    assert mdp.sample_next(3, 1, FixedDraws([top])) == n - 1
+    policy = np.tile([0.5, 0.5], (n, 1))
+    # start, then (action, next state) per step; the last next-state draw is
+    # clamped onto the terminal state
+    draws = [cum[1], 0.5, cum[2], 0.0, top]
+    ours, ref = FixedDraws(draws), FixedDraws(draws)
+    assert rollout(mdp, policy, ours) == reference_rollout(mdp, policy, ref) == \
+        ([2, 3], [1, 0], [5.0, 6.0])
+    assert ours.values == ref.values == []
 
 
 # -- simplex grid search --------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from memsteer.memory import StateKey
+from memsteer.proposer import FixtureChatClient, ProposerError
 from memsteer.returns import (EnvironmentTruthEvaluator, EvaluatorError, RemoteEvaluator,
                               Trajectory, TrajectoryStep, build_scoring_request,
                               discounted_returns, parse_step_scores)
@@ -187,6 +188,22 @@ def test_remote_evaluator_raises_when_fallback_disabled():
     evaluator = RemoteEvaluator(client, model="m", max_retries=1, fallback_to_zero=False)
     with pytest.raises(EvaluatorError, match="after 2 attempts"):
         evaluator.evaluate(make_trajectory([0.0]))
+
+
+def test_remote_evaluator_falls_back_on_client_failure():
+    evaluator = RemoteEvaluator(FixtureChatClient([]), model="m", max_retries=2,
+                                fallback_to_zero=True)
+    outcome = evaluator.evaluate(make_trajectory([1.0, 2.0]))
+    assert outcome.rewards == [0.0, 0.0]
+    assert outcome.used_fallback
+
+
+def test_remote_evaluator_client_failure_raises_when_fallback_disabled():
+    client = StubClient([ProposerError("transport down")] * 3)
+    evaluator = RemoteEvaluator(client, model="m", max_retries=2, fallback_to_zero=False)
+    with pytest.raises(EvaluatorError, match="after 3 attempts: transport down"):
+        evaluator.evaluate(make_trajectory([0.0]))
+    assert len(client.requests) == 3
 
 
 def test_remote_evaluator_recovers_on_retry():

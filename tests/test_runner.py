@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -10,10 +11,11 @@ from memsteer.memory import MemoryStore, StateKey
 from memsteer.policy import softmax
 from memsteer.proposer import CallablePolicyProposer, ProposerError, TabularProposer
 from memsteer.returns import EnvironmentTruthEvaluator, Trajectory, TrajectoryStep
-from memsteer.runner import (EpisodeRecord, MetricsReport, replay_episode,
-                             run_consistency_experiment, run_episode, run_experiment,
-                             run_task_suite, seed_streams, summarize_consistency,
-                             update_memory)
+from memsteer.runner import (EpisodeRecord, MetricsReport, fill_memory_from_rollouts,
+                             replay_episode, run_consistency_experiment, run_episode,
+                             run_experiment, run_task_suite, seed_streams,
+                             summarize_consistency, update_memory,
+                             write_consistency_csv)
 
 
 def one_state_mdp():
@@ -362,6 +364,50 @@ def test_consistency_frozen_errors_not_worse_than_drifting():
         mdp, final_policy, gamma=0.9, memory_sizes=[2000], seeds=range(10), beta=1.0,
         policy_schedule=drifting))
     assert frozen[2000]["median_v_error"] <= drifted[2000]["median_v_error"]
+
+
+# sha256 of write_consistency_csv for the six-state fixture at sizes (200, 2000)
+# and seeds (0, 1): any change to a sampled draw, a stored key or a retrieval
+# moves it
+SIX_STATE_CONSISTENCY_SHA256 = \
+    "860ffb028de4f7be1d893cbc82e11208716d81b43eab6a1711663d1d9909b4f0"
+
+
+def test_consistency_csv_bytes_are_pinned(tmp_path):
+    mdp, policy = six_state_fixture()
+    points = run_consistency_experiment(mdp, policy, gamma=0.9, memory_sizes=(200, 2000),
+                                        seeds=(0, 1), beta=1.0)
+    path = tmp_path / "consistency.csv"
+    write_consistency_csv(path, points)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SIX_STATE_CONSISTENCY_SHA256
+
+
+def test_filled_store_keys_and_round_trip(tmp_path):
+    mdp, policy = six_state_fixture()
+    assert all(mdp.state_key(s) == StateKey(f"s{s}") for s in range(mdp.n_states))
+    store = MemoryStore()
+    fill_memory_from_rollouts(mdp, lambda episode: policy, 0.9, 500,
+                              np.random.default_rng(3), store)
+    assert len(store) == 500
+    path = tmp_path / "bank.jsonl"
+    store.save(path)
+    assert MemoryStore.load(path).entries == store.entries
+
+
+def test_fill_rejects_store_smaller_than_n_entries():
+    mdp, policy = six_state_fixture()
+    episodes = []
+
+    def schedule(episode):
+        # fail rather than hang if the fill keeps rolling into a full store
+        assert episode < 1000, "fill kept rolling past the store's capacity"
+        episodes.append(episode)
+        return policy
+
+    with pytest.raises(ValueError, match="capacity"):
+        fill_memory_from_rollouts(mdp, schedule, 0.9, 20, np.random.default_rng(0),
+                                  MemoryStore(capacity=10))
+    assert episodes == []
 
 
 def test_consistency_rejects_k_above_n():
