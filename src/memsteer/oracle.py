@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from memsteer.envs.tabular import TabularMDP
+from memsteer.envs.tabular import ROW_SUM_TOL, TabularMDP
 from memsteer.policy import kl_objective
 
 
@@ -36,8 +36,9 @@ def exact_policy_values(mdp: TabularMDP, policy: np.ndarray, gamma: float | None
     """Iterative Bellman evaluation of a fixed stochastic policy.
 
     Terminal states are absorbing with zero value and zero action values.
-    Raises if the sup-norm residual is still above ``tol`` at the iteration
-    cap.
+    Every non-terminal policy row must be finite, non-negative and sum to 1
+    within the MDP's row tolerance. Raises if the sup-norm residual is still
+    above ``tol`` at the iteration cap.
     """
     if gamma is None:
         gamma = mdp.gamma
@@ -47,6 +48,11 @@ def exact_policy_values(mdp: TabularMDP, policy: np.ndarray, gamma: float | None
     if policy.shape != (mdp.n_states, mdp.n_actions):
         raise ValueError(f"policy shape {policy.shape} does not match the MDP")
     live = ~mdp.terminal
+    rows = policy[live]
+    if not (np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
+            and np.all(np.abs(rows.sum(axis=1) - 1.0) <= ROW_SUM_TOL)):
+        raise ValueError("every non-terminal policy row must be finite, non-negative "
+                         "and sum to 1")
     v = np.zeros(mdp.n_states)
     residual = math.inf
     for iteration in range(1, max_iterations + 1):

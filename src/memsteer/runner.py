@@ -8,6 +8,10 @@ episodes. Three modes: ``memsteer`` (the full engine), ``static`` (no
 retrieval, base policy only), and ``greedy-memory`` (an ablation that picks
 the argmax known action value when one exists).
 
+Experiments, task suites and replay all play their episodes through
+:meth:`Session.play`, and a :class:`Session` is the one place that builds a
+memory store from a config.
+
 One root seed fans out into independent per-episode streams (policy sampling,
 exploration draws, environment noise), so identical (config, seed, fixtures)
 reproduce identical metrics and memory files byte for byte.
@@ -65,6 +69,7 @@ class EpisodeRecord:
     abort_reason: str = ""
     evaluator_fallback: bool = False
     memory_size_at_start: int = 0
+    memory_size: int = 0  # len(store) after the episode's update, set by Session.play
     rewards: list[float] | None = None
     returns: tuple[float, ...] | None = None
 
@@ -188,44 +193,35 @@ def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConf
 def _decide(candidates: list[Candidate], neighborhood, config: EngineConfig,
             streams: dict[str, np.random.Generator], mode: str,
             normalizer: ActionNormalizer) -> Decision:
-    actions = [c.action for c in candidates]
-    if mode == "static":
-        for cand in candidates:
-            cand.normalized_advantage = 0.0
-        return softmax_sample(candidates, streams["policy"], beta=0.0)
-
     estimate = None
-    if neighborhood:
+    if neighborhood:  # always None in static mode
         estimate = estimate_candidates(
-            neighborhood, actions,
+            neighborhood, [c.action for c in candidates],
             exploration_rate=0.0 if mode == "greedy-memory" else config.exploration_rate,
             exploration_bonus=config.exploration_bonus,
             rng=streams["estimator"], normalizer=normalizer)
 
-    if mode == "greedy-memory":
-        if estimate is not None:
-            known = [(i, estimate.per_action[c.action])
-                     for i, c in enumerate(candidates)
-                     if estimate.per_action[c.action].source == KNOWN]
-            if known:
-                chosen = max(known, key=lambda iv: iv[1].q)[0]
-                distribution = np.zeros(len(candidates))
-                distribution[chosen] = 1.0
-                return Decision(candidates=candidates, distribution=distribution,
-                                chosen=chosen, beta=0.0,
-                                rng_state=streams["policy"].bit_generator.state)
-        for cand in candidates:
-            cand.normalized_advantage = 0.0
-        return softmax_sample(candidates, streams["policy"], beta=0.0)
+    if mode == "greedy-memory" and estimate is not None:
+        known = [(i, estimate.per_action[c.action])
+                 for i, c in enumerate(candidates)
+                 if estimate.per_action[c.action].source == KNOWN]
+        if known:
+            chosen = max(known, key=lambda iv: iv[1].q)[0]
+            distribution = np.zeros(len(candidates))
+            distribution[chosen] = 1.0
+            return Decision(candidates=candidates, distribution=distribution,
+                            chosen=chosen, beta=0.0,
+                            rng_state=streams["policy"].bit_generator.state)
 
-    # full engine: advantage-shifted logits (zero shift when memory is silent)
-    if estimate is not None:
+    # the full engine shifts the logits by the advantages (zero when memory is
+    # silent); static mode and the greedy fallback sample the base policy
+    vector = None
+    if mode == "memsteer" and estimate is not None:
         vector = advantage_vector(estimate, config.epsilon)
-        for cand in candidates:
-            cand.normalized_advantage = vector.normalized[cand.action]
-    else:
-        for cand in candidates:
-            cand.normalized_advantage = 0.0
+    for cand in candidates:
+        cand.normalized_advantage = 0.0 if vector is None else vector.normalized[cand.action]
+    if mode != "memsteer":
+        return softmax_sample(candidates, streams["policy"], beta=0.0)
     logit_update(candidates, config.beta)
     return softmax_sample(candidates, streams["policy"], beta=config.beta)
 
@@ -250,6 +246,47 @@ def update_memory(record: EpisodeRecord, memory: MemoryStore, evaluator,
     return entries
 
 
+class Session:
+    """One frozen policy playing episodes against one evolving memory: the
+    config, mode, store, action normalizer, evaluator and optional bank file,
+    which a new session starts empty."""
+
+    def __init__(self, config: EngineConfig, mode: str = "memsteer", evaluator=None,
+                 memory: MemoryStore | None = None, bank_path: Path | None = None):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        self.config = config
+        self.mode = mode
+        self.evaluator = evaluator or EnvironmentTruthEvaluator(
+            terminal_bonus=config.terminal_bonus)
+        self.memory = memory if memory is not None else MemoryStore(
+            capacity=config.memory_capacity, state_weight=config.state_weight,
+            history_weight=config.history_weight)
+        self.normalizer = ActionNormalizer(config.action_rules)
+        self.bank_path = bank_path
+        if bank_path is not None:
+            bank_path.parent.mkdir(parents=True, exist_ok=True)
+            bank_path.write_text("", encoding="utf-8")
+
+    def play(self, env_factory, proposer_factory, episode: int, stream: int | None = None,
+             task_filter: TaskFilter | None = None, task_id: str = "") -> EpisodeRecord:
+        """Play episode ``episode`` on the seed streams of ``stream`` (default
+        ``episode``), then, unless the mode is static, store its triplets and
+        append them to the bank. Records the store's size afterwards."""
+        streams = seed_streams(self.config.seed, episode if stream is None else stream)
+        env = env_factory(streams["env"])
+        record = run_episode(env, proposer_factory(env), self.memory, self.config, streams,
+                             mode=self.mode, episode_index=episode,
+                             normalizer=self.normalizer, task_filter=task_filter,
+                             task_id=task_id)
+        if self.mode != "static":
+            new_entries = update_memory(record, self.memory, self.evaluator, self.config.gamma)
+            if self.bank_path is not None and new_entries:
+                append_records(self.bank_path, new_entries)
+        record.memory_size = len(self.memory)
+        return record
+
+
 def run_experiment(config: EngineConfig, env_factory, proposer_factory,
                    mode: str = "memsteer", evaluator=None, out_dir=None,
                    memory: MemoryStore | None = None,
@@ -261,36 +298,15 @@ def run_experiment(config: EngineConfig, env_factory, proposer_factory,
     ``env_factory(rng)`` builds a fresh environment per episode;
     ``proposer_factory(env)`` binds the proposer to it.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    evaluator = evaluator or EnvironmentTruthEvaluator(terminal_bonus=config.terminal_bonus)
-    memory = memory if memory is not None else MemoryStore(
-        capacity=config.memory_capacity, state_weight=config.state_weight,
-        history_weight=config.history_weight)
-    normalizer = ActionNormalizer(config.action_rules)
-    records: list[EpisodeRecord] = []
     bank_path = Path(out_dir) / "memory.jsonl" if out_dir is not None else None
-    if bank_path is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        bank_path.write_text("", encoding="utf-8")
-
-    for episode in range(config.episodes):
-        streams = seed_streams(config.seed, episode)
-        env = env_factory(streams["env"])
-        proposer = proposer_factory(env)
-        record = run_episode(env, proposer, memory, config, streams, mode=mode,
-                             episode_index=episode, normalizer=normalizer)
-        if mode != "static":
-            new_entries = update_memory(record, memory, evaluator, config.gamma)
-            if bank_path is not None and new_entries:
-                append_records(bank_path, new_entries)
-        records.append(record)
-
+    session = Session(config, mode, evaluator=evaluator, memory=memory, bank_path=bank_path)
+    records = [session.play(env_factory, proposer_factory, episode)
+               for episode in range(config.episodes)]
     report = MetricsReport(scores=[r.final_score for r in records],
                            successes=[r.success for r in records])
     if out_dir is not None:
-        write_outputs(Path(out_dir), config, mode, report, records, memory)
-    return report, memory, records
+        write_outputs(Path(out_dir), config, mode, report, records, session.memory)
+    return report, session.memory, records
 
 
 def run_task_suite(config: EngineConfig, tasks: dict, mode: str = "memsteer",
@@ -303,47 +319,34 @@ def run_task_suite(config: EngineConfig, tasks: dict, mode: str = "memsteer",
     ``memory_scope == "global"`` all tasks share one evolving store (and, when
     ``task_similarity_threshold`` is set and a task has an entry in
     ``task_texts``, retrieval is gated by the cross-task filter); with
-    ``"per-task"`` each task owns an isolated store. Returns per-task reports,
-    the tasks-by-episodes score matrix, and the stores used.
+    ``"per-task"`` each task owns an isolated store. One session plays each
+    store's episodes, and all sessions share one evaluator. Returns per-task
+    reports, the tasks-by-episodes score matrix, and the stores used.
     """
     task_texts = task_texts or {}
-    stores: dict[str, MemoryStore] = {}
-    shared = MemoryStore(capacity=config.memory_capacity,
-                         state_weight=config.state_weight,
-                         history_weight=config.history_weight)
-    evaluator = evaluator or EnvironmentTruthEvaluator(terminal_bonus=config.terminal_bonus)
-    normalizer = ActionNormalizer(config.action_rules)
+    sessions: dict[str, Session] = {}
     reports: dict[str, MetricsReport] = {}
     matrix = np.zeros((len(tasks), config.episodes))
     for row, (task_id, (env_factory, proposer_factory)) in enumerate(tasks.items()):
-        if config.memory_scope == "per-task":
-            memory = stores.setdefault(task_id, MemoryStore(
-                capacity=config.memory_capacity, state_weight=config.state_weight,
-                history_weight=config.history_weight))
-        else:
-            memory = stores.setdefault("global", shared)
+        scope = task_id if config.memory_scope == "per-task" else "global"
+        if scope not in sessions:
+            sessions[scope] = Session(config, mode, evaluator=evaluator)
+            evaluator = sessions[scope].evaluator
         task_filter = None
-        if config.memory_scope == "global" and config.task_similarity_threshold is not None \
+        if scope == "global" and config.task_similarity_threshold is not None \
                 and task_id in task_texts:
             task_filter = TaskFilter(task_text=task_texts[task_id],
                                      threshold=config.task_similarity_threshold,
                                      history_weight=config.cross_task_history_weight,
                                      task_weight=config.cross_task_task_weight)
-        records = []
-        for episode in range(config.episodes):
-            streams = seed_streams(config.seed, row * config.episodes + episode)
-            env = env_factory(streams["env"])
-            proposer = proposer_factory(env)
-            record = run_episode(env, proposer, memory, config, streams, mode=mode,
-                                 episode_index=episode, normalizer=normalizer,
-                                 task_filter=task_filter, task_id=task_id)
-            if mode != "static":
-                update_memory(record, memory, evaluator, config.gamma)
-            records.append(record)
+        records = [sessions[scope].play(env_factory, proposer_factory, episode,
+                                        stream=row * config.episodes + episode,
+                                        task_filter=task_filter, task_id=task_id)
+                   for episode in range(config.episodes)]
         reports[task_id] = MetricsReport(scores=[r.final_score for r in records],
                                          successes=[r.success for r in records])
         matrix[row] = [r.final_score for r in records]
-    return reports, matrix, stores
+    return reports, matrix, {scope: s.memory for scope, s in sessions.items()}
 
 
 # -- output files --------------------------------------------------------------
@@ -353,7 +356,7 @@ def write_outputs(out_dir: Path, config: EngineConfig, mode: str,
                   report: MetricsReport, records: Sequence[EpisodeRecord],
                   memory: MemoryStore) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out_dir / "metrics.csv", records, memory_growth(records))
+    write_metrics_csv(out_dir / "metrics.csv", records)
     summary = {
         "mode": mode,
         "config": config.to_dict(),
@@ -373,24 +376,14 @@ def write_outputs(out_dir: Path, config: EngineConfig, mode: str,
             fh.write("\n")
 
 
-def memory_growth(records: Sequence[EpisodeRecord]) -> list[int]:
-    sizes, total = [], 0
-    for record in records:
-        if not record.aborted:
-            total += record.steps
-        sizes.append(total)
-    return sizes
-
-
-def write_metrics_csv(path, records: Sequence[EpisodeRecord],
-                      memory_sizes: Sequence[int]) -> None:
+def write_metrics_csv(path, records: Sequence[EpisodeRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["episode", "score", "success", "steps", "aborted", "memory_size"])
-        for record, size in zip(records, memory_sizes):
+        for record in records:
             writer.writerow([record.episode_index, record.final_score,
                              int(record.success), record.steps,
-                             int(record.aborted), size])
+                             int(record.aborted), record.memory_size])
 
 
 def episode_record_to_dict(record: EpisodeRecord) -> dict:
@@ -440,29 +433,23 @@ def replay_episode(config: EngineConfig, env_factory, proposer_factory, mode: st
                    recorded: dict, bank_path=None) -> tuple[dict, bool]:
     """Re-run one recorded episode from its seed and memory snapshot.
 
-    The memory snapshot is the first ``memory_size_at_start`` lines of the
-    bank file. Returns the freshly computed record dict and whether it matches
-    the recorded one exactly.
+    The snapshot of episode ``e`` is the bank's rows from episodes before
+    ``e``, inserted in order into a store built from ``config``, so that a
+    capacity evicts as it did in the run. Only the run's own bank, from a run
+    that started with an empty store, gives the recorded
+    ``memory_size_at_start``. Returns the freshly computed record dict and
+    whether it matches the recorded one exactly.
     """
     episode = recorded["episode"]
-    memory = MemoryStore(capacity=config.memory_capacity,
-                         state_weight=config.state_weight,
-                         history_weight=config.history_weight)
-    if bank_path is not None and recorded["memory_size_at_start"] > 0:
-        loaded = MemoryStore.load(bank_path)
-        for entry in loaded.entries[: recorded["memory_size_at_start"]]:
-            memory.insert(entry)
-    streams = seed_streams(config.seed, episode)
-    env = env_factory(streams["env"])
-    proposer = proposer_factory(env)
-    record = run_episode(env, proposer, memory, config, streams, mode=mode,
-                         episode_index=episode)
-    fresh = episode_record_to_dict(record)
-    comparable = {k: v for k, v in fresh.items()
-                  if k not in ("rewards", "returns", "evaluator_fallback")}
-    recorded_comparable = {k: v for k, v in recorded.items()
-                           if k not in ("rewards", "returns", "evaluator_fallback")}
-    return fresh, comparable == recorded_comparable
+    session = Session(config, mode)
+    if bank_path is not None:
+        session.memory.extend(entry for entry in MemoryStore.load(bank_path).entries
+                              if entry.episode < episode)
+    fresh = episode_record_to_dict(session.play(env_factory, proposer_factory, episode))
+    unchecked = ("rewards", "returns", "evaluator_fallback")
+    same = ({k: v for k, v in fresh.items() if k not in unchecked}
+            == {k: v for k, v in recorded.items() if k not in unchecked})
+    return fresh, same
 
 
 # -- consistency experiments ----------------------------------------------------
@@ -494,11 +481,14 @@ def fill_memory_from_rollouts(mdp: TabularMDP, policy_of_episode, gamma: float,
 
     ``policy_of_episode(i)`` may drift across episodes; returns are realized
     discounted tails, i.e. unbiased but noisy action-value samples. A store
-    whose capacity is below ``n_entries`` could never fill, so it is rejected
-    before the first rollout.
+    whose capacity is below ``n_entries`` could never fill, nor could any
+    store when every start state is terminal (each rollout is empty), so both
+    are rejected before the first rollout.
     """
     if store.capacity is not None and store.capacity < n_entries:
         raise ValueError(f"store capacity {store.capacity} is below n_entries={n_entries}")
+    if not np.any(mdp.start[~mdp.terminal] > 0.0):
+        raise ValueError("every start state is terminal, so no rollout yields a triplet")
     room = n_entries - len(store)
     episode = 0
     while room > 0:

@@ -91,6 +91,21 @@ def test_replay_subcommand_matches(tmp_path, capsys):
     assert "MATCH" in capsys.readouterr().out
 
 
+def test_replay_subcommand_matches_under_capacity(tmp_path, capsys):
+    out = tmp_path / "exp"
+    config = EngineConfig.text_game_profile(beta=2.0, episodes=4, seed=2,
+                                            memory_capacity=7)
+    config_path = tmp_path / "config.json"
+    config.save(config_path)
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    capsys.readouterr()
+    code = main(["replay", "--config", str(config_path),
+                 "--records", str(out / "records.jsonl"), "--episode", "3",
+                 "--memory", str(out / "memory.jsonl")])
+    assert code == 0
+    assert "episode 3: MATCH" in capsys.readouterr().out
+
+
 def test_replay_missing_episode(tmp_path, capsys):
     out = tmp_path / "exp"
     config = EngineConfig.text_game_profile(beta=2.0, episodes=1, seed=2)

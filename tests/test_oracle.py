@@ -44,6 +44,35 @@ def test_dp_nonconvergence_raises():
         exact_policy_values(mdp, policy, gamma=0.9, tol=1e-12, max_iterations=3)
 
 
+def invalid_policy(kind):
+    """The six-state fixture's policy with state 1's row broken one way."""
+    policy = six_state_fixture()[1].copy()
+    if kind == "sums-to-half":
+        policy[1] *= 0.5
+    elif kind == "negative":  # -0.1 and 0.8: the row still sums to 1
+        policy[1, 0] -= 0.5
+        policy[1, 1] += 0.5
+    else:
+        policy[1, 0] = float("nan")
+    return policy
+
+
+@pytest.mark.parametrize("kind", ["sums-to-half", "negative", "nan"])
+def test_dp_rejects_invalid_policy_row(kind):
+    mdp, _ = six_state_fixture()
+    with pytest.raises(ValueError, match="policy row"):
+        exact_policy_values(mdp, invalid_policy(kind), gamma=0.9)
+
+
+def test_dp_ignores_terminal_policy_rows():
+    mdp, policy = six_state_fixture()
+    policy = policy.copy()
+    policy[mdp.terminal] = 0.0
+    values = exact_policy_values(mdp, policy, gamma=0.9)
+    assert np.array_equal(values.v, exact_policy_values(mdp, six_state_fixture()[1],
+                                                        gamma=0.9).v)
+
+
 def test_expected_advantage_is_zero_under_policy():
     mdp, policy = six_state_fixture()
     values = exact_policy_values(mdp, policy, gamma=0.9)

@@ -214,6 +214,85 @@ def test_metrics_csv_shape(tmp_path):
     assert len(lines) == 4
 
 
+def metrics_memory_sizes(out_dir):
+    lines = (out_dir / "metrics.csv").read_text().strip().splitlines()[1:]
+    return [int(line.split(",")[-1]) for line in lines]
+
+
+def test_metrics_memory_size_is_zero_in_static_mode(tmp_path):
+    env_factory, proposer_factory = keydoor_factories()
+    config = EngineConfig.text_game_profile(beta=2.0, episodes=3, seed=0)
+    run_experiment(config, env_factory, proposer_factory, mode="static", out_dir=tmp_path)
+    assert metrics_memory_sizes(tmp_path) == [0, 0, 0]
+
+
+def test_metrics_memory_size_follows_capacity(tmp_path):
+    env_factory, proposer_factory = keydoor_factories()
+    config = EngineConfig.text_game_profile(beta=2.0, episodes=4, seed=0,
+                                            memory_capacity=50)
+    _, memory, records = run_experiment(config, env_factory, proposer_factory,
+                                        mode="memsteer", out_dir=tmp_path)
+    sizes = metrics_memory_sizes(tmp_path)
+    assert sizes == [r.memory_size for r in records] == [50] * 4
+    assert sizes[-1] == len(memory)
+
+
+def test_metrics_memory_size_counts_warm_rows(tmp_path):
+    env_factory, proposer_factory = keydoor_factories()
+    config = EngineConfig.text_game_profile(beta=2.0, episodes=2, seed=0)
+    warm = MemoryStore()
+    for i in range(7):
+        warm.add(StateKey(f"nowhere {i}"), "wait", 0.0)
+    _, memory, records = run_experiment(config, env_factory, proposer_factory,
+                                        mode="memsteer", out_dir=tmp_path, memory=warm)
+    assert records[0].memory_size_at_start == 7
+    assert metrics_memory_sizes(tmp_path) == [7 + records[0].steps, len(memory)]
+    assert len(memory) == 7 + sum(r.steps for r in records)
+
+
+# sha256 of the outputs of a six-episode key-door run at seed 7: any change to
+# a decision, a stored row or a file format moves them. At capacity 50 the
+# memory_size column of metrics.csv is checked by
+# test_metrics_memory_size_follows_capacity instead.
+KEYDOOR_OUTPUT_SHA256 = {
+    None: {
+        "metrics.csv": "c3d7392806636bcdcf8ba03c2d919c0863d5d181a96303fdb3bed1a5131485ee",
+        "summary.json": "0285332337b1bc21defd4ea015a71a35f6d0895eeed20728f24781cd1859bd28",
+        "records.jsonl": "b7bb8aa8edf984cd56a2b29b557d5c0c38b9851cc33a276f734852277badd492",
+        "memory.jsonl": "0653e926692907f5141082e60526c73f9317fe658191131f78e304121f444a7e",
+    },
+    50: {
+        "summary.json": "44058a6cb272dac781f06e6abf2be0226d304fc4190a498547da0a5aa36e7afc",
+        "records.jsonl": "30df309e25715702e57b07e8df6798784e18bc222be663aad330bb0e7e91f5e9",
+        "memory.jsonl": "6330ca205186207b7855025179b91057c9886fb9be5a169e15ff730c76a47866",
+    },
+}
+
+
+@pytest.mark.parametrize("capacity", [None, 50])
+def test_keydoor_output_bytes_are_pinned(tmp_path, capacity):
+    env_factory, proposer_factory = keydoor_factories()
+    config = EngineConfig.text_game_profile(beta=2.0, episodes=6, seed=7,
+                                            memory_capacity=capacity)
+    run_experiment(config, env_factory, proposer_factory, mode="memsteer",
+                   out_dir=tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in KEYDOOR_OUTPUT_SHA256[capacity]}
+    assert digests == KEYDOOR_OUTPUT_SHA256[capacity]
+
+
+def test_one_task_suite_equals_experiment():
+    env_factory, proposer_factory = keydoor_factories()
+    config = EngineConfig.text_game_profile(beta=2.0, episodes=3, seed=4,
+                                            memory_scope="global")
+    report, memory, _ = run_experiment(config, env_factory, proposer_factory,
+                                       mode="memsteer")
+    reports, matrix, stores = run_task_suite(
+        config, {"only": (env_factory, proposer_factory)}, mode="memsteer")
+    assert reports["only"].scores == report.scores == list(matrix[0])
+    assert stores["global"].entries == memory.entries
+
+
 def test_greedy_memory_mode_picks_argmax_known():
     config = engine_config(step_limit=1)
     memory = MemoryStore()
@@ -307,6 +386,21 @@ def test_replay_reproduces_recorded_episode(tmp_path):
     _, matches = replay_episode(config, env_factory, proposer_factory, "memsteer",
                                 recorded, bank_path=tmp_path / "memory.jsonl")
     assert matches
+
+
+@pytest.mark.parametrize("capacity", [None, 50, 7])
+def test_replay_matches_every_episode_under_capacity(tmp_path, capacity):
+    env_factory, proposer_factory = keydoor_factories()
+    config = EngineConfig.text_game_profile(beta=2.0, episodes=8, seed=3,
+                                            memory_capacity=capacity)
+    run_experiment(config, env_factory, proposer_factory, mode="memsteer",
+                   out_dir=tmp_path)
+    records = [json.loads(line) for line in
+               (tmp_path / "records.jsonl").read_text().splitlines() if line]
+    for recorded in records:
+        _, matches = replay_episode(config, env_factory, proposer_factory, "memsteer",
+                                    recorded, bank_path=tmp_path / "memory.jsonl")
+        assert matches, f"episode {recorded['episode']} did not replay"
 
 
 def test_replay_detects_tampered_record(tmp_path):
@@ -408,6 +502,36 @@ def test_fill_rejects_store_smaller_than_n_entries():
         fill_memory_from_rollouts(mdp, schedule, 0.9, 20, np.random.default_rng(0),
                                   MemoryStore(capacity=10))
     assert episodes == []
+
+
+def test_fill_rejects_start_on_terminal_states():
+    P = np.zeros((2, 2, 2))
+    P[:, :, 1] = 1.0
+    mdp = TabularMDP(transitions=P, rewards=np.zeros((2, 2)),
+                     terminal=np.array([False, True]), start=np.array([0.0, 1.0]))
+    episodes = []
+
+    def schedule(episode):
+        # fail rather than hang if the fill keeps rolling empty episodes
+        assert episode < 1000, "fill kept rolling episodes that yield no triplet"
+        episodes.append(episode)
+        return np.full((2, 2), 0.5)
+
+    with pytest.raises(ValueError, match="terminal"):
+        fill_memory_from_rollouts(mdp, schedule, 0.9, 5, np.random.default_rng(0),
+                                  MemoryStore())
+    assert episodes == []
+
+
+def test_consistency_rejects_invalid_policy_row():
+    # the other malformed rows are covered at exact_policy_values, which
+    # run_consistency_experiment calls before the first fill
+    mdp, policy = six_state_fixture()
+    policy = policy.copy()
+    policy[1] *= 0.5
+    with pytest.raises(ValueError, match="policy row"):
+        run_consistency_experiment(mdp, policy, gamma=0.9, memory_sizes=[200],
+                                   seeds=[0], beta=1.0)
 
 
 def test_consistency_rejects_k_above_n():
