@@ -14,6 +14,7 @@ Config files are JSON (see memsteer.config); flags override file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from memsteer.config import EngineConfig, PROFILES
-from memsteer.memory import MemoryStore
+from memsteer.memory import read_bank
 from memsteer.runner import (MODES, replay_episode, run_consistency_experiment,
                              run_experiment, summarize_consistency, write_consistency_csv)
 
@@ -67,13 +68,10 @@ def build_proposer_factory(name: str, optimal_mass: float):
 
 
 def load_config(args) -> EngineConfig:
-    overrides = {}
-    for name in ("beta", "gamma", "seed", "episodes", "step_limit", "k_neighbors",
-                 "similarity_threshold", "exploration_rate", "exploration_bonus",
-                 "history_length", "n_candidates", "memory_capacity"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    """The config of ``--config`` or ``--profile``, with every config flag the
+    parsed ``args`` carry (an EngineConfig field name set to a value) on top."""
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(EngineConfig)
+                 if getattr(args, f.name, None) is not None}
     if args.config:
         return EngineConfig.load(args.config, **overrides)
     profile = args.profile or "text-game"
@@ -182,8 +180,7 @@ def cmd_verify_optimality(args) -> int:
 
 
 def cmd_inspect_memory(args) -> int:
-    store = MemoryStore.load(args.bank)
-    entries = store.entries
+    entries = list(read_bank(args.bank))
     if not entries:
         print(f"{args.bank}: empty memory bank")
         return 0

@@ -38,7 +38,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -310,10 +310,6 @@ class MemoryStore:
         for entry in live:  # at most capacity entries, so none is evicted
             self._insert(entry)
 
-    def extend(self, entries: Iterable[MemoryEntry]) -> None:
-        for entry in entries:
-            self.insert(entry)
-
     def retrieve(self, query: StateKey, k: int, threshold: float,
                  task_filter: TaskFilter | None = None) -> Neighborhood:
         """Top-k entries with similarity >= threshold, most similar first.
@@ -362,26 +358,34 @@ class MemoryStore:
     @classmethod
     def load(cls, path, capacity: int | None = None, state_weight: float = 0.75,
              history_weight: float = 0.25) -> "MemoryStore":
-        """Read a bank, keeping its time indices; ``capacity`` evicts as inserts do.
-
-        Raises :class:`MemoryFormatError` on a malformed record or on a time
-        index that does not exceed the previous record's.
-        """
+        """Read a bank through :func:`read_bank`, keeping its time indices;
+        ``capacity`` evicts as inserts do."""
         store = cls(capacity=capacity, state_weight=state_weight,
                     history_weight=history_weight)
-        previous: int | None = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                entry = decode_record(line, lineno)
-                if previous is not None and entry.time_index <= previous:
-                    raise MemoryFormatError(
-                        lineno, f"time {entry.time_index} does not exceed the previous "
-                                f"record's time {previous}")
-                previous = entry.time_index
-                store._insert(entry)
+        for entry in read_bank(path):
+            store._insert(entry)
         return store
+
+
+def read_bank(path) -> Iterator[MemoryEntry]:
+    """Yield a bank's entries in file order, decoding each line as it is reached.
+
+    Raises :class:`MemoryFormatError` on a malformed record or on a time index
+    that does not exceed the previous record's. A caller that stops early
+    leaves the rest of the file unread.
+    """
+    previous: int | None = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            entry = decode_record(line, lineno)
+            if previous is not None and entry.time_index <= previous:
+                raise MemoryFormatError(
+                    lineno, f"time {entry.time_index} does not exceed the previous "
+                            f"record's time {previous}")
+            previous = entry.time_index
+            yield entry
 
 
 def encode_record(entry: MemoryEntry) -> str:

@@ -144,7 +144,3 @@ def base_distribution(candidates: Sequence[Candidate]) -> np.ndarray:
     """Softmax of the base logits (the unmodified proposer policy)."""
     return softmax(np.array([c.base_logit for c in candidates], dtype=np.float64))
 
-
-def check_distribution(dist: np.ndarray, tol: float = 1e-12) -> None:
-    if abs(float(dist.sum()) - 1.0) > tol:
-        raise AssertionError(f"distribution sums to {dist.sum()!r}")

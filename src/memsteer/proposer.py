@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
-from memsteer.memory import ActionNormalizer, IDENTITY_NORMALIZER
+from memsteer.memory import IDENTITY_NORMALIZER
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,6 @@ class ProposerRequest:
 @dataclass
 class ProposerResponse:
     candidates: list[tuple[str, float]]
-    raw_payload: object = None
 
     def __post_init__(self):
         if not self.candidates:
@@ -67,19 +66,40 @@ class Proposer(Protocol):
     def propose(self, request: ProposerRequest) -> ProposerResponse: ...
 
 
+def _valid_only(options: Sequence[tuple], valid_actions: Sequence[str]) -> list[tuple]:
+    """The (action, ...) options whose action matches a valid action, compared in
+    the :data:`IDENTITY_NORMALIZER` form."""
+    allowed = {IDENTITY_NORMALIZER(a) for a in valid_actions}
+    return [option for option in options if IDENTITY_NORMALIZER(option[0]) in allowed]
+
+
 def enforce_valid_actions(candidates: Sequence[tuple[str, float]],
                           valid_actions: Sequence[str] | None,
-                          normalizer: ActionNormalizer = IDENTITY_NORMALIZER,
                           payload: object = None) -> list[tuple[str, float]]:
     """Hard filter: drop candidates outside the valid set; error if none survive."""
     if valid_actions is None:
         return list(candidates)
-    allowed = {normalizer(a) for a in valid_actions}
-    kept = [(a, z) for a, z in candidates if normalizer(a) in allowed]
+    kept = _valid_only(candidates, valid_actions)
     if not kept:
         raise ProposerError(
             f"all proposed actions fell outside the valid set {list(valid_actions)!r}",
             payload=payload)
+    return kept
+
+
+def _ask_for_valid(ask: Callable[[ProposerRequest], tuple[list[tuple], dict]],
+                   request: ProposerRequest) -> list[tuple]:
+    """``ask(request)`` for (action, ...) options and the reply payload, and keep
+    the valid options; when none is valid, ask once more, then give up."""
+    options, payload = ask(request)
+    if request.valid_actions is None:
+        return options
+    kept = _valid_only(options, request.valid_actions)
+    if not kept:
+        options, payload = ask(request)
+        kept = _valid_only(options, request.valid_actions)
+        if not kept:
+            raise ProposerError("no valid action proposed after retry", payload=payload)
     return kept
 
 
@@ -94,38 +114,32 @@ def top_candidates(distribution: Mapping[str, float], n: int) -> list[tuple[str,
     return [(a, math.log(p)) for a, p in items[:n]]
 
 
-class TabularProposer:
-    """Deterministic stand-in for the frozen policy: a state -> distribution table."""
-
-    def __init__(self, table: Mapping[str, Mapping[str, float]],
-                 normalizer: ActionNormalizer = IDENTITY_NORMALIZER):
-        self.table = table
-        self.normalizer = normalizer
-
-    def propose(self, request: ProposerRequest) -> ProposerResponse:
-        row = self.table.get(request.state_text)
-        if row is None:
-            raise ProposerError(f"state {request.state_text!r} not in the policy table")
-        candidates = top_candidates(row, request.n_candidates)
-        candidates = enforce_valid_actions(candidates, request.valid_actions,
-                                           self.normalizer, payload=row)
-        return ProposerResponse(candidates=candidates, raw_payload=row)
-
-
 class CallablePolicyProposer:
     """Scripted policy: a function mapping the request to an action distribution."""
 
-    def __init__(self, policy_fn: Callable[[ProposerRequest], Mapping[str, float]],
-                 normalizer: ActionNormalizer = IDENTITY_NORMALIZER):
+    def __init__(self, policy_fn: Callable[[ProposerRequest], Mapping[str, float]]):
         self.policy_fn = policy_fn
-        self.normalizer = normalizer
 
     def propose(self, request: ProposerRequest) -> ProposerResponse:
         distribution = self.policy_fn(request)
         candidates = top_candidates(distribution, request.n_candidates)
         candidates = enforce_valid_actions(candidates, request.valid_actions,
-                                           self.normalizer, payload=dict(distribution))
-        return ProposerResponse(candidates=candidates, raw_payload=dict(distribution))
+                                           payload=dict(distribution))
+        return ProposerResponse(candidates=candidates)
+
+
+class TabularProposer(CallablePolicyProposer):
+    """Deterministic stand-in for the frozen policy: a state -> distribution table."""
+
+    def __init__(self, table: Mapping[str, Mapping[str, float]]):
+        super().__init__(self._row)
+        self.table = table
+
+    def _row(self, request: ProposerRequest) -> Mapping[str, float]:
+        row = self.table.get(request.state_text)
+        if row is None:
+            raise ProposerError(f"state {request.state_text!r} not in the policy table")
+        return row
 
 
 def uniform_policy(request: ProposerRequest) -> dict[str, float]:
@@ -140,11 +154,14 @@ def uniform_policy(request: ProposerRequest) -> dict[str, float]:
 
 
 class ChatClient(Protocol):
-    def complete(self, payload: dict) -> dict: ...
+    def complete(self, payload: dict) -> dict:
+        """One chat-completion exchange. Retries its own transport and raises
+        :class:`ProposerError` when it gives up."""
 
 
 class HttpChatClient:
-    """Blocking chat-completion client with timeout and bounded retry."""
+    """Blocking chat-completion client with timeout and bounded retry; the one
+    layer of the package that retries a failed transport."""
 
     def __init__(self, url: str, api_key: str | None = None, timeout: float = 30.0,
                  max_attempts: int = 3, retry_delay: float = 0.5):
@@ -184,12 +201,11 @@ class FixtureChatClient:
     live payload, which catches prompt drift in tests.
     """
 
-    def __init__(self, exchanges: Sequence[dict] | str, strict: bool = True):
+    def __init__(self, exchanges: Sequence[dict] | str):
         if isinstance(exchanges, str):
             with open(exchanges, "r", encoding="utf-8") as fh:
                 exchanges = json.load(fh)
         self.exchanges = list(exchanges)
-        self.strict = strict
         self.cursor = 0
 
     @property
@@ -202,12 +218,11 @@ class FixtureChatClient:
         exchange = self.exchanges[self.cursor]
         self.cursor += 1
         recorded = exchange.get("request", {})
-        if self.strict:
-            for key in ("model", "messages"):
-                if key in recorded and recorded[key] != payload.get(key):
-                    raise ProposerError(
-                        f"fixture request mismatch on {key!r} at exchange {self.cursor - 1}",
-                        payload=payload)
+        for key in ("model", "messages"):
+            if key in recorded and recorded[key] != payload.get(key):
+                raise ProposerError(
+                    f"fixture request mismatch on {key!r} at exchange {self.cursor - 1}",
+                    payload=payload)
         return exchange["response"]
 
 
@@ -234,13 +249,19 @@ def _parse_json_content(payload: dict) -> dict:
     return body
 
 
-def generation_messages(request: ProposerRequest) -> list[dict]:
+def _request_lines(request: ProposerRequest) -> list[str]:
+    """The state, recent-action and valid-action lines of both proposal prompts."""
     lines = [f"State: {request.state_text}"]
     if request.history_text:
         lines.append(f"Recent actions: {request.history_text}")
     if request.valid_actions is not None:
         lines.append("Valid actions (choose only from these): "
                      + "; ".join(request.valid_actions))
+    return lines
+
+
+def generation_messages(request: ProposerRequest) -> list[dict]:
+    lines = _request_lines(request)
     lines.append(f"Propose up to {request.n_candidates} distinct promising actions.")
     return [
         {"role": "system", "content":
@@ -261,12 +282,7 @@ def index_messages(actions: Sequence[str]) -> list[dict]:
 
 
 def verbalized_messages(request: ProposerRequest) -> list[dict]:
-    lines = [f"State: {request.state_text}"]
-    if request.history_text:
-        lines.append(f"Recent actions: {request.history_text}")
-    if request.valid_actions is not None:
-        lines.append("Valid actions (choose only from these): "
-                     + "; ".join(request.valid_actions))
+    lines = _request_lines(request)
     lines.append(f"Propose up to {request.n_candidates} distinct actions with an "
                  "integer confidence 0-100 each; confidences must sum to 100.")
     return [
@@ -289,16 +305,16 @@ class TokenLogitProposer:
     """
 
     def __init__(self, client: ChatClient, model: str, temperature: float = 0.8,
-                 floor_prob: float = 1e-6, top_logprobs: int = 8,
-                 normalizer: ActionNormalizer = IDENTITY_NORMALIZER):
+                 floor_prob: float = 1e-6, top_logprobs: int = 8):
         self.client = client
         self.model = model
         self.temperature = temperature
         self.floor_prob = floor_prob
         self.top_logprobs = top_logprobs
-        self.normalizer = normalizer
 
-    def _generate_actions(self, request: ProposerRequest) -> tuple[list[str], dict]:
+    def _generate_actions(self, request: ProposerRequest) -> tuple[list[tuple[str]], dict]:
+        """Distinct proposed actions as 1-tuples (the option shape of
+        :func:`_ask_for_valid`), and the reply payload."""
         payload = self.client.complete({
             "model": self.model,
             "temperature": self.temperature,
@@ -310,21 +326,11 @@ class TokenLogitProposer:
             raise ProposerError('expected {"options": [<action strings>]}', payload=payload)
         seen: dict[str, str] = {}
         for option in options:
-            seen.setdefault(self.normalizer(option), option)
-        return list(seen.values())[: request.n_candidates], payload
+            seen.setdefault(IDENTITY_NORMALIZER(option), option)
+        return [(a,) for a in list(seen.values())[: request.n_candidates]], payload
 
     def propose(self, request: ProposerRequest) -> ProposerResponse:
-        actions, payload = self._generate_actions(request)
-        if request.valid_actions is not None:
-            allowed = {self.normalizer(a) for a in request.valid_actions}
-            kept = [a for a in actions if self.normalizer(a) in allowed]
-            if not kept:  # retry the generation once, then give up
-                actions, payload = self._generate_actions(request)
-                kept = [a for a in actions if self.normalizer(a) in allowed]
-                if not kept:
-                    raise ProposerError("no valid action proposed after retry",
-                                        payload=payload)
-            actions = kept
+        actions = [action for (action,) in _ask_for_valid(self._generate_actions, request)]
         logit_payload = self.client.complete({
             "model": self.model,
             "temperature": 0.0,
@@ -347,7 +353,7 @@ class TokenLogitProposer:
         floor = math.log(self.floor_prob)
         candidates = [(action, by_token.get(str(i + 1), floor))
                       for i, action in enumerate(actions)]
-        return ProposerResponse(candidates=candidates, raw_payload=logit_payload)
+        return ProposerResponse(candidates=candidates)
 
 
 def confidence_logits(confidences: Sequence[int], floor: float = 1.0) -> list[float]:
@@ -366,13 +372,11 @@ class VerbalizedProposer:
     that hide log-probabilities)."""
 
     def __init__(self, client: ChatClient, model: str, temperature: float = 0.8,
-                 confidence_floor: float = 1.0,
-                 normalizer: ActionNormalizer = IDENTITY_NORMALIZER):
+                 confidence_floor: float = 1.0):
         self.client = client
         self.model = model
         self.temperature = temperature
         self.confidence_floor = confidence_floor
-        self.normalizer = normalizer
 
     def _ask(self, request: ProposerRequest) -> tuple[list[tuple[str, int]], dict]:
         payload = self.client.complete({
@@ -399,24 +403,14 @@ class VerbalizedProposer:
             if not 0 <= confidence <= 100:
                 raise ProposerError(f"confidence {confidence} outside [0, 100]",
                                     payload=payload)
-            key = self.normalizer(action)
+            key = IDENTITY_NORMALIZER(action)
             if key not in seen:  # duplicate actions keep their first confidence
                 seen.add(key)
                 parsed.append((action, confidence))
         return parsed[: request.n_candidates], payload
 
     def propose(self, request: ProposerRequest) -> ProposerResponse:
-        parsed, payload = self._ask(request)
-        if request.valid_actions is not None:
-            allowed = {self.normalizer(a) for a in request.valid_actions}
-            kept = [(a, c) for a, c in parsed if self.normalizer(a) in allowed]
-            if not kept:
-                parsed, payload = self._ask(request)
-                kept = [(a, c) for a, c in parsed if self.normalizer(a) in allowed]
-                if not kept:
-                    raise ProposerError("no valid action proposed after retry",
-                                        payload=payload)
-            parsed = kept
+        parsed = _ask_for_valid(self._ask, request)
         logits = confidence_logits([c for _, c in parsed], self.confidence_floor)
         candidates = [(action, z) for (action, _), z in zip(parsed, logits)]
-        return ProposerResponse(candidates=candidates, raw_payload=payload)
+        return ProposerResponse(candidates=candidates)

@@ -90,7 +90,6 @@ def discounted_returns(rewards: Sequence[float], gamma: float) -> ReturnSeries:
 class EvaluationOutcome:
     rewards: list[float]
     used_fallback: bool = False
-    raw_payload: object = None
 
 
 class EvaluatorError(RuntimeError):
@@ -171,7 +170,7 @@ def parse_step_scores(payload: dict, n_steps: int) -> list[float]:
         try:
             idx = int(item["step"])
             score = item["score"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise EvaluatorError(f"malformed step item {item!r}", payload=payload) from exc
         if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
             raise EvaluatorError(f"non-numeric score in {item!r}", payload=payload)
@@ -184,37 +183,32 @@ def parse_step_scores(payload: dict, n_steps: int) -> list[float]:
 class RemoteEvaluator:
     """Scores a transcript over the chat-completion wire protocol.
 
-    Retries up to ``max_retries`` extra attempts on transport or parse
-    failures; when ``fallback_to_zero`` is set a run never aborts on
-    evaluator failure, it just stores zero rewards and flags the outcome.
+    The client retries its own transport, so a client failure is final. A
+    reply that does not parse is asked for again, up to ``max_retries`` more
+    times. Every failure ends in zero rewards flagged as a fallback: a run
+    never aborts on evaluator failure.
     """
 
-    def __init__(self, client, model: str, max_retries: int = 2,
-                 fallback_to_zero: bool = True, temperature: float = 0.0):
+    def __init__(self, client, model: str, max_retries: int = 2, temperature: float = 0.0):
         self.client = client
         self.model = model
         self.max_retries = max_retries
-        self.fallback_to_zero = fallback_to_zero
         self.temperature = temperature
 
     def evaluate(self, trajectory: Trajectory, success: bool = False) -> EvaluationOutcome:
         if not trajectory.steps:
             raise ValueError("cannot evaluate an empty trajectory")
         request = build_scoring_request(trajectory, self.model, self.temperature)
-        last_error: Exception | None = None
         for attempt in range(1 + self.max_retries):
             try:
                 payload = self.client.complete(request)
-                rewards = parse_step_scores(payload, len(trajectory.steps))
-                return EvaluationOutcome(rewards=rewards, used_fallback=False,
-                                         raw_payload=payload)
-            except (EvaluatorError, ProposerError, OSError, ValueError) as exc:
-                last_error = exc
-                log.warning("evaluator attempt %d/%d failed: %s",
+            except (ProposerError, OSError, ValueError) as exc:
+                log.warning("evaluator client failed: %s", exc)
+                break
+            try:
+                return EvaluationOutcome(rewards=parse_step_scores(payload, len(trajectory.steps)))
+            except EvaluatorError as exc:
+                log.warning("evaluator reply %d/%d did not parse: %s",
                             attempt + 1, 1 + self.max_retries, exc)
-        if self.fallback_to_zero:
-            log.warning("evaluator failed after retries; storing zero rewards")
-            return EvaluationOutcome(rewards=[0.0] * len(trajectory.steps),
-                                     used_fallback=True, raw_payload=None)
-        raise EvaluatorError(f"evaluator failed after {1 + self.max_retries} attempts: "
-                             f"{last_error}", payload=getattr(last_error, "payload", None))
+        log.warning("evaluator failed; storing zero rewards")
+        return EvaluationOutcome(rewards=[0.0] * len(trajectory.steps), used_fallback=True)

@@ -35,7 +35,7 @@ from memsteer.envs.abstraction import abstract_state
 from memsteer.envs.tabular import TabularMDP
 from memsteer.estimator import KNOWN, advantage_vector, estimate_candidates, state_value
 from memsteer.memory import (ActionNormalizer, MemoryEntry, MemoryStore, TaskFilter,
-                             append_records)
+                             append_records, read_bank)
 from memsteer.oracle import closed_form_kl_policy, episode_returns, exact_policy_values, rollout
 from memsteer.policy import Candidate, Decision, augment_candidates, logit_update, softmax_sample
 from memsteer.proposer import Proposer, ProposerError, ProposerRequest
@@ -435,16 +435,19 @@ def replay_episode(config: EngineConfig, env_factory, proposer_factory, mode: st
 
     The snapshot of episode ``e`` is the bank's rows from episodes before
     ``e``, inserted in order into a store built from ``config``, so that a
-    capacity evicts as it did in the run. Only the run's own bank, from a run
-    that started with an empty store, gives the recorded
-    ``memory_size_at_start``. Returns the freshly computed record dict and
-    whether it matches the recorded one exactly.
+    capacity evicts as it did in the run; the bank is read only up to the
+    first row of ``e``. Only the run's own bank, from a run that started with
+    an empty store, gives the recorded ``memory_size_at_start``. Returns the
+    freshly computed record dict and whether it matches the recorded one
+    exactly.
     """
     episode = recorded["episode"]
     session = Session(config, mode)
     if bank_path is not None:
-        session.memory.extend(entry for entry in MemoryStore.load(bank_path).entries
-                              if entry.episode < episode)
+        for entry in read_bank(bank_path):  # rows are in episode order
+            if entry.episode >= episode:
+                break
+            session.memory.insert(entry)
     fresh = episode_record_to_dict(session.play(env_factory, proposer_factory, episode))
     unchecked = ("rewards", "returns", "evaluator_fallback")
     same = ({k: v for k, v in fresh.items() if k not in unchecked}

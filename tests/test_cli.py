@@ -49,6 +49,47 @@ def test_run_with_config_file_and_override(tmp_path, capsys):
     assert "episodes=1" in capsys.readouterr().out
 
 
+RUN_CONFIG_FLAGS = [
+    ("--beta", "beta", 3.5),
+    ("--gamma", "gamma", 0.25),
+    ("--seed", "seed", 11),
+    ("--episodes", "episodes", 2),
+    ("--step-limit", "step_limit", 9),
+    ("--k-neighbors", "k_neighbors", 4),
+    ("--similarity-threshold", "similarity_threshold", 0.6),
+    ("--exploration-rate", "exploration_rate", 0.3),
+    ("--exploration-bonus", "exploration_bonus", 2.5),
+    ("--history-length", "history_length", 1),
+    ("--n-candidates", "n_candidates", 2),
+    ("--memory-capacity", "memory_capacity", 40),
+]
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["profile", "config-file"])
+@pytest.mark.parametrize("flag,field,value", RUN_CONFIG_FLAGS,
+                         ids=[flag for flag, _, _ in RUN_CONFIG_FLAGS])
+def test_run_config_flag_reaches_config(tmp_path, monkeypatch, flag, field, value, from_file):
+    import memsteer.cli as cli
+    from memsteer.runner import MetricsReport
+
+    seen = {}
+
+    def fake_run_experiment(config, env_factory, proposer_factory, mode, out_dir):
+        seen["config"] = config
+        return MetricsReport(scores=[0.0], successes=[False]), [], []
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+    argv = ["run", flag, str(value)]
+    if flag != "--beta":
+        argv += ["--beta", "1"]
+    if from_file:
+        path = tmp_path / "config.json"
+        EngineConfig.text_game_profile(beta=1.0).save(path)
+        argv += ["--config", str(path)]
+    assert main(argv) == 0
+    assert getattr(seen["config"], field) == value
+
+
 def test_consistency_subcommand(tmp_path, capsys):
     out = tmp_path / "cons"
     code = main(["consistency", "--sizes", "100,400", "--seeds", "3",

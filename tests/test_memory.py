@@ -305,6 +305,30 @@ def test_load_applies_capacity_and_keeps_time(tmp_path, rng):
     assert [e.time_index for e in loaded.entries] == [8, 9, 10]
 
 
+capacities = st.one_of(st.none(), st.integers(min_value=1, max_value=10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(["hall", "hall door", "cellar"]),
+                               st.sampled_from(["", "go north"]),
+                               st.sampled_from(["look", "take key"]),
+                               st.floats(min_value=-5, max_value=5)),
+                     max_size=25),
+       capacity=capacities, load_capacity=capacities)
+def test_save_then_load_under_capacity_keeps_the_newest_rows(rows, capacity, load_capacity):
+    store = MemoryStore(capacity=capacity)
+    for episode, (state, history, action, value) in enumerate(rows):
+        store.add(StateKey(state, history=history), action, value, episode=episode)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bank.jsonl"
+        store.save(path)
+        loaded = MemoryStore.load(path, capacity=load_capacity)
+    kept = len(store) if load_capacity is None else min(len(store), load_capacity)
+    assert len(loaded) == kept
+    assert loaded.entries == store.entries[len(store) - kept:]  # time indices included
+    assert loaded.add(StateKey("new"), "look", 0.0).time_index == len(rows)
+
+
 @pytest.mark.parametrize("swap", [True, False])
 def test_load_rejects_time_that_does_not_increase(tmp_path, rng, swap):
     store = populated_store(rng, 4)

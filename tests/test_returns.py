@@ -175,35 +175,41 @@ def test_remote_evaluator_happy_path():
 def test_remote_evaluator_retries_then_falls_back_to_zero():
     bad = {"choices": [{"message": {"content": "garbage"}}]}
     client = StubClient([bad, bad, bad])
-    evaluator = RemoteEvaluator(client, model="m", max_retries=2, fallback_to_zero=True)
+    evaluator = RemoteEvaluator(client, model="m", max_retries=2)
     outcome = evaluator.evaluate(make_trajectory([0.0, 0.0]))
     assert outcome.rewards == [0.0, 0.0]
     assert outcome.used_fallback
     assert len(client.requests) == 3
 
 
-def test_remote_evaluator_raises_when_fallback_disabled():
-    bad = {"choices": [{"message": {"content": "garbage"}}]}
-    client = StubClient([bad, bad])
-    evaluator = RemoteEvaluator(client, model="m", max_retries=1, fallback_to_zero=False)
-    with pytest.raises(EvaluatorError, match="after 2 attempts"):
-        evaluator.evaluate(make_trajectory([0.0]))
-
-
 def test_remote_evaluator_falls_back_on_client_failure():
-    evaluator = RemoteEvaluator(FixtureChatClient([]), model="m", max_retries=2,
-                                fallback_to_zero=True)
+    evaluator = RemoteEvaluator(FixtureChatClient([]), model="m", max_retries=2)
     outcome = evaluator.evaluate(make_trajectory([1.0, 2.0]))
     assert outcome.rewards == [0.0, 0.0]
     assert outcome.used_fallback
 
 
-def test_remote_evaluator_client_failure_raises_when_fallback_disabled():
-    client = StubClient([ProposerError("transport down")] * 3)
-    evaluator = RemoteEvaluator(client, model="m", max_retries=2, fallback_to_zero=False)
-    with pytest.raises(EvaluatorError, match="after 3 attempts: transport down"):
-        evaluator.evaluate(make_trajectory([0.0]))
-    assert len(client.requests) == 3
+@pytest.mark.parametrize("failure", [ProposerError("transport down"),
+                                     OSError("connection reset"), ValueError("not JSON")],
+                         ids=["ProposerError", "OSError", "ValueError"])
+def test_remote_evaluator_client_failure_is_final(failure):
+    # the client retries its own transport, so one failed call ends the evaluation
+    client = StubClient([failure] * 3)
+    evaluator = RemoteEvaluator(client, model="m", max_retries=2)
+    outcome = evaluator.evaluate(make_trajectory([0.0, 1.0]))
+    assert len(client.requests) == 1
+    assert outcome.rewards == [0.0, 0.0]
+    assert outcome.used_fallback
+
+
+def test_remote_evaluator_falls_back_on_overflowing_step_index():
+    overflow = {"choices": [{"message": {"content": '{"steps": [{"step": 1e999, "score": 1}]}'}}]}
+    client = StubClient([overflow, overflow])
+    evaluator = RemoteEvaluator(client, model="m", max_retries=1)
+    outcome = evaluator.evaluate(make_trajectory([0.0]))
+    assert outcome.rewards == [0.0]
+    assert outcome.used_fallback
+    assert len(client.requests) == 2
 
 
 def test_remote_evaluator_recovers_on_retry():

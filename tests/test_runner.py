@@ -403,6 +403,23 @@ def test_replay_matches_every_episode_under_capacity(tmp_path, capacity):
         assert matches, f"episode {recorded['episode']} did not replay"
 
 
+def test_replay_reads_no_bank_row_past_the_replayed_episode(tmp_path):
+    env_factory, proposer_factory = keydoor_factories()
+    config = EngineConfig.text_game_profile(beta=2.0, episodes=4, seed=3, memory_capacity=7)
+    run_experiment(config, env_factory, proposer_factory, mode="memsteer",
+                   out_dir=tmp_path)
+    records = [json.loads(line) for line in
+               (tmp_path / "records.jsonl").read_text().splitlines() if line]
+    bank = tmp_path / "memory.jsonl"
+    rows = bank.read_text().splitlines()
+    first_of_2 = next(i for i, row in enumerate(rows) if json.loads(row)["episode"] == 2)
+    # past the first row of episode 2: a line that is not JSON, then a time that goes back
+    bank.write_text("\n".join(rows[:first_of_2 + 1] + ["{not json", rows[0]]) + "\n")
+    _, matches = replay_episode(config, env_factory, proposer_factory, "memsteer",
+                                records[2], bank_path=bank)
+    assert matches
+
+
 def test_replay_detects_tampered_record(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
     config = EngineConfig.text_game_profile(beta=2.0, episodes=2, seed=3)
