@@ -1,12 +1,14 @@
 """Retrieval-based value and advantage estimation.
 
 Given a neighborhood of similar past experiences, the state value is the mean
-stored return, a candidate action's value is the mean over the subset sharing
-that action, and actions with no historical evidence get an optimistic value
-(state value plus a bonus that shrinks as the neighborhood grows) with
-probability ``exploration_rate``, else a neutral zero. Advantages center the
-action values on the state value and are rescaled into [-1, 1] before they
-touch any logits.
+stored return, and a candidate action's value is the mean over the subset
+sharing its normalized action. The neighborhood is grouped by normalized
+action once per decision (``memory.group_by_action``, in neighborhood order),
+and each candidate reads its subset from those groups. Actions with no
+historical evidence get an optimistic value (state value plus a bonus that
+shrinks as the neighborhood grows) with probability ``exploration_rate``, else
+a neutral zero. Advantages center the action values on the state value and are
+rescaled into [-1, 1] before they touch any logits.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from memsteer.memory import ActionNormalizer, IDENTITY_NORMALIZER, Neighborhood, filter_by_action
+from memsteer.memory import (ActionGroups, ActionNormalizer, IDENTITY_NORMALIZER, Neighborhood,
+                             group_by_action)
 
 KNOWN = "known"
 EXPLORED = "explored"
@@ -56,6 +59,25 @@ def state_value(neighborhood: Neighborhood) -> float:
     return sum(returns) / len(returns)
 
 
+def _check_rates(exploration_rate: float, exploration_bonus: float) -> None:
+    if not 0.0 <= exploration_rate <= 1.0:
+        raise ValueError("exploration_rate must lie in [0, 1]")
+    if exploration_bonus < 0.0:
+        raise ValueError("exploration_bonus must be >= 0")
+
+
+def _value(group: tuple[str, list[float]] | None, v: float, neighborhood_size: int,
+           exploration_rate: float, exploration_bonus: float,
+           rng: np.random.Generator) -> ActionValue:
+    if group is not None:
+        returns = group[1]
+        return ActionValue(q=sum(returns) / len(returns), count=len(returns), source=KNOWN)
+    if rng.random() < exploration_rate:
+        return ActionValue(q=v + exploration_bonus / neighborhood_size, count=0,
+                           source=EXPLORED)
+    return ActionValue(q=0.0, count=0, source=NEUTRAL)
+
+
 def action_value(neighborhood: Neighborhood, action: str, v: float,
                  exploration_rate: float, exploration_bonus: float,
                  rng: np.random.Generator,
@@ -67,41 +89,39 @@ def action_value(neighborhood: Neighborhood, action: str, v: float,
     optimistic value ``v + exploration_bonus / |neighborhood|``, otherwise a
     neutral zero.
     """
-    if not 0.0 <= exploration_rate <= 1.0:
-        raise ValueError("exploration_rate must lie in [0, 1]")
-    if exploration_bonus < 0.0:
-        raise ValueError("exploration_bonus must be >= 0")
+    _check_rates(exploration_rate, exploration_bonus)
     if not neighborhood.entries:
         raise EmptyNeighborhoodError("cannot estimate an action value from an empty neighborhood")
-    subset = filter_by_action(neighborhood, action, normalizer)
-    if subset.entries:
-        returns = subset.returns()
-        return ActionValue(q=sum(returns) / len(returns), count=len(returns), source=KNOWN)
-    if rng.random() < exploration_rate:
-        return ActionValue(q=v + exploration_bonus / len(neighborhood), count=0, source=EXPLORED)
-    return ActionValue(q=0.0, count=0, source=NEUTRAL)
+    group = group_by_action(neighborhood, normalizer).get(normalizer(action))
+    return _value(group, v, len(neighborhood), exploration_rate, exploration_bonus, rng)
 
 
 def estimate_candidates(neighborhood: Neighborhood, actions: Iterable[str],
                         exploration_rate: float, exploration_bonus: float,
                         rng: np.random.Generator,
-                        normalizer: ActionNormalizer = IDENTITY_NORMALIZER) -> ValueEstimate:
+                        normalizer: ActionNormalizer = IDENTITY_NORMALIZER,
+                        groups: ActionGroups | None = None) -> ValueEstimate:
     """Per-candidate action values around the neighborhood's state value.
 
-    One independent exploration draw is taken per unseen action, in candidate
-    order, so results are reproducible given the generator state.
+    ``groups`` is ``group_by_action(neighborhood, normalizer)`` when the
+    caller has it already. One independent exploration draw is taken per
+    unseen action, in candidate order, so results are reproducible given the
+    generator state.
     """
     v = state_value(neighborhood)
+    _check_rates(exploration_rate, exploration_bonus)
+    if groups is None:
+        groups = group_by_action(neighborhood, normalizer)
+    size = len(neighborhood)
     per_action: dict[str, ActionValue] = {}
     for action in actions:
         if action in per_action:
             continue
-        per_action[action] = action_value(neighborhood, action, v, exploration_rate,
-                                          exploration_bonus, rng, normalizer)
+        per_action[action] = _value(groups.get(normalizer(action)), v, size,
+                                    exploration_rate, exploration_bonus, rng)
     if not per_action:
         raise ValueError("no candidate actions to estimate")
-    return ValueEstimate(v=v, per_action=per_action,
-                         neighborhood_size=len(neighborhood))
+    return ValueEstimate(v=v, per_action=per_action, neighborhood_size=size)
 
 
 def advantages(estimate: ValueEstimate) -> dict[str, float]:

@@ -52,7 +52,7 @@ __all__ = [
     "Neighborhood",
     "StateKey",
     "TaskFilter",
-    "filter_by_action",
+    "group_by_action",
 ]
 
 RECORD_FIELDS = ("state_text", "history_text", "action", "return", "episode", "step", "time")
@@ -123,8 +123,9 @@ class ActionNormalizer:
 
     Rules are (regex, replacement) pairs applied in order, followed by
     whitespace collapsing and casefolding. Used everywhere two action strings
-    are compared (neighborhood filtering, candidate-set union), so e.g.
-    ``click('1240')`` and ``click('88')`` can be configured to match.
+    are compared (grouping a neighborhood by action, filtering it by the valid
+    actions, candidate-set union), so e.g. ``click('1240')`` and
+    ``click('88')`` can be configured to match.
 
     Results are memoized per instance: a run compares the same few action
     strings many times per step, and the rules never change after init.
@@ -147,15 +148,26 @@ class ActionNormalizer:
 
 IDENTITY_NORMALIZER = ActionNormalizer()
 
+# normalized action -> (first raw spelling, returns in neighborhood order)
+ActionGroups = dict[str, tuple[str, list[float]]]
 
-def filter_by_action(neighborhood: Neighborhood, action: str,
-                     normalizer: ActionNormalizer = IDENTITY_NORMALIZER) -> Neighborhood:
-    """Entries whose normalized action equals the normalized query action."""
-    want = normalizer(action)
-    kept = [(entry, sim) for entry, sim in neighborhood.entries if normalizer(entry.action) == want]
-    return Neighborhood(entries=kept, query=neighborhood.query,
-                        k_requested=neighborhood.k_requested,
-                        threshold=neighborhood.threshold)
+
+def group_by_action(neighborhood: Neighborhood,
+                    normalizer: ActionNormalizer = IDENTITY_NORMALIZER) -> ActionGroups:
+    """Normalized action -> (its first raw spelling, its returns), one pass.
+
+    Groups and their returns keep neighborhood order, so a group's mean is
+    the same float sum as over the per-action subset of the neighborhood.
+    """
+    groups: ActionGroups = {}
+    for entry, _ in neighborhood.entries:
+        key = normalizer(entry.action)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = (entry.action, [entry.return_value])
+        else:
+            group[1].append(entry.return_value)
+    return groups
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,14 @@ those start from a neutral zero logit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from memsteer.memory import ActionNormalizer, IDENTITY_NORMALIZER, Neighborhood
+from memsteer.memory import ActionGroups, ActionNormalizer, IDENTITY_NORMALIZER, Neighborhood
 
 PROPOSER = "proposer"
 MEMORY_ONLY = "memory_only"
@@ -40,11 +42,21 @@ class Decision:
     distribution: np.ndarray
     chosen: int
     beta: float
-    rng_state: dict = field(default_factory=dict, repr=False)
 
     @property
     def action(self) -> str:
         return self.candidates[self.chosen].action
+
+
+def valid_memory_actions(groups: ActionGroups, valid_actions: Iterable[str] | None,
+                         normalizer: ActionNormalizer = IDENTITY_NORMALIZER) -> list[str]:
+    """The first raw spelling of each action in a grouped neighborhood, in
+    neighborhood order, keeping only those whose normalized form is a valid
+    action (all of them when ``valid_actions`` is None)."""
+    if valid_actions is None:
+        return [action for action, _ in groups.values()]
+    allowed = {normalizer(a) for a in valid_actions}
+    return [action for key, (action, _) in groups.items() if key in allowed]
 
 
 def augment_candidates(proposed: Sequence[tuple[str, float]],
@@ -105,16 +117,15 @@ def softmax_sample(candidates: Sequence[Candidate], rng: np.random.Generator,
     """Sample one candidate from the softmax of the effective logits."""
     if not candidates:
         raise ValueError("cannot sample from an empty candidate list")
-    logits = np.array([c.effective_logit() for c in candidates], dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise ValueError(f"non-finite logit among {logits.tolist()}")
-    rng_state = rng.bit_generator.state
-    distribution = softmax(logits)
-    u = rng.random()
-    chosen = int(np.searchsorted(np.cumsum(distribution), u, side="right"))
+    logits = [float(c.effective_logit()) for c in candidates]
+    if not all(math.isfinite(z) for z in logits):
+        raise ValueError(f"non-finite logit among {logits}")
+    distribution = softmax(np.array(logits, dtype=np.float64))
+    # bisect_right on the list is the index searchsorted(side="right") gives
+    chosen = bisect.bisect_right(np.cumsum(distribution).tolist(), rng.random())
     chosen = min(chosen, len(candidates) - 1)
     return Decision(candidates=list(candidates), distribution=distribution,
-                    chosen=chosen, beta=beta, rng_state=rng_state)
+                    chosen=chosen, beta=beta)
 
 
 def kl_objective(pi_prime: np.ndarray, pi_theta: np.ndarray,

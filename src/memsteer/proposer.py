@@ -161,7 +161,11 @@ class ChatClient(Protocol):
 
 class HttpChatClient:
     """Blocking chat-completion client with timeout and bounded retry; the one
-    layer of the package that retries a failed transport."""
+    layer of the package that retries a failed transport.
+
+    Transport errors, unreadable replies, 5xx and 429 are sent again, up to
+    ``max_attempts`` sends; any other HTTP error raises after one send.
+    """
 
     def __init__(self, url: str, api_key: str | None = None, timeout: float = 30.0,
                  max_attempts: int = 3, retry_delay: float = 0.5):
@@ -185,6 +189,10 @@ class HttpChatClient:
                 response.raise_for_status()
                 return response.json()
             except (requests.RequestException, ValueError) as exc:
+                # a resend cannot fix a client error (4xx) other than 429
+                if (isinstance(exc, requests.HTTPError) and exc.response.status_code < 500
+                        and exc.response.status_code != 429):
+                    raise ProposerError(f"chat endpoint rejected the request: {exc}") from exc
                 last = exc
                 log.warning("chat request attempt %d/%d failed: %s",
                             attempt + 1, self.max_attempts, exc)
@@ -322,8 +330,9 @@ class TokenLogitProposer:
         })
         body = _parse_json_content(payload)
         options = body.get("options")
-        if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
-            raise ProposerError('expected {"options": [<action strings>]}', payload=payload)
+        if not isinstance(options, list) or not all(isinstance(o, str) and o for o in options):
+            raise ProposerError('expected {"options": [<non-empty action strings>]}',
+                                payload=payload)
         seen: dict[str, str] = {}
         for option in options:
             seen.setdefault(IDENTITY_NORMALIZER(option), option)
@@ -397,6 +406,9 @@ class VerbalizedProposer:
                 confidence = item["confidence"]
             except (KeyError, TypeError) as exc:
                 raise ProposerError(f"malformed option {item!r}", payload=payload) from exc
+            if not isinstance(action, str) or not action:
+                raise ProposerError(f"action must be a non-empty string, got {action!r}",
+                                    payload=payload)
             if isinstance(confidence, bool) or not isinstance(confidence, int):
                 raise ProposerError(f"confidence must be an integer, got {confidence!r}",
                                     payload=payload)

@@ -34,10 +34,11 @@ from memsteer.config import EngineConfig
 from memsteer.envs.abstraction import abstract_state
 from memsteer.envs.tabular import TabularMDP
 from memsteer.estimator import KNOWN, advantage_vector, estimate_candidates, state_value
-from memsteer.memory import (ActionNormalizer, MemoryEntry, MemoryStore, TaskFilter,
-                             append_records, read_bank)
+from memsteer.memory import (ActionGroups, ActionNormalizer, MemoryEntry, MemoryStore, TaskFilter,
+                             append_records, group_by_action, read_bank)
 from memsteer.oracle import closed_form_kl_policy, episode_returns, exact_policy_values, rollout
-from memsteer.policy import Candidate, Decision, augment_candidates, logit_update, softmax_sample
+from memsteer.policy import (Candidate, Decision, augment_candidates, logit_update,
+                             softmax_sample, valid_memory_actions)
 from memsteer.proposer import Proposer, ProposerError, ProposerRequest
 from memsteer.returns import (EnvironmentTruthEvaluator, EvaluationOutcome, Trajectory,
                               TrajectoryStep, discounted_returns)
@@ -160,15 +161,14 @@ def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConf
                 aborted=True, abort_reason=str(exc),
                 memory_size_at_start=memory_size_at_start)
 
+        groups = None
         memory_actions: list[str] = []
         if neighborhood:
-            memory_actions = neighborhood.actions()
-            if request.valid_actions is not None:
-                allowed = {normalizer(a) for a in request.valid_actions}
-                memory_actions = [a for a in memory_actions if normalizer(a) in allowed]
+            groups = group_by_action(neighborhood, normalizer)
+            memory_actions = valid_memory_actions(groups, request.valid_actions, normalizer)
         candidates = augment_candidates(response.candidates, memory_actions, normalizer)
 
-        decision = _decide(candidates, neighborhood, config, streams, mode, normalizer)
+        decision = _decide(candidates, neighborhood, groups, config, streams, mode, normalizer)
         decisions.append(decision)
         action = decision.action
         next_obs = env.step(action)
@@ -190,8 +190,8 @@ def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConf
         truncated=truncated, memory_size_at_start=memory_size_at_start)
 
 
-def _decide(candidates: list[Candidate], neighborhood, config: EngineConfig,
-            streams: dict[str, np.random.Generator], mode: str,
+def _decide(candidates: list[Candidate], neighborhood, groups: ActionGroups | None,
+            config: EngineConfig, streams: dict[str, np.random.Generator], mode: str,
             normalizer: ActionNormalizer) -> Decision:
     estimate = None
     if neighborhood:  # always None in static mode
@@ -199,7 +199,7 @@ def _decide(candidates: list[Candidate], neighborhood, config: EngineConfig,
             neighborhood, [c.action for c in candidates],
             exploration_rate=0.0 if mode == "greedy-memory" else config.exploration_rate,
             exploration_bonus=config.exploration_bonus,
-            rng=streams["estimator"], normalizer=normalizer)
+            rng=streams["estimator"], normalizer=normalizer, groups=groups)
 
     if mode == "greedy-memory" and estimate is not None:
         known = [(i, estimate.per_action[c.action])
@@ -210,8 +210,7 @@ def _decide(candidates: list[Candidate], neighborhood, config: EngineConfig,
             distribution = np.zeros(len(candidates))
             distribution[chosen] = 1.0
             return Decision(candidates=candidates, distribution=distribution,
-                            chosen=chosen, beta=0.0,
-                            rng_state=streams["policy"].bit_generator.state)
+                            chosen=chosen, beta=0.0)
 
     # the full engine shifts the logits by the advantages (zero when memory is
     # silent); static mode and the greedy fallback sample the base policy

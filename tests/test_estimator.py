@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsteer.estimator import (EXPLORED, KNOWN, NEUTRAL, EmptyNeighborhoodError,
                                 action_value, advantage_vector, advantages,
                                 estimate_candidates, normalize_advantages, state_value)
-from memsteer.memory import MemoryStore, Neighborhood, StateKey
+from memsteer.memory import (ActionNormalizer, MemoryStore, Neighborhood, StateKey,
+                             group_by_action)
+from memsteer.policy import augment_candidates, valid_memory_actions
 
 
 def neighborhood_from(pairs):
@@ -198,3 +202,94 @@ def test_exploration_frequency_matches_rate():
         action_value(neighborhood, "new", 1.0, 0.3, 1.0, rng).source == EXPLORED
         for _ in range(20000))
     assert hits / 20000 == pytest.approx(0.3, abs=0.01)
+
+
+# -- grouped estimation against a per-action filter ---------------------------------
+
+
+def reference_subset(neighborhood, action, normalizer):
+    """Entries whose normalized action equals the normalized query action."""
+    want = normalizer(action)
+    return [entry for entry, _ in neighborhood.entries if normalizer(entry.action) == want]
+
+
+def reference_estimate(neighborhood, actions, rate, bonus, rng, normalizer):
+    """Estimation with one neighborhood rescan per distinct candidate."""
+    returns = neighborhood.returns()
+    v = sum(returns) / len(returns)
+    per_action = {}
+    for action in actions:
+        if action in per_action:
+            continue
+        subset = reference_subset(neighborhood, action, normalizer)
+        if subset:
+            values = [entry.return_value for entry in subset]
+            per_action[action] = (sum(values) / len(values), len(values), KNOWN)
+        elif rng.random() < rate:
+            per_action[action] = (v + bonus / len(neighborhood), 0, EXPLORED)
+        else:
+            per_action[action] = (0.0, 0, NEUTRAL)
+    return v, per_action
+
+
+def reference_memory_actions(neighborhood, valid_actions, normalizer):
+    actions = neighborhood.actions()
+    if valid_actions is not None:
+        allowed = {normalizer(a) for a in valid_actions}
+        actions = [a for a in actions if normalizer(a) in allowed]
+    return actions
+
+
+SPELLINGS = ["go north", "north", "Go  North", "click 1", "click 22", "click('7')",
+             "take key", "TAKE KEY", "look"]
+MERGING_RULES = [[], [(r"\d+", "{id}")], [(r"^go ", "")],
+                 [(r"\(\s*'?\d+'?\s*\)", " {id}"), (r"\d+", "{id}")]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(SPELLINGS),
+                               st.floats(min_value=-1e15, max_value=1e15)),
+                     min_size=1, max_size=16),
+       proposed=st.lists(st.tuples(st.sampled_from(SPELLINGS + ["jump", "swim"]),
+                                   st.floats(min_value=-5.0, max_value=5.0)),
+                         min_size=1, max_size=6),
+       valid=st.one_of(st.none(), st.lists(st.sampled_from(SPELLINGS), max_size=5)),
+       rules=st.sampled_from(MERGING_RULES),
+       rate=st.sampled_from([0.0, 0.5, 1.0]),
+       bonus=st.sampled_from([0.0, 2.5]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_grouped_estimate_matches_per_action_filter(rows, proposed, valid, rules, rate,
+                                                    bonus, seed):
+    normalizer = ActionNormalizer(rules)
+    neighborhood = neighborhood_from(rows)
+    groups = group_by_action(neighborhood, normalizer)
+    assert sum(len(returns) for _, returns in groups.values()) == len(neighborhood)
+
+    candidates = augment_candidates(
+        proposed, valid_memory_actions(groups, valid, normalizer), normalizer)
+    expected = augment_candidates(
+        proposed, reference_memory_actions(neighborhood, valid, normalizer), normalizer)
+    assert ([(c.action, c.base_logit, c.origin) for c in candidates]
+            == [(c.action, c.base_logit, c.origin) for c in expected])
+
+    # raw proposer spellings add duplicates and merged variants to the list
+    actions = [c.action for c in candidates] + [a for a, _ in proposed]
+    ref_rng = np.random.default_rng(seed)
+    v, ref_values = reference_estimate(neighborhood, actions, rate, bonus, ref_rng, normalizer)
+    for given_groups in (groups, None):
+        rng = np.random.default_rng(seed)
+        estimate = estimate_candidates(neighborhood, actions, rate, bonus, rng,
+                                       normalizer, groups=given_groups)
+        assert estimate.v == v
+        assert {a: (value.q, value.count, value.source)
+                for a, value in estimate.per_action.items()} == ref_values
+        assert list(estimate.per_action) == list(ref_values)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for action in actions:
+        value = action_value(neighborhood, action, v, rate, bonus, rng, normalizer)
+        _, ref_value = reference_estimate(neighborhood, [action], rate, bonus, ref_rng,
+                                          normalizer)
+        assert (value.q, value.count, value.source) == ref_value[action]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsteer.memory import (ActionNormalizer, MemoryEntry, MemoryFormatError, MemoryStore,
-                             StateKey, TaskFilter, append_records, filter_by_action)
+                             StateKey, TaskFilter, append_records, group_by_action)
 from memsteer.tokens import jaccard, tokenize
 
 from conftest import populated_store, random_entries
@@ -178,7 +178,7 @@ def test_statekey_similarity_helper_matches_retrieval():
     assert a.similarity(b) == sim
 
 
-# -- action filtering ------------------------------------------------------------
+# -- action grouping --------------------------------------------------------------
 
 
 def _neighborhood_of(actions):
@@ -190,27 +190,30 @@ def _neighborhood_of(actions):
 
 def test_filter_by_action_definitional():
     neighborhood = _neighborhood_of(["x", "y", "x"])
-    assert len(filter_by_action(neighborhood, "x")) == 2
+    assert len(group_by_action(neighborhood)["x"][1]) == 2
 
 
 def test_filter_by_action_absent():
     neighborhood = _neighborhood_of(["x", "y"])
-    assert len(filter_by_action(neighborhood, "z")) == 0
+    assert "z" not in group_by_action(neighborhood)
 
 
 def test_filter_by_action_with_normalization():
     normalizer = ActionNormalizer([(r"\(\s*'?\d+'?\s*\)", "({id})")])
     neighborhood = _neighborhood_of(["click('1240')", "click('88')", "hover('3')"])
-    kept = filter_by_action(neighborhood, "click('7')", normalizer)
-    assert sorted(e.action for e, _ in kept.entries) == ["click('1240')", "click('88')"]
+    groups = group_by_action(neighborhood, normalizer)
+    raw, returns = groups[normalizer("click('7')")]
+    assert sorted(returns) == [0.0, 1.0]
+    assert raw in ("click('1240')", "click('88')")
+    assert sum(len(r) for _, r in groups.values()) == 3
 
 
 def test_action_partition_sums_to_neighborhood(rng):
     store = populated_store(rng, 200)
     neighborhood = store.retrieve(StateKey("door hall key"), k=40, threshold=0.0)
-    actions = set(neighborhood.actions())
-    total = sum(len(filter_by_action(neighborhood, a)) for a in actions)
-    assert total == len(neighborhood)
+    groups = group_by_action(neighborhood)
+    assert sorted(groups) == sorted(set(neighborhood.actions()))
+    assert sum(len(returns) for _, returns in groups.values()) == len(neighborhood)
 
 
 def test_normalizer_collapses_whitespace_and_case():

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from memsteer.config import EngineConfig
+from memsteer.envs.textgame import key_door_game, noisy_advisor_policy
 from memsteer.memory import ActionNormalizer, MemoryStore, StateKey
 from memsteer.policy import (Candidate, augment_candidates, base_distribution,
                              kl_objective, logit_update, softmax, softmax_sample)
+from memsteer.proposer import CallablePolicyProposer
+from memsteer.runner import run_experiment, seed_streams
 
 
 def candidates_from(pairs, advantages=None):
@@ -132,6 +136,9 @@ def test_softmax_sample_rejects_non_finite(rng):
     cands = candidates_from([("a", float("nan"))], advantages=[0.0])
     with pytest.raises(ValueError, match="non-finite"):
         softmax_sample(cands, rng)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="non-finite"):
+            softmax_sample(candidates_from([("a", 0.5), ("b", bad)]), rng)
 
 
 def test_decision_distribution_sums_to_one(rng):
@@ -145,16 +152,47 @@ def test_decision_distribution_sums_to_one(rng):
         assert 0 <= decision.chosen < n
 
 
-def test_decision_replay_from_recorded_rng_state():
-    rng = np.random.default_rng(123)
-    cands = candidates_from([("a", 0.1), ("b", 0.9), ("c", -0.4)],
-                            advantages=[0.0, 0.0, 0.0])
-    logit_update(cands, beta=1.0)
-    decision = softmax_sample(cands, rng, beta=1.0)
-    replay_rng = np.random.default_rng(999)
-    replay_rng.bit_generator.state = decision.rng_state
-    replted = softmax_sample(decision.candidates, replay_rng, beta=1.0)
-    assert replted.chosen == decision.chosen
+def test_decision_replay_from_episode_policy_stream():
+    config = EngineConfig.profile("text-game", 2.0, episodes=4, seed=11)
+    env_factory = lambda rng: key_door_game()
+    proposer_factory = lambda env: CallablePolicyProposer(noisy_advisor_policy(env, 0.3))
+    _, _, records = run_experiment(config, env_factory, proposer_factory, mode="memsteer")
+    steered = 0
+    for episode, record in enumerate(records):
+        rng = seed_streams(config.seed, episode)["policy"]
+        for decision in record.decisions:
+            replayed = softmax_sample(decision.candidates, rng, beta=decision.beta)
+            assert replayed.chosen == decision.chosen
+            assert replayed.distribution.tolist() == decision.distribution.tolist()
+            steered += any(c.normalized_advantage for c in decision.candidates)
+    assert steered > 0
+
+
+class FixedDraws:
+    """Generator stand-in yielding scripted uniform draws."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+@pytest.mark.parametrize("logits, clamps", [([0.0] * 4, False), ([0.0] * 10, True),
+                                            ([0.3, -1.2, 2.0, 0.0, 0.7], False)])
+def test_sample_matches_searchsorted_on_boundary_draws(logits, clamps):
+    cands = candidates_from([(f"a{i}", z) for i, z in enumerate(logits)])
+    cumsum = np.cumsum(softmax(np.array(logits)))
+    # inner cumsum values tell side="right" from side="left"; 1 - 2**-53 is the
+    # largest draw, and it fires the clamp where the cumsum ends at or below it
+    draws = [0.0, *cumsum[:-1].tolist(), 1.0 - 2.0 ** -53]
+    for u in draws:
+        decision = softmax_sample(cands, FixedDraws([u]))
+        expected = min(int(np.searchsorted(cumsum, u, side="right")), len(cands) - 1)
+        assert decision.chosen == expected
+    assert any(np.searchsorted(cumsum, u, side="left") != np.searchsorted(cumsum, u, side="right")
+               for u in draws)
+    assert (np.searchsorted(cumsum, draws[-1], side="right") == len(cands)) == clamps
 
 
 def test_sampling_frequencies_match_distribution_chi_squared():

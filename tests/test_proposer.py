@@ -152,6 +152,13 @@ def test_token_logit_missing_logprobs_is_error():
         proposer.propose(ProposerRequest(state_text="s"))
 
 
+@pytest.mark.parametrize("options", [["a", ""], ["a", 3]])
+def test_token_logit_options_must_be_non_empty_strings(options):
+    client = ScriptedClient([chat_response(options_json(*options))])
+    with pytest.raises(ProposerError, match="action strings"):
+        TokenLogitProposer(client, model="m").propose(ProposerRequest(state_text="s"))
+
+
 def test_token_logit_malformed_body_carries_payload():
     bad = chat_response("not json at all")
     client = ScriptedClient([bad])
@@ -241,6 +248,13 @@ def test_verbalized_out_of_range_confidence_is_error():
         VerbalizedProposer(client, model="m").propose(ProposerRequest(state_text="s"))
 
 
+@pytest.mark.parametrize("action", [["x"], 5, None, {"name": "x"}, ""])
+def test_verbalized_action_must_be_a_non_empty_string(action):
+    client = ScriptedClient([chat_response(verbalized_json([(action, 5)]))])
+    with pytest.raises(ProposerError, match="action must be a non-empty string"):
+        VerbalizedProposer(client, model="m").propose(ProposerRequest(state_text="s"))
+
+
 @given(confs=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=6))
 def test_confidence_logits_softmax_recovers_floored_distribution(confs):
     logits = confidence_logits(confs, floor=1.0)
@@ -295,6 +309,57 @@ def test_http_client_retries_then_raises(monkeypatch):
     with pytest.raises(ProposerError, match="after 3 attempts"):
         client.complete({"model": "m", "messages": []})
     assert calls["n"] == 3
+
+
+def http_response(status, body=b'{"choices": []}'):
+    import requests as requests_module
+
+    response = requests_module.Response()
+    response.status_code = status
+    response._content = body
+    response.url = "https://llm.test/v1/chat"
+    return response
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_http_client_does_not_resend_a_client_error(monkeypatch, status):
+    import requests as requests_module
+
+    from memsteer.proposer import HttpChatClient
+
+    sends = []
+
+    def rejecting_post(url, json=None, headers=None, timeout=None):
+        sends.append(json)
+        return http_response(status)
+
+    monkeypatch.setattr(requests_module, "post", rejecting_post)
+    client = HttpChatClient("https://llm.test/v1/chat", max_attempts=3, retry_delay=0.0)
+    with pytest.raises(ProposerError, match=str(status)):
+        client.complete({"model": "m", "messages": []})
+    assert len(sends) == 1
+
+
+@pytest.mark.parametrize("status", [429, 500, 502, 503])
+def test_http_client_resends_server_errors_and_rate_limits(monkeypatch, status):
+    import requests as requests_module
+
+    from memsteer.proposer import HttpChatClient
+
+    replies = [http_response(status), http_response(status), http_response(200)]
+
+    def flaky_post(url, json=None, headers=None, timeout=None):
+        return replies.pop(0)
+
+    monkeypatch.setattr(requests_module, "post", flaky_post)
+    client = HttpChatClient("https://llm.test/v1/chat", max_attempts=3, retry_delay=0.0)
+    assert client.complete({"model": "m", "messages": []}) == {"choices": []}
+    assert not replies
+
+    replies.extend([http_response(status)] * 3)
+    with pytest.raises(ProposerError, match="after 3 attempts"):
+        client.complete({"model": "m", "messages": []})
+    assert not replies
 
 
 # -- fixture client -----------------------------------------------------------------------
