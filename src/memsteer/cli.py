@@ -35,9 +35,10 @@ PROPOSERS = ("noisy-advisor", "uniform", "fixture-policy")
 
 def build_env_factory(name: str):
     if name == "keydoor":
-        from memsteer.envs.textgame import key_door_game
+        from memsteer.envs.textgame import TextMicroGame, key_door_config
 
-        return lambda rng: key_door_game()
+        config = key_door_config()  # read once: a game never mutates its config
+        return lambda rng: TextMicroGame(config)
     if name == "six-mdp":
         from memsteer.envs.tabular import TabularEnvAdapter, six_state_fixture
 

@@ -54,8 +54,7 @@ class EngineConfig:
         self.validate()
 
     def validate(self) -> None:
-        if not isinstance(self.beta, (int, float)) or not math.isfinite(self.beta):
-            raise ConfigError(f"beta must be a finite number, got {self.beta!r}")
+        self._check_types()
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.k_neighbors < 1:
@@ -99,6 +98,20 @@ class EngineConfig:
             if (not isinstance(rule, (list, tuple)) or len(rule) != 2
                     or not all(isinstance(p, str) for p in rule)):
                 raise ConfigError(f"action rule must be [pattern, replacement], got {rule!r}")
+
+    def _check_types(self) -> None:
+        """Integer fields hold an ``int`` and float fields a finite number,
+        never a ``bool``; an optional field may also hold None."""
+        for f in dataclasses.fields(self):
+            kind, _, optional = f.type.partition(" | ")  # annotations are strings
+            value = getattr(self, f.name)
+            if kind not in ("int", "float") or (value is None and optional):
+                continue
+            allowed = int if kind == "int" else (int, float)
+            if (isinstance(value, bool) or not isinstance(value, allowed)
+                    or not math.isfinite(value)):
+                noun = "an integer" if kind == "int" else "a finite number"
+                raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
 
     # -- profiles -----------------------------------------------------------
 

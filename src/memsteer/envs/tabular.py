@@ -89,16 +89,14 @@ class TabularMDP:
         return self._action_names[a]
 
 
-def mdp_step(mdp: TabularMDP, s: int, a: int, rng: np.random.Generator,
-             strict_terminal: bool = True) -> tuple[int, float, bool]:
-    """One transition: (next state, reward, done)."""
+def mdp_step(mdp: TabularMDP, s: int, a: int,
+             rng: np.random.Generator) -> tuple[int, float, bool]:
+    """One transition: (next state, reward, done). A terminal state has none."""
     if not 0 <= s < mdp.n_states or not 0 <= a < mdp.n_actions:
         raise IndexError(f"state/action ({s}, {a}) out of range "
                          f"({mdp.n_states} states, {mdp.n_actions} actions)")
     if mdp.terminal[s]:
-        if strict_terminal:
-            raise ValueError(f"cannot step from terminal state {s}")
-        return s, 0.0, True
+        raise ValueError(f"cannot step from terminal state {s}")
     s2 = mdp.sample_next(s, a, rng)
     return s2, float(mdp.rewards[s, a]), bool(mdp.terminal[s2])
 

@@ -257,40 +257,31 @@ def _find_object_room(game: TextMicroGame, obj: str) -> str | None:
     return None
 
 
+def _act_in(game: TextMicroGame, room: str | None, action: str) -> str:
+    """``action`` when in ``room``, else the first BFS hop toward it, else look."""
+    if room is None:
+        return "look"
+    if game.room == room:
+        return action
+    hop = _bfs_next_hop(game, game.room, room)
+    return f"go {hop}" if hop else "look"
+
+
 def advisor_action(game: TextMicroGame) -> str:
     """Optimal next action for the key-door fixture (phase-based BFS policy)."""
     goal_event = {e["id"]: e for e in game.config["score_events"]}
     if "delivered" in game.fired:
         return "look"
     door = game.config["doors"][0]
-    if door["requires"] not in game.inventory and door["id"] not in game.open_doors:
-        key_room = _find_object_room(game, door["requires"])
-        if key_room is None:
-            return "look"
-        if game.room == key_room:
-            return f"take {door['requires']}"
-        hop = _bfs_next_hop(game, game.room, key_room)
-        return f"go {hop}" if hop else "look"
+    key = door["requires"]
+    if key not in game.inventory and door["id"] not in game.open_doors:
+        return _act_in(game, _find_object_room(game, key), f"take {key}")
     if door["id"] not in game.open_doors:
-        gate_room = goal_event["door-open"]["room"]
-        if game.room == gate_room:
-            return f"unlock {door['title']}"
-        hop = _bfs_next_hop(game, game.room, gate_room)
-        return f"go {hop}" if hop else "look"
+        return _act_in(game, goal_event["door-open"]["room"], f"unlock {door['title']}")
     prize = goal_event["got-treasure"]["action"].split(" ", 1)[1]
     if prize not in game.inventory and "got-treasure" not in game.fired:
-        prize_room = _find_object_room(game, prize)
-        if prize_room is None:
-            return "look"
-        if game.room == prize_room:
-            return f"take {prize}"
-        hop = _bfs_next_hop(game, game.room, prize_room)
-        return f"go {hop}" if hop else "look"
-    drop_room = goal_event["delivered"]["room"]
-    if game.room == drop_room:
-        return f"put {prize}"
-    hop = _bfs_next_hop(game, game.room, drop_room)
-    return f"go {hop}" if hop else "look"
+        return _act_in(game, _find_object_room(game, prize), f"take {prize}")
+    return _act_in(game, goal_event["delivered"]["room"], f"put {prize}")
 
 
 def noisy_advisor_policy(game: TextMicroGame, optimal_mass: float = 0.3):

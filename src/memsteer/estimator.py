@@ -44,13 +44,6 @@ class ValueEstimate:
     neighborhood_size: int
 
 
-@dataclass
-class AdvantageVector:
-    raw: dict[str, float]
-    normalized: dict[str, float]
-    epsilon: float
-
-
 def state_value(neighborhood: Neighborhood) -> float:
     """Mean return across the neighborhood."""
     if not neighborhood.entries:
@@ -144,7 +137,6 @@ def normalize_advantages(raw: Mapping[str, float], epsilon: float = 1e-8) -> dic
     return {action: value / denom for action, value in raw.items()}
 
 
-def advantage_vector(estimate: ValueEstimate, epsilon: float = 1e-8) -> AdvantageVector:
-    raw = advantages(estimate)
-    return AdvantageVector(raw=raw, normalized=normalize_advantages(raw, epsilon),
-                           epsilon=epsilon)
+def advantage_vector(estimate: ValueEstimate, epsilon: float = 1e-8) -> dict[str, float]:
+    """The normalized advantage of each candidate, the logits' shift per unit beta."""
+    return normalize_advantages(advantages(estimate), epsilon)

@@ -98,21 +98,17 @@ class MemoryEntry:
 
 @dataclass
 class Neighborhood:
-    """Top-k retrieval result: entries paired with their similarity scores."""
+    """Top-k retrieval result: the retrieved entries paired with their
+    similarity scores, most similar first (ties most recent first). Falsy
+    when nothing passed the threshold."""
 
     entries: list[tuple[MemoryEntry, float]]
-    query: StateKey
-    k_requested: int
-    threshold: float
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __bool__(self) -> bool:
         return bool(self.entries)
-
-    def actions(self) -> list[str]:
-        return [entry.action for entry, _ in self.entries]
 
     def returns(self) -> list[float]:
         return [entry.return_value for entry, _ in self.entries]
@@ -335,7 +331,7 @@ class MemoryStore:
             raise ValueError("threshold must lie in [0, 1]")
         self.retrieval_count += 1
         if len(self) == 0:
-            return Neighborhood([], query, k, threshold)
+            return Neighborhood([])
         lo = self._start
         # weighted once per distinct set, summed once per distinct pair and
         # gathered per row; the sum has the operand order of
@@ -352,12 +348,12 @@ class MemoryStore:
             keep = np.array([i for i in keep
                              if task_filter.admits(query, self._entries[lo + i])], dtype=np.int64)
         if keep.size == 0:
-            return Neighborhood([], query, k, threshold)
+            return Neighborhood([])
         # similarity descending, then row position descending; time indices
         # rise with position, so this is recency first
         order = keep[np.lexsort((-keep, -sims[keep]))][:k]
         chosen = [(self._entries[lo + i], float(sims[i])) for i in order]
-        return Neighborhood(chosen, query, k, threshold)
+        return Neighborhood(chosen)
 
     # -- persistence ---------------------------------------------------------
 

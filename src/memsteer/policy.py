@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from memsteer.memory import ActionGroups, ActionNormalizer, IDENTITY_NORMALIZER, Neighborhood
+from memsteer.memory import ActionGroups, ActionNormalizer, IDENTITY_NORMALIZER
 
 PROPOSER = "proposer"
 MEMORY_ONLY = "memory_only"
@@ -29,9 +29,6 @@ class Candidate:
     origin: str = PROPOSER  # proposer | memory_only
     normalized_advantage: float | None = None
     updated_logit: float | None = None
-
-    def effective_logit(self) -> float:
-        return self.base_logit if self.updated_logit is None else self.updated_logit
 
 
 @dataclass
@@ -59,22 +56,16 @@ def valid_memory_actions(groups: ActionGroups, valid_actions: Iterable[str] | No
     return [action for key, (action, _) in groups.items() if key in allowed]
 
 
-def augment_candidates(proposed: Sequence[tuple[str, float]],
-                       neighborhood: Neighborhood | Iterable[str] | None,
+def augment_candidates(proposed: Sequence[tuple[str, float]], memory_actions: Sequence[str],
                        normalizer: ActionNormalizer = IDENTITY_NORMALIZER) -> list[Candidate]:
-    """Union of proposer candidates and neighborhood actions.
+    """Union of proposer candidates and remembered actions.
 
+    ``memory_actions`` are the raw spellings to offer from memory, such as
+    :func:`valid_memory_actions` gives (empty when nothing was retrieved).
     Keyed by normalized action text. Proposer duplicates are merged keeping
     the maximum base logit; actions found only in memory are appended with a
     neutral zero logit and never override a proposer logit.
     """
-    memory_actions: list[str]
-    if neighborhood is None:
-        memory_actions = []
-    elif isinstance(neighborhood, Neighborhood):
-        memory_actions = neighborhood.actions()
-    else:
-        memory_actions = list(neighborhood)
     if not proposed and not memory_actions:
         raise ValueError("no candidates: proposer and memory are both empty")
 
@@ -114,10 +105,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def softmax_sample(candidates: Sequence[Candidate], rng: np.random.Generator,
                    beta: float = 0.0) -> Decision:
-    """Sample one candidate from the softmax of the effective logits."""
+    """Sample one candidate from the softmax of the updated logits (the base
+    logit where no update was made)."""
     if not candidates:
         raise ValueError("cannot sample from an empty candidate list")
-    logits = [float(c.effective_logit()) for c in candidates]
+    logits = [float(c.base_logit if c.updated_logit is None else c.updated_logit)
+              for c in candidates]
     if not all(math.isfinite(z) for z in logits):
         raise ValueError(f"non-finite logit among {logits}")
     distribution = softmax(np.array(logits, dtype=np.float64))

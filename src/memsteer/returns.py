@@ -1,10 +1,11 @@
 """Per-step rewards and discounted returns for completed trajectories.
 
-Two evaluator implementations produce step rewards: one reads the
-simulator's per-step score deltas directly (exact, used at desk scale), the
-other sends the transcript to a chat-completion endpoint and parses a
-structured per-step score list (integers clamped to [-3, 3]). Returns are
-then the standard discounted tail sums, computed by backward recursion.
+A trajectory is only its ordered steps. Two evaluator implementations turn it
+into step rewards: one reads the simulator's per-step score deltas directly
+(exact, used at desk scale), the other sends the transcript to a
+chat-completion endpoint and parses a structured per-step score list
+(integers clamped to [-3, 3]). Returns are then the standard discounted tail
+sums, computed by backward recursion into a plain tuple, one per step.
 """
 
 from __future__ import annotations
@@ -42,35 +43,14 @@ class TrajectoryStep:
 
 @dataclass
 class Trajectory:
-    """Ordered step records for one episode; rewards are attached post hoc."""
+    """The ordered steps of one episode. The episode's record holds its index,
+    rewards and returns."""
 
     steps: list[TrajectoryStep]
-    rewards: list[float] | None = None
-    task_id: str = ""
-    episode_index: int = 0
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def validate(self) -> None:
-        if self.rewards is not None:
-            if len(self.rewards) != len(self.steps):
-                raise ValueError(
-                    f"{len(self.rewards)} rewards for {len(self.steps)} steps")
-            for r in self.rewards:
-                if not math.isfinite(r):
-                    raise ValueError(f"non-finite reward {r!r}")
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Discounted tail sums, one per step: values[t] = r[t] + gamma * values[t+1]."""
-
-    values: tuple[float, ...]
-    gamma: float
-
-
-def discounted_returns(rewards: Sequence[float], gamma: float) -> ReturnSeries:
+def discounted_returns(rewards: Sequence[float], gamma: float) -> tuple[float, ...]:
+    """Discounted tail sums, one per step: G[t] = r[t] + gamma * G[t+1]."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     if len(rewards) == 0:
@@ -83,7 +63,7 @@ def discounted_returns(rewards: Sequence[float], gamma: float) -> ReturnSeries:
             raise ValueError(f"non-finite reward at step {t}: {r!r}")
         acc = r + gamma * acc
         values[t] = acc
-    return ReturnSeries(values=tuple(values), gamma=gamma)
+    return tuple(values)
 
 
 @dataclass

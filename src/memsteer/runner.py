@@ -46,6 +46,9 @@ from memsteer.returns import (EnvironmentTruthEvaluator, EvaluationOutcome, Traj
 log = logging.getLogger(__name__)
 
 MODES = ("memsteer", "static", "greedy-memory")
+# (config field, MemoryStore attribute) pairs a session's store must agree on
+STORE_FIELDS = (("memory_capacity", "capacity"), ("state_weight", "state_weight"),
+                ("history_weight", "history_weight"))
 
 
 def seed_streams(root_seed: int, episode_index: int) -> dict[str, np.random.Generator]:
@@ -123,8 +126,9 @@ class MetricsReport:
 def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConfig,
                 streams: dict[str, np.random.Generator], mode: str = "memsteer",
                 episode_index: int = 0, normalizer: ActionNormalizer | None = None,
-                task_filter=None, task_id: str = "") -> EpisodeRecord:
-    """Play one episode; memory is read-only throughout."""
+                task_filter=None) -> EpisodeRecord:
+    """Play one episode; memory is read-only throughout. A ``ProposerError``
+    ends the episode as aborted, keeping the steps taken before it."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     normalizer = normalizer or ActionNormalizer(config.action_rules)
@@ -133,7 +137,8 @@ def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConf
     steps: list[TrajectoryStep] = []
     decisions: list[Decision] = []
     prev_score = obs.score
-    truncated = False
+    truncated = aborted = False
+    abort_reason = ""
     memory_size_at_start = len(memory)
 
     for _ in range(config.step_limit):
@@ -153,13 +158,8 @@ def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConf
             response = proposer.propose(request)
         except ProposerError as exc:
             log.warning("episode %d aborted: %s", episode_index, exc)
-            return EpisodeRecord(
-                episode_index=episode_index,
-                trajectory=Trajectory(steps=steps, task_id=task_id,
-                                      episode_index=episode_index),
-                decisions=decisions, final_score=float(obs.score), success=False,
-                aborted=True, abort_reason=str(exc),
-                memory_size_at_start=memory_size_at_start)
+            aborted, abort_reason = True, str(exc)
+            break
 
         groups = None
         memory_actions: list[str] = []
@@ -181,13 +181,13 @@ def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConf
     else:
         truncated = not obs.done
 
+    # an abort leaves obs not done, so it is never a success
     success = bool(obs.done and not truncated and getattr(env, "success", False))
     return EpisodeRecord(
-        episode_index=episode_index,
-        trajectory=Trajectory(steps=steps, task_id=task_id,
-                              episode_index=episode_index),
+        episode_index=episode_index, trajectory=Trajectory(steps=steps),
         decisions=decisions, final_score=float(obs.score), success=success,
-        truncated=truncated, memory_size_at_start=memory_size_at_start)
+        truncated=truncated, aborted=aborted, abort_reason=abort_reason,
+        memory_size_at_start=memory_size_at_start)
 
 
 def _decide(candidates: list[Candidate], neighborhood, groups: ActionGroups | None,
@@ -214,11 +214,11 @@ def _decide(candidates: list[Candidate], neighborhood, groups: ActionGroups | No
 
     # the full engine shifts the logits by the advantages (zero when memory is
     # silent); static mode and the greedy fallback sample the base policy
-    vector = None
+    shift = None
     if mode == "memsteer" and estimate is not None:
-        vector = advantage_vector(estimate, config.epsilon)
+        shift = advantage_vector(estimate, config.epsilon)
     for cand in candidates:
-        cand.normalized_advantage = 0.0 if vector is None else vector.normalized[cand.action]
+        cand.normalized_advantage = 0.0 if shift is None else shift[cand.action]
     if mode != "memsteer":
         return softmax_sample(candidates, streams["policy"], beta=0.0)
     logit_update(candidates, config.beta)
@@ -228,27 +228,22 @@ def _decide(candidates: list[Candidate], neighborhood, groups: ActionGroups | No
 def update_memory(record: EpisodeRecord, memory: MemoryStore, evaluator,
                   gamma: float) -> list[MemoryEntry]:
     """Evaluate a completed episode and store one triplet per step."""
-    if record.aborted:
-        return []
-    if not record.trajectory.steps:
+    if record.aborted or not record.trajectory.steps:
         return []
     outcome: EvaluationOutcome = evaluator.evaluate(record.trajectory,
                                                     success=record.success)
     record.rewards = list(outcome.rewards)
     record.evaluator_fallback = outcome.used_fallback
-    series = discounted_returns(outcome.rewards, gamma)
-    record.returns = series.values
-    entries = []
-    for t, step in enumerate(record.trajectory.steps):
-        entries.append(memory.add(step.state, step.action, series.values[t],
-                                  episode=record.episode_index, step=t))
-    return entries
+    record.returns = discounted_returns(outcome.rewards, gamma)
+    return [memory.add(step.state, step.action, g, episode=record.episode_index, step=t)
+            for t, (step, g) in enumerate(zip(record.trajectory.steps, record.returns))]
 
 
 class Session:
     """One frozen policy playing episodes against one evolving memory: the
     config, mode, store, action normalizer, evaluator and optional bank file,
-    which a new session starts empty."""
+    which a new session starts empty. A supplied store must have the config's
+    capacity and similarity weights, since the outputs report the config's."""
 
     def __init__(self, config: EngineConfig, mode: str = "memsteer", evaluator=None,
                  memory: MemoryStore | None = None, bank_path: Path | None = None):
@@ -258,9 +253,15 @@ class Session:
         self.mode = mode
         self.evaluator = evaluator or EnvironmentTruthEvaluator(
             terminal_bonus=config.terminal_bonus)
-        self.memory = memory if memory is not None else MemoryStore(
-            capacity=config.memory_capacity, state_weight=config.state_weight,
-            history_weight=config.history_weight)
+        if memory is None:
+            memory = MemoryStore(capacity=config.memory_capacity,
+                                 state_weight=config.state_weight,
+                                 history_weight=config.history_weight)
+        for field, attr in STORE_FIELDS:
+            if getattr(memory, attr) != getattr(config, field):
+                raise ValueError(f"supplied store has {attr}={getattr(memory, attr)!r} "
+                                 f"but config {field} is {getattr(config, field)!r}")
+        self.memory = memory
         self.normalizer = ActionNormalizer(config.action_rules)
         self.bank_path = bank_path
         if bank_path is not None:
@@ -268,7 +269,7 @@ class Session:
             bank_path.write_text("", encoding="utf-8")
 
     def play(self, env_factory, proposer_factory, episode: int, stream: int | None = None,
-             task_filter: TaskFilter | None = None, task_id: str = "") -> EpisodeRecord:
+             task_filter: TaskFilter | None = None) -> EpisodeRecord:
         """Play episode ``episode`` on the seed streams of ``stream`` (default
         ``episode``), then, unless the mode is static, store its triplets and
         append them to the bank. Records the store's size afterwards."""
@@ -276,8 +277,7 @@ class Session:
         env = env_factory(streams["env"])
         record = run_episode(env, proposer_factory(env), self.memory, self.config, streams,
                              mode=self.mode, episode_index=episode,
-                             normalizer=self.normalizer, task_filter=task_filter,
-                             task_id=task_id)
+                             normalizer=self.normalizer, task_filter=task_filter)
         if self.mode != "static":
             new_entries = update_memory(record, self.memory, self.evaluator, self.config.gamma)
             if self.bank_path is not None and new_entries:
@@ -340,7 +340,7 @@ def run_task_suite(config: EngineConfig, tasks: dict, mode: str = "memsteer",
                                      task_weight=config.cross_task_task_weight)
         records = [sessions[scope].play(env_factory, proposer_factory, episode,
                                         stream=row * config.episodes + episode,
-                                        task_filter=task_filter, task_id=task_id)
+                                        task_filter=task_filter)
                    for episode in range(config.episodes)]
         reports[task_id] = MetricsReport(scores=[r.final_score for r in records],
                                          successes=[r.success for r in records])

@@ -57,6 +57,23 @@ def test_out_of_range_values_rejected(field, value):
         EngineConfig(beta=1.0, **{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("k_neighbors", 2.5), ("episodes", 2.5), ("history_length", 1.5), ("seed", 1.5),
+    ("memory_capacity", 2.5), ("k_neighbors", True), ("step_limit", "10"),
+    ("beta", True), ("gamma", "0.5"), ("state_weight", False),
+    ("task_similarity_threshold", "0.3"), ("epsilon", float("nan")),
+    ("exploration_bonus", float("inf")), ("terminal_bonus", float("nan")),
+])
+def test_from_dict_rejects_wrong_types(field, value):
+    with pytest.raises(ConfigError, match=field):
+        EngineConfig.from_dict({"beta": 1.0, field: value})
+
+
+def test_float_fields_accept_integers():
+    config = EngineConfig.from_dict({"beta": 2, "gamma": 1, "exploration_bonus": 0})
+    assert (config.beta, config.gamma, config.exploration_bonus) == (2, 1, 0)
+
+
 def test_beta_must_be_finite():
     with pytest.raises(ConfigError, match="beta"):
         EngineConfig(beta=float("nan"))

@@ -29,7 +29,6 @@ def test_mdp_step_from_terminal(rng):
     mdp = deterministic_chain(n_states=2)
     with pytest.raises(ValueError, match="terminal"):
         mdp_step(mdp, 1, 0, rng)
-    assert mdp_step(mdp, 1, 0, rng, strict_terminal=False) == (1, 0.0, True)
 
 
 def test_mdp_step_range_checks(rng):

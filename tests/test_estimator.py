@@ -45,7 +45,7 @@ def test_state_value_symmetric_cancellation():
 
 
 def test_state_value_empty_signals_no_estimate():
-    empty = Neighborhood(entries=[], query=StateKey("s"), k_requested=1, threshold=0.0)
+    empty = Neighborhood(entries=[])
     with pytest.raises(EmptyNeighborhoodError):
         state_value(empty)
 
@@ -190,9 +190,10 @@ def test_advantage_vector_combines_raw_and_normalized():
     neighborhood = neighborhood_from([("x", 2.0), ("y", 4.0)])
     estimate = estimate_candidates(neighborhood, ["x", "y"], 0.0, 0.0,
                                    rng=FixedUniform([]))
-    vector = advantage_vector(estimate, epsilon=1e-8)
-    assert vector.raw == {"x": -1.0, "y": 1.0}
-    assert vector.normalized["y"] == pytest.approx(1.0, abs=1e-7)
+    assert advantages(estimate) == {"x": -1.0, "y": 1.0}
+    normalized = advantage_vector(estimate, epsilon=1e-8)
+    assert normalized == normalize_advantages({"x": -1.0, "y": 1.0}, epsilon=1e-8)
+    assert normalized["y"] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_exploration_frequency_matches_rate():
@@ -233,7 +234,7 @@ def reference_estimate(neighborhood, actions, rate, bonus, rng, normalizer):
 
 
 def reference_memory_actions(neighborhood, valid_actions, normalizer):
-    actions = neighborhood.actions()
+    actions = [entry.action for entry, _ in neighborhood.entries]
     if valid_actions is not None:
         allowed = {normalizer(a) for a in valid_actions}
         actions = [a for a in actions if normalizer(a) in allowed]

@@ -212,7 +212,7 @@ def test_action_partition_sums_to_neighborhood(rng):
     store = populated_store(rng, 200)
     neighborhood = store.retrieve(StateKey("door hall key"), k=40, threshold=0.0)
     groups = group_by_action(neighborhood)
-    assert sorted(groups) == sorted(set(neighborhood.actions()))
+    assert sorted(groups) == sorted({entry.action for entry, _ in neighborhood.entries})
     assert sum(len(returns) for _, returns in groups.values()) == len(neighborhood)
 
 

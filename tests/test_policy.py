@@ -5,7 +5,7 @@ import pytest
 
 from memsteer.config import EngineConfig
 from memsteer.envs.textgame import key_door_game, noisy_advisor_policy
-from memsteer.memory import ActionNormalizer, MemoryStore, StateKey
+from memsteer.memory import ActionNormalizer
 from memsteer.policy import (Candidate, augment_candidates, base_distribution,
                              kl_objective, logit_update, softmax, softmax_sample)
 from memsteer.proposer import CallablePolicyProposer
@@ -20,57 +20,47 @@ def candidates_from(pairs, advantages=None):
     return out
 
 
-def neighborhood_with_actions(actions):
-    store = MemoryStore()
-    for i, action in enumerate(actions):
-        store.add(StateKey("spot"), action, float(i))
-    return store.retrieve(StateKey("spot"), k=len(actions), threshold=0.0)
-
-
 # -- candidate augmentation -----------------------------------------------------
 
 
 def test_augment_union_with_memory():
-    neighborhood = neighborhood_with_actions(["x", "y"])
-    cands = augment_candidates([("x", 1.2)], neighborhood)
+    cands = augment_candidates([("x", 1.2)], ["x", "y"])
     by_action = {c.action: c for c in cands}
     assert by_action["x"].base_logit == 1.2 and by_action["x"].origin == "proposer"
     assert by_action["y"].base_logit == 0.0 and by_action["y"].origin == "memory_only"
 
 
 def test_augment_memory_empty_keeps_proposed_verbatim():
-    cands = augment_candidates([("x", 1.0), ("y", -2.0)], None)
+    cands = augment_candidates([("x", 1.0), ("y", -2.0)], [])
     assert [(c.action, c.base_logit, c.origin) for c in cands] == \
            [("x", 1.0, "proposer"), ("y", -2.0, "proposer")]
 
 
 def test_augment_proposer_empty_uses_memory_only():
-    cands = augment_candidates([], neighborhood_with_actions(["y"]))
+    cands = augment_candidates([], ["y"])
     assert [(c.action, c.base_logit, c.origin) for c in cands] == \
            [("y", 0.0, "memory_only")]
 
 
 def test_augment_both_empty_is_error():
     with pytest.raises(ValueError, match="no candidates"):
-        augment_candidates([], None)
+        augment_candidates([], [])
 
 
 def test_augment_duplicate_proposer_actions_keep_max_logit():
-    cands = augment_candidates([("x", 0.5), ("x", 1.5), ("x", -1.0)], None)
+    cands = augment_candidates([("x", 0.5), ("x", 1.5), ("x", -1.0)], [])
     assert [(c.action, c.base_logit) for c in cands] == [("x", 1.5)]
 
 
 def test_augment_memory_duplicates_never_override_proposer():
-    neighborhood = neighborhood_with_actions(["x", "x", "x"])
-    cands = augment_candidates([("x", 2.0)], neighborhood)
+    cands = augment_candidates([("x", 2.0)], ["x", "x", "x"])
     assert [(c.action, c.base_logit, c.origin) for c in cands] == \
            [("x", 2.0, "proposer")]
 
 
 def test_augment_unions_by_normalized_action():
     normalizer = ActionNormalizer([(r"\d+", "{id}")])
-    neighborhood = neighborhood_with_actions(["click 99", "scroll"])
-    cands = augment_candidates([("click 12", 0.7)], neighborhood, normalizer)
+    cands = augment_candidates([("click 12", 0.7)], ["click 99", "scroll"], normalizer)
     assert [(c.action, c.origin) for c in cands] == \
            [("click 12", "proposer"), ("scroll", "memory_only")]
 

@@ -269,16 +269,90 @@ KEYDOOR_OUTPUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("capacity", [None, 50])
-def test_keydoor_output_bytes_are_pinned(tmp_path, capacity):
-    env_factory, proposer_factory = keydoor_factories()
+def output_digests(out_dir, names):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+
+
+def keydoor_pin_run(out_dir, mode, capacity, proposer_factory=None):
+    env_factory, advisor_factory = keydoor_factories()
     config = EngineConfig.text_game_profile(beta=2.0, episodes=6, seed=7,
                                             memory_capacity=capacity)
-    run_experiment(config, env_factory, proposer_factory, mode="memsteer",
-                   out_dir=tmp_path)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in KEYDOOR_OUTPUT_SHA256[capacity]}
-    assert digests == KEYDOOR_OUTPUT_SHA256[capacity]
+    run_experiment(config, env_factory, proposer_factory or advisor_factory, mode=mode,
+                   out_dir=out_dir)
+
+
+@pytest.mark.parametrize("capacity", [None, 50])
+def test_keydoor_output_bytes_are_pinned(tmp_path, capacity):
+    keydoor_pin_run(tmp_path, "memsteer", capacity)
+    expected = KEYDOOR_OUTPUT_SHA256[capacity]
+    assert output_digests(tmp_path, expected) == expected
+
+
+RUN_OUTPUTS = ("metrics.csv", "summary.json", "records.jsonl", "memory.jsonl")
+
+# the same six-episode run in the two ablation modes, all four outputs
+KEYDOOR_ABLATION_SHA256 = {
+    ("greedy-memory", None): {
+        "metrics.csv": "e3494ea020817bf72bbff791e2980796a13be518b501c778580149ddf270a197",
+        "summary.json": "6fb1c14f299bd4f2bbaf4dbd9c5810d376d1ca1a275d629e81b68d6e78084ff7",
+        "records.jsonl": "609c39f6fdac4ae7a6e592ac3e5cdd4df68d7bd76665a914e02e9dfed9a50cbe",
+        "memory.jsonl": "fbf983b2efed21f57bbb2e85a6cd6611cfc28422eac945cda9bbaa6740fa3f9a",
+    },
+    ("greedy-memory", 50): {
+        "metrics.csv": "d3552eb5a5921b240f8b1a346f37aba8549be585aa0ce4ba1122a53dcc150a26",
+        "summary.json": "ceec2e7d280f7399415ea14aeb515fccbf503c4d0924319f481b82fd894e8c53",
+        "records.jsonl": "d49f70e9c1867d407627e61d8101a9c38b85f4cd966c580a49bdd1fe1d8c8f94",
+        "memory.jsonl": "7e7e08d3373f8c773d5dd154e3b0408e1a2e68a87b67395dd95efd46dbbce8a4",
+    },
+    ("static", None): {
+        "metrics.csv": "87302509b9b93f2d202215974d82d6527956ac6ec870c84b55ef2cbad9c37509",
+        "summary.json": "607470a73735a2e3137105063227efb1a7ae95a6ded2090d0cc109d97e2b25e0",
+        "records.jsonl": "8c4110f96c2c47bddf0bad473128c068403f259d29aa0d76b64ca0c782844a0f",
+        "memory.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+}
+
+
+@pytest.mark.parametrize("mode,capacity", list(KEYDOOR_ABLATION_SHA256))
+def test_keydoor_ablation_output_bytes_are_pinned(tmp_path, mode, capacity):
+    keydoor_pin_run(tmp_path, mode, capacity)
+    expected = KEYDOOR_ABLATION_SHA256[mode, capacity]
+    assert output_digests(tmp_path, RUN_OUTPUTS) == expected
+
+
+# the memsteer run above with a proposer that fails on the fifth step of episode 1:
+# pins the record of an aborted episode and its metrics row
+KEYDOOR_ABORT_SHA256 = {
+    "metrics.csv": "67b4b76a25df464110d9d296f85e366423fa73c91dcdcb75a9a455105303f8b9",
+    "records.jsonl": "328508344a696f8d61a315c9d867865e8d51ffa032313af2307b3fa02d771612",
+}
+
+
+def test_keydoor_abort_output_bytes_are_pinned(tmp_path):
+    _, advisor_factory = keydoor_factories()
+    episodes = []
+
+    class FailingOnFifthStep:
+        def __init__(self, inner):
+            self.inner, self.calls = inner, 0
+
+        def propose(self, request):
+            self.calls += 1
+            if self.calls == 5:
+                raise ProposerError("endpoint down")
+            return self.inner.propose(request)
+
+    def proposer_factory(env):
+        episodes.append(env)
+        proposer = advisor_factory(env)
+        return FailingOnFifthStep(proposer) if len(episodes) == 2 else proposer
+
+    keydoor_pin_run(tmp_path, "memsteer", None, proposer_factory)
+    records = [json.loads(line) for line in
+               (tmp_path / "records.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["aborted"] for r in records] == [False, True] + [False] * 4
+    assert len(records[1]["steps"]) == 4
+    assert output_digests(tmp_path, KEYDOOR_ABORT_SHA256) == KEYDOOR_ABORT_SHA256
 
 
 def test_one_task_suite_equals_experiment():
@@ -321,6 +395,24 @@ def test_experiment_continues_from_preloaded_memory(tmp_path):
                                   mode="memsteer", memory=resumed)
     assert memory is resumed
     assert len(memory) > before
+
+
+# a store that contradicts a config with memory_capacity=5, keyed by the
+# config field that its first mismatch names
+MISMATCHED_STORES = {
+    "memory_capacity": dict(state_weight=1.0, history_weight=0.0),
+    "state_weight": dict(capacity=5, state_weight=1.0),
+    "history_weight": dict(capacity=5, history_weight=0.0),
+}
+
+
+@pytest.mark.parametrize("field", list(MISMATCHED_STORES))
+def test_supplied_store_must_match_config(field):
+    env_factory, proposer_factory = keydoor_factories()
+    config = EngineConfig.text_game_profile(beta=2.0, episodes=1, memory_capacity=5)
+    with pytest.raises(ValueError, match=field):
+        run_experiment(config, env_factory, proposer_factory,
+                       memory=MemoryStore(**MISMATCHED_STORES[field]))
 
 
 def test_mode_validation():
