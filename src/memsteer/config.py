@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 PROFILES = ("text-game", "web")
@@ -98,6 +99,10 @@ class EngineConfig:
             if (not isinstance(rule, (list, tuple)) or len(rule) != 2
                     or not all(isinstance(p, str) for p in rule)):
                 raise ConfigError(f"action rule must be [pattern, replacement], got {rule!r}")
+            try:  # compiles the pattern, then parses the template against it
+                re.compile(rule[0]).sub(rule[1], "")
+            except (re.error, IndexError) as exc:
+                raise ConfigError(f"action rule {rule!r} does not compile: {exc}") from exc
 
     def _check_types(self) -> None:
         """Integer fields hold an ``int`` and float fields a finite number,

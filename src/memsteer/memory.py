@@ -9,11 +9,14 @@ slowly drifting policy is represented by its freshest experience.
 Retrieval runs on an exact inverted index. Each distinct state token set and
 each distinct history token set is interned once, with its size and a
 token -> set-id posting list; each distinct (state set, history set) pair is
-interned too, and a row holds only its pair id. A query counts its
-intersection with every distinct set by one ``np.bincount`` over the postings
-of its tokens, computes each set's Jaccard once and each pair's weighted sum
-once, and gathers that per row. So the cost follows the number of distinct
-keys, and the similarities are bit-identical to :meth:`StateKey.similarity`.
+interned too, with the position of its newest row, and each row links to the
+previous row of its pair. A query counts its intersection with every distinct
+set by one ``np.bincount`` over the postings of its tokens, computes each
+set's Jaccard once and each pair's weighted sum once, and thresholds the
+pairs. Only the pairs that pass are expanded, along their row links, and only
+the k best of them when more than k pass. So the cost follows the number of
+distinct sets and pairs, plus at most k rows per chosen pair, not the number
+of rows; the similarities are bit-identical to :meth:`StateKey.similarity`.
 FIFO eviction moves the start of a live window; once the evicted prefix
 passes half of the rows, the rows and tables are rebuilt from the live
 entries.
@@ -55,7 +58,10 @@ __all__ = [
     "group_by_action",
 ]
 
-RECORD_FIELDS = ("state_text", "history_text", "action", "return", "episode", "step", "time")
+# each bank record field with the JSON type it must hold; a bool is none of them
+_TEXT, _NUMBER, _INTEGER = (str, "a string"), ((int, float), "a number"), (int, "an integer")
+RECORD_FIELDS = {"state_text": _TEXT, "history_text": _TEXT, "action": _TEXT, "return": _NUMBER,
+                 "episode": _INTEGER, "step": _INTEGER, "time": _INTEGER}
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,9 @@ class _TokenSetIndex:
         The arithmetic of :func:`memsteer.tokens.jaccard`: an exact integer
         intersection count, one double division, 1.0 for two empty sets.
         """
-        sizes = np.array(self._sizes, dtype=np.int64)
+        # a view, released on return: a live export would make the next
+        # intern's append raise BufferError
+        sizes = np.frombuffer(self._sizes, dtype=np.int64)
         nq = len(tokens)
         if nq == 0:
             return (sizes == 0).astype(np.float64)
@@ -289,15 +297,20 @@ class MemoryStore:
     def _insert(self, entry: MemoryEntry) -> None:
         """Validate and append ``entry``, then evict the oldest past capacity."""
         entry.validate()
+        pos = len(self._entries)
         self._entries.append(entry)
         state = entry.state
         key = (state.tokens, state.history_tokens)
         pid = self._pairs.get(key)
         if pid is None:
-            pid = self._pairs[key] = len(self._pair_states)
+            self._pairs[key] = len(self._pair_states)
             self._pair_states.append(self._states.intern(state.tokens))
             self._pair_histories.append(self._histories.intern(state.history_tokens))
-        self._rows.append(pid)
+            self._pair_last.append(pos)
+            self._prev.append(-1)
+        else:
+            self._prev.append(self._pair_last[pid])
+            self._pair_last[pid] = pos
         self._clock = entry.time_index + 1
         if self.capacity is not None and len(self._entries) - self._start > self.capacity:
             self._start += 1
@@ -314,7 +327,8 @@ class MemoryStore:
         self._pairs: dict[tuple[frozenset[str], frozenset[str]], int] = {}
         self._pair_states = array("q")
         self._pair_histories = array("q")
-        self._rows = array("q")  # pair id of each row
+        self._pair_last = array("q")  # newest row position of each pair
+        self._prev = array("q")  # previous row of the same pair, or -1
         for entry in live:  # at most capacity entries, so none is evicted
             self._insert(entry)
 
@@ -324,6 +338,10 @@ class MemoryStore:
 
         Ties are broken by time index descending (most recent first). A
         deterministic function of (store contents, query, k, threshold).
+        The work is one score per distinct set and pair, then at most k rows
+        from each of at most k passing pairs. Those pairs hold the top k: a
+        row of any other pair has k pairs ranked above it, each with a newest
+        row that ranks above that row.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -333,27 +351,39 @@ class MemoryStore:
         if len(self) == 0:
             return Neighborhood([])
         lo = self._start
-        # weighted once per distinct set, summed once per distinct pair and
-        # gathered per row; the sum has the operand order of
-        # StateKey.similarity, so it is bit-identical. The array.array views
-        # are never bound to a name: a live export of a buffer would make the
-        # next append raise BufferError.
+        # weighted once per distinct set and summed once per distinct pair;
+        # the sum has the operand order of StateKey.similarity, so it is
+        # bit-identical. The array.array views are never bound to a name: a
+        # live export of a buffer would make the next append raise BufferError.
         state_part = self.state_weight * self._states.jaccard(query.tokens)
         history_part = self.history_weight * self._histories.jaccard(query.history_tokens)
         pair_sims = (state_part[np.frombuffer(self._pair_states, dtype=np.int64)]
                      + history_part[np.frombuffer(self._pair_histories, dtype=np.int64)])
-        sims = pair_sims[np.frombuffer(self._rows, dtype=np.int64)[lo:]]
-        keep = np.flatnonzero(sims >= threshold)
+        top = np.flatnonzero(pair_sims >= threshold)
         if task_filter is not None:
-            keep = np.array([i for i in keep
-                             if task_filter.admits(query, self._entries[lo + i])], dtype=np.int64)
-        if keep.size == 0:
-            return Neighborhood([])
+            # admits reads only the entry's two token sets, which every row
+            # of a pair shares, so the pair's newest row stands for them all
+            top = np.array([pid for pid in top.tolist() if task_filter.admits(
+                query, self._entries[self._pair_last[pid]])], dtype=np.int64)
+        if top.size > k:
+            last = np.frombuffer(self._pair_last, dtype=np.int64)[top]
+            alive = last >= lo
+            top, last = top[alive], last[alive]
+            # similarity descending, then newest row descending
+            top = top[np.lexsort((-last, -pair_sims[top]))[:k]]
+        rows = []
+        pair_last, prev = self._pair_last, self._prev
+        for pid, sim in zip(top.tolist(), pair_sims[top].tolist()):
+            pos = pair_last[pid]
+            for _ in range(k):
+                if pos < lo:  # the rest of the chain is evicted (or -1)
+                    break
+                rows.append((sim, pos))
+                pos = prev[pos]
         # similarity descending, then row position descending; time indices
         # rise with position, so this is recency first
-        order = keep[np.lexsort((-keep, -sims[keep]))][:k]
-        chosen = [(self._entries[lo + i], float(sims[i])) for i in order]
-        return Neighborhood(chosen)
+        rows.sort(reverse=True)
+        return Neighborhood([(self._entries[pos], sim) for sim, pos in rows[:k]])
 
     # -- persistence ---------------------------------------------------------
 
@@ -419,17 +449,21 @@ def decode_record(line: str, lineno: int) -> MemoryEntry:
     missing = [name for name in RECORD_FIELDS if name not in raw]
     if missing:
         raise MemoryFormatError(lineno, f"missing fields {missing}")
+    for name, (allowed, noun) in RECORD_FIELDS.items():
+        value = raw[name]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise MemoryFormatError(lineno, f"{name} must be {noun}, got {value!r}")
     try:
         entry = MemoryEntry(
             state=StateKey(text=raw["state_text"], history=raw["history_text"]),
             action=raw["action"],
             return_value=float(raw["return"]),
-            episode=int(raw["episode"]),
-            step=int(raw["step"]),
-            time_index=int(raw["time"]),
+            episode=raw["episode"],
+            step=raw["step"],
+            time_index=raw["time"],
         )
         entry.validate()
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # a value validate rejects, or a huge int
         raise MemoryFormatError(lineno, str(exc)) from exc
     return entry
 

@@ -112,3 +112,20 @@ def test_load_rejects_out_of_range_file_values(tmp_path):
     path.write_text('{"beta": 1.0, "gamma": 3.0}', encoding="utf-8")
     with pytest.raises(ConfigError, match="gamma"):
         EngineConfig.load(path)
+
+
+@pytest.mark.parametrize("rule", [
+    ["(", "x"],              # not a regex
+    ["a", "\\9"],            # template names a group the pattern lacks
+    ["a", "\\g<x>"],         # template names an unknown group
+    ["a", "\\"],             # template ends in a bare backslash
+])
+def test_from_dict_rejects_action_rules_that_do_not_compile(rule):
+    with pytest.raises(ConfigError, match="action rule"):
+        EngineConfig.from_dict({"beta": 1.0, "action_rules": [["b", "c"], rule]})
+
+
+def test_from_dict_accepts_action_rules_with_group_references():
+    config = EngineConfig.from_dict({"beta": 1.0,
+                                     "action_rules": [[r"click\('(\d+)'\)", r"click(\1)"]]})
+    assert config.action_rules == [[r"click\('(\d+)'\)", r"click(\1)"]]

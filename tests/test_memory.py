@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -379,6 +380,17 @@ def _key(state: frozenset[str], history: frozenset[str]) -> StateKey:
     return StateKey(" ".join(sorted(state)), history=" ".join(sorted(history)))
 
 
+def _brute_force(live, q, k, threshold, ws, wh, gate=None):
+    """The top-k ranking by definition: score every live row, keep those at
+    or above the threshold (and admitted by ``gate``), order by similarity
+    descending then row position descending."""
+    ranked = sorted(((entry, q.similarity(entry.state, ws, wh), pos)
+                     for pos, entry in enumerate(live)),
+                    key=lambda item: (-item[1], -item[2]))
+    return [(entry, sim) for entry, sim, _ in ranked
+            if sim >= threshold and (gate is None or gate.admits(q, entry))][:k]
+
+
 @settings(max_examples=60, deadline=None)
 @given(keys=st.lists(st.tuples(token_sets, token_sets), min_size=25, max_size=60),
        capacity=st.one_of(st.none(), st.integers(1, 10)),
@@ -394,10 +406,117 @@ def test_retrieve_matches_brute_force_ranking(keys, capacity, query, k, threshol
     q = _key(*query)
     for i, (state, history) in enumerate(keys):
         store.add(_key(state, history), f"act{i % 3}", float(i))
-        live = store.entries
-        ranked = sorted(((entry, q.similarity(entry.state, ws, wh), pos)
-                         for pos, entry in enumerate(live)),
-                        key=lambda item: (-item[1], -item[2]))
-        want = [(entry, sim) for entry, sim, _ in ranked if sim >= threshold][:k]
+        want = _brute_force(store.entries, q, k, threshold, ws, wh)
         assert store.retrieve(q, k=k, threshold=threshold).entries == want
     assert len(store) == min(len(keys), capacity or len(keys))
+
+
+# a small pool of keys makes pairs repeat: a pair often holds more rows than
+# k, more than k pairs pass, pairs tie on similarity, and under a capacity
+# whole pairs die
+pooled_keys = st.lists(st.tuples(token_sets, token_sets), min_size=1, max_size=15)
+pooled_inserts = st.lists(st.integers(0, 14), min_size=20, max_size=120)
+pooled_thresholds = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 0.9, 1.0])
+pooled_weights = st.sampled_from([(0.75, 0.25), (1.0, 0.0), (0.5, 0.5), (0.1, 0.7)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=pooled_keys, picks=pooled_inserts, capacity=capacities,
+       query=st.one_of(st.integers(0, 14), st.tuples(token_sets, token_sets)),
+       k=st.integers(1, 12), threshold=pooled_thresholds, weights=pooled_weights)
+def test_retrieve_matches_brute_force_on_repeated_keys(pool, picks, capacity, query, k,
+                                                      threshold, weights):
+    ws, wh = weights
+    store = MemoryStore(capacity=capacity, state_weight=ws, history_weight=wh)
+    q = _key(*(pool[query % len(pool)] if isinstance(query, int) else query))
+    for i, pick in enumerate(picks):
+        want = _brute_force(store.entries, q, k, threshold, ws, wh)
+        assert store.retrieve(q, k=k, threshold=threshold).entries == want
+        # an add after every retrieve: a buffer view left alive by the
+        # query would make this append raise BufferError
+        store.add(_key(*pool[pick % len(pool)]), f"act{i % 4}", float(i))
+    assert store.retrieve(q, k=k, threshold=threshold).entries == \
+        _brute_force(store.entries, q, k, threshold, ws, wh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=pooled_keys, picks=pooled_inserts, capacity=capacities,
+       query=st.one_of(st.integers(0, 14), st.tuples(token_sets, token_sets)),
+       task=token_sets, k=st.integers(1, 12), threshold=pooled_thresholds,
+       gate_threshold=st.sampled_from([0.0, 0.2, 0.3, 0.5, 0.7, 1.0]),
+       gate_weights=st.sampled_from([(0.7, 0.3), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0)]))
+def test_retrieve_with_task_filter_matches_brute_force(pool, picks, capacity, query, task, k,
+                                                       threshold, gate_threshold,
+                                                       gate_weights):
+    gate = TaskFilter(task_text=" ".join(sorted(task)), threshold=gate_threshold,
+                      history_weight=gate_weights[0], task_weight=gate_weights[1])
+    store = MemoryStore(capacity=capacity)
+    q = _key(*(pool[query % len(pool)] if isinstance(query, int) else query))
+    for i, pick in enumerate(picks):
+        want = _brute_force(store.entries, q, k, threshold, 0.75, 0.25, gate)
+        assert store.retrieve(q, k=k, threshold=threshold, task_filter=gate).entries == want
+        store.add(_key(*pool[pick % len(pool)]), f"act{i % 4}", float(i))
+
+
+def test_retrieve_skips_pairs_whose_rows_are_all_evicted():
+    store = MemoryStore(capacity=2, state_weight=1.0, history_weight=0.0)
+    query = StateKey("a b c d")
+    store.add(query, "gone", 0.0)                  # similarity 1.0, evicted below
+    store.add(StateKey("a b"), "half", 1.0)        # similarity 0.5
+    store.add(StateKey("a"), "quarter", 2.0)       # similarity 0.25
+    assert [e.action for e in store.entries] == ["half", "quarter"]
+    # three pairs pass and the best of them is dead: k=1 must still find a row
+    (entry, sim), = store.retrieve(query, k=1, threshold=0.0).entries
+    assert (entry.action, sim) == ("half", 0.5)
+
+def test_retrieve_keeps_a_similarity_equal_to_the_threshold():
+    store = MemoryStore()  # default 0.75 state / 0.25 history
+    query = StateKey("a b c d e", history="go north x y z")
+    at = StateKey("a b c d e", history="go north x y")         # 0.75 + 0.25 * 4/5
+    above = StateKey("a b c d e", history="go north x y z w")  # 0.75 + 0.25 * 5/6
+    below = StateKey("a b c d e f", history="go north x y z")  # 0.75 * 5/6 + 0.25
+    assert query.similarity(at) == 0.95
+    assert query.similarity(above) > 0.95 > query.similarity(below)
+    for i, key in enumerate([at, above, below, at]):
+        store.add(key, f"act{i}", float(i))
+    kept = store.retrieve(query, k=10, threshold=0.95).entries
+    assert [(e.time_index, sim) for e, sim in kept] == \
+        [(1, query.similarity(above)), (3, 0.95), (0, 0.95)]
+    just_above = store.retrieve(query, k=10, threshold=math.nextafter(0.95, 1.0)).entries
+    assert [e.time_index for e, _ in just_above] == [1]
+
+
+_GOOD_RECORD = {"state_text": "hall", "history_text": "", "action": "look",
+                "return": 1.5, "episode": 0, "step": 0, "time": 0}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("state_text", 5), ("state_text", None), ("history_text", ["go"]),
+    ("action", 7), ("action", None),
+    ("return", "1.5"), ("return", True), ("return", None),
+    ("episode", True), ("episode", 1.0), ("step", "2"), ("step", 2.5),
+    ("time", 3.9), ("time", "3"), ("time", True),
+])
+def test_decode_rejects_wrong_field_types(tmp_path, field, value):
+    path = tmp_path / "bank.jsonl"
+    good = json.dumps(_GOOD_RECORD)
+    bad = json.dumps({**_GOOD_RECORD, field: value, "time": 1} if field != "time"
+                     else {**_GOOD_RECORD, "time": value})
+    path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(MemoryFormatError, match=f"line 2: .*{field}"):
+        MemoryStore.load(path)
+
+
+def test_decode_accepts_an_integer_return(tmp_path):
+    path = tmp_path / "bank.jsonl"
+    path.write_text(json.dumps({**_GOOD_RECORD, "return": 2}) + "\n", encoding="utf-8")
+    (entry,) = MemoryStore.load(path).entries
+    assert entry.return_value == 2.0 and isinstance(entry.return_value, float)
+
+
+def test_decode_rejects_a_return_too_large_for_a_float(tmp_path):
+    path = tmp_path / "bank.jsonl"
+    path.write_text(json.dumps(_GOOD_RECORD).replace("1.5", "1" + "0" * 400) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MemoryFormatError, match="line 1"):
+        MemoryStore.load(path)
