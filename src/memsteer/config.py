@@ -1,11 +1,11 @@
 """Engine configuration: validated hyperparameters with environment profiles.
 
-Two built-in profiles carry the published defaults: ``text-game`` (discount
-0.5, 10 neighbors, similarity threshold 0.95, exploration rate 0.65, bonus 5,
-step limit 60) and ``web`` (discount 0.1, threshold 0.8, exploration rate
-0.05, step limit 10, plus the cross-task retrieval knobs). The logit-update
-strength ``beta`` has no published default and must always be given
-explicitly.
+The field defaults are the published ``text-game`` values (discount 0.5, 10
+neighbors, similarity threshold 0.95, exploration rate 0.65, bonus 5, step
+limit 60). A profile is only its overrides of those defaults: ``text-game``
+has none, and ``web`` sets discount 0.1, threshold 0.8, exploration rate
+0.05, step limit 10 and the cross-task gate 0.27. The logit-update strength
+``beta`` has no published default and must always be given explicitly.
 
 Config files are JSON objects with exactly these field names; command-line
 flags override file values.
@@ -19,7 +19,12 @@ import math
 import re
 from dataclasses import dataclass, field
 
-PROFILES = ("text-game", "web")
+# each profile's values that differ from the field defaults
+PROFILES = {
+    "text-game": {},
+    "web": dict(gamma=0.1, similarity_threshold=0.8, exploration_rate=0.05, step_limit=10,
+                task_similarity_threshold=0.27),
+}
 
 
 class ConfigError(ValueError):
@@ -78,6 +83,8 @@ class EngineConfig:
             raise ConfigError(f"step_limit must be >= 1, got {self.step_limit}")
         if self.episodes < 1:
             raise ConfigError(f"episodes must be >= 1, got {self.episodes}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.history_length < 0:
             raise ConfigError(f"history_length must be >= 0, got {self.history_length}")
         if self.memory_scope not in ("global", "per-task"):
@@ -95,6 +102,9 @@ class EngineConfig:
                 and not 0.0 <= self.task_similarity_threshold <= 1.0:
             raise ConfigError(f"task_similarity_threshold must lie in [0, 1], "
                               f"got {self.task_similarity_threshold}")
+        if not isinstance(self.action_rules, list):
+            raise ConfigError(f"action_rules must be a list of [pattern, replacement], "
+                              f"got {self.action_rules!r}")
         for rule in self.action_rules:
             if (not isinstance(rule, (list, tuple)) or len(rule) != 2
                     or not all(isinstance(p, str) for p in rule)):
@@ -121,32 +131,11 @@ class EngineConfig:
     # -- profiles -----------------------------------------------------------
 
     @classmethod
-    def text_game_profile(cls, beta: float, **overrides) -> "EngineConfig":
-        """Defaults for score-based text games."""
-        base = dict(gamma=0.5, k_neighbors=10, similarity_threshold=0.95,
-                    exploration_rate=0.65, exploration_bonus=5.0,
-                    temperature=0.8, n_candidates=3, step_limit=60, episodes=50)
-        base.update(overrides)
-        return cls(beta=beta, **base)
-
-    @classmethod
-    def web_profile(cls, beta: float, **overrides) -> "EngineConfig":
-        """Defaults for success-based web navigation tasks."""
-        base = dict(gamma=0.1, k_neighbors=10, similarity_threshold=0.8,
-                    exploration_rate=0.05, exploration_bonus=5.0,
-                    temperature=0.8, n_candidates=3, step_limit=10, episodes=50,
-                    seed=0, task_similarity_threshold=0.27,
-                    cross_task_history_weight=0.7, cross_task_task_weight=0.3)
-        base.update(overrides)
-        return cls(beta=beta, **base)
-
-    @classmethod
     def profile(cls, name: str, beta: float, **overrides) -> "EngineConfig":
-        if name == "text-game":
-            return cls.text_game_profile(beta, **overrides)
-        if name == "web":
-            return cls.web_profile(beta, **overrides)
-        raise ConfigError(f"unknown profile {name!r}; choose from {PROFILES}")
+        """The named profile's values, then ``overrides``, over the field defaults."""
+        if name not in PROFILES:
+            raise ConfigError(f"unknown profile {name!r}; choose from {tuple(PROFILES)}")
+        return cls(beta=beta, **{**PROFILES[name], **overrides})
 
     # -- serialization --------------------------------------------------------
 

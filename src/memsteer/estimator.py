@@ -2,9 +2,10 @@
 
 Given a neighborhood of similar past experiences, the state value is the mean
 stored return, and a candidate action's value is the mean over the subset
-sharing its normalized action. The neighborhood is grouped by normalized
-action once per decision (``memory.group_by_action``, in neighborhood order),
-and each candidate reads its subset from those groups. Actions with no
+sharing its normalized action. ``estimate_candidates`` is the one entry point:
+the caller groups the neighborhood by normalized action once per decision
+(``memory.group_by_action``, in neighborhood order) and passes the groups in,
+so each candidate reads its subset without a rescan. Actions with no
 historical evidence get an optimistic value (state value plus a bonus that
 shrinks as the neighborhood grows) with probability ``exploration_rate``, else
 a neutral zero. Advantages center the action values on the state value and are
@@ -18,8 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from memsteer.memory import (ActionGroups, ActionNormalizer, IDENTITY_NORMALIZER, Neighborhood,
-                             group_by_action)
+from memsteer.memory import ActionGroups, ActionNormalizer, Neighborhood
 
 KNOWN = "known"
 EXPLORED = "explored"
@@ -52,13 +52,6 @@ def state_value(neighborhood: Neighborhood) -> float:
     return sum(returns) / len(returns)
 
 
-def _check_rates(exploration_rate: float, exploration_bonus: float) -> None:
-    if not 0.0 <= exploration_rate <= 1.0:
-        raise ValueError("exploration_rate must lie in [0, 1]")
-    if exploration_bonus < 0.0:
-        raise ValueError("exploration_bonus must be >= 0")
-
-
 def _value(group: tuple[str, list[float]] | None, v: float, neighborhood_size: int,
            exploration_rate: float, exploration_bonus: float,
            rng: np.random.Generator) -> ActionValue:
@@ -71,40 +64,21 @@ def _value(group: tuple[str, list[float]] | None, v: float, neighborhood_size: i
     return ActionValue(q=0.0, count=0, source=NEUTRAL)
 
 
-def action_value(neighborhood: Neighborhood, action: str, v: float,
-                 exploration_rate: float, exploration_bonus: float,
-                 rng: np.random.Generator,
-                 normalizer: ActionNormalizer = IDENTITY_NORMALIZER) -> ActionValue:
-    """Value of one candidate action.
-
-    Seen actions average the returns of their subset. Unseen actions draw
-    once from ``rng``: with probability ``exploration_rate`` they get the
-    optimistic value ``v + exploration_bonus / |neighborhood|``, otherwise a
-    neutral zero.
-    """
-    _check_rates(exploration_rate, exploration_bonus)
-    if not neighborhood.entries:
-        raise EmptyNeighborhoodError("cannot estimate an action value from an empty neighborhood")
-    group = group_by_action(neighborhood, normalizer).get(normalizer(action))
-    return _value(group, v, len(neighborhood), exploration_rate, exploration_bonus, rng)
-
-
 def estimate_candidates(neighborhood: Neighborhood, actions: Iterable[str],
                         exploration_rate: float, exploration_bonus: float,
-                        rng: np.random.Generator,
-                        normalizer: ActionNormalizer = IDENTITY_NORMALIZER,
-                        groups: ActionGroups | None = None) -> ValueEstimate:
+                        rng: np.random.Generator, normalizer: ActionNormalizer,
+                        groups: ActionGroups) -> ValueEstimate:
     """Per-candidate action values around the neighborhood's state value.
 
-    ``groups`` is ``group_by_action(neighborhood, normalizer)`` when the
-    caller has it already. One independent exploration draw is taken per
-    unseen action, in candidate order, so results are reproducible given the
-    generator state.
+    ``groups`` is ``group_by_action(neighborhood, normalizer)``. One
+    independent exploration draw is taken per unseen action, in candidate
+    order, so results are reproducible given the generator state.
     """
     v = state_value(neighborhood)
-    _check_rates(exploration_rate, exploration_bonus)
-    if groups is None:
-        groups = group_by_action(neighborhood, normalizer)
+    if not 0.0 <= exploration_rate <= 1.0:
+        raise ValueError("exploration_rate must lie in [0, 1]")
+    if exploration_bonus < 0.0:
+        raise ValueError("exploration_bonus must be >= 0")
     size = len(neighborhood)
     per_action: dict[str, ActionValue] = {}
     for action in actions:

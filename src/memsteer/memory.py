@@ -285,15 +285,6 @@ class MemoryStore:
         self.insert_count += 1
         return entry
 
-    def insert(self, entry: MemoryEntry) -> MemoryEntry:
-        """Insert a prebuilt entry, reassigning its time index from the store clock."""
-        stamped = MemoryEntry(state=entry.state, action=entry.action,
-                              return_value=entry.return_value, episode=entry.episode,
-                              step=entry.step, time_index=self._clock)
-        self._insert(stamped)
-        self.insert_count += 1
-        return stamped
-
     def _insert(self, entry: MemoryEntry) -> None:
         """Validate and append ``entry``, then evict the oldest past capacity."""
         entry.validate()

@@ -1,7 +1,8 @@
 """Per-step rewards and discounted returns for completed trajectories.
 
-A trajectory is only its ordered steps. Two evaluator implementations turn it
-into step rewards: one reads the simulator's per-step score deltas directly
+A trajectory is the list of its steps, in order; the evaluators and the
+scoring request take that list. Two evaluator implementations turn it into
+step rewards: one reads the simulator's per-step score deltas directly
 (exact, used at desk scale), the other sends the transcript to a
 chat-completion endpoint and parses a structured per-step score list
 (integers clamped to [-3, 3]). Returns are then the standard discounted tail
@@ -39,14 +40,6 @@ class TrajectoryStep:
     action: str
     observation: str = ""
     score_delta: float | None = None
-
-
-@dataclass
-class Trajectory:
-    """The ordered steps of one episode. The episode's record holds its index,
-    rewards and returns."""
-
-    steps: list[TrajectoryStep]
 
 
 def discounted_returns(rewards: Sequence[float], gamma: float) -> tuple[float, ...]:
@@ -90,11 +83,12 @@ class EnvironmentTruthEvaluator:
     def __init__(self, terminal_bonus: float = 0.0):
         self.terminal_bonus = terminal_bonus
 
-    def evaluate(self, trajectory: Trajectory, success: bool = False) -> EvaluationOutcome:
-        if not trajectory.steps:
+    def evaluate(self, trajectory: list[TrajectoryStep],
+                 success: bool = False) -> EvaluationOutcome:
+        if not trajectory:
             raise ValueError("cannot evaluate an empty trajectory")
         rewards = []
-        for i, step in enumerate(trajectory.steps):
+        for i, step in enumerate(trajectory):
             if step.score_delta is None:
                 raise EvaluatorError(f"step {i} has no score delta")
             rewards.append(float(step.score_delta))
@@ -103,11 +97,11 @@ class EnvironmentTruthEvaluator:
         return EvaluationOutcome(rewards=rewards, used_fallback=False)
 
 
-def build_scoring_request(trajectory: Trajectory, model: str,
+def build_scoring_request(trajectory: list[TrajectoryStep], model: str,
                           temperature: float = 0.0) -> dict:
     """Chat-completion request carrying the transcript and the scoring guide."""
     lines = []
-    for i, step in enumerate(trajectory.steps):
+    for i, step in enumerate(trajectory):
         lines.append(f"Step {i}: state: {step.state.text}")
         lines.append(f"Step {i}: action: {step.action}")
         if step.observation:
@@ -175,8 +169,9 @@ class RemoteEvaluator:
         self.max_retries = max_retries
         self.temperature = temperature
 
-    def evaluate(self, trajectory: Trajectory, success: bool = False) -> EvaluationOutcome:
-        if not trajectory.steps:
+    def evaluate(self, trajectory: list[TrajectoryStep],
+                 success: bool = False) -> EvaluationOutcome:
+        if not trajectory:
             raise ValueError("cannot evaluate an empty trajectory")
         request = build_scoring_request(trajectory, self.model, self.temperature)
         for attempt in range(1 + self.max_retries):
@@ -186,9 +181,9 @@ class RemoteEvaluator:
                 log.warning("evaluator client failed: %s", exc)
                 break
             try:
-                return EvaluationOutcome(rewards=parse_step_scores(payload, len(trajectory.steps)))
+                return EvaluationOutcome(rewards=parse_step_scores(payload, len(trajectory)))
             except EvaluatorError as exc:
                 log.warning("evaluator reply %d/%d did not parse: %s",
                             attempt + 1, 1 + self.max_retries, exc)
         log.warning("evaluator failed; storing zero rewards")
-        return EvaluationOutcome(rewards=[0.0] * len(trajectory.steps), used_fallback=True)
+        return EvaluationOutcome(rewards=[0.0] * len(trajectory), used_fallback=True)

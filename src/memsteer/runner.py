@@ -34,14 +34,14 @@ from memsteer.config import EngineConfig
 from memsteer.envs.abstraction import abstract_state
 from memsteer.envs.tabular import TabularMDP
 from memsteer.estimator import KNOWN, advantage_vector, estimate_candidates, state_value
-from memsteer.memory import (ActionGroups, ActionNormalizer, MemoryEntry, MemoryStore, TaskFilter,
-                             append_records, group_by_action, read_bank)
+from memsteer.memory import (ActionGroups, ActionNormalizer, IDENTITY_NORMALIZER, MemoryEntry,
+                             MemoryStore, TaskFilter, append_records, group_by_action, read_bank)
 from memsteer.oracle import closed_form_kl_policy, episode_returns, exact_policy_values, rollout
 from memsteer.policy import (Candidate, Decision, augment_candidates, logit_update,
                              softmax_sample, valid_memory_actions)
 from memsteer.proposer import Proposer, ProposerError, ProposerRequest
-from memsteer.returns import (EnvironmentTruthEvaluator, EvaluationOutcome, Trajectory,
-                              TrajectoryStep, discounted_returns)
+from memsteer.returns import (EnvironmentTruthEvaluator, EvaluationOutcome, TrajectoryStep,
+                              discounted_returns)
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +64,7 @@ def seed_streams(root_seed: int, episode_index: int) -> dict[str, np.random.Gene
 @dataclass
 class EpisodeRecord:
     episode_index: int
-    trajectory: Trajectory
+    trajectory: list[TrajectoryStep]
     decisions: list[Decision]
     final_score: float
     success: bool
@@ -79,7 +79,7 @@ class EpisodeRecord:
 
     @property
     def steps(self) -> int:
-        return len(self.trajectory.steps)
+        return len(self.trajectory)
 
 
 @dataclass
@@ -124,14 +124,13 @@ class MetricsReport:
 
 
 def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConfig,
-                streams: dict[str, np.random.Generator], mode: str = "memsteer",
-                episode_index: int = 0, normalizer: ActionNormalizer | None = None,
+                streams: dict[str, np.random.Generator], normalizer: ActionNormalizer,
+                mode: str = "memsteer", episode_index: int = 0,
                 task_filter=None) -> EpisodeRecord:
     """Play one episode; memory is read-only throughout. A ``ProposerError``
     ends the episode as aborted, keeping the steps taken before it."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    normalizer = normalizer or ActionNormalizer(config.action_rules)
     obs = env.reset()
     history: list[str] = []
     steps: list[TrajectoryStep] = []
@@ -184,7 +183,7 @@ def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConf
     # an abort leaves obs not done, so it is never a success
     success = bool(obs.done and not truncated and getattr(env, "success", False))
     return EpisodeRecord(
-        episode_index=episode_index, trajectory=Trajectory(steps=steps),
+        episode_index=episode_index, trajectory=steps,
         decisions=decisions, final_score=float(obs.score), success=success,
         truncated=truncated, aborted=aborted, abort_reason=abort_reason,
         memory_size_at_start=memory_size_at_start)
@@ -228,7 +227,7 @@ def _decide(candidates: list[Candidate], neighborhood, groups: ActionGroups | No
 def update_memory(record: EpisodeRecord, memory: MemoryStore, evaluator,
                   gamma: float) -> list[MemoryEntry]:
     """Evaluate a completed episode and store one triplet per step."""
-    if record.aborted or not record.trajectory.steps:
+    if record.aborted or not record.trajectory:
         return []
     outcome: EvaluationOutcome = evaluator.evaluate(record.trajectory,
                                                     success=record.success)
@@ -236,7 +235,7 @@ def update_memory(record: EpisodeRecord, memory: MemoryStore, evaluator,
     record.evaluator_fallback = outcome.used_fallback
     record.returns = discounted_returns(outcome.rewards, gamma)
     return [memory.add(step.state, step.action, g, episode=record.episode_index, step=t)
-            for t, (step, g) in enumerate(zip(record.trajectory.steps, record.returns))]
+            for t, (step, g) in enumerate(zip(record.trajectory, record.returns))]
 
 
 class Session:
@@ -276,8 +275,8 @@ class Session:
         streams = seed_streams(self.config.seed, episode if stream is None else stream)
         env = env_factory(streams["env"])
         record = run_episode(env, proposer_factory(env), self.memory, self.config, streams,
-                             mode=self.mode, episode_index=episode,
-                             normalizer=self.normalizer, task_filter=task_filter)
+                             self.normalizer, mode=self.mode, episode_index=episode,
+                             task_filter=task_filter)
         if self.mode != "static":
             new_entries = update_memory(record, self.memory, self.evaluator, self.config.gamma)
             if self.bank_path is not None and new_entries:
@@ -405,7 +404,7 @@ def episode_record_to_dict(record: EpisodeRecord) -> dict:
                 "observation": step.observation,
                 "score_delta": step.score_delta,
             }
-            for step in record.trajectory.steps
+            for step in record.trajectory
         ],
         "decisions": [
             {
@@ -446,7 +445,8 @@ def replay_episode(config: EngineConfig, env_factory, proposer_factory, mode: st
         for entry in read_bank(bank_path):  # rows are in episode order
             if entry.episode >= episode:
                 break
-            session.memory.insert(entry)
+            session.memory.add(entry.state, entry.action, entry.return_value,
+                               episode=entry.episode, step=entry.step)
     fresh = episode_record_to_dict(session.play(env_factory, proposer_factory, episode))
     unchecked = ("rewards", "returns", "evaluator_fallback")
     same = ({k: v for k, v in fresh.items() if k not in unchecked}
@@ -542,7 +542,8 @@ def run_consistency_experiment(mdp: TabularMDP, policy, gamma: float,
                 v_hat = state_value(neighborhood)
                 estimate = estimate_candidates(
                     neighborhood, [mdp.action_name(a) for a in range(mdp.n_actions)],
-                    exploration_rate=0.0, exploration_bonus=0.0, rng=estimator_rng)
+                    exploration_rate=0.0, exploration_bonus=0.0, rng=estimator_rng,
+                    normalizer=IDENTITY_NORMALIZER, groups=group_by_action(neighborhood))
                 q_hat = np.array([estimate.per_action[mdp.action_name(a)].q
                                   for a in range(mdp.n_actions)])
                 known = np.array([estimate.per_action[mdp.action_name(a)].source == KNOWN

@@ -37,5 +37,6 @@ def rng() -> np.random.Generator:
 def populated_store(rng: np.random.Generator, n: int, **kwargs) -> MemoryStore:
     store = MemoryStore(**kwargs)
     for entry in random_entries(rng, n):
-        store.insert(entry)
+        store.add(entry.state, entry.action, entry.return_value,
+                  episode=entry.episode, step=entry.step)
     return store

@@ -23,8 +23,8 @@ import pytest
 from memsteer.config import ConfigError, EngineConfig
 from memsteer.envs.tabular import six_state_fixture
 from memsteer.envs.textgame import key_door_game, noisy_advisor_policy
-from memsteer.estimator import EXPLORED, action_value, advantages, estimate_candidates
-from memsteer.memory import MemoryStore, StateKey
+from memsteer.estimator import EXPLORED, advantages, estimate_candidates
+from memsteer.memory import IDENTITY_NORMALIZER, MemoryStore, StateKey, group_by_action
 from memsteer.oracle import (exact_policy_values, grid_optimal_kl_policy,
                              optimality_margin)
 from memsteer.policy import (Candidate, base_distribution, kl_objective, logit_update,
@@ -47,6 +47,13 @@ def neighborhood_of_size(n: int):
     for _ in range(n):
         store.add(StateKey("probe spot"), "seen", 0.0)
     return store.retrieve(StateKey("probe spot"), k=n, threshold=0.0)
+
+
+def unseen_value(neighborhood, groups, rate: float, rng: np.random.Generator):
+    """Value of an action the neighborhood has never seen, bonus 5."""
+    estimate = estimate_candidates(neighborhood, ["unseen"], rate, 5.0, rng,
+                                   IDENTITY_NORMALIZER, groups)
+    return estimate.per_action["unseen"]
 
 
 # -- criterion 1: closed-form optimality ------------------------------------------
@@ -147,20 +154,18 @@ def test_criterion_5_exploration_mechanics():
     draws = 100_000
     ok = True
     details = []
-    neighborhood = neighborhood_of_size(1)
+    neighborhood = neighborhood_of_size(1)  # every return is 0, so v = 0
+    groups = group_by_action(neighborhood)
     for rate in (0.05, 0.65):
         rng = np.random.default_rng(int(rate * 1000))
-        hits = sum(
-            action_value(neighborhood, "unseen", v=0.0, exploration_rate=rate,
-                         exploration_bonus=5.0, rng=rng).source == EXPLORED
-            for _ in range(draws))
+        hits = sum(unseen_value(neighborhood, groups, rate, rng).source == EXPLORED
+                   for _ in range(draws))
         freq = hits / draws
         details.append(f"rate {rate}: freq {freq:.4f}")
         ok = ok and abs(freq - rate) <= 0.005
     for size in range(1, 21):
         sized = neighborhood_of_size(size)
-        value = action_value(sized, "unseen", v=0.0, exploration_rate=1.0,
-                             exploration_bonus=5.0, rng=np.random.default_rng(0))
+        value = unseen_value(sized, group_by_action(sized), 1.0, np.random.default_rng(0))
         ok = ok and value.q == 5.0 / size  # exact, not approximate
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 5.0
@@ -185,8 +190,9 @@ def test_criterion_6_count_weighted_advantages_center():
             store.add(StateKey("spot"), action, float(rng.uniform(-10, 10)))
         neighborhood = store.retrieve(StateKey("spot"), k=n_entries, threshold=0.0)
         estimate = estimate_candidates(neighborhood, actions, exploration_rate=0.0,
-                                       exploration_bonus=0.0,
-                                       rng=np.random.default_rng(1))
+                                       exploration_bonus=0.0, rng=np.random.default_rng(1),
+                                       normalizer=IDENTITY_NORMALIZER,
+                                       groups=group_by_action(neighborhood))
         adv = advantages(estimate)
         weighted = sum(estimate.per_action[a].count * adv[a] for a in actions)
         worst = max(worst, abs(weighted))
@@ -206,7 +212,7 @@ def game_runs():
     started = time.perf_counter()
     outcomes = []
     for seed in range(5):
-        config = EngineConfig.text_game_profile(beta=2.0, episodes=30, seed=seed)
+        config = EngineConfig.profile("text-game", beta=2.0, episodes=30, seed=seed)
         engine, _, _ = run_experiment(config, env_factory, proposer_factory,
                                       mode="memsteer")
         static, _, _ = run_experiment(config, env_factory, proposer_factory,
@@ -239,7 +245,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         dirs = []
         for run in range(2):
             out = tmp_path / f"rerun{pair}_{run}"
-            config = EngineConfig.text_game_profile(beta=2.0, episodes=6, seed=11)
+            config = EngineConfig.profile("text-game", beta=2.0, episodes=6, seed=11)
             run_experiment(config, env_factory, proposer_factory,
                            mode=("memsteer", "static")[pair], out_dir=out)
             dirs.append(out)
@@ -261,7 +267,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     rng = np.random.default_rng(808)
     store = MemoryStore()
     for entry in random_entries(rng, 10_000):
-        store.insert(entry)
+        store.add(entry.state, entry.action, entry.return_value,
+                  episode=entry.episode, step=entry.step)
     bank = tmp_path / "bank.jsonl"
     store.save(bank)
     roundtrip = MemoryStore.load(bank).entries == store.entries
@@ -276,8 +283,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
 
 
 def test_criterion_9_config_defaults_and_validation():
-    text_game = EngineConfig.text_game_profile(beta=1.0)
-    web = EngineConfig.web_profile(beta=1.0)
+    text_game = EngineConfig.profile("text-game", beta=1.0)
+    web = EngineConfig.profile("web", beta=1.0)
     defaults_ok = all([
         text_game.gamma == 0.5, text_game.k_neighbors == 10,
         text_game.similarity_threshold == 0.95, text_game.exploration_rate == 0.65,

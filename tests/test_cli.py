@@ -41,7 +41,7 @@ def test_run_static_mode_on_mdp(capsys):
 
 
 def test_run_with_config_file_and_override(tmp_path, capsys):
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=2, seed=5)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=5)
     path = tmp_path / "config.json"
     config.save(path)
     code = main(["run", "--config", str(path), "--episodes", "1"])
@@ -84,7 +84,7 @@ def test_run_config_flag_reaches_config(tmp_path, monkeypatch, flag, field, valu
         argv += ["--beta", "1"]
     if from_file:
         path = tmp_path / "config.json"
-        EngineConfig.text_game_profile(beta=1.0).save(path)
+        EngineConfig.profile("text-game", beta=1.0).save(path)
         argv += ["--config", str(path)]
     assert main(argv) == 0
     assert getattr(seen["config"], field) == value
@@ -120,7 +120,7 @@ def test_inspect_memory_subcommand(tmp_path, capsys):
 
 def test_replay_subcommand_matches(tmp_path, capsys):
     out = tmp_path / "exp"
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=3, seed=2)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=3, seed=2)
     config_path = tmp_path / "config.json"
     config.save(config_path)
     main(["run", "--config", str(config_path), "--out", str(out)])
@@ -134,8 +134,8 @@ def test_replay_subcommand_matches(tmp_path, capsys):
 
 def test_replay_subcommand_matches_under_capacity(tmp_path, capsys):
     out = tmp_path / "exp"
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=4, seed=2,
-                                            memory_capacity=7)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=4, seed=2,
+                                  memory_capacity=7)
     config_path = tmp_path / "config.json"
     config.save(config_path)
     main(["run", "--config", str(config_path), "--out", str(out)])
@@ -149,7 +149,7 @@ def test_replay_subcommand_matches_under_capacity(tmp_path, capsys):
 
 def test_replay_missing_episode(tmp_path, capsys):
     out = tmp_path / "exp"
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=1, seed=2)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=1, seed=2)
     config_path = tmp_path / "config.json"
     config.save(config_path)
     main(["run", "--config", str(config_path), "--out", str(out)])

@@ -3,8 +3,9 @@ import pytest
 from memsteer.config import ConfigError, EngineConfig
 
 
-def test_text_game_profile_defaults():
-    config = EngineConfig.text_game_profile(beta=1.0)
+def test_profile_text_game_defaults():
+    config = EngineConfig.profile("text-game", beta=1.0)
+    assert config == EngineConfig(beta=1.0)  # the field defaults are the text-game values
     assert config.gamma == 0.5
     assert config.k_neighbors == 10
     assert config.similarity_threshold == 0.95
@@ -16,8 +17,8 @@ def test_text_game_profile_defaults():
     assert config.episodes == 50
 
 
-def test_web_profile_defaults():
-    config = EngineConfig.web_profile(beta=1.0)
+def test_profile_web_defaults():
+    config = EngineConfig.profile("web", beta=1.0)
     assert config.gamma == 0.1
     assert config.k_neighbors == 10
     assert config.similarity_threshold == 0.8
@@ -25,6 +26,8 @@ def test_web_profile_defaults():
     assert config.exploration_bonus == 5.0
     assert config.step_limit == 10
     assert config.episodes == 50
+    assert config.temperature == 0.8
+    assert config.n_candidates == 3
     assert config.seed == 0
     assert config.task_similarity_threshold == 0.27
     assert config.cross_task_history_weight == 0.7
@@ -51,6 +54,7 @@ def test_profile_dispatch_and_unknown_name():
     ("state_weight", 1.5),
     ("task_similarity_threshold", 2.0),
     ("memory_scope", "shared"),
+    ("seed", -1),
 ])
 def test_out_of_range_values_rejected(field, value):
     with pytest.raises(ConfigError):
@@ -63,6 +67,7 @@ def test_out_of_range_values_rejected(field, value):
     ("beta", True), ("gamma", "0.5"), ("state_weight", False),
     ("task_similarity_threshold", "0.3"), ("epsilon", float("nan")),
     ("exploration_bonus", float("inf")), ("terminal_bonus", float("nan")),
+    ("action_rules", None), ("action_rules", 5), ("action_rules", "ab"),
 ])
 def test_from_dict_rejects_wrong_types(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -80,8 +85,8 @@ def test_beta_must_be_finite():
 
 
 def test_dict_roundtrip_lossless():
-    config = EngineConfig.web_profile(beta=2.5, seed=17,
-                                      action_rules=[[r"\d+", "{id}"]])
+    config = EngineConfig.profile("web", beta=2.5, seed=17,
+                                  action_rules=[[r"\d+", "{id}"]])
     clone = EngineConfig.from_dict(config.to_dict())
     assert clone == config
 
@@ -97,7 +102,7 @@ def test_from_dict_rejects_unknown_fields():
 
 
 def test_file_roundtrip_and_overrides(tmp_path):
-    config = EngineConfig.text_game_profile(beta=1.5, seed=3)
+    config = EngineConfig.profile("text-game", beta=1.5, seed=3)
     path = tmp_path / "config.json"
     config.save(path)
     loaded = EngineConfig.load(path)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsteer.estimator import (EXPLORED, KNOWN, NEUTRAL, EmptyNeighborhoodError,
-                                action_value, advantage_vector, advantages,
-                                estimate_candidates, normalize_advantages, state_value)
-from memsteer.memory import (ActionNormalizer, MemoryStore, Neighborhood, StateKey,
-                             group_by_action)
+                                advantage_vector, advantages, estimate_candidates,
+                                normalize_advantages, state_value)
+from memsteer.memory import (ActionNormalizer, IDENTITY_NORMALIZER, MemoryStore, Neighborhood,
+                             StateKey, group_by_action)
 from memsteer.policy import augment_candidates, valid_memory_actions
 
 
@@ -17,6 +17,17 @@ def neighborhood_from(pairs):
     for action, value in pairs:
         store.add(StateKey("same place"), action, value)
     return store.retrieve(StateKey("same place"), k=len(pairs), threshold=0.0)
+
+
+def estimate_of(neighborhood, actions, rate, bonus, rng):
+    """``estimate_candidates`` on the neighborhood's own action groups."""
+    return estimate_candidates(neighborhood, actions, rate, bonus, rng, IDENTITY_NORMALIZER,
+                               group_by_action(neighborhood))
+
+
+def unseen_value(neighborhood, rate, bonus, rng):
+    """The value of one action the neighborhood has never seen."""
+    return estimate_of(neighborhood, ["new"], rate, bonus, rng).per_action["new"]
 
 
 class FixedUniform:
@@ -55,16 +66,13 @@ def test_state_value_empty_signals_no_estimate():
 
 def test_known_action_mean():
     neighborhood = neighborhood_from([("x", 1.0), ("x", 3.0), ("y", 10.0)])
-    value = action_value(neighborhood, "x", v=0.0, exploration_rate=0.5,
-                         exploration_bonus=5.0, rng=FixedUniform([0.99]))
+    value = estimate_of(neighborhood, ["x"], 0.5, 5.0, FixedUniform([0.99])).per_action["x"]
     assert (value.q, value.count, value.source) == (2.0, 2, KNOWN)
 
 
 def test_unseen_action_optimistic_branch():
-    pairs = [("seen", 3.0)] * 10
-    neighborhood = neighborhood_from(pairs)
-    value = action_value(neighborhood, "new", v=3.0, exploration_rate=0.65,
-                         exploration_bonus=5.0, rng=FixedUniform([0.1]))
+    neighborhood = neighborhood_from([("seen", 3.0)] * 10)  # v = 3.0
+    value = unseen_value(neighborhood, 0.65, 5.0, FixedUniform([0.1]))
     assert value.source == EXPLORED
     assert value.q == 3.0 + 5.0 / 10
     assert value.count == 0
@@ -72,33 +80,30 @@ def test_unseen_action_optimistic_branch():
 
 def test_unseen_action_neutral_branch():
     neighborhood = neighborhood_from([("seen", 3.0)])
-    value = action_value(neighborhood, "new", v=3.0, exploration_rate=0.65,
-                         exploration_bonus=5.0, rng=FixedUniform([0.9]))
+    value = unseen_value(neighborhood, 0.65, 5.0, FixedUniform([0.9]))
     assert (value.q, value.source) == (0.0, NEUTRAL)
 
 
 def test_exploration_rate_zero_always_neutral(rng):
     neighborhood = neighborhood_from([("seen", 1.0)])
     for _ in range(50):
-        value = action_value(neighborhood, "new", v=1.0, exploration_rate=0.0,
-                             exploration_bonus=5.0, rng=rng)
-        assert value.source == NEUTRAL
+        value = unseen_value(neighborhood, 0.0, 5.0, rng)
+        assert (value.q, value.count, value.source) == (0.0, 0, NEUTRAL)
 
 
 def test_exploration_rate_one_always_optimistic(rng):
     neighborhood = neighborhood_from([("seen", 1.0)])
     for _ in range(50):
-        value = action_value(neighborhood, "new", v=1.0, exploration_rate=1.0,
-                             exploration_bonus=5.0, rng=rng)
+        value = unseen_value(neighborhood, 1.0, 5.0, rng)
         assert value.source == EXPLORED
 
 
 def test_bonus_strictly_decreasing_in_neighborhood_size():
     previous = float("inf")
     for size in range(1, 101):
-        neighborhood = neighborhood_from([("seen", 0.0)] * size)
-        value = action_value(neighborhood, "new", v=0.0, exploration_rate=1.0,
-                             exploration_bonus=5.0, rng=FixedUniform([0.0]))
+        neighborhood = neighborhood_from([("seen", 0.0)] * size)  # v = 0.0
+        value = unseen_value(neighborhood, 1.0, 5.0, FixedUniform([0.0]))
+        assert value.q == 5.0 / size
         assert value.q < previous
         previous = value.q
 
@@ -106,12 +111,17 @@ def test_bonus_strictly_decreasing_in_neighborhood_size():
 def test_one_draw_per_unseen_action():
     neighborhood = neighborhood_from([("seen", 1.0)])
     draws = FixedUniform([0.1, 0.9, 0.1])
-    estimate = estimate_candidates(neighborhood, ["seen", "u1", "u2", "u3"],
-                                   exploration_rate=0.5, exploration_bonus=2.0,
-                                   rng=draws)
+    estimate = estimate_of(neighborhood, ["seen", "u1", "u2", "u3"], 0.5, 2.0, draws)
     sources = [estimate.per_action[a].source for a in ("u1", "u2", "u3")]
     assert sources == [EXPLORED, NEUTRAL, EXPLORED]
     assert not draws.draws  # exactly one draw per unseen action, none for seen
+
+
+@pytest.mark.parametrize("rate,bonus", [(-0.1, 1.0), (1.1, 1.0), (0.5, -1.0)])
+def test_estimate_rejects_out_of_range_rates(rate, bonus):
+    neighborhood = neighborhood_from([("seen", 1.0)])
+    with pytest.raises(ValueError, match="exploration_"):
+        estimate_of(neighborhood, ["new"], rate, bonus, FixedUniform([0.5]))
 
 
 # -- advantages ---------------------------------------------------------------------
@@ -119,22 +129,19 @@ def test_one_draw_per_unseen_action():
 
 def test_advantages_center_on_state_value():
     neighborhood = neighborhood_from([("x", 2.0), ("y", 4.0)])
-    estimate = estimate_candidates(neighborhood, ["x", "y"], 0.0, 0.0,
-                                   rng=FixedUniform([]))
+    estimate = estimate_of(neighborhood, ["x", "y"], 0.0, 0.0, FixedUniform([]))
     assert advantages(estimate) == {"x": -1.0, "y": 1.0}
 
 
 def test_advantages_all_equal_gives_zeros():
     neighborhood = neighborhood_from([("x", 3.0), ("y", 3.0)])
-    estimate = estimate_candidates(neighborhood, ["x", "y"], 0.0, 0.0,
-                                   rng=FixedUniform([]))
+    estimate = estimate_of(neighborhood, ["x", "y"], 0.0, 0.0, FixedUniform([]))
     assert advantages(estimate) == {"x": 0.0, "y": 0.0}
 
 
 def test_neutral_action_advantage_is_minus_v():
     neighborhood = neighborhood_from([("x", 3.0)])
-    estimate = estimate_candidates(neighborhood, ["x", "new"], 0.0, 0.0,
-                                   rng=FixedUniform([0.5]))
+    estimate = estimate_of(neighborhood, ["x", "new"], 0.0, 0.0, FixedUniform([0.5]))
     assert advantages(estimate)["new"] == -3.0
 
 
@@ -145,8 +152,7 @@ def test_count_weighted_advantages_center_to_zero(rng):
                  for _ in range(size)]
         neighborhood = neighborhood_from(pairs)
         actions = sorted({a for a, _ in pairs})
-        estimate = estimate_candidates(neighborhood, actions, 0.0, 0.0,
-                                       rng=FixedUniform([]))
+        estimate = estimate_of(neighborhood, actions, 0.0, 0.0, FixedUniform([]))
         adv = advantages(estimate)
         weighted = sum(estimate.per_action[a].count * adv[a] for a in actions)
         assert abs(weighted) < 1e-9
@@ -188,8 +194,7 @@ def test_normalized_values_bounded_and_argmax_preserved(rng):
 
 def test_advantage_vector_combines_raw_and_normalized():
     neighborhood = neighborhood_from([("x", 2.0), ("y", 4.0)])
-    estimate = estimate_candidates(neighborhood, ["x", "y"], 0.0, 0.0,
-                                   rng=FixedUniform([]))
+    estimate = estimate_of(neighborhood, ["x", "y"], 0.0, 0.0, FixedUniform([]))
     assert advantages(estimate) == {"x": -1.0, "y": 1.0}
     normalized = advantage_vector(estimate, epsilon=1e-8)
     assert normalized == normalize_advantages({"x": -1.0, "y": 1.0}, epsilon=1e-8)
@@ -199,9 +204,8 @@ def test_advantage_vector_combines_raw_and_normalized():
 def test_exploration_frequency_matches_rate():
     rng = np.random.default_rng(7)
     neighborhood = neighborhood_from([("seen", 1.0)])
-    hits = sum(
-        action_value(neighborhood, "new", 1.0, 0.3, 1.0, rng).source == EXPLORED
-        for _ in range(20000))
+    hits = sum(unseen_value(neighborhood, 0.3, 1.0, rng).source == EXPLORED
+               for _ in range(20000))
     assert hits / 20000 == pytest.approx(0.3, abs=0.01)
 
 
@@ -277,20 +281,10 @@ def test_grouped_estimate_matches_per_action_filter(rows, proposed, valid, rules
     actions = [c.action for c in candidates] + [a for a, _ in proposed]
     ref_rng = np.random.default_rng(seed)
     v, ref_values = reference_estimate(neighborhood, actions, rate, bonus, ref_rng, normalizer)
-    for given_groups in (groups, None):
-        rng = np.random.default_rng(seed)
-        estimate = estimate_candidates(neighborhood, actions, rate, bonus, rng,
-                                       normalizer, groups=given_groups)
-        assert estimate.v == v
-        assert {a: (value.q, value.count, value.source)
-                for a, value in estimate.per_action.items()} == ref_values
-        assert list(estimate.per_action) == list(ref_values)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for action in actions:
-        value = action_value(neighborhood, action, v, rate, bonus, rng, normalizer)
-        _, ref_value = reference_estimate(neighborhood, [action], rate, bonus, ref_rng,
-                                          normalizer)
-        assert (value.q, value.count, value.source) == ref_value[action]
+    rng = np.random.default_rng(seed)
+    estimate = estimate_candidates(neighborhood, actions, rate, bonus, rng, normalizer, groups)
+    assert estimate.v == v
+    assert {a: (value.q, value.count, value.source)
+            for a, value in estimate.per_action.items()} == ref_values
+    assert list(estimate.per_action) == list(ref_values)
     assert rng.bit_generator.state == ref_rng.bit_generator.state

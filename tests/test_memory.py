@@ -280,7 +280,8 @@ def test_append_records_matches_save(tmp_path, rng):
     entries = random_entries(rng, 40)
     store = MemoryStore()
     for entry in entries:
-        store.insert(entry)
+        store.add(entry.state, entry.action, entry.return_value,
+                  episode=entry.episode, step=entry.step)
     saved = tmp_path / "saved.jsonl"
     appended = tmp_path / "appended.jsonl"
     store.save(saved)

@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 from memsteer.memory import StateKey
 from memsteer.proposer import FixtureChatClient, ProposerError
 from memsteer.returns import (EnvironmentTruthEvaluator, EvaluatorError, RemoteEvaluator,
-                              Trajectory, TrajectoryStep, build_scoring_request,
-                              discounted_returns, parse_step_scores)
+                              TrajectoryStep, build_scoring_request, discounted_returns,
+                              parse_step_scores)
 
 
 def make_trajectory(deltas, actions=None):
-    steps = [
+    return [
         TrajectoryStep(state=StateKey(f"s{i}"), action=(actions[i] if actions else f"act{i}"),
                        observation=f"obs{i}", score_delta=delta)
         for i, delta in enumerate(deltas)
     ]
-    return Trajectory(steps=steps)
 
 
 # -- discounted returns -----------------------------------------------------------
@@ -88,7 +87,7 @@ def test_environment_truth_terminal_bonus_on_success():
 def test_environment_truth_requires_deltas():
     steps = [TrajectoryStep(state=StateKey("s"), action="a")]
     with pytest.raises(EvaluatorError, match="score delta"):
-        EnvironmentTruthEvaluator().evaluate(Trajectory(steps=steps))
+        EnvironmentTruthEvaluator().evaluate(steps)
 
 
 # -- wire protocol ----------------------------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 from memsteer.config import EngineConfig
 from memsteer.envs.tabular import TabularEnvAdapter, TabularMDP, deterministic_chain, six_state_fixture
 from memsteer.envs.textgame import key_door_game, noisy_advisor_policy
-from memsteer.memory import MemoryStore, StateKey
+from memsteer.memory import ActionNormalizer, MemoryStore, StateKey
 from memsteer.policy import softmax
 from memsteer.proposer import CallablePolicyProposer, ProposerError, TabularProposer
-from memsteer.returns import EnvironmentTruthEvaluator, Trajectory, TrajectoryStep
+from memsteer.returns import EnvironmentTruthEvaluator, TrajectoryStep
 from memsteer.runner import (EpisodeRecord, MetricsReport, fill_memory_from_rollouts,
                              replay_episode, run_consistency_experiment, run_episode,
                              run_experiment, run_task_suite, seed_streams,
@@ -55,7 +55,7 @@ def test_cold_start_matches_base_policy_exactly():
     memory = MemoryStore()
     env = TabularEnvAdapter(one_state_mdp(), np.random.default_rng(0))
     record = run_episode(env, TabularProposer(BASE_TABLE), memory, config,
-                         seed_streams(0, 0), mode="memsteer")
+                         seed_streams(0, 0), ActionNormalizer(config.action_rules), mode="memsteer")
     (decision,) = record.decisions
     base = softmax(np.array([c.base_logit for c in decision.candidates]))
     assert np.array_equal(decision.distribution, base)
@@ -69,7 +69,7 @@ def test_seeded_memory_raises_good_action_probability():
         memory.add(StateKey("s0"), "a0", 0.0)
     env = TabularEnvAdapter(one_state_mdp(), np.random.default_rng(0))
     record = run_episode(env, TabularProposer(BASE_TABLE), memory, config,
-                         seed_streams(0, 0), mode="memsteer")
+                         seed_streams(0, 0), ActionNormalizer(config.action_rules), mode="memsteer")
     (decision,) = record.decisions
     actions = [c.action for c in decision.candidates]
     base = softmax(np.array([c.base_logit for c in decision.candidates]))
@@ -79,10 +79,10 @@ def test_seeded_memory_raises_good_action_probability():
 
 def test_step_limit_sets_truncation_flag():
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=1, step_limit=5, seed=0)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=1, step_limit=5, seed=0)
     env = env_factory(None)
     record = run_episode(env, proposer_factory(env), MemoryStore(), config,
-                         seed_streams(0, 0), mode="memsteer")
+                         seed_streams(0, 0), ActionNormalizer(config.action_rules), mode="memsteer")
     assert record.truncated and not record.success
     assert record.steps == 5
 
@@ -93,7 +93,7 @@ def test_aborted_episode_on_proposer_failure():
             raise ProposerError("endpoint down")
 
     env_factory, _ = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=2, seed=0)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=0)
     report, memory, records = run_experiment(config, env_factory,
                                              lambda env: FailingProposer(),
                                              mode="memsteer")
@@ -108,7 +108,7 @@ def test_invalid_memory_actions_filtered_by_valid_set():
     memory.add(StateKey("s0"), "fly to the moon", 99.0)
     env = TabularEnvAdapter(one_state_mdp(), np.random.default_rng(0))
     record = run_episode(env, TabularProposer(BASE_TABLE), memory, config,
-                         seed_streams(0, 0), mode="memsteer")
+                         seed_streams(0, 0), ActionNormalizer(config.action_rules), mode="memsteer")
     actions = {c.action for c in record.decisions[0].candidates}
     assert "fly to the moon" not in actions
 
@@ -121,7 +121,7 @@ def test_memory_only_action_enters_candidates():
     table = {"s0": {"a0": 1.0}}  # proposer only ever suggests a0
     env = TabularEnvAdapter(one_state_mdp(), np.random.default_rng(0))
     record = run_episode(env, TabularProposer(table), memory, config,
-                         seed_streams(0, 0), mode="memsteer")
+                         seed_streams(0, 0), ActionNormalizer(config.action_rules), mode="memsteer")
     by_action = {c.action: c for c in record.decisions[0].candidates}
     assert by_action["a1"].origin == "memory_only"
     assert by_action["a1"].base_logit == 0.0
@@ -134,7 +134,7 @@ def make_record(deltas):
     steps = [TrajectoryStep(state=StateKey(f"s{i}"), action=f"act{i}",
                             observation="", score_delta=d)
              for i, d in enumerate(deltas)]
-    return EpisodeRecord(episode_index=4, trajectory=Trajectory(steps=steps),
+    return EpisodeRecord(episode_index=4, trajectory=steps,
                          decisions=[], final_score=sum(deltas), success=True)
 
 
@@ -167,14 +167,14 @@ def test_update_memory_skips_aborted_records():
 
 def test_single_episode_final_equals_avg():
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=1, seed=0)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=1, seed=0)
     report, _, _ = run_experiment(config, env_factory, proposer_factory, mode="memsteer")
     assert report.final_score == report.avg_score
 
 
 def test_static_mode_never_touches_memory():
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=3, seed=0)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=3, seed=0)
     _, memory, _ = run_experiment(config, env_factory, proposer_factory, mode="static")
     assert memory.retrieval_count == 0
     assert memory.insert_count == 0
@@ -183,7 +183,7 @@ def test_static_mode_never_touches_memory():
 
 def test_memory_size_is_sum_of_completed_episode_lengths():
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=4, seed=1)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=4, seed=1)
     _, memory, records = run_experiment(config, env_factory, proposer_factory,
                                         mode="memsteer")
     assert len(memory) == sum(r.steps for r in records if not r.aborted)
@@ -193,7 +193,7 @@ def test_full_run_determinism_byte_identical(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
     outputs = []
     for name in ("one", "two"):
-        config = EngineConfig.text_game_profile(beta=2.0, episodes=4, seed=7)
+        config = EngineConfig.profile("text-game", beta=2.0, episodes=4, seed=7)
         out = tmp_path / name
         run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                        out_dir=out)
@@ -206,7 +206,7 @@ def test_full_run_determinism_byte_identical(tmp_path):
 
 def test_metrics_csv_shape(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=3, seed=0)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=3, seed=0)
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
     lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
@@ -221,15 +221,15 @@ def metrics_memory_sizes(out_dir):
 
 def test_metrics_memory_size_is_zero_in_static_mode(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=3, seed=0)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=3, seed=0)
     run_experiment(config, env_factory, proposer_factory, mode="static", out_dir=tmp_path)
     assert metrics_memory_sizes(tmp_path) == [0, 0, 0]
 
 
 def test_metrics_memory_size_follows_capacity(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=4, seed=0,
-                                            memory_capacity=50)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=4, seed=0,
+                                  memory_capacity=50)
     _, memory, records = run_experiment(config, env_factory, proposer_factory,
                                         mode="memsteer", out_dir=tmp_path)
     sizes = metrics_memory_sizes(tmp_path)
@@ -239,7 +239,7 @@ def test_metrics_memory_size_follows_capacity(tmp_path):
 
 def test_metrics_memory_size_counts_warm_rows(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=2, seed=0)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=0)
     warm = MemoryStore()
     for i in range(7):
         warm.add(StateKey(f"nowhere {i}"), "wait", 0.0)
@@ -275,8 +275,8 @@ def output_digests(out_dir, names):
 
 def keydoor_pin_run(out_dir, mode, capacity, proposer_factory=None):
     env_factory, advisor_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=6, seed=7,
-                                            memory_capacity=capacity)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=6, seed=7,
+                                  memory_capacity=capacity)
     run_experiment(config, env_factory, proposer_factory or advisor_factory, mode=mode,
                    out_dir=out_dir)
 
@@ -357,8 +357,8 @@ def test_keydoor_abort_output_bytes_are_pinned(tmp_path):
 
 def test_one_task_suite_equals_experiment():
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=3, seed=4,
-                                            memory_scope="global")
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=3, seed=4,
+                                  memory_scope="global")
     report, memory, _ = run_experiment(config, env_factory, proposer_factory,
                                        mode="memsteer")
     reports, matrix, stores = run_task_suite(
@@ -375,7 +375,8 @@ def test_greedy_memory_mode_picks_argmax_known():
     env = TabularEnvAdapter(one_state_mdp(), np.random.default_rng(0))
     for _ in range(5):
         record = run_episode(env, TabularProposer(BASE_TABLE), memory, config,
-                             seed_streams(0, 0), mode="greedy-memory")
+                             seed_streams(0, 0), ActionNormalizer(config.action_rules),
+                             mode="greedy-memory")
         decision = record.decisions[0]
         assert decision.candidates[decision.chosen].action == "a1"
         assert decision.distribution[decision.chosen] == 1.0
@@ -384,7 +385,7 @@ def test_greedy_memory_mode_picks_argmax_known():
 
 def test_experiment_continues_from_preloaded_memory(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=2, seed=0)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=0)
     _, first_memory, _ = run_experiment(config, env_factory, proposer_factory,
                                         mode="memsteer")
     bank = tmp_path / "bank.jsonl"
@@ -409,7 +410,7 @@ MISMATCHED_STORES = {
 @pytest.mark.parametrize("field", list(MISMATCHED_STORES))
 def test_supplied_store_must_match_config(field):
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=1, memory_capacity=5)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=1, memory_capacity=5)
     with pytest.raises(ValueError, match=field):
         run_experiment(config, env_factory, proposer_factory,
                        memory=MemoryStore(**MISMATCHED_STORES[field]))
@@ -417,7 +418,7 @@ def test_supplied_store_must_match_config(field):
 
 def test_mode_validation():
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=1)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=1)
     with pytest.raises(ValueError, match="mode"):
         run_experiment(config, env_factory, proposer_factory, mode="turbo")
 
@@ -469,7 +470,7 @@ def test_running_avg_learning_curve():
 
 def test_replay_reproduces_recorded_episode(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=5, seed=3)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=5, seed=3)
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
     records = [json.loads(line) for line in
@@ -483,8 +484,8 @@ def test_replay_reproduces_recorded_episode(tmp_path):
 @pytest.mark.parametrize("capacity", [None, 50, 7])
 def test_replay_matches_every_episode_under_capacity(tmp_path, capacity):
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=8, seed=3,
-                                            memory_capacity=capacity)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=8, seed=3,
+                                  memory_capacity=capacity)
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
     records = [json.loads(line) for line in
@@ -497,7 +498,7 @@ def test_replay_matches_every_episode_under_capacity(tmp_path, capacity):
 
 def test_replay_reads_no_bank_row_past_the_replayed_episode(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=4, seed=3, memory_capacity=7)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=4, seed=3, memory_capacity=7)
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
     records = [json.loads(line) for line in
@@ -514,7 +515,7 @@ def test_replay_reads_no_bank_row_past_the_replayed_episode(tmp_path):
 
 def test_replay_detects_tampered_record(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=2, seed=3)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=3)
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
     records = [json.loads(line) for line in
@@ -664,8 +665,8 @@ def suite_tasks():
 
 
 def test_task_suite_global_memory_is_shared():
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=2, seed=0,
-                                            memory_scope="global")
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=0,
+                                  memory_scope="global")
     reports, matrix, stores = run_task_suite(config, suite_tasks(), mode="memsteer")
     assert set(stores) == {"global"}
     assert matrix.shape == (2, 2)
@@ -675,8 +676,8 @@ def test_task_suite_global_memory_is_shared():
 
 
 def test_task_suite_per_task_memory_isolated():
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=2, seed=0,
-                                            memory_scope="per-task")
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=0,
+                                  memory_scope="per-task")
     _, _, stores = run_task_suite(config, suite_tasks(), mode="memsteer")
     assert set(stores) == {"vault-a", "vault-b"}
     # second task's store never saw the first task's episodes
@@ -686,7 +687,7 @@ def test_task_suite_per_task_memory_isolated():
 
 
 def test_task_suite_matrix_matches_reports():
-    config = EngineConfig.text_game_profile(beta=2.0, episodes=3, seed=1)
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=3, seed=1)
     reports, matrix, _ = run_task_suite(config, suite_tasks(), mode="static")
     avg, final = MetricsReport.matrix_metrics(matrix)
     scores = [r.scores for r in reports.values()]
@@ -695,10 +696,10 @@ def test_task_suite_matrix_matches_reports():
 
 
 def test_task_suite_applies_cross_task_gate():
-    config = EngineConfig.web_profile(beta=1.0, episodes=1, seed=0,
-                                      step_limit=5, similarity_threshold=0.0,
-                                      task_similarity_threshold=1.0,
-                                      history_length=0)
+    config = EngineConfig.profile("web", beta=1.0, episodes=1, seed=0,
+                                  step_limit=5, similarity_threshold=0.0,
+                                  task_similarity_threshold=1.0,
+                                  history_length=0)
     # threshold 1.0 is unreachable, so every retrieval comes back empty and
     # the run must still complete (base-policy fallback)
     reports, _, stores = run_task_suite(config, suite_tasks(), mode="memsteer",

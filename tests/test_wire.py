@@ -9,7 +9,7 @@ import pytest
 from memsteer.memory import StateKey
 from memsteer.proposer import (HttpChatClient, ProposerRequest, generation_messages,
                                index_messages, verbalized_messages)
-from memsteer.returns import RemoteEvaluator, Trajectory, TrajectoryStep, build_scoring_request
+from memsteer.returns import RemoteEvaluator, TrajectoryStep, build_scoring_request
 
 REQUESTS = {
     "bare": ProposerRequest(state_text="hall door"),
@@ -22,12 +22,12 @@ REQUESTS = {
 }
 
 TRAJECTORIES = {
-    "observed": Trajectory(steps=[
+    "observed": [
         TrajectoryStep(state=StateKey("hall door", history="go north"), action="take key",
                        observation="You take the key."),
         TrajectoryStep(state=StateKey("hall door"), action="open door", observation="Opened."),
-    ]),
-    "silent": Trajectory(steps=[TrajectoryStep(state=StateKey("s0"), action="wait")]),
+    ],
+    "silent": [TrajectoryStep(state=StateKey("s0"), action="wait")],
 }
 
 
