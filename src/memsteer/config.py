@@ -98,6 +98,11 @@ class EngineConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        for first, second in (("state_weight", "history_weight"),
+                              ("cross_task_history_weight", "cross_task_task_weight")):
+            total = getattr(self, first) + getattr(self, second)
+            if abs(total - 1.0) > 1e-9:
+                raise ConfigError(f"{first} + {second} must equal 1, got {total}")
         if self.task_similarity_threshold is not None \
                 and not 0.0 <= self.task_similarity_threshold <= 1.0:
             raise ConfigError(f"task_similarity_threshold must lie in [0, 1], "

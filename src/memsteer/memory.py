@@ -124,10 +124,10 @@ class ActionNormalizer:
     """Rewrite table mapping action text to a canonical comparison form.
 
     Rules are (regex, replacement) pairs applied in order, followed by
-    whitespace collapsing and casefolding. Used everywhere two action strings
-    are compared (grouping a neighborhood by action, filtering it by the valid
-    actions, candidate-set union), so e.g. ``click('1240')`` and
-    ``click('88')`` can be configured to match.
+    whitespace collapsing and casefolding. A session's normalizer groups a
+    neighborhood by action, matches it to the valid actions and merges it with
+    the proposals, so e.g. ``click('1240')`` and ``click('88')`` can be
+    configured to match. Proposals match valid actions by case and whitespace.
 
     Results are memoized per instance: a run compares the same few action
     strings many times per step, and the rules never change after init.
@@ -146,6 +146,13 @@ class ActionNormalizer:
             normalized = " ".join(normalized.split()).casefold()
             self._memo[action] = normalized
         return normalized
+
+    def spellings(self, actions: Iterable[str]) -> dict[str, str]:
+        """Each normalized form -> its first spelling among ``actions``."""
+        spelling: dict[str, str] = {}
+        for action in actions:
+            spelling.setdefault(self(action), action)
+        return spelling
 
 
 IDENTITY_NORMALIZER = ActionNormalizer()

@@ -47,13 +47,13 @@ class Decision:
 
 def valid_memory_actions(groups: ActionGroups, valid_actions: Iterable[str] | None,
                          normalizer: ActionNormalizer = IDENTITY_NORMALIZER) -> list[str]:
-    """The first raw spelling of each action in a grouped neighborhood, in
-    neighborhood order, keeping only those whose normalized form is a valid
-    action (all of them when ``valid_actions`` is None)."""
+    """The groups of a neighborhood that match a valid action by normalized
+    form, in neighborhood order, each spelled as the first valid action of its
+    form (every group in its remembered spelling when ``valid_actions`` is None)."""
     if valid_actions is None:
         return [action for action, _ in groups.values()]
-    allowed = {normalizer(a) for a in valid_actions}
-    return [action for key, (action, _) in groups.items() if key in allowed]
+    spelling = normalizer.spellings(valid_actions)
+    return [spelling[key] for key in groups if key in spelling]
 
 
 def augment_candidates(proposed: Sequence[tuple[str, float]], memory_actions: Sequence[str],

@@ -3,7 +3,8 @@
 A proposer turns (state, history, valid actions) into candidate actions with
 logits. Scripted proposers make experiments exactly reproducible; the two
 remote variants cover endpoints that expose token log-probabilities and
-endpoints that only verbalize a 0-100 confidence per candidate.
+endpoints that only verbalize a 0-100 confidence per candidate. All of them
+keep the candidates that match a valid action, spelled as that valid action.
 
 Wire protocol (chat completion): requests are JSON objects
 ``{"model", "messages", "temperature", "logprobs"?, "top_logprobs"?}``;
@@ -26,6 +27,10 @@ from typing import Callable, Mapping, Protocol, Sequence
 from memsteer.memory import IDENTITY_NORMALIZER
 
 log = logging.getLogger(__name__)
+
+FLOOR_PROB = 1e-6        # token-logit probability of an index the reply omits
+TOP_LOGPROBS = 8         # fewest token alternatives the index request asks for
+CONFIDENCE_FLOOR = 1.0   # least verbalized confidence, so every logit is finite
 
 
 @dataclass(frozen=True)
@@ -67,30 +72,23 @@ class Proposer(Protocol):
 
 
 def _valid_only(options: Sequence[tuple], valid_actions: Sequence[str]) -> list[tuple]:
-    """The (action, ...) options whose action matches a valid action, compared in
-    the :data:`IDENTITY_NORMALIZER` form."""
-    allowed = {IDENTITY_NORMALIZER(a) for a in valid_actions}
-    return [option for option in options if IDENTITY_NORMALIZER(option[0]) in allowed]
-
-
-def enforce_valid_actions(candidates: Sequence[tuple[str, float]],
-                          valid_actions: Sequence[str] | None,
-                          payload: object = None) -> list[tuple[str, float]]:
-    """Hard filter: drop candidates outside the valid set; error if none survive."""
-    if valid_actions is None:
-        return list(candidates)
-    kept = _valid_only(candidates, valid_actions)
-    if not kept:
-        raise ProposerError(
-            f"all proposed actions fell outside the valid set {list(valid_actions)!r}",
-            payload=payload)
+    """The (action, ...) options matching a valid action by case and whitespace
+    only, spelled as that valid action: a session's action rules could match
+    ``click('99')`` to ``click('12')``, a different element."""
+    spelling = IDENTITY_NORMALIZER.spellings(valid_actions)
+    kept = []
+    for option in options:
+        action = spelling.get(IDENTITY_NORMALIZER(option[0]))
+        if action is not None:
+            kept.append(option if action == option[0] else (action, *option[1:]))
     return kept
 
 
-def _ask_for_valid(ask: Callable[[ProposerRequest], tuple[list[tuple], dict]],
+def _ask_for_valid(ask: Callable[[ProposerRequest], tuple[list[tuple], Mapping]],
                    request: ProposerRequest) -> list[tuple]:
     """``ask(request)`` for (action, ...) options and the reply payload, and keep
-    the valid options; when none is valid, ask once more, then give up."""
+    the valid options (see :func:`_valid_only`); when none is valid, ask once
+    more, then give up."""
     options, payload = ask(request)
     if request.valid_actions is None:
         return options
@@ -120,12 +118,12 @@ class CallablePolicyProposer:
     def __init__(self, policy_fn: Callable[[ProposerRequest], Mapping[str, float]]):
         self.policy_fn = policy_fn
 
-    def propose(self, request: ProposerRequest) -> ProposerResponse:
+    def _ask(self, request: ProposerRequest) -> tuple[list[tuple[str, float]], Mapping]:
         distribution = self.policy_fn(request)
-        candidates = top_candidates(distribution, request.n_candidates)
-        candidates = enforce_valid_actions(candidates, request.valid_actions,
-                                           payload=dict(distribution))
-        return ProposerResponse(candidates=candidates)
+        return top_candidates(distribution, request.n_candidates), distribution
+
+    def propose(self, request: ProposerRequest) -> ProposerResponse:
+        return ProposerResponse(candidates=_ask_for_valid(self._ask, request))
 
 
 class TabularProposer(CallablePolicyProposer):
@@ -237,23 +235,15 @@ class FixtureChatClient:
 # -- remote proposers ----------------------------------------------------------
 
 
-def _message_content(payload: dict) -> str:
+def reply_object(payload: dict, error: Callable[..., Exception]) -> dict:
+    """The JSON object at ``choices[0].message.content`` of a chat reply; raises
+    ``error(message, payload=payload)`` when there is none."""
     try:
-        return payload["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ProposerError(f"response has no message content: {exc!r}",
-                            payload=payload) from exc
-
-
-def _parse_json_content(payload: dict) -> dict:
-    content = _message_content(payload)
-    try:
-        body = json.loads(content)
-    except json.JSONDecodeError as exc:
-        raise ProposerError(f"response content is not JSON: {exc.msg}",
-                            payload=payload) from exc
+        body = json.loads(payload["choices"][0]["message"]["content"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise error(f"reply has no JSON content: {exc!r}", payload=payload) from exc
     if not isinstance(body, dict):
-        raise ProposerError("response content is not a JSON object", payload=payload)
+        raise error("reply content is not a JSON object", payload=payload)
     return body
 
 
@@ -309,16 +299,13 @@ class TokenLogitProposer:
     answer with the best candidate's index while requesting log-probabilities,
     and the logit of candidate i is the log-probability of the token "i+1" at
     the answer position. Index tokens absent from the returned alternatives
-    fall back to ``log(floor_prob)``.
+    fall back to ``log(FLOOR_PROB)``.
     """
 
-    def __init__(self, client: ChatClient, model: str, temperature: float = 0.8,
-                 floor_prob: float = 1e-6, top_logprobs: int = 8):
+    def __init__(self, client: ChatClient, model: str, temperature: float = 0.8):
         self.client = client
         self.model = model
         self.temperature = temperature
-        self.floor_prob = floor_prob
-        self.top_logprobs = top_logprobs
 
     def _generate_actions(self, request: ProposerRequest) -> tuple[list[tuple[str]], dict]:
         """Distinct proposed actions as 1-tuples (the option shape of
@@ -328,15 +315,12 @@ class TokenLogitProposer:
             "temperature": self.temperature,
             "messages": generation_messages(request),
         })
-        body = _parse_json_content(payload)
-        options = body.get("options")
+        options = reply_object(payload, ProposerError).get("options")
         if not isinstance(options, list) or not all(isinstance(o, str) and o for o in options):
             raise ProposerError('expected {"options": [<non-empty action strings>]}',
                                 payload=payload)
-        seen: dict[str, str] = {}
-        for option in options:
-            seen.setdefault(IDENTITY_NORMALIZER(option), option)
-        return [(a,) for a in list(seen.values())[: request.n_candidates]], payload
+        distinct = IDENTITY_NORMALIZER.spellings(options).values()
+        return [(a,) for a in list(distinct)[: request.n_candidates]], payload
 
     def propose(self, request: ProposerRequest) -> ProposerResponse:
         actions = [action for (action,) in _ask_for_valid(self._generate_actions, request)]
@@ -345,7 +329,7 @@ class TokenLogitProposer:
             "temperature": 0.0,
             "messages": index_messages(actions),
             "logprobs": True,
-            "top_logprobs": max(self.top_logprobs, len(actions)),
+            "top_logprobs": max(TOP_LOGPROBS, len(actions)),
         })
         try:
             alternatives = logit_payload["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
@@ -359,19 +343,19 @@ class TokenLogitProposer:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ProposerError(f"malformed logprob entry {alt!r}",
                                     payload=logit_payload) from exc
-        floor = math.log(self.floor_prob)
+        floor = math.log(FLOOR_PROB)
         candidates = [(action, by_token.get(str(i + 1), floor))
                       for i, action in enumerate(actions)]
         return ProposerResponse(candidates=candidates)
 
 
-def confidence_logits(confidences: Sequence[int], floor: float = 1.0) -> list[float]:
-    """log of the floored, renormalized confidences.
+def confidence_logits(confidences: Sequence[int]) -> list[float]:
+    """log of the confidences floored at :data:`CONFIDENCE_FLOOR`, renormalized.
 
     The minimal map whose softmax recovers the verbalized distribution; the
     floor keeps zero confidences finite.
     """
-    floored = [max(float(c), floor) for c in confidences]
+    floored = [max(float(c), CONFIDENCE_FLOOR) for c in confidences]
     total = sum(floored)
     return [math.log(c / total) for c in floored]
 
@@ -380,12 +364,10 @@ class VerbalizedProposer:
     """Derives logits from verbalized 0-100 confidences (for endpoints
     that hide log-probabilities)."""
 
-    def __init__(self, client: ChatClient, model: str, temperature: float = 0.8,
-                 confidence_floor: float = 1.0):
+    def __init__(self, client: ChatClient, model: str, temperature: float = 0.8):
         self.client = client
         self.model = model
         self.temperature = temperature
-        self.confidence_floor = confidence_floor
 
     def _ask(self, request: ProposerRequest) -> tuple[list[tuple[str, int]], dict]:
         payload = self.client.complete({
@@ -393,8 +375,7 @@ class VerbalizedProposer:
             "temperature": self.temperature,
             "messages": verbalized_messages(request),
         })
-        body = _parse_json_content(payload)
-        options = body.get("options")
+        options = reply_object(payload, ProposerError).get("options")
         if not isinstance(options, list) or not options:
             raise ProposerError('expected {"options": [{"action", "confidence"}]}',
                                 payload=payload)
@@ -423,6 +404,6 @@ class VerbalizedProposer:
 
     def propose(self, request: ProposerRequest) -> ProposerResponse:
         parsed = _ask_for_valid(self._ask, request)
-        logits = confidence_logits([c for _, c in parsed], self.confidence_floor)
+        logits = confidence_logits([c for _, c in parsed])
         candidates = [(action, z) for (action, _), z in zip(parsed, logits)]
         return ProposerResponse(candidates=candidates)

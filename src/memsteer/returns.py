@@ -11,14 +11,13 @@ sums, computed by backward recursion into a plain tuple, one per step.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from memsteer.memory import StateKey
-from memsteer.proposer import ProposerError
+from memsteer.proposer import ProposerError, reply_object
 
 log = logging.getLogger(__name__)
 
@@ -124,17 +123,7 @@ def parse_step_scores(payload: dict, n_steps: int) -> list[float]:
     ``{"steps": [{"step": i, "action": ..., "score": s}, ...]}`` with exactly
     one item per step.
     """
-    try:
-        content = payload["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise EvaluatorError(f"response has no message content: {exc!r}",
-                             payload=payload) from exc
-    try:
-        body = json.loads(content)
-        items = body["steps"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise EvaluatorError(f"unparseable score payload: {exc!r}",
-                             payload=payload) from exc
+    items = reply_object(payload, EvaluatorError).get("steps")
     if not isinstance(items, list) or len(items) != n_steps:
         got = len(items) if isinstance(items, list) else type(items).__name__
         raise EvaluatorError(f"expected {n_steps} step scores, got {got}",

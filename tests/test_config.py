@@ -61,6 +61,24 @@ def test_out_of_range_values_rejected(field, value):
         EngineConfig(beta=1.0, **{field: value})
 
 
+@pytest.mark.parametrize("weights", [
+    dict(state_weight=1.0, history_weight=1.0), dict(state_weight=0.0, history_weight=0.0),
+    dict(state_weight=0.5, history_weight=0.25),
+    dict(cross_task_history_weight=0.7, cross_task_task_weight=0.7),
+    dict(cross_task_history_weight=0.0, cross_task_task_weight=0.0),
+])
+def test_retrieval_weights_must_sum_to_one(weights):
+    first, second = weights
+    with pytest.raises(ConfigError, match=rf"{first} \+ {second} must equal 1"):
+        EngineConfig(beta=1.0, **weights)
+
+
+def test_retrieval_weights_summing_to_one_load():
+    config = EngineConfig(beta=1.0, state_weight=0.6, history_weight=0.4,
+                          cross_task_history_weight=0.1, cross_task_task_weight=0.9)
+    assert EngineConfig.from_dict(config.to_dict()) == config
+
+
 @pytest.mark.parametrize("field,value", [
     ("k_neighbors", 2.5), ("episodes", 2.5), ("history_length", 1.5), ("seed", 1.5),
     ("memory_capacity", 2.5), ("k_neighbors", True), ("step_limit", "10"),

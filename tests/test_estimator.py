@@ -9,6 +9,7 @@ from memsteer.estimator import (EXPLORED, KNOWN, NEUTRAL, EmptyNeighborhoodError
 from memsteer.memory import (ActionNormalizer, IDENTITY_NORMALIZER, MemoryStore, Neighborhood,
                              StateKey, group_by_action)
 from memsteer.policy import augment_candidates, valid_memory_actions
+from memsteer.proposer import _valid_only
 
 
 def neighborhood_from(pairs):
@@ -240,8 +241,10 @@ def reference_estimate(neighborhood, actions, rate, bonus, rng, normalizer):
 def reference_memory_actions(neighborhood, valid_actions, normalizer):
     actions = [entry.action for entry, _ in neighborhood.entries]
     if valid_actions is not None:
-        allowed = {normalizer(a) for a in valid_actions}
-        actions = [a for a in actions if normalizer(a) in allowed]
+        first_valid = {}
+        for a in valid_actions:
+            first_valid.setdefault(normalizer(a), a)
+        actions = [first_valid[normalizer(a)] for a in actions if normalizer(a) in first_valid]
     return actions
 
 
@@ -288,3 +291,22 @@ def test_grouped_estimate_matches_per_action_filter(rows, proposed, valid, rules
             for a, value in estimate.per_action.items()} == ref_values
     assert list(estimate.per_action) == list(ref_values)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(remembered=st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=8),
+       proposed=st.lists(st.sampled_from(SPELLINGS + ["jump"]), min_size=1, max_size=6),
+       valid=st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=5),
+       rules=st.sampled_from(MERGING_RULES))
+def test_matched_actions_are_exact_valid_actions(remembered, proposed, valid, rules):
+    normalizer = ActionNormalizer(rules)
+    groups = group_by_action(neighborhood_from([(a, 0.0) for a in remembered]), normalizer)
+    offered = valid_memory_actions(groups, valid, normalizer)
+    assert all(action in valid for action in offered)
+    allowed = {normalizer(a) for a in valid}
+    assert [normalizer(a) for a in offered] == [key for key in groups if key in allowed]
+
+    kept = _valid_only([(a, 1.0) for a in proposed], valid)
+    assert all(action in valid for action, _ in kept)
+    assert len(kept) == sum(IDENTITY_NORMALIZER(a) in {IDENTITY_NORMALIZER(v) for v in valid}
+                            for a in proposed)

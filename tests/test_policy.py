@@ -5,9 +5,10 @@ import pytest
 
 from memsteer.config import EngineConfig
 from memsteer.envs.textgame import key_door_game, noisy_advisor_policy
-from memsteer.memory import ActionNormalizer
+from memsteer.memory import ActionNormalizer, MemoryStore, StateKey, group_by_action
 from memsteer.policy import (Candidate, augment_candidates, base_distribution,
-                             kl_objective, logit_update, softmax, softmax_sample)
+                             kl_objective, logit_update, softmax, softmax_sample,
+                             valid_memory_actions)
 from memsteer.proposer import CallablePolicyProposer
 from memsteer.runner import run_experiment, seed_streams
 
@@ -63,6 +64,15 @@ def test_augment_unions_by_normalized_action():
     cands = augment_candidates([("click 12", 0.7)], ["click 99", "scroll"], normalizer)
     assert [(c.action, c.origin) for c in cands] == \
            [("click 12", "proposer"), ("scroll", "memory_only")]
+
+
+def test_valid_memory_actions_take_the_valid_spelling():
+    normalizer = ActionNormalizer([("go (east|west)", "go ew")])
+    memory = MemoryStore()
+    memory.add(StateKey("hall"), "go west", 1.0)
+    groups = group_by_action(memory.retrieve(StateKey("hall"), k=5, threshold=0.0), normalizer)
+    assert valid_memory_actions(groups, ["go east", "look"], normalizer) == ["go east"]
+    assert valid_memory_actions(groups, None, normalizer) == ["go west"]
 
 
 # -- logit update -----------------------------------------------------------------

@@ -11,7 +11,8 @@ from memsteer.policy import softmax
 from memsteer.proposer import (CallablePolicyProposer, FixtureChatClient, ProposerError,
                                ProposerRequest, TabularProposer, TokenLogitProposer,
                                VerbalizedProposer, confidence_logits, generation_messages,
-                               index_messages, top_candidates, uniform_policy)
+                               index_messages, reply_object, top_candidates, uniform_policy)
+from memsteer.returns import EvaluatorError
 
 
 def chat_response(content, logprobs=None):
@@ -106,6 +107,30 @@ def test_tabular_respects_valid_action_filter():
     assert [a for a, _ in response.candidates] == ["b"]
 
 
+def test_scripted_candidates_are_spelled_as_the_valid_actions():
+    valid = ["go north", "go east", "look"]
+    proposer = CallablePolicyProposer(lambda request: {"LOOK": 0.5, " Go   North ": 0.3,
+                                                       "swim": 0.2})
+    response = proposer.propose(ProposerRequest(state_text="s", valid_actions=valid,
+                                                n_candidates=3))
+    assert [a for a, _ in response.candidates] == ["look", "go north"]
+    assert response.candidates[0][1] == math.log(0.5)
+
+
+def test_scripted_policy_is_asked_again_when_nothing_is_valid():
+    calls = []
+
+    def policy(request):
+        calls.append(request)
+        return {"swim": 1.0}
+
+    with pytest.raises(ProposerError, match="after retry") as err:
+        CallablePolicyProposer(policy).propose(ProposerRequest(state_text="s",
+                                                               valid_actions=["look"]))
+    assert len(calls) == 2
+    assert err.value.payload == {"swim": 1.0}
+
+
 def test_top_candidates_skips_zero_probability():
     assert top_candidates({"a": 0.0, "b": 1.0}, 3) == [("b", 0.0)]
 
@@ -137,7 +162,7 @@ def test_token_logit_missing_index_gets_floor():
         chat_response("1", logprobs=[{"token": "1", "logprob": -0.1},
                                      {"token": "2", "logprob": -2.0}]),
     ])
-    proposer = TokenLogitProposer(client, model="m", floor_prob=1e-6)
+    proposer = TokenLogitProposer(client, model="m")
     response = proposer.propose(ProposerRequest(state_text="s", n_candidates=3))
     assert response.candidates[2][1] == pytest.approx(math.log(1e-6), abs=1e-12)
 
@@ -201,6 +226,18 @@ def test_token_logit_dedupes_proposed_actions():
     assert [a for a, _ in response.candidates] == ["a", "b"]
 
 
+def test_token_logit_candidates_are_spelled_as_the_valid_actions():
+    client = ScriptedClient([
+        chat_response(options_json("Go North", "LOOK")),
+        chat_response("1", logprobs=[{"token": "1", "logprob": -0.2},
+                                     {"token": "2", "logprob": -1.8}]),
+    ])
+    response = TokenLogitProposer(client, model="m").propose(ProposerRequest(
+        state_text="s", valid_actions=["go north", "go east", "look"], n_candidates=2))
+    assert response.candidates == [("go north", -0.2), ("look", -1.8)]
+    assert client.requests[1]["messages"] == index_messages(["go north", "look"])
+
+
 # -- verbalized proposer ----------------------------------------------------------------
 
 
@@ -255,11 +292,29 @@ def test_verbalized_action_must_be_a_non_empty_string(action):
         VerbalizedProposer(client, model="m").propose(ProposerRequest(state_text="s"))
 
 
+def test_verbalized_candidates_are_spelled_as_the_valid_actions():
+    client = ScriptedClient([chat_response(verbalized_json([("Go North", 70), ("look", 30)]))])
+    response = VerbalizedProposer(client, model="m").propose(ProposerRequest(
+        state_text="s", valid_actions=["go north", "go east", "look"], n_candidates=2))
+    assert [a for a, _ in response.candidates] == ["go north", "look"]
+
+
 @given(confs=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=6))
 def test_confidence_logits_softmax_recovers_floored_distribution(confs):
-    logits = confidence_logits(confs, floor=1.0)
+    logits = confidence_logits(confs)
     floored = np.array([max(c, 1.0) for c in confs], dtype=float)
     assert np.allclose(softmax(np.array(logits)), floored / floored.sum(), atol=1e-12)
+
+
+@pytest.mark.parametrize("error", [ProposerError, EvaluatorError])
+@pytest.mark.parametrize("payload", [
+    {}, {"choices": []}, {"choices": [{"message": {}}]},
+    chat_response(None), chat_response("not json"), chat_response("[1, 2]"),
+])
+def test_reply_object_raises_the_callers_error_with_the_payload(payload, error):
+    with pytest.raises(error) as err:
+        reply_object(payload, error)
+    assert err.value.payload is payload
 
 
 # -- http client (offline, stubbed transport) ------------------------------------------------

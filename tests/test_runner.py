@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from memsteer.config import EngineConfig
+from memsteer.envs.abstraction import abstract_state
 from memsteer.envs.tabular import TabularEnvAdapter, TabularMDP, deterministic_chain, six_state_fixture
 from memsteer.envs.textgame import key_door_game, noisy_advisor_policy
 from memsteer.memory import ActionNormalizer, MemoryStore, StateKey
@@ -125,6 +126,43 @@ def test_memory_only_action_enters_candidates():
     by_action = {c.action: c for c in record.decisions[0].candidates}
     assert by_action["a1"].origin == "memory_only"
     assert by_action["a1"].base_logit == 0.0
+
+
+def assert_candidates_valid(records):
+    """Every candidate of every decision is an exact valid action of its step,
+    replayed on a fresh key-door game."""
+    for record in records:
+        game = key_door_game()
+        obs = game.reset()
+        for decision, step in zip(record.decisions, record.trajectory):
+            assert all(c.action in obs.valid_actions for c in decision.candidates)
+            obs = game.step(step.action)
+
+
+def test_remembered_action_is_offered_in_its_valid_spelling():
+    # the rule merges the remembered "go west" with the start room's "go north"
+    config = EngineConfig.profile("text-game", 5.0, episodes=1, n_candidates=1,
+                                  action_rules=[["go (north|west)", "go nw"]])
+    env_factory, proposer_factory = keydoor_factories(0.3)
+    store = MemoryStore()
+    store.add(abstract_state(key_door_game().reset(), [], 3), "go west", 100.0)
+    _, _, records = run_experiment(config, env_factory, proposer_factory, memory=store)
+    first = records[0].decisions[0].candidates
+    assert [c.action for c in first if c.origin == "memory_only"] == ["go north"]
+    assert_candidates_valid(records)
+
+
+def test_proposals_in_another_case_are_played_in_the_valid_spelling():
+    def proposer_factory(env):
+        policy = noisy_advisor_policy(env, 0.3)
+        return CallablePolicyProposer(
+            lambda request: {a.upper(): p for a, p in policy(request).items()})
+
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=3, seed=0)
+    _, _, records = run_experiment(config, keydoor_factories()[0], proposer_factory)
+    assert not any(r.aborted for r in records)
+    assert all(r.trajectory for r in records)
+    assert_candidates_valid(records)
 
 
 # -- memory updates -----------------------------------------------------------------
