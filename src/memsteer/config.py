@@ -41,7 +41,6 @@ class EngineConfig:
     exploration_bonus: float = 5.0       # optimistic bonus scale (divided by |neighborhood|)
     epsilon: float = 1e-8                # advantage normalization stabilizer
     n_candidates: int = 3                # proposer candidate count
-    temperature: float = 0.8             # proposer sampling temperature
     step_limit: int = 60                 # per-episode step cap
     episodes: int = 50                   # sequential episodes per experiment
     seed: int = 0                        # root seed for all generator streams
@@ -77,8 +76,6 @@ class EngineConfig:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if self.n_candidates < 1:
             raise ConfigError(f"n_candidates must be >= 1, got {self.n_candidates}")
-        if self.temperature < 0.0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if self.step_limit < 1:
             raise ConfigError(f"step_limit must be >= 1, got {self.step_limit}")
         if self.episodes < 1:

@@ -38,7 +38,6 @@ class Decision:
     candidates: list[Candidate]
     distribution: np.ndarray
     chosen: int
-    beta: float
 
     @property
     def action(self) -> str:
@@ -103,8 +102,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def softmax_sample(candidates: Sequence[Candidate], rng: np.random.Generator,
-                   beta: float = 0.0) -> Decision:
+def softmax_sample(candidates: Sequence[Candidate], rng: np.random.Generator) -> Decision:
     """Sample one candidate from the softmax of the updated logits (the base
     logit where no update was made)."""
     if not candidates:
@@ -117,8 +115,7 @@ def softmax_sample(candidates: Sequence[Candidate], rng: np.random.Generator,
     # bisect_right on the list is the index searchsorted(side="right") gives
     chosen = bisect.bisect_right(np.cumsum(distribution).tolist(), rng.random())
     chosen = min(chosen, len(candidates) - 1)
-    return Decision(candidates=list(candidates), distribution=distribution,
-                    chosen=chosen, beta=beta)
+    return Decision(candidates=list(candidates), distribution=distribution, chosen=chosen)
 
 
 def kl_objective(pi_prime: np.ndarray, pi_theta: np.ndarray,

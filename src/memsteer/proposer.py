@@ -86,30 +86,29 @@ def _valid_only(options: Sequence[tuple], valid_actions: Sequence[str]) -> list[
 
 def _ask_for_valid(ask: Callable[[ProposerRequest], tuple[list[tuple], Mapping]],
                    request: ProposerRequest) -> list[tuple]:
-    """``ask(request)`` for (action, ...) options and the reply payload, and keep
-    the valid options (see :func:`_valid_only`); when none is valid, ask once
-    more, then give up."""
+    """``ask(request)`` for (action, ...) options, best first, and the reply
+    payload; keep the first ``n_candidates`` valid options (see
+    :func:`_valid_only`). When none is valid, ask once more, then give up."""
     options, payload = ask(request)
-    if request.valid_actions is None:
-        return options
-    kept = _valid_only(options, request.valid_actions)
-    if not kept:
-        options, payload = ask(request)
-        kept = _valid_only(options, request.valid_actions)
-        if not kept:
-            raise ProposerError("no valid action proposed after retry", payload=payload)
-    return kept
+    if request.valid_actions is not None:
+        options = _valid_only(options, request.valid_actions)
+        if not options:
+            options, payload = ask(request)
+            options = _valid_only(options, request.valid_actions)
+            if not options:
+                raise ProposerError("no valid action proposed after retry", payload=payload)
+    return options[: request.n_candidates]
 
 
-def top_candidates(distribution: Mapping[str, float], n: int) -> list[tuple[str, float]]:
-    """Up to n (action, log prob) pairs, highest probability first.
+def top_candidates(distribution: Mapping[str, float]) -> list[tuple[str, float]]:
+    """(action, log prob) pairs, highest probability first.
 
     Ties keep mapping insertion order; zero-probability actions are never
     proposed (their logit would be -inf).
     """
     items = [(a, p) for a, p in distribution.items() if p > 0.0]
     items.sort(key=lambda ap: -ap[1])
-    return [(a, math.log(p)) for a, p in items[:n]]
+    return [(a, math.log(p)) for a, p in items]
 
 
 class CallablePolicyProposer:
@@ -120,7 +119,7 @@ class CallablePolicyProposer:
 
     def _ask(self, request: ProposerRequest) -> tuple[list[tuple[str, float]], Mapping]:
         distribution = self.policy_fn(request)
-        return top_candidates(distribution, request.n_candidates), distribution
+        return top_candidates(distribution), distribution
 
     def propose(self, request: ProposerRequest) -> ProposerResponse:
         return ProposerResponse(candidates=_ask_for_valid(self._ask, request))
@@ -320,7 +319,7 @@ class TokenLogitProposer:
             raise ProposerError('expected {"options": [<non-empty action strings>]}',
                                 payload=payload)
         distinct = IDENTITY_NORMALIZER.spellings(options).values()
-        return [(a,) for a in list(distinct)[: request.n_candidates]], payload
+        return [(a,) for a in distinct], payload
 
     def propose(self, request: ProposerRequest) -> ProposerResponse:
         actions = [action for (action,) in _ask_for_valid(self._generate_actions, request)]
@@ -400,7 +399,7 @@ class VerbalizedProposer:
             if key not in seen:  # duplicate actions keep their first confidence
                 seen.add(key)
                 parsed.append((action, confidence))
-        return parsed[: request.n_candidates], payload
+        return parsed, payload
 
     def propose(self, request: ProposerRequest) -> ProposerResponse:
         parsed = _ask_for_valid(self._ask, request)

@@ -131,10 +131,16 @@ def parse_step_scores(payload: dict, n_steps: int) -> list[float]:
     scores = [None] * n_steps
     for item in items:
         try:
-            idx = int(item["step"])
+            step = item["step"]
             score = item["score"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise EvaluatorError(f"malformed step item {item!r}", payload=payload) from exc
+        # int() would also read true, "0" or 0.9 as an index
+        if isinstance(step, bool) or not (isinstance(step, int)
+                                          or isinstance(step, float) and step.is_integer()):
+            raise EvaluatorError(f"step index must be an integer, got {step!r}",
+                                 payload=payload)
+        idx = int(step)
         if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
             raise EvaluatorError(f"non-numeric score in {item!r}", payload=payload)
         if not 0 <= idx < n_steps or scores[idx] is not None:

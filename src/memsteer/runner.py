@@ -75,7 +75,6 @@ class EpisodeRecord:
     memory_size_at_start: int = 0
     memory_size: int = 0  # len(store) after the episode's update, set by Session.play
     rewards: list[float] | None = None
-    returns: tuple[float, ...] | None = None
 
     @property
     def steps(self) -> int:
@@ -208,8 +207,7 @@ def _decide(candidates: list[Candidate], neighborhood, groups: ActionGroups | No
             chosen = max(known, key=lambda iv: iv[1].q)[0]
             distribution = np.zeros(len(candidates))
             distribution[chosen] = 1.0
-            return Decision(candidates=candidates, distribution=distribution,
-                            chosen=chosen, beta=0.0)
+            return Decision(candidates=candidates, distribution=distribution, chosen=chosen)
 
     # the full engine shifts the logits by the advantages (zero when memory is
     # silent); static mode and the greedy fallback sample the base policy
@@ -218,10 +216,9 @@ def _decide(candidates: list[Candidate], neighborhood, groups: ActionGroups | No
         shift = advantage_vector(estimate, config.epsilon)
     for cand in candidates:
         cand.normalized_advantage = 0.0 if shift is None else shift[cand.action]
-    if mode != "memsteer":
-        return softmax_sample(candidates, streams["policy"], beta=0.0)
-    logit_update(candidates, config.beta)
-    return softmax_sample(candidates, streams["policy"], beta=config.beta)
+    if mode == "memsteer":
+        logit_update(candidates, config.beta)
+    return softmax_sample(candidates, streams["policy"])
 
 
 def update_memory(record: EpisodeRecord, memory: MemoryStore, evaluator,
@@ -233,9 +230,9 @@ def update_memory(record: EpisodeRecord, memory: MemoryStore, evaluator,
                                                     success=record.success)
     record.rewards = list(outcome.rewards)
     record.evaluator_fallback = outcome.used_fallback
-    record.returns = discounted_returns(outcome.rewards, gamma)
+    returns = discounted_returns(outcome.rewards, gamma)
     return [memory.add(step.state, step.action, g, episode=record.episode_index, step=t)
-            for t, (step, g) in enumerate(zip(record.trajectory, record.returns))]
+            for t, (step, g) in enumerate(zip(record.trajectory, returns))]
 
 
 class Session:
@@ -385,6 +382,10 @@ def write_metrics_csv(path, records: Sequence[EpisodeRecord]) -> None:
 
 
 def episode_record_to_dict(record: EpisodeRecord) -> dict:
+    """The record's line of records.jsonl. It leaves out what the line and the
+    run's summary.json give exactly (README, "Decision records"): each step's
+    action and history, the returns, and each decision's beta, updated logits
+    and distribution."""
     return {
         "episode": record.episode_index,
         "score": record.final_score,
@@ -395,12 +396,9 @@ def episode_record_to_dict(record: EpisodeRecord) -> dict:
         "evaluator_fallback": record.evaluator_fallback,
         "memory_size_at_start": record.memory_size_at_start,
         "rewards": record.rewards,
-        "returns": list(record.returns) if record.returns is not None else None,
         "steps": [
             {
                 "state_text": step.state.text,
-                "history_text": step.state.history,
-                "action": step.action,
                 "observation": step.observation,
                 "score_delta": step.score_delta,
             }
@@ -414,13 +412,10 @@ def episode_record_to_dict(record: EpisodeRecord) -> dict:
                         "base_logit": c.base_logit,
                         "origin": c.origin,
                         "normalized_advantage": c.normalized_advantage,
-                        "updated_logit": c.updated_logit,
                     }
                     for c in decision.candidates
                 ],
-                "distribution": decision.distribution.tolist(),
                 "chosen": decision.chosen,
-                "beta": decision.beta,
             }
             for decision in record.decisions
         ],
@@ -448,7 +443,7 @@ def replay_episode(config: EngineConfig, env_factory, proposer_factory, mode: st
             session.memory.add(entry.state, entry.action, entry.return_value,
                                episode=entry.episode, step=entry.step)
     fresh = episode_record_to_dict(session.play(env_factory, proposer_factory, episode))
-    unchecked = ("rewards", "returns", "evaluator_fallback")
+    unchecked = ("rewards", "evaluator_fallback")
     same = ({k: v for k, v in fresh.items() if k not in unchecked}
             == {k: v for k, v in recorded.items() if k not in unchecked})
     return fresh, same

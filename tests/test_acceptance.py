@@ -288,7 +288,7 @@ def test_criterion_9_config_defaults_and_validation():
     defaults_ok = all([
         text_game.gamma == 0.5, text_game.k_neighbors == 10,
         text_game.similarity_threshold == 0.95, text_game.exploration_rate == 0.65,
-        text_game.exploration_bonus == 5.0, text_game.temperature == 0.8,
+        text_game.exploration_bonus == 5.0,
         text_game.n_candidates == 3, text_game.step_limit == 60,
         text_game.episodes == 50,
         web.gamma == 0.1, web.k_neighbors == 10, web.similarity_threshold == 0.8,

@@ -1,6 +1,11 @@
+import dataclasses
+
 import pytest
 
 from memsteer.config import ConfigError, EngineConfig
+from memsteer.envs.textgame import key_door_game, noisy_advisor_policy
+from memsteer.proposer import CallablePolicyProposer
+from memsteer.runner import run_experiment, run_task_suite
 
 
 def test_profile_text_game_defaults():
@@ -11,7 +16,6 @@ def test_profile_text_game_defaults():
     assert config.similarity_threshold == 0.95
     assert config.exploration_rate == 0.65
     assert config.exploration_bonus == 5.0
-    assert config.temperature == 0.8
     assert config.n_candidates == 3
     assert config.step_limit == 60
     assert config.episodes == 50
@@ -26,7 +30,6 @@ def test_profile_web_defaults():
     assert config.exploration_bonus == 5.0
     assert config.step_limit == 10
     assert config.episodes == 50
-    assert config.temperature == 0.8
     assert config.n_candidates == 3
     assert config.seed == 0
     assert config.task_similarity_threshold == 0.27
@@ -152,3 +155,31 @@ def test_from_dict_accepts_action_rules_with_group_references():
     config = EngineConfig.from_dict({"beta": 1.0,
                                      "action_rules": [[r"click\('(\d+)'\)", r"click(\1)"]]})
     assert config.action_rules == [[r"click\('(\d+)'\)", r"click(\1)"]]
+
+
+FIELDS = {f.name for f in dataclasses.fields(EngineConfig)}
+
+
+class ReadRecordingConfig(EngineConfig):
+    """An EngineConfig that notes each field read once ``reads`` is a set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None and name in FIELDS:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_config_field_is_read():
+    # a field no run reads is a knob that silently does nothing
+    config = ReadRecordingConfig(beta=2.0, episodes=2, step_limit=8, memory_scope="global",
+                                 task_similarity_threshold=0.27)
+    config.reads = set()
+    env_factory = lambda rng: key_door_game()
+    proposer_factory = lambda env: CallablePolicyProposer(noisy_advisor_policy(env, 0.3))
+    run_experiment(config, env_factory, proposer_factory, mode="memsteer")
+    run_task_suite(config, {"only": (env_factory, proposer_factory)}, mode="memsteer",
+                   task_texts={"only": "open the door"})
+    assert sorted(FIELDS - config.reads) == []

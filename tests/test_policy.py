@@ -114,7 +114,7 @@ def test_softmax_hand_example():
 def test_softmax_single_candidate(rng):
     cands = candidates_from([("only", 3.0)], advantages=[0.0])
     logit_update(cands, beta=1.0)
-    decision = softmax_sample(cands, rng, beta=1.0)
+    decision = softmax_sample(cands, rng)
     assert decision.distribution.tolist() == [1.0]
     assert decision.chosen == 0
 
@@ -122,7 +122,7 @@ def test_softmax_single_candidate(rng):
 def test_softmax_uniform_over_equal_logits(rng):
     cands = candidates_from([(f"a{i}", 0.8) for i in range(4)], advantages=[0.0] * 4)
     logit_update(cands, beta=1.0)
-    decision = softmax_sample(cands, rng, beta=1.0)
+    decision = softmax_sample(cands, rng)
     assert np.allclose(decision.distribution, 0.25, atol=1e-15)
 
 
@@ -147,7 +147,7 @@ def test_decision_distribution_sums_to_one(rng):
         cands = candidates_from([(f"a{i}", float(rng.normal(0, 3))) for i in range(n)],
                                 advantages=list(rng.uniform(-1, 1, size=n)))
         logit_update(cands, beta=2.0)
-        decision = softmax_sample(cands, rng, beta=2.0)
+        decision = softmax_sample(cands, rng)
         assert abs(decision.distribution.sum() - 1.0) <= 1e-12
         assert 0 <= decision.chosen < n
 
@@ -161,7 +161,7 @@ def test_decision_replay_from_episode_policy_stream():
     for episode, record in enumerate(records):
         rng = seed_streams(config.seed, episode)["policy"]
         for decision in record.decisions:
-            replayed = softmax_sample(decision.candidates, rng, beta=decision.beta)
+            replayed = softmax_sample(decision.candidates, rng)
             assert replayed.chosen == decision.chosen
             assert replayed.distribution.tolist() == decision.distribution.tolist()
             steered += any(c.normalized_advantage for c in decision.candidates)
@@ -204,7 +204,7 @@ def test_sampling_frequencies_match_distribution_chi_squared():
     counts = np.zeros(4)
     draws = 100_000
     for _ in range(draws):
-        counts[softmax_sample(cands, rng, beta=1.0).chosen] += 1
+        counts[softmax_sample(cands, rng).chosen] += 1
     stat = float(((counts - draws * expected) ** 2 / (draws * expected)).sum())
     assert stat < 16.27  # chi-square 0.999 quantile, 3 degrees of freedom
 

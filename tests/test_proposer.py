@@ -11,7 +11,8 @@ from memsteer.policy import softmax
 from memsteer.proposer import (CallablePolicyProposer, FixtureChatClient, ProposerError,
                                ProposerRequest, TabularProposer, TokenLogitProposer,
                                VerbalizedProposer, confidence_logits, generation_messages,
-                               index_messages, reply_object, top_candidates, uniform_policy)
+                               index_messages, reply_object, top_candidates, uniform_policy,
+                               verbalized_messages)
 from memsteer.returns import EvaluatorError
 
 
@@ -132,7 +133,7 @@ def test_scripted_policy_is_asked_again_when_nothing_is_valid():
 
 
 def test_top_candidates_skips_zero_probability():
-    assert top_candidates({"a": 0.0, "b": 1.0}, 3) == [("b", 0.0)]
+    assert top_candidates({"a": 0.0, "b": 1.0}) == [("b", 0.0)]
 
 
 def test_uniform_policy_covers_valid_actions():
@@ -297,6 +298,50 @@ def test_verbalized_candidates_are_spelled_as_the_valid_actions():
     response = VerbalizedProposer(client, model="m").propose(ProposerRequest(
         state_text="s", valid_actions=["go north", "go east", "look"], n_candidates=2))
     assert [a for a, _ in response.candidates] == ["go north", "look"]
+
+
+# -- the n_candidates cut comes after the valid-action filter ------------------------------
+
+
+def test_scripted_valid_option_below_the_cut_is_kept():
+    proposer = CallablePolicyProposer(lambda request: {"swim": 0.6, "look": 0.4})
+    response = proposer.propose(ProposerRequest(state_text="s", valid_actions=["look"],
+                                                n_candidates=1))
+    assert response.candidates == [("look", math.log(0.4))]
+
+
+def test_token_logit_valid_option_below_the_cut_is_kept():
+    request = ProposerRequest(state_text="hall", valid_actions=["look"], n_candidates=1)
+    client = FixtureChatClient([
+        {"request": {"messages": generation_messages(request)},
+         "response": chat_response(options_json("swim", "look"))},
+        {"request": {"messages": index_messages(["look"])},
+         "response": chat_response("1", logprobs=[{"token": "1", "logprob": -0.1}])},
+    ])
+    response = TokenLogitProposer(client, model="m").propose(request)
+    assert response.candidates == [("look", -0.1)]
+    assert client.remaining == 0
+
+
+def test_verbalized_valid_option_below_the_cut_is_kept():
+    request = ProposerRequest(state_text="hall", valid_actions=["look"], n_candidates=1)
+    client = FixtureChatClient([
+        {"request": {"messages": verbalized_messages(request)},
+         "response": chat_response(verbalized_json([("swim", 70), ("look", 30)]))},
+    ])
+    response = VerbalizedProposer(client, model="m").propose(request)
+    assert response.candidates == [("look", 0.0)]
+
+
+def test_token_logit_cuts_without_valid_actions():
+    client = ScriptedClient([
+        chat_response(options_json("a", "b", "c")),
+        chat_response("1", logprobs=[{"token": "1", "logprob": -0.1}]),
+    ])
+    response = TokenLogitProposer(client, model="m").propose(
+        ProposerRequest(state_text="s", n_candidates=2))
+    assert [a for a, _ in response.candidates] == ["a", "b"]
+    assert client.requests[1]["messages"] == index_messages(["a", "b"])
 
 
 @given(confs=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=6))

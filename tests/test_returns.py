@@ -156,6 +156,15 @@ def test_parse_scores_duplicate_index_is_error():
         parse_step_scores(payload, 2)
 
 
+@pytest.mark.parametrize("step, other", [(0.9, 1), (True, 0), ("0", 1), (1.5, 0)])
+def test_parse_scores_step_index_must_be_an_integer(step, other):
+    # int() would read each of these as the one index the other item leaves free
+    payload = scored_payload([{"step": step, "action": "a", "score": 1},
+                              {"step": other, "action": "b", "score": 1}])
+    with pytest.raises(EvaluatorError, match="step index must be an integer"):
+        parse_step_scores(payload, 2)
+
+
 def test_parse_scores_orders_by_step_index():
     payload = scored_payload([{"step": 1, "action": "b", "score": 2},
                               {"step": 0, "action": "a", "score": -1}])

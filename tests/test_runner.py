@@ -11,7 +11,7 @@ from memsteer.envs.textgame import key_door_game, noisy_advisor_policy
 from memsteer.memory import ActionNormalizer, MemoryStore, StateKey
 from memsteer.policy import softmax
 from memsteer.proposer import CallablePolicyProposer, ProposerError, TabularProposer
-from memsteer.returns import EnvironmentTruthEvaluator, TrajectoryStep
+from memsteer.returns import EnvironmentTruthEvaluator, TrajectoryStep, discounted_returns
 from memsteer.runner import (EpisodeRecord, MetricsReport, fill_memory_from_rollouts,
                              replay_episode, run_consistency_experiment, run_episode,
                              run_experiment, run_task_suite, seed_streams,
@@ -292,23 +292,99 @@ def test_metrics_memory_size_counts_warm_rows(tmp_path):
 # a decision, a stored row or a file format moves them. At capacity 50 the
 # memory_size column of metrics.csv is checked by
 # test_metrics_memory_size_follows_capacity instead.
+#
+# Next to each lean file's pin stands the pin of the bytes the engine wrote
+# before each fact of a run was written once: "records.jsonl, expanded" is
+# records.jsonl with every left-out field recomputed (expand_record), and
+# "summary.json, with temperature" is summary.json with the config field
+# "temperature": 0.8 that nothing read put back. They show that no fact was lost.
 KEYDOOR_OUTPUT_SHA256 = {
     None: {
         "metrics.csv": "c3d7392806636bcdcf8ba03c2d919c0863d5d181a96303fdb3bed1a5131485ee",
-        "summary.json": "0285332337b1bc21defd4ea015a71a35f6d0895eeed20728f24781cd1859bd28",
-        "records.jsonl": "b7bb8aa8edf984cd56a2b29b557d5c0c38b9851cc33a276f734852277badd492",
+        "summary.json": "107356872cc437804b5a547a2c5b0bfb6f5afd0322fa8b331497790a0f059da2",
+        "summary.json, with temperature":
+            "0285332337b1bc21defd4ea015a71a35f6d0895eeed20728f24781cd1859bd28",
+        "records.jsonl": "678f5ed683a479c0849847d84b4558a7633a8991307e11311944f63fcb611214",
+        "records.jsonl, expanded":
+            "b7bb8aa8edf984cd56a2b29b557d5c0c38b9851cc33a276f734852277badd492",
         "memory.jsonl": "0653e926692907f5141082e60526c73f9317fe658191131f78e304121f444a7e",
     },
     50: {
-        "summary.json": "44058a6cb272dac781f06e6abf2be0226d304fc4190a498547da0a5aa36e7afc",
-        "records.jsonl": "30df309e25715702e57b07e8df6798784e18bc222be663aad330bb0e7e91f5e9",
+        "summary.json": "e444fb54afab6bffae6c95c0df41a3f1082811b478793d862277a9a08e0dbf35",
+        "summary.json, with temperature":
+            "44058a6cb272dac781f06e6abf2be0226d304fc4190a498547da0a5aa36e7afc",
+        "records.jsonl": "0337c1cb476997ae73677666e20a382b8f6aa72fe362b5feb3ddf501a9c8fd8c",
+        "records.jsonl, expanded":
+            "30df309e25715702e57b07e8df6798784e18bc222be663aad330bb0e7e91f5e9",
         "memory.jsonl": "6330ca205186207b7855025179b91057c9886fb9be5a169e15ff730c76a47866",
     },
 }
 
 
+def expand_record(lean: dict, mode: str, config: dict) -> dict:
+    """A records.jsonl line as the engine wrote it before each fact was written
+    once, rebuilt from the line and the run's mode and config by the recompute
+    rules of the README, with the engine's own softmax and discounted_returns."""
+    beta = config["beta"] if mode == "memsteer" else 0.0
+    h = config["history_length"]
+    actions, steps = [], []
+    for step, decision in zip(lean["steps"], lean["decisions"]):
+        action = decision["candidates"][decision["chosen"]]["action"]
+        steps.append({"state_text": step["state_text"],
+                      "history_text": " ".join(actions[-h:]) if h > 0 else "",
+                      "action": action, "observation": step["observation"],
+                      "score_delta": step["score_delta"]})
+        actions.append(action)
+    decisions = []
+    for decision in lean["decisions"]:
+        candidates, chosen = decision["candidates"], decision["chosen"]
+        if all(c["normalized_advantage"] is None for c in candidates):  # a greedy-memory pick
+            updated = [None] * len(candidates)
+            distribution = [0.0] * len(candidates)
+            distribution[chosen] = 1.0
+            decision_beta = 0.0
+        else:
+            updated = [c["base_logit"] + beta * c["normalized_advantage"]
+                       if mode == "memsteer" else None for c in candidates]
+            logits = [c["base_logit"] if u is None else u for c, u in zip(candidates, updated)]
+            distribution = softmax(np.array(logits, dtype=np.float64)).tolist()
+            decision_beta = beta
+        decisions.append({
+            "candidates": [{**c, "updated_logit": u} for c, u in zip(candidates, updated)],
+            "distribution": distribution, "chosen": chosen, "beta": decision_beta})
+    rewards = lean["rewards"]
+    returns = None if rewards is None else list(discounted_returns(rewards, config["gamma"]))
+    head = {k: v for k, v in lean.items() if k not in ("steps", "decisions")}
+    return {**head, "returns": returns, "steps": steps, "decisions": decisions}
+
+
+def read_summary(out_dir):
+    return json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+
+
+def expanded_records(out_dir) -> bytes:
+    summary = read_summary(out_dir)
+    lines = (out_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    expanded = [expand_record(json.loads(line), summary["mode"], summary["config"])
+                for line in lines]
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in expanded).encode("utf-8")
+
+
+def summary_with_temperature(out_dir) -> bytes:
+    summary = read_summary(out_dir)
+    summary["config"]["temperature"] = 0.8
+    return (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+DERIVED_OUTPUTS = {"records.jsonl, expanded": expanded_records,
+                   "summary.json, with temperature": summary_with_temperature}
+
+
 def output_digests(out_dir, names):
-    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+    """sha256 of each named run output, or of a DERIVED_OUTPUTS form of one."""
+    return {name: hashlib.sha256(DERIVED_OUTPUTS[name](out_dir) if name in DERIVED_OUTPUTS
+                                 else (out_dir / name).read_bytes()).hexdigest()
+            for name in names}
 
 
 def keydoor_pin_run(out_dir, mode, capacity, proposer_factory=None):
@@ -326,26 +402,36 @@ def test_keydoor_output_bytes_are_pinned(tmp_path, capacity):
     assert output_digests(tmp_path, expected) == expected
 
 
-RUN_OUTPUTS = ("metrics.csv", "summary.json", "records.jsonl", "memory.jsonl")
-
 # the same six-episode run in the two ablation modes, all four outputs
 KEYDOOR_ABLATION_SHA256 = {
     ("greedy-memory", None): {
         "metrics.csv": "e3494ea020817bf72bbff791e2980796a13be518b501c778580149ddf270a197",
-        "summary.json": "6fb1c14f299bd4f2bbaf4dbd9c5810d376d1ca1a275d629e81b68d6e78084ff7",
-        "records.jsonl": "609c39f6fdac4ae7a6e592ac3e5cdd4df68d7bd76665a914e02e9dfed9a50cbe",
+        "summary.json": "92bbf4ad5b965b70f270eebb935434f457c4c138344e96e1f40f5c0a009d8e27",
+        "summary.json, with temperature":
+            "6fb1c14f299bd4f2bbaf4dbd9c5810d376d1ca1a275d629e81b68d6e78084ff7",
+        "records.jsonl": "b42717884991a1427ddb42ca39563d140648f7912e1dfd90a4e0106e4f4abb94",
+        "records.jsonl, expanded":
+            "609c39f6fdac4ae7a6e592ac3e5cdd4df68d7bd76665a914e02e9dfed9a50cbe",
         "memory.jsonl": "fbf983b2efed21f57bbb2e85a6cd6611cfc28422eac945cda9bbaa6740fa3f9a",
     },
     ("greedy-memory", 50): {
         "metrics.csv": "d3552eb5a5921b240f8b1a346f37aba8549be585aa0ce4ba1122a53dcc150a26",
-        "summary.json": "ceec2e7d280f7399415ea14aeb515fccbf503c4d0924319f481b82fd894e8c53",
-        "records.jsonl": "d49f70e9c1867d407627e61d8101a9c38b85f4cd966c580a49bdd1fe1d8c8f94",
+        "summary.json": "2e290b024fa02c45105a32f7d2840157fb8854ac703c51193b7713a11feb90a5",
+        "summary.json, with temperature":
+            "ceec2e7d280f7399415ea14aeb515fccbf503c4d0924319f481b82fd894e8c53",
+        "records.jsonl": "460f8125936b297b77066f31b3c450b1514df44b85d6ae5b7a3e41abfeb9354b",
+        "records.jsonl, expanded":
+            "d49f70e9c1867d407627e61d8101a9c38b85f4cd966c580a49bdd1fe1d8c8f94",
         "memory.jsonl": "7e7e08d3373f8c773d5dd154e3b0408e1a2e68a87b67395dd95efd46dbbce8a4",
     },
     ("static", None): {
         "metrics.csv": "87302509b9b93f2d202215974d82d6527956ac6ec870c84b55ef2cbad9c37509",
-        "summary.json": "607470a73735a2e3137105063227efb1a7ae95a6ded2090d0cc109d97e2b25e0",
-        "records.jsonl": "8c4110f96c2c47bddf0bad473128c068403f259d29aa0d76b64ca0c782844a0f",
+        "summary.json": "71678d3666d070fa96b0fbf6665468dd831733e24d9e2fef4ad1f6134568237a",
+        "summary.json, with temperature":
+            "607470a73735a2e3137105063227efb1a7ae95a6ded2090d0cc109d97e2b25e0",
+        "records.jsonl": "a0a9c3f065d436bf68419cf871dec54db90805a86c3baae9d6a89720710b3f24",
+        "records.jsonl, expanded":
+            "8c4110f96c2c47bddf0bad473128c068403f259d29aa0d76b64ca0c782844a0f",
         "memory.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
 }
@@ -355,14 +441,16 @@ KEYDOOR_ABLATION_SHA256 = {
 def test_keydoor_ablation_output_bytes_are_pinned(tmp_path, mode, capacity):
     keydoor_pin_run(tmp_path, mode, capacity)
     expected = KEYDOOR_ABLATION_SHA256[mode, capacity]
-    assert output_digests(tmp_path, RUN_OUTPUTS) == expected
+    assert output_digests(tmp_path, expected) == expected
 
 
 # the memsteer run above with a proposer that fails on the fifth step of episode 1:
 # pins the record of an aborted episode and its metrics row
 KEYDOOR_ABORT_SHA256 = {
     "metrics.csv": "67b4b76a25df464110d9d296f85e366423fa73c91dcdcb75a9a455105303f8b9",
-    "records.jsonl": "328508344a696f8d61a315c9d867865e8d51ffa032313af2307b3fa02d771612",
+    "records.jsonl": "409d7ff9a98d0b7487870c134618cdcc2e4b32c86379917f601d3084add40e4d",
+    "records.jsonl, expanded":
+        "328508344a696f8d61a315c9d867865e8d51ffa032313af2307b3fa02d771612",
 }
 
 
