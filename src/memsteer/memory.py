@@ -9,14 +9,31 @@ slowly drifting policy is represented by its freshest experience.
 Retrieval runs on an exact inverted index. Each distinct state token set and
 each distinct history token set is interned once, with its size and a
 token -> set-id posting list; each distinct (state set, history set) pair is
-interned too, with the position of its newest row, and each row links to the
-previous row of its pair. A query counts its intersection with every distinct
-set by one ``np.bincount`` over the postings of its tokens, computes each
-set's Jaccard once and each pair's weighted sum once, and thresholds the
-pairs. Only the pairs that pass are expanded, along their row links, and only
-the k best of them when more than k pass. So the cost follows the number of
-distinct sets and pairs, plus at most k rows per chosen pair, not the number
-of rows; the similarities are bit-identical to :meth:`StateKey.similarity`.
+interned too, with the position of its newest row, each state set keeps its
+pairs and its newest row, and each row links to the previous row of its pair.
+
+A query first bounds its state overlap. A state set that shares i of the
+query's nq state tokens has Jaccard at most i / nq, and at most nq / s for a
+set of s > nq tokens, and every rounding in the score is monotone; so from
+the threshold and the weights follows ``need``, the fewest shared tokens with
+which a pair can pass even with a perfect history.
+When ``need`` is at least 1, any passing set shares one of the query's
+``nq - need + 1`` rarest tokens (pigeonhole), so the postings of those tokens
+hold every candidate; a token the index has never seen costs nothing. The
+query skips candidates whose rows are all evicted or whose size is out of
+bounds and scores the rest in Python, a set intersection per state set and a
+history Jaccard memoised per history set. When ``need`` is 0, a pair could
+pass on its history alone, so the query scans: one ``np.bincount`` over the
+postings of its tokens per index, each set's Jaccard and each pair's weighted
+sum once, then a threshold over the pairs. It scans too when the probe would
+score more candidates than the scan costs (``_PROBE_CANDIDATES``). Either way
+only the passing pairs are expanded, along their row links, and only the k
+best of them when more than k pass. So a query costs about the candidates
+that share enough tokens with it, or, when it scans, the number of distinct
+sets and pairs; plus at most k rows per chosen pair, not the number of rows.
+Both paths compute :meth:`StateKey.similarity`'s arithmetic, so the
+similarities are bit-identical to it.
+
 FIFO eviction moves the start of a live window; once the evicted prefix
 passes half of the rows, the rows and tables are rebuilt from the live
 entries.
@@ -206,6 +223,16 @@ class TaskFilter:
         return self.history_weight * jh + self.task_weight * jt >= self.threshold
 
 
+# The probe gives way to the numpy scan once its postings hold more candidate
+# state sets than this. Measured on 2 cores, Python 3.11, numpy 2.4: on a
+# store of about 800 distinct state sets a scan costs about 40 us, or about
+# 100 us when probes ran before it and its caches are cold, and a candidate
+# 0.5-0.7 us; on 20k distinct random sets a scan costs 250-300 us and a
+# candidate 1.2-1.6 us, as each one is a cache miss. A candidate's cost grows
+# with the store about as fast as the scan's does, so one count serves both.
+_PROBE_CANDIDATES = 120
+
+
 class MemoryFormatError(ValueError):
     """A memory bank record could not be parsed; carries the 1-based line number."""
 
@@ -219,18 +246,20 @@ class _TokenSetIndex:
 
     def __init__(self):
         self._ids: dict[frozenset[str], int] = {}
-        self._sizes = array("q")
-        self._postings: dict[str, array] = {}
+        self.sets: list[frozenset[str]] = []  # each set by its id
+        self.sizes = array("q")
+        self.postings: dict[str, array] = {}
 
     def intern(self, tokens: frozenset[str]) -> int:
         sid = self._ids.get(tokens)
         if sid is None:
-            sid = self._ids[tokens] = len(self._sizes)
-            self._sizes.append(len(tokens))
+            sid = self._ids[tokens] = len(self.sets)
+            self.sets.append(tokens)
+            self.sizes.append(len(tokens))
             for tok in tokens:
-                posting = self._postings.get(tok)
+                posting = self.postings.get(tok)
                 if posting is None:
-                    self._postings[tok] = array("q", (sid,))
+                    self.postings[tok] = array("q", (sid,))
                 else:
                     posting.append(sid)
         return sid
@@ -243,13 +272,13 @@ class _TokenSetIndex:
         """
         # a view, released on return: a live export would make the next
         # intern's append raise BufferError
-        sizes = np.frombuffer(self._sizes, dtype=np.int64)
+        sizes = np.frombuffer(self.sizes, dtype=np.int64)
         nq = len(tokens)
         if nq == 0:
             return (sizes == 0).astype(np.float64)
         hits = array("q")
         for tok in tokens:
-            posting = self._postings.get(tok)
+            posting = self.postings.get(tok)
             if posting is not None:
                 hits += posting
         inter = np.bincount(np.frombuffer(hits, dtype=np.int64), minlength=len(sizes))
@@ -271,6 +300,7 @@ class MemoryStore:
         self.capacity = capacity
         self.state_weight = state_weight
         self.history_weight = history_weight
+        self._needs: dict[tuple, int] = {}  # see _need
         self._rebuild([])
         self._clock = 0
         self.retrieval_count = 0
@@ -301,14 +331,22 @@ class MemoryStore:
         key = (state.tokens, state.history_tokens)
         pid = self._pairs.get(key)
         if pid is None:
-            self._pairs[key] = len(self._pair_states)
-            self._pair_states.append(self._states.intern(state.tokens))
-            self._pair_histories.append(self._histories.intern(state.history_tokens))
+            pid = self._pairs[key] = len(self._pair_states)
+            sid = self._states.intern(state.tokens)
+            hid = self._histories.intern(state.history_tokens)
+            if sid == len(self._state_pairs):
+                self._state_pairs.append([])
+                self._state_last.append(pos)
+            self._state_pairs[sid].append((hid, pid))
+            self._pair_states.append(sid)
+            self._pair_histories.append(hid)
             self._pair_last.append(pos)
             self._prev.append(-1)
         else:
+            sid = self._pair_states[pid]
             self._prev.append(self._pair_last[pid])
             self._pair_last[pid] = pos
+        self._state_last[sid] = pos
         self._clock = entry.time_index + 1
         if self.capacity is not None and len(self._entries) - self._start > self.capacity:
             self._start += 1
@@ -327,6 +365,9 @@ class MemoryStore:
         self._pair_histories = array("q")
         self._pair_last = array("q")  # newest row position of each pair
         self._prev = array("q")  # previous row of the same pair, or -1
+        # (history set id, pair id) of each state set's pairs
+        self._state_pairs: list[list[tuple[int, int]]] = []
+        self._state_last = array("q")  # newest row position of each state set
         for entry in live:  # at most capacity entries, so none is evicted
             self._insert(entry)
 
@@ -336,10 +377,19 @@ class MemoryStore:
 
         Ties are broken by time index descending (most recent first). A
         deterministic function of (store contents, query, k, threshold).
-        The work is one score per distinct set and pair, then at most k rows
-        from each of at most k passing pairs. Those pairs hold the top k: a
-        row of any other pair has k pairs ranked above it, each with a newest
-        row that ranks above that row.
+
+        A pair can pass only if its state set shares at least ``need`` of the
+        query's nq state tokens (:meth:`_need`). When ``need`` is at least
+        1, the query reads the postings of its ``nq - need + 1`` rarest state
+        tokens, which hold every such set, and scores those candidates in
+        Python (:meth:`_probe`); its cost follows the candidates that share
+        enough tokens, not the distinct sets. When ``need`` is 0, a pair
+        could pass on its history alone, so the query scans every distinct
+        set and pair with numpy (:meth:`_scan`); it scans too when the
+        candidates outnumber ``_PROBE_CANDIDATES``. Either way it keeps at
+        most k passing pairs and reads at most k rows from each. Those pairs
+        hold the top k: a row of any other pair has k pairs ranked above it,
+        each with a newest row that ranks above that row.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -348,31 +398,15 @@ class MemoryStore:
         self.retrieval_count += 1
         if len(self) == 0:
             return Neighborhood([])
-        lo = self._start
-        # weighted once per distinct set and summed once per distinct pair;
-        # the sum has the operand order of StateKey.similarity, so it is
-        # bit-identical. The array.array views are never bound to a name: a
-        # live export of a buffer would make the next append raise BufferError.
-        state_part = self.state_weight * self._states.jaccard(query.tokens)
-        history_part = self.history_weight * self._histories.jaccard(query.history_tokens)
-        pair_sims = (state_part[np.frombuffer(self._pair_states, dtype=np.int64)]
-                     + history_part[np.frombuffer(self._pair_histories, dtype=np.int64)])
-        top = np.flatnonzero(pair_sims >= threshold)
-        if task_filter is not None:
-            # admits reads only the entry's two token sets, which every row
-            # of a pair shares, so the pair's newest row stands for them all
-            top = np.array([pid for pid in top.tolist() if task_filter.admits(
-                query, self._entries[self._pair_last[pid]])], dtype=np.int64)
-        if top.size > k:
-            last = np.frombuffer(self._pair_last, dtype=np.int64)[top]
-            alive = last >= lo
-            top, last = top[alive], last[alive]
-            # similarity descending, then newest row descending
-            top = top[np.lexsort((-last, -pair_sims[top]))[:k]]
+        need = self._need(threshold, len(query.tokens))
+        chosen = None
+        if need > 0:
+            chosen = self._probe(query, k, threshold, need, task_filter)
+        if chosen is None:
+            chosen = self._scan(query, k, threshold, task_filter)
         rows = []
-        pair_last, prev = self._pair_last, self._prev
-        for pid, sim in zip(top.tolist(), pair_sims[top].tolist()):
-            pos = pair_last[pid]
+        lo, prev = self._start, self._prev
+        for sim, pos in chosen:
             for _ in range(k):
                 if pos < lo:  # the rest of the chain is evicted (or -1)
                     break
@@ -382,6 +416,120 @@ class MemoryStore:
         # rise with position, so this is recency first
         rows.sort(reverse=True)
         return Neighborhood([(self._entries[pos], sim) for sim, pos in rows[:k]])
+
+    def _need(self, threshold: float, nq: int) -> int:
+        """The fewest of a query's ``nq`` state tokens that a passing pair's
+        state set must share.
+
+        A set of size s sharing i tokens has Jaccard i / (nq + s - i) <= i / nq,
+        and every rounding in the score is monotone; so a pair sharing i
+        tokens fails when even ``state_weight * (i / nq) + history_weight *
+        1.0``, its score with a perfect history in the scorer's own floats,
+        is below the threshold. 0 when nothing is bounded (an empty query, a
+        negative weight, or a threshold the history alone reaches); nq + 1,
+        which probes no token, when nothing can pass.
+        """
+        ws, wh = self.state_weight, self.history_weight
+        key = (threshold, nq, ws, wh)
+        need = self._needs.get(key)
+        if need is None:
+            if nq == 0 or not (ws >= 0 and wh >= 0):
+                need = 0
+            else:
+                need = next((i for i in range(nq + 1)
+                             if ws * (i / nq) + wh * 1.0 >= threshold), nq + 1)
+            self._needs[key] = need
+        return need
+
+    def _probe(self, query: StateKey, k: int, threshold: float, need: int,
+               task_filter: TaskFilter | None) -> list[tuple[float, int]] | None:
+        """(similarity, newest row) of at most k best live passing pairs,
+        scored in Python from the candidates that the bound admits; None when
+        there are more than ``_PROBE_CANDIDATES`` of them.
+
+        A set sharing ``need`` of the nq query tokens shares at least one of
+        any nq - need + 1 of them, so the postings of the rarest ones hold
+        every set that can pass. Each candidate's score is the arithmetic of
+        :meth:`StateKey.similarity`: an exact intersection count, one
+        division and the weighted sum, so it is bit-identical to it.
+        """
+        qs = query.tokens
+        nq = len(qs)
+        states = self._states
+        postings, sets, sizes = states.postings, states.sets, states.sizes
+        # a token the index has never seen has an empty posting, probed for free
+        probe = sorted([postings.get(tok, ()) for tok in qs], key=len)[:nq - need + 1]
+        # postings of distinct keys overlap little, so past twice the budget
+        # their union is not worth building
+        if sum(map(len, probe)) > 2 * _PROBE_CANDIDATES:
+            return None
+        candidates = set().union(*probe)
+        if len(candidates) > _PROBE_CANDIDATES:
+            return None
+        ws, wh, lo = self.state_weight, self.history_weight, self._start
+        perfect_history = wh * 1.0
+        qh, history_sets = query.history_tokens, self._histories.sets
+        state_last, state_pairs, pair_last = self._state_last, self._state_pairs, self._pair_last
+        history_parts: dict[int, float] = {}  # history set id -> weighted Jaccard
+        hits = []
+        for sid in candidates:
+            if state_last[sid] < lo:  # every row of the set is evicted
+                continue
+            # a set of s tokens shares at most s of the query's and, when
+            # s > nq, has Jaccard at most nq / s
+            size = sizes[sid]
+            if size < need or size > nq and ws * (nq / size) + perfect_history < threshold:
+                continue
+            inter = len(qs & sets[sid])
+            state_part = ws * (inter / (nq + size - inter))
+            if state_part + perfect_history < threshold:
+                continue
+            for hid, pid in state_pairs[sid]:
+                history_part = history_parts.get(hid)
+                if history_part is None:
+                    history_part = history_parts[hid] = wh * jaccard(qh, history_sets[hid])
+                sim = state_part + history_part
+                if sim >= threshold:
+                    pos = pair_last[pid]
+                    if pos >= lo:
+                        hits.append((sim, pos))
+        if task_filter is not None:
+            # admits reads only the entry's two token sets, which every row
+            # of a pair shares, so the pair's newest row stands for them all
+            hits = [hit for hit in hits if task_filter.admits(query, self._entries[hit[1]])]
+        if len(hits) > k:
+            # similarity descending, then newest row descending
+            hits.sort(reverse=True)
+            del hits[k:]
+        return hits
+
+    def _scan(self, query: StateKey, k: int, threshold: float,
+              task_filter: TaskFilter | None) -> list[tuple[float, int]]:
+        """(similarity, newest row) of the passing pairs, scored over every
+        distinct set and pair with numpy; only the k best live ones when more
+        than k pass."""
+        # weighted once per distinct set and summed once per distinct pair;
+        # the sum has the operand order of StateKey.similarity, so it is
+        # bit-identical. The array.array views are never bound to a name: a
+        # live export of a buffer would make the next append raise BufferError.
+        state_part = self.state_weight * self._states.jaccard(query.tokens)
+        history_part = self.history_weight * self._histories.jaccard(query.history_tokens)
+        pair_sims = (state_part[np.frombuffer(self._pair_states, dtype=np.int64)]
+                     + history_part[np.frombuffer(self._pair_histories, dtype=np.int64)])
+        top = np.flatnonzero(pair_sims >= threshold)
+        last = np.frombuffer(self._pair_last, dtype=np.int64)[top]
+        if task_filter is not None:
+            # see _probe: a pair's newest row stands for all of its rows
+            admitted = np.array([task_filter.admits(query, self._entries[pos])
+                                 for pos in last.tolist()], dtype=bool)
+            top, last = top[admitted], last[admitted]
+        if top.size > k:
+            alive = last >= self._start
+            top, last = top[alive], last[alive]
+            # similarity descending, then newest row descending
+            order = np.lexsort((-last, -pair_sims[top]))[:k]
+            top, last = top[order], last[order]
+        return list(zip(pair_sims[top].tolist(), last.tolist()))
 
     # -- persistence ---------------------------------------------------------
 

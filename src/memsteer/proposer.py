@@ -88,7 +88,8 @@ def _ask_for_valid(ask: Callable[[ProposerRequest], tuple[list[tuple], Mapping]]
                    request: ProposerRequest) -> list[tuple]:
     """``ask(request)`` for (action, ...) options, best first, and the reply
     payload; keep the first ``n_candidates`` valid options (see
-    :func:`_valid_only`). When none is valid, ask once more, then give up."""
+    :func:`_valid_only`), one per valid action: the first option spelled as
+    it. When none is valid, ask once more, then give up."""
     options, payload = ask(request)
     if request.valid_actions is not None:
         options = _valid_only(options, request.valid_actions)
@@ -97,6 +98,10 @@ def _ask_for_valid(ask: Callable[[ProposerRequest], tuple[list[tuple], Mapping]]
             options = _valid_only(options, request.valid_actions)
             if not options:
                 raise ProposerError("no valid action proposed after retry", payload=payload)
+        first: dict[str, tuple] = {}
+        for option in options:
+            first.setdefault(option[0], option)
+        options = list(first.values())
     return options[: request.n_candidates]
 
 

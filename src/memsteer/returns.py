@@ -143,6 +143,8 @@ def parse_step_scores(payload: dict, n_steps: int) -> list[float]:
         idx = int(step)
         if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
             raise EvaluatorError(f"non-numeric score in {item!r}", payload=payload)
+        if isinstance(score, float) and not score.is_integer():
+            raise EvaluatorError(f"score must be an integer, got {score!r}", payload=payload)
         if not 0 <= idx < n_steps or scores[idx] is not None:
             raise EvaluatorError(f"bad or duplicate step index {idx}", payload=payload)
         scores[idx] = float(min(SCORE_MAX, max(SCORE_MIN, score)))

@@ -15,6 +15,21 @@ from conftest import populated_store, random_entries
 
 token_sets = st.frozensets(st.sampled_from("abcdefgh"), max_size=6)
 
+# web-like keys, after perfbench's web traffic: one of a few overlapping page
+# templates plus 0-3 volatile ids, and a history from a small pool. Queries
+# then probe postings that return candidates which fail, and sets that pass
+# sharing exactly the fewest query tokens that the bound lets through.
+_TEMPLATES = [frozenset("abcde"), frozenset("bcdef"), frozenset("aefgh")]
+web_states = st.builds(frozenset.union, st.sampled_from(_TEMPLATES),
+                       st.frozensets(st.sampled_from(["v1", "v2", "v3", "v4", "v5"]),
+                                     max_size=3))
+web_histories = st.sampled_from([frozenset(), frozenset({"go"}), frozenset({"go", "north"}),
+                                 frozenset({"click", "x1"})])
+web_keys = st.tuples(web_states, web_histories)
+any_keys = st.one_of(st.tuples(token_sets, token_sets), web_keys)
+# each threshold of the profiles, a float just above one, and values between
+thresholds = st.sampled_from([0.0, 0.2, 0.5, 0.8, math.nextafter(0.8, 1.0), 0.95, 1.0])
+
 
 # -- tokenizer and similarity ---------------------------------------------------
 
@@ -393,11 +408,12 @@ def _brute_force(live, q, k, threshold, ws, wh, gate=None):
 
 
 @settings(max_examples=60, deadline=None)
-@given(keys=st.lists(st.tuples(token_sets, token_sets), min_size=25, max_size=60),
+@given(keys=st.one_of(st.lists(st.tuples(token_sets, token_sets), min_size=25, max_size=60),
+                      st.lists(web_keys, min_size=25, max_size=60)),
        capacity=st.one_of(st.none(), st.integers(1, 10)),
-       query=st.tuples(token_sets, token_sets),
+       query=any_keys,
        k=st.integers(1, 12),
-       threshold=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+       threshold=thresholds,
        weights=st.sampled_from([(0.75, 0.25), (1.0, 0.0), (0.5, 0.5), (0.1, 0.7)]))
 def test_retrieve_matches_brute_force_ranking(keys, capacity, query, k, threshold, weights):
     # at least 25 inserts into at most 10 rows evicts past the point where
@@ -415,15 +431,17 @@ def test_retrieve_matches_brute_force_ranking(keys, capacity, query, k, threshol
 # a small pool of keys makes pairs repeat: a pair often holds more rows than
 # k, more than k pairs pass, pairs tie on similarity, and under a capacity
 # whole pairs die
-pooled_keys = st.lists(st.tuples(token_sets, token_sets), min_size=1, max_size=15)
+pooled_keys = st.one_of(st.lists(st.tuples(token_sets, token_sets), min_size=1, max_size=15),
+                        st.lists(web_keys, min_size=1, max_size=15))
 pooled_inserts = st.lists(st.integers(0, 14), min_size=20, max_size=120)
-pooled_thresholds = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 0.9, 1.0])
+pooled_thresholds = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 0.8, math.nextafter(0.8, 1.0),
+                                     0.9, 0.95, 1.0])
 pooled_weights = st.sampled_from([(0.75, 0.25), (1.0, 0.0), (0.5, 0.5), (0.1, 0.7)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(pool=pooled_keys, picks=pooled_inserts, capacity=capacities,
-       query=st.one_of(st.integers(0, 14), st.tuples(token_sets, token_sets)),
+       query=st.one_of(st.integers(0, 14), any_keys),
        k=st.integers(1, 12), threshold=pooled_thresholds, weights=pooled_weights)
 def test_retrieve_matches_brute_force_on_repeated_keys(pool, picks, capacity, query, k,
                                                       threshold, weights):
@@ -442,7 +460,7 @@ def test_retrieve_matches_brute_force_on_repeated_keys(pool, picks, capacity, qu
 
 @settings(max_examples=60, deadline=None)
 @given(pool=pooled_keys, picks=pooled_inserts, capacity=capacities,
-       query=st.one_of(st.integers(0, 14), st.tuples(token_sets, token_sets)),
+       query=st.one_of(st.integers(0, 14), any_keys),
        task=token_sets, k=st.integers(1, 12), threshold=pooled_thresholds,
        gate_threshold=st.sampled_from([0.0, 0.2, 0.3, 0.5, 0.7, 1.0]),
        gate_weights=st.sampled_from([(0.7, 0.3), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0)]))
@@ -469,6 +487,41 @@ def test_retrieve_skips_pairs_whose_rows_are_all_evicted():
     # three pairs pass and the best of them is dead: k=1 must still find a row
     (entry, sim), = store.retrieve(query, k=1, threshold=0.0).entries
     assert (entry.action, sim) == ("half", 0.5)
+
+def test_retrieve_at_the_bound_needs_a_perfect_history():
+    # at this threshold a pair must share 4 of the query's 5 state tokens, and
+    # with only 4 it passes on an identical history alone
+    threshold = 0.75 * (4 / 5) + 0.25 * 1.0
+    query = StateKey("a b c d e", history="go north")
+    at_bound = StateKey("a b c d", history="go north")
+    store = MemoryStore()  # default 0.75 state / 0.25 history
+    store.add(at_bound, "four shared", 0.0)
+    store.add(StateKey("a b c d", history="go south"), "history 1/3", 1.0)
+    store.add(StateKey("a b c", history="go north"), "three shared", 2.0)
+    store.add(StateKey("a b c x", history="go north"), "three of six", 3.0)
+    assert query.similarity(at_bound) == threshold
+    kept = store.retrieve(query, k=10, threshold=threshold).entries
+    assert [(e.action, sim) for e, sim in kept] == [("four shared", threshold)]
+    assert not store.retrieve(query, k=10, threshold=math.nextafter(threshold, 1.0))
+
+
+def test_retrieve_never_returns_an_evicted_state_set_still_indexed():
+    # five rows into a capacity of four evict the first, but the store
+    # rebuilds its tables only once the evicted prefix passes half the rows,
+    # so the first row's state set is still in the postings
+    query = StateKey("a b c d", history="go north")
+    store = MemoryStore(capacity=4)
+    store.add(query, "evicted", 0.0)
+    store.add(StateKey("a b c e", history="go north"), "other set", 1.0)
+    for i in range(3):
+        store.add(StateKey(f"x{i}"), "filler", 2.0)
+    assert [e.action for e in store.entries] == ["other set", "filler", "filler", "filler"]
+    assert not store.retrieve(query, k=10, threshold=0.95)
+    # a live pair of the same state set comes back, its evicted sibling does not
+    store.add(StateKey("a b c d", history="look"), "live sibling", 3.0)
+    assert [e.action for e, _ in store.retrieve(query, k=10, threshold=0.75).entries] == \
+        ["live sibling"]
+
 
 def test_retrieve_keeps_a_similarity_equal_to_the_threshold():
     store = MemoryStore()  # default 0.75 state / 0.25 history

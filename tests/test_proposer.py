@@ -118,6 +118,15 @@ def test_scripted_candidates_are_spelled_as_the_valid_actions():
     assert response.candidates[0][1] == math.log(0.5)
 
 
+def test_scripted_options_spelled_as_one_valid_action_take_one_slot():
+    proposer = CallablePolicyProposer(lambda request: {"LOOK": 0.4, "look": 0.35,
+                                                       "go north": 0.25})
+    response = proposer.propose(ProposerRequest(state_text="s",
+                                                valid_actions=["look", "go north"],
+                                                n_candidates=2))
+    assert response.candidates == [("look", math.log(0.4)), ("go north", math.log(0.25))]
+
+
 def test_scripted_policy_is_asked_again_when_nothing_is_valid():
     calls = []
 

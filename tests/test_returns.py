@@ -165,6 +165,20 @@ def test_parse_scores_step_index_must_be_an_integer(step, other):
         parse_step_scores(payload, 2)
 
 
+@pytest.mark.parametrize("score", [2.5, 0.001, -2.5])
+def test_parse_scores_score_must_be_an_integer(score):
+    payload = scored_payload([{"step": 0, "action": "a", "score": score},
+                              {"step": 1, "action": "b", "score": 1}])
+    with pytest.raises(EvaluatorError, match="score must be an integer"):
+        parse_step_scores(payload, 2)
+
+
+def test_parse_scores_accepts_an_integral_float_and_still_clamps():
+    payload = scored_payload([{"step": 0, "action": "a", "score": 2.0},
+                              {"step": 1, "action": "b", "score": -7.0}])
+    assert parse_step_scores(payload, 2) == [2.0, -3.0]
+
+
 def test_parse_scores_orders_by_step_index():
     payload = scored_payload([{"step": 1, "action": "b", "score": 2},
                               {"step": 0, "action": "a", "score": -1}])
