@@ -25,12 +25,11 @@ bounds and scores the rest in Python, a set intersection per state set and a
 history Jaccard memoised per history set. When ``need`` is 0, a pair could
 pass on its history alone, so the query scans: one ``np.bincount`` over the
 postings of its tokens per index, each set's Jaccard and each pair's weighted
-sum once, then a threshold over the pairs. It scans too when the probe would
-score more candidates than the scan costs (``_PROBE_CANDIDATES``). Either way
-only the passing pairs are expanded, along their row links, and only the k
-best of them when more than k pass. So a query costs about the candidates
-that share enough tokens with it, or, when it scans, the number of distinct
-sets and pairs; plus at most k rows per chosen pair, not the number of rows.
+sum once, then a threshold over the pairs. Either way only the passing pairs
+are expanded, along their row links, and only the k best of them when more
+than k pass. So a query costs about the candidates that share enough tokens
+with it, or, when it scans, the number of distinct sets and pairs; plus at
+most k rows per chosen pair, not the number of rows.
 Both paths compute :meth:`StateKey.similarity`'s arithmetic, so the
 similarities are bit-identical to it.
 
@@ -223,16 +222,6 @@ class TaskFilter:
         return self.history_weight * jh + self.task_weight * jt >= self.threshold
 
 
-# The probe gives way to the numpy scan once its postings hold more candidate
-# state sets than this. Measured on 2 cores, Python 3.11, numpy 2.4: on a
-# store of about 800 distinct state sets a scan costs about 40 us, or about
-# 100 us when probes ran before it and its caches are cold, and a candidate
-# 0.5-0.7 us; on 20k distinct random sets a scan costs 250-300 us and a
-# candidate 1.2-1.6 us, as each one is a cache miss. A candidate's cost grows
-# with the store about as fast as the scan's does, so one count serves both.
-_PROBE_CANDIDATES = 120
-
-
 class MemoryFormatError(ValueError):
     """A memory bank record could not be parsed; carries the 1-based line number."""
 
@@ -300,7 +289,6 @@ class MemoryStore:
         self.capacity = capacity
         self.state_weight = state_weight
         self.history_weight = history_weight
-        self._needs: dict[tuple, int] = {}  # see _need
         self._rebuild([])
         self._clock = 0
         self.retrieval_count = 0
@@ -385,8 +373,7 @@ class MemoryStore:
         Python (:meth:`_probe`); its cost follows the candidates that share
         enough tokens, not the distinct sets. When ``need`` is 0, a pair
         could pass on its history alone, so the query scans every distinct
-        set and pair with numpy (:meth:`_scan`); it scans too when the
-        candidates outnumber ``_PROBE_CANDIDATES``. Either way it keeps at
+        set and pair with numpy (:meth:`_scan`). Either way it keeps at
         most k passing pairs and reads at most k rows from each. Those pairs
         hold the top k: a row of any other pair has k pairs ranked above it,
         each with a newest row that ranks above that row.
@@ -399,10 +386,9 @@ class MemoryStore:
         if len(self) == 0:
             return Neighborhood([])
         need = self._need(threshold, len(query.tokens))
-        chosen = None
         if need > 0:
             chosen = self._probe(query, k, threshold, need, task_filter)
-        if chosen is None:
+        else:
             chosen = self._scan(query, k, threshold, task_filter)
         rows = []
         lo, prev = self._start, self._prev
@@ -430,22 +416,14 @@ class MemoryStore:
         which probes no token, when nothing can pass.
         """
         ws, wh = self.state_weight, self.history_weight
-        key = (threshold, nq, ws, wh)
-        need = self._needs.get(key)
-        if need is None:
-            if nq == 0 or not (ws >= 0 and wh >= 0):
-                need = 0
-            else:
-                need = next((i for i in range(nq + 1)
-                             if ws * (i / nq) + wh * 1.0 >= threshold), nq + 1)
-            self._needs[key] = need
-        return need
+        if nq == 0 or not (ws >= 0 and wh >= 0):
+            return 0
+        return next((i for i in range(nq + 1) if ws * (i / nq) + wh * 1.0 >= threshold), nq + 1)
 
     def _probe(self, query: StateKey, k: int, threshold: float, need: int,
-               task_filter: TaskFilter | None) -> list[tuple[float, int]] | None:
+               task_filter: TaskFilter | None) -> list[tuple[float, int]]:
         """(similarity, newest row) of at most k best live passing pairs,
-        scored in Python from the candidates that the bound admits; None when
-        there are more than ``_PROBE_CANDIDATES`` of them.
+        scored in Python from the candidates that the bound admits.
 
         A set sharing ``need`` of the nq query tokens shares at least one of
         any nq - need + 1 of them, so the postings of the rarest ones hold
@@ -459,13 +437,7 @@ class MemoryStore:
         postings, sets, sizes = states.postings, states.sets, states.sizes
         # a token the index has never seen has an empty posting, probed for free
         probe = sorted([postings.get(tok, ()) for tok in qs], key=len)[:nq - need + 1]
-        # postings of distinct keys overlap little, so past twice the budget
-        # their union is not worth building
-        if sum(map(len, probe)) > 2 * _PROBE_CANDIDATES:
-            return None
         candidates = set().union(*probe)
-        if len(candidates) > _PROBE_CANDIDATES:
-            return None
         ws, wh, lo = self.state_weight, self.history_weight, self._start
         perfect_history = wh * 1.0
         qh, history_sets = query.history_tokens, self._histories.sets

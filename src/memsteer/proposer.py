@@ -87,21 +87,26 @@ def _valid_only(options: Sequence[tuple], valid_actions: Sequence[str]) -> list[
 def _ask_for_valid(ask: Callable[[ProposerRequest], tuple[list[tuple], Mapping]],
                    request: ProposerRequest) -> list[tuple]:
     """``ask(request)`` for (action, ...) options, best first, and the reply
-    payload; keep the first ``n_candidates`` valid options (see
-    :func:`_valid_only`), one per valid action: the first option spelled as
-    it. When none is valid, ask once more, then give up."""
-    options, payload = ask(request)
+    payload; keep the first option per action up to case and whitespace, then
+    the first ``n_candidates`` valid ones (see :func:`_valid_only`), so each
+    valid action takes at most one slot. When none is valid, ask once more,
+    then give up."""
+
+    def ask_distinct() -> tuple[list[tuple], Mapping]:
+        options, payload = ask(request)
+        first: dict[str, tuple] = {}
+        for option in options:
+            first.setdefault(IDENTITY_NORMALIZER(option[0]), option)
+        return list(first.values()), payload
+
+    options, payload = ask_distinct()
     if request.valid_actions is not None:
         options = _valid_only(options, request.valid_actions)
         if not options:
-            options, payload = ask(request)
+            options, payload = ask_distinct()
             options = _valid_only(options, request.valid_actions)
             if not options:
                 raise ProposerError("no valid action proposed after retry", payload=payload)
-        first: dict[str, tuple] = {}
-        for option in options:
-            first.setdefault(option[0], option)
-        options = list(first.values())
     return options[: request.n_candidates]
 
 
@@ -312,7 +317,7 @@ class TokenLogitProposer:
         self.temperature = temperature
 
     def _generate_actions(self, request: ProposerRequest) -> tuple[list[tuple[str]], dict]:
-        """Distinct proposed actions as 1-tuples (the option shape of
+        """Proposed actions as 1-tuples (the option shape of
         :func:`_ask_for_valid`), and the reply payload."""
         payload = self.client.complete({
             "model": self.model,
@@ -323,8 +328,7 @@ class TokenLogitProposer:
         if not isinstance(options, list) or not all(isinstance(o, str) and o for o in options):
             raise ProposerError('expected {"options": [<non-empty action strings>]}',
                                 payload=payload)
-        distinct = IDENTITY_NORMALIZER.spellings(options).values()
-        return [(a,) for a in distinct], payload
+        return [(a,) for a in options], payload
 
     def propose(self, request: ProposerRequest) -> ProposerResponse:
         actions = [action for (action,) in _ask_for_valid(self._generate_actions, request)]
@@ -384,7 +388,6 @@ class VerbalizedProposer:
             raise ProposerError('expected {"options": [{"action", "confidence"}]}',
                                 payload=payload)
         parsed: list[tuple[str, int]] = []
-        seen: set[str] = set()
         for item in options:
             try:
                 action = item["action"]
@@ -400,10 +403,7 @@ class VerbalizedProposer:
             if not 0 <= confidence <= 100:
                 raise ProposerError(f"confidence {confidence} outside [0, 100]",
                                     payload=payload)
-            key = IDENTITY_NORMALIZER(action)
-            if key not in seen:  # duplicate actions keep their first confidence
-                seen.add(key)
-                parsed.append((action, confidence))
+            parsed.append((action, confidence))
         return parsed, payload
 
     def propose(self, request: ProposerRequest) -> ProposerResponse:

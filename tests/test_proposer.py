@@ -125,6 +125,9 @@ def test_scripted_options_spelled_as_one_valid_action_take_one_slot():
                                                 valid_actions=["look", "go north"],
                                                 n_candidates=2))
     assert response.candidates == [("look", math.log(0.4)), ("go north", math.log(0.25))]
+    # with no valid actions the first spelling keeps the slot
+    response = proposer.propose(ProposerRequest(state_text="s", n_candidates=2))
+    assert response.candidates == [("LOOK", math.log(0.4)), ("go north", math.log(0.25))]
 
 
 def test_scripted_policy_is_asked_again_when_nothing_is_valid():
@@ -265,6 +268,16 @@ def test_verbalized_90_10_split():
         ProposerRequest(state_text="s", n_candidates=2))
     dist = softmax(np.array([z for _, z in response.candidates]))
     assert np.allclose(dist, [0.9, 0.1], atol=1e-12)
+
+
+def test_verbalized_duplicate_actions_keep_their_first_confidence():
+    client = ScriptedClient([chat_response(verbalized_json([("x", 60), (" X ", 30),
+                                                            ("y", 10)]))])
+    response = VerbalizedProposer(client, model="m").propose(
+        ProposerRequest(state_text="s", n_candidates=2))
+    assert [a for a, _ in response.candidates] == ["x", "y"]
+    dist = softmax(np.array([z for _, z in response.candidates]))
+    assert np.allclose(dist, [60 / 70, 10 / 70], atol=1e-12)
 
 
 def test_verbalized_floor_rule_on_zero_confidences():
