@@ -100,6 +100,22 @@ def add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--memory-capacity", dest="memory_capacity", type=int)
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
+def positive_ints(text: str) -> list[int]:
+    """argparse type: comma-separated integers of at least 1."""
+    return [positive_int(part) for part in text.split(",")]
+
+
 def check_pairing(env: str, proposer: str) -> None:
     needs = {"noisy-advisor": "keydoor", "fixture-policy": "six-mdp"}
     if proposer in needs and env != needs[proposer]:
@@ -128,13 +144,15 @@ def cmd_consistency(args) -> int:
     from memsteer.envs.tabular import six_state_fixture
 
     mdp, policy = six_state_fixture()
-    sizes = [int(s) for s in args.sizes.split(",")]
     points = run_consistency_experiment(
-        mdp, policy, gamma=args.gamma, memory_sizes=sizes,
+        mdp, policy, gamma=args.gamma, memory_sizes=args.sizes,
         seeds=range(args.seeds), beta=args.beta, threshold=args.similarity_threshold)
     summary = summarize_consistency(points)
-    for n in sizes:
-        row = summary[n]
+    for n in args.sizes:
+        row = summary.get(n)
+        if row is None:
+            print(f"N={n:>7d}  no probe retrieval found a neighbour")
+            continue
         print(f"N={n:>7d}  median |V^-V|={row['median_v_error']:.5f}  "
               f"median |Q^-Q|={row['median_q_error']:.5f}  "
               f"median |A^-A|={row['median_a_error']:.5f}  "
@@ -242,9 +260,9 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=cmd_run)
 
     p_cons = sub.add_parser("consistency", help="estimation-error curves vs the oracle")
-    p_cons.add_argument("--sizes", default="200,2000,20000",
+    p_cons.add_argument("--sizes", type=positive_ints, default=[200, 2000, 20000],
                         help="comma-separated memory sizes")
-    p_cons.add_argument("--seeds", type=int, default=20)
+    p_cons.add_argument("--seeds", type=positive_int, default=20)
     p_cons.add_argument("--beta", type=float, default=1.0)
     p_cons.add_argument("--gamma", type=float, default=0.9)
     p_cons.add_argument("--similarity-threshold", dest="similarity_threshold",

@@ -25,21 +25,39 @@ bounds and scores the rest in Python, a set intersection per state set and a
 history Jaccard memoised per history set. When ``need`` is 0, a pair could
 pass on its history alone, so the query scans: one ``np.bincount`` over the
 postings of its tokens per index, each set's Jaccard and each pair's weighted
-sum once, then a threshold over the pairs. Either way only the passing pairs
-are expanded, along their row links, and only the k best of them when more
-than k pass. So a query costs about the candidates that share enough tokens
-with it, or, when it scans, the number of distinct sets and pairs; plus at
-most k rows per chosen pair, not the number of rows.
+sum once, then a threshold over the pairs, and a partition on the k-th best
+similarity before the sort when more than k pass. Either way only the passing
+pairs are expanded, along their row links, and only the k best of them when
+more than k pass. So a query costs about the candidates that share enough
+tokens with it, or, when it scans, the number of distinct sets and pairs; plus
+at most k rows per chosen pair, not the number of rows.
 Both paths compute :meth:`StateKey.similarity`'s arithmetic, so the
 similarities are bit-identical to it.
+
+A store without a capacity never evicts a row, so a pair that passes a query
+once passes it for good, and an agent asks about the same states again and
+again. There a probe's result is memoised per (query state set, query history
+set, threshold, gate): the number of pairs interned when it was scored, the
+number of pairs the probe scored, and every passing (similarity, pair id),
+not only the top k, since the ranking of ties follows each pair's newest row,
+which moves as rows are added. A repeat query scores only the pairs interned
+since, with the probe's arithmetic and the gate, and ranks the pairs by their
+newest rows of now; when more pairs were interned since than its probe
+scored, it probes afresh, so a hit never costs more than a miss. The memo
+holds at most one key per distinct pair and is cleared whole past that. A
+scan is not memoised, nor is any query on a capped store: a full FIFO store
+evicts on every insert.
 
 FIFO eviction moves the start of a live window; once the evicted prefix
 passes half of the rows, the rows and tables are rebuilt from the live
 entries.
 
-Concurrency: retrieval is pure given a snapshot of the store; many readers
-may share one store, but writes require exclusive access (the engine runs
-episodes sequentially, which provides that discipline).
+Concurrency: retrieval returns a pure function of a snapshot of the store,
+but on a store without a capacity it writes a private memo. Its entries are
+replaced whole, never mutated in place, so many readers may share one store
+and never see a half-updated entry; two readers may drop each other's entry,
+which costs only a later probe. Writes require exclusive access (the engine
+runs episodes sequentially, which provides that discipline).
 
 Persistence is line-delimited JSON, one record per line, append-only during a
 run::
@@ -356,6 +374,10 @@ class MemoryStore:
         # (history set id, pair id) of each state set's pairs
         self._state_pairs: list[list[tuple[int, int]]] = []
         self._state_last = array("q")  # newest row position of each state set
+        # (state set, history set, threshold, gate) of a probed query ->
+        # (pairs interned when it was scored, pairs its probe scored, every
+        # passing (similarity, pair id)); used only without a capacity
+        self._memo: dict[tuple, tuple[int, int, tuple[tuple[float, int], ...]]] = {}
         for entry in live:  # at most capacity entries, so none is evicted
             self._insert(entry)
 
@@ -377,6 +399,13 @@ class MemoryStore:
         most k passing pairs and reads at most k rows from each. Those pairs
         hold the top k: a row of any other pair has k pairs ranked above it,
         each with a newest row that ranks above that row.
+
+        A store without a capacity never evicts, so a pair that passes once
+        passes for good. There every passing pair of a probed query is
+        memoised (:meth:`_recall`); asked again with the same threshold and
+        gate, the query skips ``_need`` and the probe, scores only the pairs
+        interned since, and ranks the passing pairs by their newest rows of
+        now. A scan and a capped store keep no memo.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -385,14 +414,25 @@ class MemoryStore:
         self.retrieval_count += 1
         if len(self) == 0:
             return Neighborhood([])
-        need = self._need(threshold, len(query.tokens))
-        if need > 0:
-            chosen = self._probe(query, k, threshold, need, task_filter)
-        else:
-            chosen = self._scan(query, k, threshold, task_filter)
+        memo_key = chosen = None
+        if self.capacity is None:
+            memo_key = (query.tokens, query.history_tokens, threshold, task_filter)
+            chosen = self._recall(memo_key, query)
+        if chosen is None:
+            need = self._need(threshold, len(query.tokens))
+            if need > 0:
+                chosen, scored = self._probe(query, threshold, need, task_filter)
+                if memo_key is not None:
+                    self._remember(memo_key, chosen, scored)
+            else:
+                chosen = self._scan(query, k, threshold, task_filter)
+        if len(chosen) > k:
+            # similarity descending, then newest row descending
+            chosen.sort(reverse=True)
+            del chosen[k:]
         rows = []
         lo, prev = self._start, self._prev
-        for sim, pos in chosen:
+        for sim, pos, _ in chosen:
             for _ in range(k):
                 if pos < lo:  # the rest of the chain is evicted (or -1)
                     break
@@ -402,6 +442,52 @@ class MemoryStore:
         # rise with position, so this is recency first
         rows.sort(reverse=True)
         return Neighborhood([(self._entries[pos], sim) for sim, pos in rows[:k]])
+
+    def _recall(self, memo_key: tuple, query: StateKey) -> list[tuple[float, int, int]] | None:
+        """(similarity, newest row, pair id) of every passing pair of a
+        memoised query, or None when it must probe.
+
+        Only the pairs interned since the entry was scored are scored, with
+        the probe's arithmetic and the gate. When they outnumber the pairs
+        its probe scored, the query probes afresh instead, so a recall is
+        never dearer than a probe. A changed entry is replaced whole, never
+        mutated, so a reader sharing the store never sees half of one.
+        """
+        entry = self._memo.get(memo_key)
+        if entry is None:
+            return None
+        interned, cost, hits = entry
+        n_pairs = len(self._pair_states)
+        if n_pairs - interned > cost:
+            return None
+        pair_last = self._pair_last
+        if n_pairs > interned:
+            qs, qh, threshold, task_filter = query.tokens, query.history_tokens, *memo_key[2:]
+            nq = len(qs)
+            ws, wh = self.state_weight, self.history_weight
+            state_sets, sizes = self._states.sets, self._states.sizes
+            history_sets, pair_histories = self._histories.sets, self._pair_histories
+            fresh = []
+            for pid in range(interned, n_pairs):
+                sid = self._pair_states[pid]
+                size = sizes[sid]
+                inter = len(qs & state_sets[sid])
+                state_part = ws * (inter / (nq + size - inter))
+                sim = state_part + wh * jaccard(qh, history_sets[pair_histories[pid]])
+                if sim >= threshold and (task_filter is None or task_filter.admits(
+                        query, self._entries[pair_last[pid]])):
+                    fresh.append((sim, pid))
+            hits += tuple(fresh)
+            self._memo[memo_key] = (n_pairs, cost, hits)
+        return [(sim, pair_last[pid], pid) for sim, pid in hits]
+
+    def _remember(self, memo_key: tuple, hits: list[tuple[float, int, int]], cost: int) -> None:
+        """Memoise a probe's passing pairs. The memo holds at most one key per
+        distinct pair; it is cleared whole past that."""
+        n_pairs = len(self._pair_states)
+        if len(self._memo) >= n_pairs:
+            self._memo.clear()
+        self._memo[memo_key] = (n_pairs, cost, tuple((sim, pid) for sim, _, pid in hits))
 
     def _need(self, threshold: float, nq: int) -> int:
         """The fewest of a query's ``nq`` state tokens that a passing pair's
@@ -420,10 +506,11 @@ class MemoryStore:
             return 0
         return next((i for i in range(nq + 1) if ws * (i / nq) + wh * 1.0 >= threshold), nq + 1)
 
-    def _probe(self, query: StateKey, k: int, threshold: float, need: int,
-               task_filter: TaskFilter | None) -> list[tuple[float, int]]:
-        """(similarity, newest row) of at most k best live passing pairs,
-        scored in Python from the candidates that the bound admits.
+    def _probe(self, query: StateKey, threshold: float, need: int, task_filter: TaskFilter | None
+               ) -> tuple[list[tuple[float, int, int]], int]:
+        """(similarity, newest row, pair id) of every live passing pair,
+        scored in Python from the candidates that the bound admits, and the
+        number of pairs it scored.
 
         A set sharing ``need`` of the nq query tokens shares at least one of
         any nq - need + 1 of them, so the postings of the rarest ones hold
@@ -444,6 +531,7 @@ class MemoryStore:
         state_last, state_pairs, pair_last = self._state_last, self._state_pairs, self._pair_last
         history_parts: dict[int, float] = {}  # history set id -> weighted Jaccard
         hits = []
+        scored = 0
         for sid in candidates:
             if state_last[sid] < lo:  # every row of the set is evicted
                 continue
@@ -456,7 +544,9 @@ class MemoryStore:
             state_part = ws * (inter / (nq + size - inter))
             if state_part + perfect_history < threshold:
                 continue
-            for hid, pid in state_pairs[sid]:
+            pairs = state_pairs[sid]
+            scored += len(pairs)
+            for hid, pid in pairs:
                 history_part = history_parts.get(hid)
                 if history_part is None:
                     history_part = history_parts[hid] = wh * jaccard(qh, history_sets[hid])
@@ -464,22 +554,18 @@ class MemoryStore:
                 if sim >= threshold:
                     pos = pair_last[pid]
                     if pos >= lo:
-                        hits.append((sim, pos))
+                        hits.append((sim, pos, pid))
         if task_filter is not None:
             # admits reads only the entry's two token sets, which every row
             # of a pair shares, so the pair's newest row stands for them all
             hits = [hit for hit in hits if task_filter.admits(query, self._entries[hit[1]])]
-        if len(hits) > k:
-            # similarity descending, then newest row descending
-            hits.sort(reverse=True)
-            del hits[k:]
-        return hits
+        return hits, scored
 
     def _scan(self, query: StateKey, k: int, threshold: float,
-              task_filter: TaskFilter | None) -> list[tuple[float, int]]:
-        """(similarity, newest row) of the passing pairs, scored over every
-        distinct set and pair with numpy; only the k best live ones when more
-        than k pass."""
+              task_filter: TaskFilter | None) -> list[tuple[float, int, int]]:
+        """(similarity, newest row, pair id) of the passing pairs, scored over
+        every distinct set and pair with numpy; only the k best live ones when
+        more than k pass."""
         # weighted once per distinct set and summed once per distinct pair;
         # the sum has the operand order of StateKey.similarity, so it is
         # bit-identical. The array.array views are never bound to a name: a
@@ -495,13 +581,22 @@ class MemoryStore:
             admitted = np.array([task_filter.admits(query, self._entries[pos])
                                  for pos in last.tolist()], dtype=bool)
             top, last = top[admitted], last[admitted]
+        sims = pair_sims[top]
         if top.size > k:
             alive = last >= self._start
-            top, last = top[alive], last[alive]
+            top, last, sims = top[alive], last[alive], sims[alive]
+            if top.size > k:
+                # only pairs at or above the k-th best similarity can rank in
+                # the top k; ties with it stay in, so the sort below decides.
+                # Selecting the k-th smallest negated value stays fast when
+                # most similarities are equal, selecting from the top does not
+                kth = -np.partition(-sims, k - 1)[k - 1]
+                cut = sims >= kth
+                top, last, sims = top[cut], last[cut], sims[cut]
             # similarity descending, then newest row descending
-            order = np.lexsort((-last, -pair_sims[top]))[:k]
-            top, last = top[order], last[order]
-        return list(zip(pair_sims[top].tolist(), last.tolist()))
+            order = np.lexsort((-last, -sims))[:k]
+            top, last, sims = top[order], last[order], sims[order]
+        return list(zip(sims.tolist(), last.tolist(), top.tolist()))
 
     # -- persistence ---------------------------------------------------------
 

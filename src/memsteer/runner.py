@@ -515,6 +515,9 @@ def run_consistency_experiment(mdp: TabularMDP, policy, gamma: float,
     policy. ``tv`` is the total-variation gap between the KL-tilted policies
     built from estimated vs exact advantages.
     """
+    for n in memory_sizes:
+        if n < 1:
+            raise ValueError(f"memory size {n} must be >= 1")
     policy = np.asarray(policy, dtype=np.float64)
     exact = exact_policy_values(mdp, policy, gamma)
     if probe_states is None:

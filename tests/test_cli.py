@@ -102,6 +102,25 @@ def test_consistency_subcommand(tmp_path, capsys):
     assert set(summary) == {"100", "400"}
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--seeds", "0"], "--seeds"), (["--seeds", "-3"], "--seeds"),
+    (["--sizes", "0"], "--sizes"), (["--sizes", "200,-5"], "--sizes"),
+    (["--sizes", "200,abc"], "--sizes"), (["--sizes", "200,"], "--sizes"),
+])
+def test_consistency_rejects_counts_that_are_not_positive_integers(flags, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["consistency", *flags])
+    assert exc.value.code == 2
+    assert f"argument {named}" in capsys.readouterr().err
+
+
+def test_consistency_reports_a_size_without_neighbours(monkeypatch, capsys):
+    # every probe retrieval of the size came back empty, so no point was kept
+    monkeypatch.setattr("memsteer.cli.run_consistency_experiment", lambda *a, **kw: [])
+    assert main(["consistency", "--sizes", "50", "--seeds", "1"]) == 0
+    assert "N=     50  no probe retrieval found a neighbour" in capsys.readouterr().out
+
+
 def test_verify_optimality_subcommand(capsys):
     code = main(["verify-optimality", "--instances", "12", "--step", "0.02"])
     assert code == 0

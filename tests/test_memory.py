@@ -540,6 +540,152 @@ def test_retrieve_keeps_a_similarity_equal_to_the_threshold():
     assert [e.time_index for e, _ in just_above] == [1]
 
 
+# -- the repeat-query memo of a store without a capacity ------------------------------
+
+# a schedule of inserts (an index into the pool) and asks (an index into the
+# queries, k, an index into the thresholds, whether gated), so a few keys are
+# asked again and again, between inserts and back to back, each time with any
+# k, one of two thresholds, and with or without the gate
+schedules = st.lists(st.one_of(st.integers(0, 39),
+                               st.tuples(st.integers(0, 3), st.integers(1, 12),
+                                         st.integers(0, 1), st.booleans())),
+                     min_size=20, max_size=120)
+query_picks = st.lists(st.integers(0, 39), min_size=1, max_size=4)
+gates = st.builds(lambda task, threshold: TaskFilter(" ".join(sorted(task)), threshold),
+                  token_sets, st.sampled_from([0.0, 0.2, 0.3, 0.5, 0.7]))
+# few state sets, each with several histories: a probe then scores several
+# pairs, so a repeated query scores the pairs interned since instead of probing
+shared_keys = st.lists(st.tuples(st.builds(frozenset.union, st.sampled_from(_TEMPLATES),
+                                           st.frozensets(st.sampled_from(["v1", "v2"]),
+                                                         max_size=1)),
+                                 web_histories),
+                       min_size=1, max_size=40)
+
+
+def _check_schedule(store, pool, queries, schedule, thresholds, gate):
+    """Play ``schedule`` on ``store`` after half the pool, checking each ask
+    against the brute-force ranking."""
+    ws, wh = store.state_weight, store.history_weight
+    keys = [_key(*pool[q % len(pool)]) for q in queries]
+    for state, history in pool[:len(pool) // 2]:
+        store.add(_key(state, history), "warm", 0.0)
+    for i, step in enumerate(schedule):
+        if isinstance(step, int):
+            store.add(_key(*pool[step % len(pool)]), f"act{i % 4}", float(i))
+            continue
+        which, k, t, gated = step
+        q, task_filter = keys[which % len(keys)], gate if gated else None
+        want = _brute_force(store.entries, q, k, thresholds[t], ws, wh, task_filter)
+        got = store.retrieve(q, k=k, threshold=thresholds[t], task_filter=task_filter)
+        assert got.entries == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=st.one_of(pooled_keys, shared_keys), queries=query_picks, schedule=schedules,
+       capacity=capacities, weights=pooled_weights,
+       thresholds=st.lists(pooled_thresholds, min_size=2, max_size=2), gate=gates)
+def test_repeated_queries_match_brute_force(pool, queries, schedule, capacity, weights,
+                                            thresholds, gate):
+    store = MemoryStore(capacity=capacity, state_weight=weights[0], history_weight=weights[1])
+    _check_schedule(store, pool, queries, schedule, thresholds, gate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=shared_keys, queries=query_picks, schedule=schedules,
+       thresholds=st.lists(st.sampled_from([0.5, 0.75, 0.8, math.nextafter(0.8, 1.0), 0.9]),
+                           min_size=2, max_size=2),
+       gate=gates)
+def test_memo_hits_match_brute_force(pool, queries, schedule, thresholds, gate):
+    # no capacity and thresholds that probe: most repeated asks are memo hits,
+    # many of them after new pairs were interned
+    _check_schedule(MemoryStore(), pool, queries, schedule, thresholds, gate)
+
+
+def test_memo_reranks_tied_pairs_when_a_row_is_added():
+    # both pairs score 0.75; adding a row to the older one makes it the newer
+    query = StateKey("a b c d", history="go")
+    store = MemoryStore()
+    store.add(StateKey("a b c d", history="x"), "older", 0.0)
+    store.add(StateKey("a b c d", history="y"), "newer", 1.0)
+    assert [e.action for e, _ in store.retrieve(query, k=1, threshold=0.7).entries] == ["newer"]
+    store.add(StateKey("a b c d", history="x"), "older again", 2.0)
+    assert [e.action for e, _ in store.retrieve(query, k=1, threshold=0.7).entries] == \
+        ["older again"]
+
+
+def test_memo_scores_a_pair_interned_after_it():
+    query = StateKey("a b c d", history="go")
+    store = MemoryStore()
+    store.add(StateKey("a b c d", history="x"), "first", 0.0)      # 0.75
+    assert len(store.retrieve(query, k=5, threshold=0.7)) == 1
+    store.add(StateKey("a b c d", history="go"), "exact", 1.0)     # 1.0, a new pair
+    kept = store.retrieve(query, k=5, threshold=0.7).entries
+    assert [(e.action, sim) for e, sim in kept] == [("exact", 1.0), ("first", 0.75)]
+    # the same key at another threshold or behind a gate is another question
+    assert [e.action for e, _ in store.retrieve(query, k=5, threshold=0.9).entries] == ["exact"]
+    assert [e.action for e, _ in store.retrieve(query, k=5, threshold=0.7).entries] == \
+        ["exact", "first"]
+    gate = TaskFilter(task_text="zz", threshold=0.5)  # admits only a history Jaccard >= 5/7
+    assert [e.action for e, _ in store.retrieve(query, k=5, threshold=0.7,
+                                                task_filter=gate).entries] == ["exact"]
+
+
+def test_memo_reprobes_when_new_pairs_outnumber_its_probe():
+    query = StateKey("a b c d", history="go")
+    store = MemoryStore()
+    store.add(StateKey("a b c d", history="x"), "first", 0.0)
+    store.retrieve(query, k=5, threshold=0.7)   # its probe scores one pair
+    for i in range(3):
+        store.add(StateKey(f"q{i}"), "filler", 0.0)
+    store.add(StateKey("a b c d", history="go"), "exact", 1.0)
+    kept = store.retrieve(query, k=5, threshold=0.7).entries
+    assert [e.action for e, _ in kept] == ["exact", "first"]
+    # a fresh probe replaced the entry: it scored the state set's two pairs
+    (entry,) = store._memo.values()
+    assert entry[:2] == (len(store._pairs), 2)
+
+
+def test_mutating_a_neighborhood_leaves_the_next_answer_alone():
+    query = StateKey("a b c d", history="go")
+    store = MemoryStore()
+    for i in range(4):
+        store.add(StateKey("a b c d", history=f"h{i % 2}"), f"act{i}", float(i))
+    first = store.retrieve(query, k=3, threshold=0.7)
+    want = list(first.entries)
+    first.entries.clear()
+    first.entries.append((store.entries[0], 1.0))
+    assert store.retrieve(query, k=3, threshold=0.7).entries == want
+
+
+def test_retrieval_count_counts_memo_hits():
+    query = StateKey("a b c d")
+    store = MemoryStore()
+    store.add(query, "act", 0.0)
+    for _ in range(3):
+        assert store.retrieve(query, k=2, threshold=0.9)
+    assert store.retrieval_count == 3
+
+
+def test_memo_holds_no_more_keys_than_distinct_pairs():
+    store = MemoryStore()
+    store.add(StateKey("a b c d", history="go"), "one", 0.0)
+    store.add(StateKey("a b c e", history="go"), "two", 0.0)
+    for i in range(12):
+        store.retrieve(StateKey(f"a b c d x{i}", history="go"), k=3, threshold=0.5)
+        assert 1 <= len(store._memo) <= len(store._pairs) == 2
+    store.add(StateKey("a b c f", history="go"), "three", 0.0)
+    for i in range(12):
+        store.retrieve(StateKey(f"a b c d y{i}", history="go"), k=3, threshold=0.5)
+        assert 1 <= len(store._memo) <= len(store._pairs) == 3
+
+
+def test_capped_store_keeps_no_memo():
+    store = MemoryStore(capacity=5)
+    store.add(StateKey("a b c d"), "act", 0.0)
+    store.retrieve(StateKey("a b c d"), k=2, threshold=0.9)
+    assert not store._memo
+
+
 _GOOD_RECORD = {"state_text": "hall", "history_text": "", "action": "look",
                 "return": 1.5, "episode": 0, "step": 0, "time": 0}
 

@@ -668,6 +668,14 @@ def test_consistency_zero_noise_exact_match():
         assert point.tv == 0.0
 
 
+@pytest.mark.parametrize("size", [0, -4])
+def test_consistency_rejects_a_memory_size_below_one(size):
+    mdp, policy = six_state_fixture()
+    with pytest.raises(ValueError, match=f"memory size {size}"):
+        run_consistency_experiment(mdp, policy, gamma=0.9, memory_sizes=[50, size],
+                                   seeds=[0], beta=1.0)
+
+
 def test_consistency_error_shrinks_with_memory(rng):
     mdp, policy = six_state_fixture()
     points = run_consistency_experiment(mdp, policy, gamma=0.9,
