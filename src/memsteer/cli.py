@@ -14,6 +14,7 @@ Config files are JSON (see memsteer.config); flags override file values.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import logging
@@ -35,10 +36,16 @@ PROPOSERS = ("noisy-advisor", "uniform", "fixture-policy")
 
 def build_env_factory(name: str):
     if name == "keydoor":
-        from memsteer.envs.textgame import TextMicroGame, key_door_config
+        from memsteer.envs.textgame import key_door_game
 
-        config = key_door_config()  # read once: a game never mutates its config
-        return lambda rng: TextMicroGame(config)
+        game = key_door_game()  # read and checked once: a game never mutates its config
+
+        def fresh_game(rng):
+            episode = copy.copy(game)
+            episode.reset()  # new mutable tables; the config and door table are shared
+            return episode
+
+        return fresh_game
     if name == "six-mdp":
         from memsteer.envs.tabular import TabularEnvAdapter, six_state_fixture
 

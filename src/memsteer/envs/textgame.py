@@ -114,6 +114,10 @@ class TextMicroGame:
         self.config = validate_game_config(config)
         self.max_score = config["max_score"]
         self.step_limit = config["step_limit"]
+        # the door between two rooms; the first listed wins where several are
+        self._doors: dict[frozenset[str], dict] = {}
+        for door in config["doors"]:
+            self._doors.setdefault(frozenset(door["rooms"]), door)
         self.reset()
 
     def reset(self) -> Observation:
@@ -138,10 +142,7 @@ class TextMicroGame:
     # -- world queries ---------------------------------------------------
 
     def _door_at(self, room_a: str, room_b: str) -> dict | None:
-        for door in self.config["doors"]:
-            if set(door["rooms"]) == {room_a, room_b}:
-                return door
-        return None
+        return self._doors.get(frozenset((room_a, room_b)))
 
     def passable_exits(self, room: str) -> dict[str, str]:
         out = {}

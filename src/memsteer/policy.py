@@ -9,7 +9,6 @@ those start from a neutral zero logit.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -109,12 +108,23 @@ def softmax_sample(candidates: Sequence[Candidate], rng: np.random.Generator) ->
         raise ValueError("cannot sample from an empty candidate list")
     logits = [float(c.base_logit if c.updated_logit is None else c.updated_logit)
               for c in candidates]
-    if not all(math.isfinite(z) for z in logits):
+    if not all(map(math.isfinite, logits)):
         raise ValueError(f"non-finite logit among {logits}")
-    distribution = softmax(np.array(logits, dtype=np.float64))
-    # bisect_right on the list is the index searchsorted(side="right") gives
-    chosen = bisect.bisect_right(np.cumsum(distribution).tolist(), rng.random())
-    chosen = min(chosen, len(candidates) - 1)
+    # softmax's arithmetic bit for bit with one exp call: numpy's exp and sum
+    # stay (math.exp and a Python sum differ from them in the last bit)
+    top = max(logits)
+    e = np.exp([z - top for z in logits])
+    distribution = e / e.sum()
+    # the first index whose running sum exceeds the draw, clamped to the last:
+    # bisect_right on np.cumsum, which also adds in sequence
+    draw = rng.random()
+    chosen = len(logits) - 1
+    total = 0.0
+    for i, p in enumerate(distribution.tolist()):
+        total += p
+        if total > draw:
+            chosen = i
+            break
     return Decision(candidates=list(candidates), distribution=distribution, chosen=chosen)
 
 

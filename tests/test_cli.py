@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from memsteer.cli import main
+from memsteer.cli import build_env_factory, build_proposer_factory, main
 from memsteer.config import EngineConfig
+from memsteer.envs import textgame
+from memsteer.runner import run_experiment
 
 
 def test_run_subcommand_writes_outputs(tmp_path, capsys):
@@ -19,6 +21,30 @@ def test_run_subcommand_writes_outputs(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mode"] == "memsteer"
     assert summary["episodes"] == 3
+
+
+def test_keydoor_factory_checks_its_config_only_when_built_and_shares_no_table(monkeypatch):
+    checked = []
+    check = textgame.validate_game_config
+    monkeypatch.setattr(textgame, "validate_game_config",
+                        lambda config: checked.append(config) or check(config))
+    factory = build_env_factory("keydoor")
+    at_build = len(checked)
+    names = ("inventory", "room_objects", "open_doors", "fired", "visits")
+    tables = []  # each episode's tables as its game was built, kept alive
+
+    def env_factory(rng):
+        game = factory(rng)
+        tables.append([getattr(game, name) for name in names])
+        tables[-1].extend(game.room_objects.values())
+        return game
+
+    run_experiment(EngineConfig.profile("text-game", 2.0, episodes=5, seed=0), env_factory,
+                   build_proposer_factory("noisy-advisor", 0.3))
+    assert at_build >= 1 and len(checked) == at_build  # no episode re-checks it
+    assert len(tables) == 5
+    every = [id(table) for episode in tables for table in episode]
+    assert len(set(every)) == len(every)
 
 
 def test_run_requires_beta(capsys):

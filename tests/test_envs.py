@@ -171,6 +171,40 @@ def test_game_config_validation_errors():
         TextMicroGame(config)
 
 
+def _door_by_linear_search(config, room_a, room_b):
+    for door in config["doors"]:
+        if set(door["rooms"]) == {room_a, room_b}:
+            return door
+    return None
+
+
+def _with_second_doors():
+    config = copy.deepcopy(key_door_config())
+    config["doors"] += [
+        {"id": "oakgate", "title": "oak gate", "rooms": ["vault", "gallery"], "requires": "key"},
+        {"id": "hallgate", "title": "hall gate", "rooms": ["hall", "corridor"], "requires": "key"},
+        {"id": "hallbars", "title": "hall bars", "rooms": ["corridor", "hall"], "requires": "key"},
+    ]
+    return config
+
+
+@pytest.mark.parametrize("config", [key_door_config(), _with_second_doors()],
+                         ids=["key-door", "second-doors"])
+def test_door_lookup_matches_the_linear_search(config):
+    game = TextMicroGame(config)
+    for room_a in config["rooms"]:
+        for room_b in config["rooms"]:
+            assert game._door_at(room_a, room_b) is \
+                _door_by_linear_search(config, room_a, room_b)
+
+
+def test_first_listed_door_wins_between_the_same_rooms():
+    game = TextMicroGame(_with_second_doors())
+    assert game._door_at("gallery", "vault")["id"] == "irondoor"
+    assert game._door_at("vault", "gallery")["id"] == "irondoor"
+    assert game._door_at("corridor", "hall")["id"] == "hallgate"
+
+
 def test_load_game_config_from_file(tmp_path):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(key_door_config()), encoding="utf-8")

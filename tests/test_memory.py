@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -48,6 +49,33 @@ def test_tokenize_punctuation_and_dedup():
 
 def test_tokenize_keeps_alphanumerics_together():
     assert tokenize("s3 s12") == {"s3", "s12"}
+
+
+# letters of several scripts and cases (dotted I, sharp s, Greek sigma, CJK),
+# digits of two systems, underscores, punctuation and whitespace
+_TEXT_ALPHABET = "aZ09_ -.,:\t\nİßΣσé漢字٣"
+
+
+@given(st.one_of(st.text(alphabet=_TEXT_ALPHABET, max_size=24), st.text(max_size=24)))
+def test_memoised_tokenize_equals_the_reference(text):
+    reference = frozenset(re.findall(r"[^\W_]+", text.lower()))
+    assert tokenize(text) == reference
+    assert tokenize(text) == reference  # the memoised answer too
+
+
+def test_tokenize_returns_one_shared_set_per_text():
+    first = tokenize("Rope, coin and a KEY")
+    assert tokenize("Rope, coin and a KEY") is first
+    a, b = StateKey("hall key", "go north"), StateKey("hall key", "go north")
+    assert a.tokens is b.tokens and a.history_tokens is b.history_tokens
+
+
+def test_tokenize_memo_stays_within_its_bound():
+    bound = tokenize.cache_info().maxsize
+    for i in range(bound + 100):
+        tokenize(f"distinct text {i}")
+    assert tokenize.cache_info().currsize <= bound
+    assert tokenize("distinct text 0") == {"distinct", "text", "0"}
 
 
 def test_jaccard_identical_sets():

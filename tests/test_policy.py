@@ -1,7 +1,10 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsteer.config import EngineConfig
 from memsteer.envs.textgame import key_door_game, noisy_advisor_policy
@@ -193,6 +196,27 @@ def test_sample_matches_searchsorted_on_boundary_draws(logits, clamps):
     assert any(np.searchsorted(cumsum, u, side="left") != np.searchsorted(cumsum, u, side="right")
                for u in draws)
     assert (np.searchsorted(cumsum, draws[-1], side="right") == len(cands)) == clamps
+
+
+# ties, values near the edge of exp's range after the max is subtracted, and
+# logits of an ordinary spread; 40 logits run past numpy's 8-wide summation
+# blocks, where a Python sum of the same terms can differ in the last bit
+_logit_values = st.one_of(st.floats(-8.0, 8.0), st.floats(-720.0, 720.0),
+                          st.sampled_from([0.0, -0.0, 1.0, 699.5, 700.0, -700.0, -709.0]))
+
+
+@settings(max_examples=300)
+@given(logits=st.lists(_logit_values, min_size=1, max_size=40), data=st.data())
+def test_sample_is_softmax_and_bisect_of_cumsum_bit_for_bit(logits, data):
+    reference = softmax(np.array(logits))
+    cumsum = np.cumsum(reference).tolist()
+    # a uniform draw, or one landing exactly on a cumulative value
+    draw = data.draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                               st.sampled_from([u for u in cumsum if u < 1.0] or [0.0])))
+    decision = softmax_sample(candidates_from([(f"a{i}", z) for i, z in enumerate(logits)]),
+                              FixedDraws([draw]))
+    assert decision.distribution.tobytes() == reference.tobytes()
+    assert decision.chosen == min(bisect.bisect_right(cumsum, draw), len(logits) - 1)
 
 
 def test_sampling_frequencies_match_distribution_chi_squared():
