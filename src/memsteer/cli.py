@@ -18,6 +18,7 @@ import copy
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -115,6 +116,22 @@ def positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
+def unit_float(text: str) -> float:
+    """argparse type: a number in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"{value} is not in [0, 1]")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """argparse type: a finite number of at least 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"{value} is not a finite number >= 0")
     return value
 
 
@@ -270,10 +287,10 @@ def main(argv=None) -> int:
     p_cons.add_argument("--sizes", type=positive_ints, default=[200, 2000, 20000],
                         help="comma-separated memory sizes")
     p_cons.add_argument("--seeds", type=positive_int, default=20)
-    p_cons.add_argument("--beta", type=float, default=1.0)
-    p_cons.add_argument("--gamma", type=float, default=0.9)
+    p_cons.add_argument("--beta", type=non_negative_float, default=1.0)
+    p_cons.add_argument("--gamma", type=unit_float, default=0.9)
     p_cons.add_argument("--similarity-threshold", dest="similarity_threshold",
-                        type=float, default=0.95)
+                        type=unit_float, default=0.95)
     p_cons.add_argument("--out")
     p_cons.set_defaults(func=cmd_consistency)
 

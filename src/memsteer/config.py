@@ -60,6 +60,8 @@ class EngineConfig:
 
     def validate(self) -> None:
         self._check_types()
+        if self.beta < 0.0:
+            raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.k_neighbors < 1:

@@ -5,13 +5,20 @@ memory filled from rollouts reduces to exact state matching. The six-state
 fixture is tuned so that kNN value estimates at N=20000 samples sit well
 inside the convergence tolerances checked by the acceptance suite.
 
-Sampling is inverse-CDF on plain-list tables built once at construction: the
-``.tolist()`` of ``np.cumsum`` over each transition row and over the start
-distribution, searched with ``bisect.bisect_right``. That returns the index
-``np.searchsorted(side="right")`` would, with one ``rng.random()`` per draw
-and no numpy call. One ``StateKey`` per state and one name per action are
-built there too. The tables are read from the tensors only then, so
-mutating the tensors afterwards is not supported.
+Construction builds every table a draw or a rollout reads, as plain Python
+values:
+
+* the ``.tolist()`` of ``np.cumsum`` over each transition row and over the
+  start distribution, searched with ``bisect.bisect_right``. That returns the
+  index ``np.searchsorted(side="right")`` would, with one ``rng.random()``
+  per draw and no numpy call;
+* the terminal flags and the reward rows, the ``.tolist()`` of ``terminal``
+  and ``rewards``;
+* the last state index, the clamp of every state draw;
+* one ``StateKey`` per state and one name per action.
+
+The tables are read from the tensors only then, so mutating the tensors
+afterwards is not supported.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ class TabularMDP:
     gamma: float = 0.99
     _cum_next: list[list[list[float]]] = field(init=False, repr=False)
     _cum_start: list[float] = field(init=False, repr=False)
+    _terminal: list[bool] = field(init=False, repr=False)
+    _reward_rows: list[list[float]] = field(init=False, repr=False)
+    _last_state: int = field(init=False, repr=False)
     _state_keys: list[StateKey] = field(init=False, repr=False)
     _action_names: list[str] = field(init=False, repr=False)
 
@@ -62,6 +72,9 @@ class TabularMDP:
             raise ValueError("gamma must lie in [0, 1]")
         self._cum_next = np.cumsum(self.transitions, axis=2).tolist()
         self._cum_start = np.cumsum(self.start).tolist()
+        self._terminal = self.terminal.tolist()
+        self._reward_rows = self.rewards.tolist()
+        self._last_state = s - 1
         self._state_keys = [StateKey(text=f"s{i}") for i in range(s)]
         self._action_names = [f"a{i}" for i in range(a)]
 
@@ -74,12 +87,10 @@ class TabularMDP:
         return self.transitions.shape[1]
 
     def sample_start(self, rng: np.random.Generator) -> int:
-        i = bisect_right(self._cum_start, rng.random())
-        return min(i, self.n_states - 1)
+        return min(bisect_right(self._cum_start, rng.random()), self._last_state)
 
     def sample_next(self, s: int, a: int, rng: np.random.Generator) -> int:
-        i = bisect_right(self._cum_next[s][a], rng.random())
-        return min(i, self.n_states - 1)
+        return min(bisect_right(self._cum_next[s][a], rng.random()), self._last_state)
 
     def state_key(self, s: int) -> StateKey:
         """The key ``StateKey("s<s>")``, one shared instance per state."""

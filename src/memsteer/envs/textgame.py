@@ -118,6 +118,14 @@ class TextMicroGame:
         self._doors: dict[frozenset[str], dict] = {}
         for door in config["doors"]:
             self._doors.setdefault(frozenset(door["rooms"]), door)
+        # each room's exits in config order as (direction, destination, door
+        # or None), and the advisor's next hops; passability reads only the
+        # config and the open doors, so copies of a game share both
+        self._exits: dict[str, tuple[tuple[str, str, dict | None], ...]] = {
+            rid: tuple((direction, dest, self._door_at(rid, dest))
+                       for direction, dest in room.get("exits", {}).items())
+            for rid, room in config["rooms"].items()}
+        self._hops: dict[tuple[str, str, frozenset[str]], str | None] = {}
         self.reset()
 
     def reset(self) -> Observation:
@@ -145,12 +153,9 @@ class TextMicroGame:
         return self._doors.get(frozenset((room_a, room_b)))
 
     def passable_exits(self, room: str) -> dict[str, str]:
-        out = {}
-        for direction, dest in self.config["rooms"][room].get("exits", {}).items():
-            door = self._door_at(room, dest)
-            if door is None or door["id"] in self.open_doors:
-                out[direction] = dest
-        return out
+        open_doors = self.open_doors
+        return {direction: dest for direction, dest, door in self._exits[room]
+                if door is None or door["id"] in open_doors}
 
     def valid_actions(self) -> list[str]:
         if self.done:
@@ -161,8 +166,7 @@ class TextMicroGame:
                 actions.append(f"take {obj}")
         for obj in self.inventory:
             actions.append(f"put {obj}")
-        for direction, dest in self.config["rooms"][self.room].get("exits", {}).items():
-            door = self._door_at(self.room, dest)
+        for _, _, door in self._exits[self.room]:
             if door is not None and door["id"] not in self.open_doors \
                     and door["requires"] in self.inventory:
                 actions.append(f"unlock {door['title']}")
@@ -175,8 +179,7 @@ class TextMicroGame:
         objects = self.room_objects[self.room]
         if objects:
             parts.append("you see: " + ", ".join(objects))
-        for direction, dest in room.get("exits", {}).items():
-            door = self._door_at(self.room, dest)
+        for direction, _, door in self._exits[self.room]:
             if door is not None:
                 state = "open" if door["id"] in self.open_doors else "locked"
                 parts.append(f"the {door['title']} to the {direction} is {state}")
@@ -233,7 +236,15 @@ class TextMicroGame:
 
 
 def _bfs_next_hop(game: TextMicroGame, src: str, dst: str) -> str | None:
-    """First direction of a shortest passable path src -> dst (deterministic)."""
+    """First direction of a shortest passable path src -> dst (deterministic),
+    memoised per (src, dst, open doors) in the game's hop table."""
+    key = (src, dst, frozenset(game.open_doors))
+    if key not in game._hops:
+        game._hops[key] = _search_next_hop(game, src, dst)
+    return game._hops[key]
+
+
+def _search_next_hop(game: TextMicroGame, src: str, dst: str) -> str | None:
     if src == dst:
         return None
     seen = {src}

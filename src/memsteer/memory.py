@@ -118,9 +118,13 @@ class StateKey:
         return state_weight * js + history_weight * jh
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryEntry:
-    """One stored triplet with provenance."""
+    """One stored triplet with provenance.
+
+    Slotted, so an entry has no ``__dict__``; fields, ``replace``, equality,
+    hash, repr and pickling are those of a plain frozen dataclass.
+    """
 
     state: StateKey
     action: str
@@ -322,8 +326,8 @@ class MemoryStore:
     def add(self, state: StateKey, action: str, return_value: float,
             episode: int = 0, step: int = 0) -> MemoryEntry:
         """Insert one triplet; the store assigns the time index."""
-        entry = MemoryEntry(state=state, action=action, return_value=float(return_value),
-                            episode=episode, step=step, time_index=self._clock)
+        # by position: a keyword call costs about half as much again
+        entry = MemoryEntry(state, action, float(return_value), episode, step, self._clock)
         self._insert(entry)
         self.insert_count += 1
         return entry

@@ -42,6 +42,8 @@ def exact_policy_values(mdp: TabularMDP, policy: np.ndarray, gamma: float | None
     """
     if gamma is None:
         gamma = mdp.gamma
+    if not 0.0 <= gamma <= 1.0:  # also false for NaN
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     policy = np.asarray(policy, dtype=np.float64)
@@ -72,21 +74,33 @@ def exact_policy_values(mdp: TabularMDP, policy: np.ndarray, gamma: float | None
     return ExactValues(v=v, q=q, a=a, residual=residual, iterations=iteration)
 
 
+@lru_cache(maxsize=8)
+def _policy_cum(shape: tuple[int, ...], data: bytes) -> tuple[tuple[float, ...], ...]:
+    """Row cumsums of the float64 policy with this C-order content, as tuples
+    because every caller shares them. ``np.add.accumulate`` is the ufunc
+    ``np.cumsum`` calls, without its dispatch cost."""
+    rows = np.add.accumulate(np.frombuffer(data).reshape(shape), axis=1)
+    return tuple(map(tuple, rows.tolist()))
+
+
 def rollout(mdp: TabularMDP, policy: np.ndarray, rng: np.random.Generator,
             start_state: int | None = None, step_cap: int = 1000):
     """One episode under the policy: (states, actions, rewards) lists.
 
     Draws are inverse-CDF with ``bisect.bisect_right``, the index
     ``np.searchsorted(side="right")`` gives: actions on the policy cumsum,
-    next states on the MDP's list tables built at its construction. The
-    policy cumsum, terminal flags and rewards are read as plain lists once
-    per call.
+    next states on the MDP's list tables built at its construction, which
+    also give the terminal flags and rewards. The policy cumsum comes from a
+    memo of the last 8 distinct policies, keyed by the shape and C-order
+    bytes of the policy as a float64 array: a fixed or repeating policy is
+    summed once, and one changed in place is summed afresh.
     """
+    policy = np.asarray(policy, dtype=np.float64)
+    policy_cum = _policy_cum(policy.shape, policy.tobytes())
     s = mdp.sample_start(rng) if start_state is None else start_state
-    policy_cum = np.cumsum(np.asarray(policy, dtype=np.float64), axis=1).tolist()
     last_action = mdp.n_actions - 1
-    terminal = mdp.terminal.tolist()
-    reward_table = mdp.rewards.tolist()
+    terminal = mdp._terminal
+    reward_rows = mdp._reward_rows
     sample_next = mdp.sample_next
     states, actions, rewards = [], [], []
     for _ in range(step_cap):
@@ -95,7 +109,7 @@ def rollout(mdp: TabularMDP, policy: np.ndarray, rng: np.random.Generator,
         a = min(bisect_right(policy_cum[s], rng.random()), last_action)
         states.append(s)
         actions.append(a)
-        rewards.append(reward_table[s][a])
+        rewards.append(reward_rows[s][a])
         s = sample_next(s, a, rng)
     return states, actions, rewards
 

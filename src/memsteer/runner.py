@@ -518,6 +518,10 @@ def run_consistency_experiment(mdp: TabularMDP, policy, gamma: float,
     for n in memory_sizes:
         if n < 1:
             raise ValueError(f"memory size {n} must be >= 1")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be a finite number >= 0, got {beta}")
+    if not 0.0 <= threshold <= 1.0:  # also false for NaN
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     policy = np.asarray(policy, dtype=np.float64)
     exact = exact_policy_values(mdp, policy, gamma)
     if probe_states is None:

@@ -140,6 +140,20 @@ def test_consistency_rejects_counts_that_are_not_positive_integers(flags, named,
     assert f"argument {named}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--gamma", "1.5"], "--gamma"), (["--gamma", "-0.1"], "--gamma"),
+    (["--gamma", "nan"], "--gamma"), (["--gamma", "x"], "--gamma"),
+    (["--beta", "-1"], "--beta"), (["--beta", "nan"], "--beta"), (["--beta", "inf"], "--beta"),
+    (["--similarity-threshold", "1.5"], "--similarity-threshold"),
+    (["--similarity-threshold", "nan"], "--similarity-threshold"),
+])
+def test_consistency_rejects_rates_out_of_range(flags, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["consistency", "--sizes", "50", "--seeds", "1", *flags])
+    assert exc.value.code == 2
+    assert f"argument {named}" in capsys.readouterr().err
+
+
 def test_consistency_reports_a_size_without_neighbours(monkeypatch, capsys):
     # every probe retrieval of the size came back empty, so no point was kept
     monkeypatch.setattr("memsteer.cli.run_consistency_experiment", lambda *a, **kw: [])

@@ -105,6 +105,14 @@ def test_beta_must_be_finite():
         EngineConfig(beta=float("nan"))
 
 
+@pytest.mark.parametrize("beta", [-1.0, -1e-9])
+def test_beta_must_be_non_negative(beta):
+    # a negative beta would steer toward the lowest advantages
+    with pytest.raises(ConfigError, match="beta must be >= 0"):
+        EngineConfig(beta=beta)
+    assert EngineConfig(beta=0.0).beta == 0.0  # the identity update stays allowed
+
+
 def test_dict_roundtrip_lossless():
     config = EngineConfig.profile("web", beta=2.5, seed=17,
                                   action_rules=[[r"\d+", "{id}"]])

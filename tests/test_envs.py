@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from memsteer.envs import Observation
 from memsteer.envs.abstraction import abstract_state, regularize_url
 from memsteer.envs.tabular import (TabularEnvAdapter, TabularMDP, deterministic_chain,
                                    mdp_step, six_state_fixture)
+from memsteer.envs import textgame
 from memsteer.envs.textgame import (GameConfigError, InvalidActionError, TextMicroGame,
                                     advisor_action, key_door_config, key_door_game,
                                     load_game_config, noisy_advisor_policy, solution_path)
@@ -203,6 +205,103 @@ def test_first_listed_door_wins_between_the_same_rooms():
     assert game._door_at("gallery", "vault")["id"] == "irondoor"
     assert game._door_at("vault", "gallery")["id"] == "irondoor"
     assert game._door_at("corridor", "hall")["id"] == "hallgate"
+
+
+# per-exit references: each exit's door looked up by a linear search of the config
+
+
+def _reference_passable(game, room):
+    out = {}
+    for direction, dest in game.config["rooms"][room].get("exits", {}).items():
+        door = _door_by_linear_search(game.config, room, dest)
+        if door is None or door["id"] in game.open_doors:
+            out[direction] = dest
+    return out
+
+
+def _reference_valid_actions(game):
+    if game.done:
+        return []
+    actions = [f"go {d}" for d in _reference_passable(game, game.room)]
+    actions += [f"take {obj}" for obj in game.room_objects[game.room]
+                if game.config["objects"][obj].get("portable", False)]
+    actions += [f"put {obj}" for obj in game.inventory]
+    for dest in game.config["rooms"][game.room].get("exits", {}).values():
+        door = _door_by_linear_search(game.config, game.room, dest)
+        if door is not None and door["id"] not in game.open_doors \
+                and door["requires"] in game.inventory:
+            actions.append(f"unlock {door['title']}")
+    return actions + ["look"]
+
+
+def _reference_text(game):
+    room = game.config["rooms"][game.room]
+    parts = [f"location: {room['title']}"]
+    if game.room_objects[game.room]:
+        parts.append("you see: " + ", ".join(game.room_objects[game.room]))
+    for direction, dest in room.get("exits", {}).items():
+        door = _door_by_linear_search(game.config, game.room, dest)
+        if door is not None:
+            state = "open" if door["id"] in game.open_doors else "locked"
+            parts.append(f"the {door['title']} to the {direction} is {state}")
+    exits = sorted(_reference_passable(game, game.room))
+    if exits:
+        parts.append("exits: " + ", ".join(exits))
+    if game.inventory:
+        parts.append("carrying: " + ", ".join(game.inventory))
+    flavor = room.get("flavor", [])
+    if flavor:
+        parts.append(flavor[(game.visits[game.room] - 1) % len(flavor)])
+    return ". ".join(parts) + "."
+
+
+def _reference_next_hop(game, src, dst):
+    if src == dst:
+        return None
+    seen, queue = {src}, [(src, None)]
+    for room, first in queue:
+        for direction, nxt in _reference_passable(game, room).items():
+            if nxt not in seen:
+                if nxt == dst:
+                    return first or direction
+                seen.add(nxt)
+                queue.append((nxt, first or direction))
+    return None
+
+
+def _key_in_the_hall(config):
+    # the second doors lock the hall off from the library, so the key starts
+    # in the hall and walks can open them
+    config["rooms"]["library"]["objects"].remove("key")
+    config["rooms"]["hall"]["objects"].append("key")
+    return config
+
+
+@pytest.mark.parametrize("config", [key_door_config(), _key_in_the_hall(_with_second_doors())],
+                         ids=["key-door", "second-doors"])
+def test_world_queries_match_the_per_exit_reference_on_random_walks(config, monkeypatch):
+    for seed in range(12):
+        walk = random.Random(seed)
+        game = TextMicroGame(config)
+        obs = game.observe()
+        while True:
+            for room in config["rooms"]:
+                assert game.passable_exits(room) == _reference_passable(game, room)
+                for _ in range(2):  # a miss, then the memoised hop
+                    assert textgame._bfs_next_hop(game, game.room, room) == \
+                        _reference_next_hop(game, game.room, room)
+            assert game.valid_actions() == obs.valid_actions == _reference_valid_actions(game)
+            assert obs.text == _reference_text(game)
+            advised = advisor_action(game)
+            with monkeypatch.context() as patched:
+                patched.setattr(textgame, "_bfs_next_hop", _reference_next_hop)
+                assert advised == advisor_action(game)
+            if obs.done:
+                break
+            # half the steps follow the advisor, so doors open and rooms fill
+            action = advised if walk.random() < 0.5 and advised in obs.valid_actions \
+                else walk.choice(obs.valid_actions)
+            obs = game.step(action)
 
 
 def test_load_game_config_from_file(tmp_path):

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import re
 import tempfile
 from pathlib import Path
@@ -145,6 +148,70 @@ def test_insert_rejects_empty_action():
     store = MemoryStore()
     with pytest.raises(ValueError, match="non-empty"):
         store.add(StateKey("hall"), "", 1.0)
+
+
+# -- the MemoryEntry dataclass contract ---------------------------------------------
+
+
+def _entry(**changes):
+    fields = dict(state=StateKey("hall door", history="go north"), action="take key",
+                  return_value=1.5, episode=2, step=3, time_index=4)
+    return MemoryEntry(**{**fields, **changes})
+
+
+def test_memory_entry_is_frozen():
+    entry = _entry()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.action = "look"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.return_value = 0.0
+    assert entry.action == "take key" and entry.return_value == 1.5
+
+
+def test_memory_entry_keeps_its_field_order_and_replace():
+    assert [f.name for f in dataclasses.fields(MemoryEntry)] == \
+        ["state", "action", "return_value", "episode", "step", "time_index"]
+    entry = _entry()
+    moved = dataclasses.replace(entry, action="look", time_index=9)
+    assert moved == _entry(action="look", time_index=9)
+    assert moved.state is entry.state
+    assert entry == _entry()  # the original is untouched
+
+
+def test_memory_entry_eq_hash_and_repr():
+    entry = _entry()
+    assert entry == _entry() and hash(entry) == hash(_entry())
+    assert entry != _entry(return_value=2.5) and entry != _entry(time_index=5)
+    assert len({entry, _entry(), _entry(step=7)}) == 2
+    assert repr(entry) == ("MemoryEntry(state=StateKey(text='hall door', history='go north'), "
+                           "action='take key', return_value=1.5, episode=2, step=3, "
+                           "time_index=4)")
+
+
+def test_memory_entry_round_trips_through_pickle_and_copy():
+    entry = _entry()
+    clones = [pickle.loads(pickle.dumps(entry, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    clones += [copy.copy(entry), copy.deepcopy(entry)]
+    for clone in clones:
+        assert type(clone) is MemoryEntry and clone == entry
+        assert clone.state.tokens == entry.state.tokens
+        assert clone.state.history_tokens == entry.state.history_tokens
+
+
+def test_memory_entry_is_slotted():
+    # the one visible difference from a plain frozen dataclass
+    assert not hasattr(_entry(), "__dict__")
+
+
+def test_add_returns_the_entry_built_by_keyword():
+    store = MemoryStore()
+    store.add(StateKey("lamp"), "look", 0.0)
+    entry = store.add(StateKey("hall door", history="go north"), "take key", 3,
+                      episode=2, step=3)
+    assert entry == _entry(return_value=3.0, time_index=1)
+    assert type(entry.return_value) is float
+    assert store.entries[-1] is entry
 
 
 # -- retrieval ------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memsteer import oracle
 from memsteer.envs.tabular import TabularMDP, deterministic_chain, random_mdp, six_state_fixture
 from memsteer.oracle import (closed_form_kl_policy, episode_returns, exact_policy_values,
                              expected_advantage_identity_gap, grid_optimal_kl_policy,
@@ -42,6 +43,13 @@ def test_dp_nonconvergence_raises():
     mdp, policy = six_state_fixture()
     with pytest.raises(RuntimeError, match="did not converge"):
         exact_policy_values(mdp, policy, gamma=0.9, tol=1e-12, max_iterations=3)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 1.5, -0.1])
+def test_dp_rejects_gamma_outside_the_unit_interval(gamma):
+    mdp, policy = six_state_fixture()
+    with pytest.raises(ValueError, match="gamma"):
+        exact_policy_values(mdp, policy, gamma=gamma)
 
 
 def invalid_policy(kind):
@@ -204,6 +212,67 @@ def test_sampler_matches_reference_on_boundary_draws():
     assert rollout(mdp, policy, ours) == reference_rollout(mdp, policy, ref) == \
         ([2, 3], [1, 0], [5.0, 6.0])
     assert ours.values == ref.values == []
+
+
+# -- the policy cumsum memo and the MDP's list tables ----------------------------------
+
+
+def test_rollout_draws_from_a_policy_changed_in_place():
+    # the memo is keyed by the policy's content, so the same array object
+    # with new rows is summed afresh
+    mdp, policy = six_state_fixture()
+    policy = policy.copy()
+    ours, ref = np.random.default_rng(7), np.random.default_rng(7)
+    for row in ([0.4, 0.3, 0.3], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.4, 0.3, 0.3]):
+        policy[:] = row
+        for _ in range(10):
+            drawn = rollout(mdp, policy, ours)
+            assert drawn == reference_rollout(mdp, policy, ref)
+            if row[2] == 1.0:
+                assert set(drawn[1]) == {2}
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_policy_memo_stays_within_its_bound_over_a_drifting_schedule():
+    mdp, final = six_state_fixture()
+    start = np.tile([0.1, 0.1, 0.8], (mdp.n_states, 1))
+    bound = oracle._policy_cum.cache_info().maxsize
+    episodes = 3 * bound
+    schedule = [(1.0 - e / episodes) * start + (e / episodes) * final
+                for e in range(episodes + 1)]
+    ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for policy in schedule + schedule[::-1]:  # and back over the evicted ones
+        assert rollout(mdp, policy, ours) == reference_rollout(mdp, policy, ref)
+        assert oracle._policy_cum.cache_info().currsize <= bound
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_rollout_reads_any_array_like_policy_as_its_float64_array():
+    rng = np.random.default_rng(9)
+    mdp = random_mdp(rng, n_states=5, n_actions=3)
+    policy = rng.dirichlet(np.ones(3), size=5)
+    one_hot = np.eye(3, dtype=np.int64)[[0, 2, 1, 0, 2]]
+    for base, forms in ((policy, [policy.tolist(), np.asfortranarray(policy)]),
+                        (one_hot.astype(np.float64), [one_hot, one_hot.tolist(),
+                                                      np.asfortranarray(one_hot)])):
+        for form in forms:
+            ours, ref = np.random.default_rng(10), np.random.default_rng(10)
+            for _ in range(20):
+                assert rollout(mdp, form, ours) == reference_rollout(mdp, base, ref)
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("mdp", [six_state_fixture()[0], deterministic_chain(),
+                                 random_mdp(np.random.default_rng(3), n_states=7, n_actions=2)],
+                         ids=["six-state", "chain", "random"])
+def test_mdp_list_tables_equal_the_tensors(mdp):
+    assert mdp._cum_next == np.cumsum(mdp.transitions, axis=2).tolist()
+    assert mdp._cum_start == np.cumsum(mdp.start).tolist()
+    assert mdp._terminal == mdp.terminal.tolist()
+    assert all(type(flag) is bool for flag in mdp._terminal)
+    assert mdp._reward_rows == mdp.rewards.tolist()
+    assert all(type(r) is float for row in mdp._reward_rows for r in row)
+    assert mdp._last_state == mdp.n_states - 1
 
 
 # -- simplex grid search --------------------------------------------------------------

@@ -778,6 +778,23 @@ def test_consistency_rejects_invalid_policy_row():
                                    seeds=[0], beta=1.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("beta", float("nan")), ("beta", float("inf")), ("beta", -0.5),
+    ("threshold", float("nan")), ("threshold", 1.5), ("threshold", -0.1),
+])
+def test_consistency_checks_beta_and_threshold_before_the_first_rollout(field, value,
+                                                                        monkeypatch):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before the inputs were checked")
+
+    monkeypatch.setattr("memsteer.runner.rollout", no_rollout)
+    mdp, policy = six_state_fixture()
+    inputs = {"beta": 1.0, "threshold": 0.95, field: value}
+    with pytest.raises(ValueError, match=field):
+        run_consistency_experiment(mdp, policy, gamma=0.9, memory_sizes=[200], seeds=[0],
+                                   **inputs)
+
+
 def test_consistency_rejects_k_above_n():
     mdp, policy = six_state_fixture()
     with pytest.raises(ValueError, match="exceeds"):
