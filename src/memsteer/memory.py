@@ -19,18 +19,21 @@ the threshold and the weights follows ``need``, the fewest shared tokens with
 which a pair can pass even with a perfect history.
 When ``need`` is at least 1, any passing set shares one of the query's
 ``nq - need + 1`` rarest tokens (pigeonhole), so the postings of those tokens
-hold every candidate; a token the index has never seen costs nothing. The
-query skips candidates whose rows are all evicted or whose size is out of
-bounds and scores the rest in Python, a set intersection per state set and a
-history Jaccard memoised per history set. When ``need`` is 0, a pair could
-pass on its history alone, so the query scans: one ``np.bincount`` over the
-postings of its tokens per index, each set's Jaccard and each pair's weighted
-sum once, then a threshold over the pairs, and a partition on the k-th best
-similarity before the sort when more than k pass. Either way only the passing
-pairs are expanded, along their row links, and only the k best of them when
-more than k pass. So a query costs about the candidates that share enough
-tokens with it, or, when it scans, the number of distinct sets and pairs; plus
-at most k rows per chosen pair, not the number of rows.
+hold every candidate; a token the index has never seen costs nothing. One
+Python scorer takes the candidates, each with its pairs: it skips sets whose
+rows are all evicted or whose size is out of bounds, scores the rest, a set
+intersection per state set and a history Jaccard memoised per history set,
+and gates each passing pair. When ``need`` is 0, a pair could pass on its
+history alone, so every distinct set is a candidate and the query scans with
+numpy instead (in the Python scorer a first ask on 20k distinct keys took
+30 to 70 times as long): one ``np.bincount`` over the postings of its tokens
+per index, each set's Jaccard and each pair's weighted sum once, then a
+threshold over the pairs, and a partition on the k-th best similarity before
+the sort when more than k pass. Either way only the passing pairs are
+expanded, along their row links, and only the k best of them when more than k
+pass. So a query costs about the candidates that share enough tokens with it,
+or, when it scans, the number of distinct sets and pairs; plus at most k rows
+per chosen pair, not the number of rows.
 Both paths compute :meth:`StateKey.similarity`'s arithmetic, so the
 similarities are bit-identical to it.
 
@@ -40,8 +43,8 @@ again. There a probe's result is memoised per (query state set, query history
 set, threshold, gate): the number of pairs interned when it was scored, the
 number of pairs the probe scored, and every passing (similarity, pair id),
 not only the top k, since the ranking of ties follows each pair's newest row,
-which moves as rows are added. A repeat query scores only the pairs interned
-since, with the probe's arithmetic and the gate, and ranks the pairs by their
+which moves as rows are added. A repeat query passes only the pairs interned
+since to the scorer, grouped by state set, and ranks the pairs by their
 newest rows of now; when more pairs were interned since than its probe
 scored, it probes afresh, so a hit never costs more than a miss. The memo
 holds at most one key per distinct pair and is cleared whole past that. A
@@ -225,8 +228,9 @@ class TaskFilter:
     if ``history_weight * J(query history, entry history) + task_weight *
     J(task tokens, entry state tokens) >= threshold``. The bank schema has no
     task field, so an entry's task identity is proxied by its state tokens;
-    this composition is an interpretation and is applied before the usual
-    state/history scoring.
+    this composition is an interpretation. It filters the pairs that pass the
+    similarity threshold, before the top-k cut, and a pair's newest row stands
+    for all of its rows, which share both token sets.
     """
 
     task_text: str
@@ -308,6 +312,9 @@ class MemoryStore:
                  history_weight: float = 0.25):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be None or >= 1")
+        for name, weight in (("state_weight", state_weight), ("history_weight", history_weight)):
+            if not 0.0 <= weight <= 1.0:  # NaN too; the retrieval bounds need it
+                raise ValueError(f"{name} must lie in [0, 1], got {weight}")
         self.capacity = capacity
         self.state_weight = state_weight
         self.history_weight = history_weight
@@ -379,9 +386,9 @@ class MemoryStore:
         self._state_pairs: list[list[tuple[int, int]]] = []
         self._state_last = array("q")  # newest row position of each state set
         # (state set, history set, threshold, gate) of a probed query ->
-        # (pairs interned when it was scored, pairs its probe scored, every
-        # passing (similarity, pair id)); used only without a capacity
-        self._memo: dict[tuple, tuple[int, int, tuple[tuple[float, int], ...]]] = {}
+        # (pairs interned when it was scored, pairs its probe scored, its
+        # need, every passing (similarity, pair id)); used only without a capacity
+        self._memo: dict[tuple, tuple[int, int, int, tuple[tuple[float, int], ...]]] = {}
         for entry in live:  # at most capacity entries, so none is evicted
             self._insert(entry)
 
@@ -390,16 +397,16 @@ class MemoryStore:
         """Top-k entries with similarity >= threshold, most similar first.
 
         Ties are broken by time index descending (most recent first). A
-        deterministic function of (store contents, query, k, threshold).
+        deterministic function of (store contents, query, k, threshold, gate).
 
         A pair can pass only if its state set shares at least ``need`` of the
         query's nq state tokens (:meth:`_need`). When ``need`` is at least
         1, the query reads the postings of its ``nq - need + 1`` rarest state
-        tokens, which hold every such set, and scores those candidates in
-        Python (:meth:`_probe`); its cost follows the candidates that share
-        enough tokens, not the distinct sets. When ``need`` is 0, a pair
-        could pass on its history alone, so the query scans every distinct
-        set and pair with numpy (:meth:`_scan`). Either way it keeps at
+        tokens, which hold every such set (:meth:`_probe`), and scores those
+        candidates in Python (:meth:`_score`); its cost follows the candidates
+        that share enough tokens, not the distinct sets. When ``need`` is 0, a
+        pair could pass on its history alone, so the query scans every
+        distinct set and pair with numpy (:meth:`_scan`). Either way it keeps at
         most k passing pairs and reads at most k rows from each. Those pairs
         hold the top k: a row of any other pair has k pairs ranked above it,
         each with a newest row that ranks above that row.
@@ -427,7 +434,12 @@ class MemoryStore:
             if need > 0:
                 chosen, scored = self._probe(query, threshold, need, task_filter)
                 if memo_key is not None:
-                    self._remember(memo_key, chosen, scored)
+                    # at most one key per distinct pair; cleared whole past that
+                    n_pairs = len(self._pair_states)
+                    if len(self._memo) >= n_pairs:
+                        self._memo.clear()
+                    self._memo[memo_key] = (n_pairs, scored, need,
+                                            tuple((sim, pid) for sim, _, pid in chosen))
             else:
                 chosen = self._scan(query, k, threshold, task_filter)
         if len(chosen) > k:
@@ -451,47 +463,28 @@ class MemoryStore:
         """(similarity, newest row, pair id) of every passing pair of a
         memoised query, or None when it must probe.
 
-        Only the pairs interned since the entry was scored are scored, with
-        the probe's arithmetic and the gate. When they outnumber the pairs
+        Only the pairs interned since the entry was scored go through
+        :meth:`_score`, grouped by state set. When they outnumber the pairs
         its probe scored, the query probes afresh instead, so a recall is
         never dearer than a probe. A changed entry is replaced whole, never
         mutated, so a reader sharing the store never sees half of one.
         """
         entry = self._memo.get(memo_key)
-        if entry is None:
-            return None
-        interned, cost, hits = entry
         n_pairs = len(self._pair_states)
-        if n_pairs - interned > cost:
+        if entry is None or n_pairs - entry[0] > entry[1]:
             return None
-        pair_last = self._pair_last
+        interned, cost, need, hits = entry
         if n_pairs > interned:
-            qs, qh, threshold, task_filter = query.tokens, query.history_tokens, *memo_key[2:]
-            nq = len(qs)
-            ws, wh = self.state_weight, self.history_weight
-            state_sets, sizes = self._states.sets, self._states.sizes
-            history_sets, pair_histories = self._histories.sets, self._pair_histories
-            fresh = []
+            groups: dict[int, list[tuple[int, int]]] = {}
             for pid in range(interned, n_pairs):
-                sid = self._pair_states[pid]
-                size = sizes[sid]
-                inter = len(qs & state_sets[sid])
-                state_part = ws * (inter / (nq + size - inter))
-                sim = state_part + wh * jaccard(qh, history_sets[pair_histories[pid]])
-                if sim >= threshold and (task_filter is None or task_filter.admits(
-                        query, self._entries[pair_last[pid]])):
-                    fresh.append((sim, pid))
-            hits += tuple(fresh)
-            self._memo[memo_key] = (n_pairs, cost, hits)
+                groups.setdefault(self._pair_states[pid], []).append(
+                    (self._pair_histories[pid], pid))
+            _, _, threshold, task_filter = memo_key
+            fresh, _ = self._score(query, threshold, need, task_filter, groups, groups)
+            hits += tuple((sim, pid) for sim, _, pid in fresh)
+            self._memo[memo_key] = (n_pairs, cost, need, hits)
+        pair_last = self._pair_last
         return [(sim, pair_last[pid], pid) for sim, pid in hits]
-
-    def _remember(self, memo_key: tuple, hits: list[tuple[float, int, int]], cost: int) -> None:
-        """Memoise a probe's passing pairs. The memo holds at most one key per
-        distinct pair; it is cleared whole past that."""
-        n_pairs = len(self._pair_states)
-        if len(self._memo) >= n_pairs:
-            self._memo.clear()
-        self._memo[memo_key] = (n_pairs, cost, tuple((sim, pid) for sim, _, pid in hits))
 
     def _need(self, threshold: float, nq: int) -> int:
         """The fewest of a query's ``nq`` state tokens that a passing pair's
@@ -501,42 +494,49 @@ class MemoryStore:
         and every rounding in the score is monotone; so a pair sharing i
         tokens fails when even ``state_weight * (i / nq) + history_weight *
         1.0``, its score with a perfect history in the scorer's own floats,
-        is below the threshold. 0 when nothing is bounded (an empty query, a
-        negative weight, or a threshold the history alone reaches); nq + 1,
-        which probes no token, when nothing can pass.
+        is below the threshold (both weights lie in [0, 1]). 0 when nothing is
+        bounded (an empty query, or a threshold the history alone reaches);
+        nq + 1, which probes no token, when nothing can pass.
         """
-        ws, wh = self.state_weight, self.history_weight
-        if nq == 0 or not (ws >= 0 and wh >= 0):
+        if nq == 0:
             return 0
+        ws, wh = self.state_weight, self.history_weight
         return next((i for i in range(nq + 1) if ws * (i / nq) + wh * 1.0 >= threshold), nq + 1)
 
     def _probe(self, query: StateKey, threshold: float, need: int, task_filter: TaskFilter | None
                ) -> tuple[list[tuple[float, int, int]], int]:
-        """(similarity, newest row, pair id) of every live passing pair,
-        scored in Python from the candidates that the bound admits, and the
-        number of pairs it scored.
-
-        A set sharing ``need`` of the nq query tokens shares at least one of
-        any nq - need + 1 of them, so the postings of the rarest ones hold
-        every set that can pass. Each candidate's score is the arithmetic of
-        :meth:`StateKey.similarity`: an exact intersection count, one
-        division and the weighted sum, so it is bit-identical to it.
-        """
+        """:meth:`_score` of each state set in the postings of the query's
+        ``nq - need + 1`` rarest state tokens, with all of its pairs."""
         qs = query.tokens
-        nq = len(qs)
-        states = self._states
-        postings, sets, sizes = states.postings, states.sets, states.sizes
         # a token the index has never seen has an empty posting, probed for free
-        probe = sorted([postings.get(tok, ()) for tok in qs], key=len)[:nq - need + 1]
-        candidates = set().union(*probe)
+        probe = sorted([self._states.postings.get(tok, ()) for tok in qs], key=len)
+        candidates = set().union(*probe[:len(qs) - need + 1])
+        return self._score(query, threshold, need, task_filter, candidates, self._state_pairs)
+
+    def _score(self, query: StateKey, threshold: float, need: int,
+               task_filter: TaskFilter | None, sids: Iterable[int], pairs_of
+               ) -> tuple[list[tuple[float, int, int]], int]:
+        """(similarity, newest row, pair id) of every live pair that passes
+        the threshold and the gate, and the number of pairs it scored. The
+        pairs are ``pairs_of[sid]``, each a (history set id, pair id), for
+        each state set id ``sid`` in ``sids``.
+
+        A set that is all evicted, or whose size or state Jaccard fails even
+        with a perfect history, is skipped whole. A score is the arithmetic of
+        :meth:`StateKey.similarity`, an exact intersection count, one division
+        and the weighted sum, so it is bit-identical to it.
+        """
+        qs, qh = query.tokens, query.history_tokens
+        nq = len(qs)
+        state_sets, sizes = self._states.sets, self._states.sizes
+        history_sets = self._histories.sets
         ws, wh, lo = self.state_weight, self.history_weight, self._start
         perfect_history = wh * 1.0
-        qh, history_sets = query.history_tokens, self._histories.sets
-        state_last, state_pairs, pair_last = self._state_last, self._state_pairs, self._pair_last
+        state_last, pair_last, entries = self._state_last, self._pair_last, self._entries
         history_parts: dict[int, float] = {}  # history set id -> weighted Jaccard
         hits = []
         scored = 0
-        for sid in candidates:
+        for sid in sids:
             if state_last[sid] < lo:  # every row of the set is evicted
                 continue
             # a set of s tokens shares at most s of the query's and, when
@@ -544,11 +544,11 @@ class MemoryStore:
             size = sizes[sid]
             if size < need or size > nq and ws * (nq / size) + perfect_history < threshold:
                 continue
-            inter = len(qs & sets[sid])
+            inter = len(qs & state_sets[sid])
             state_part = ws * (inter / (nq + size - inter))
             if state_part + perfect_history < threshold:
                 continue
-            pairs = state_pairs[sid]
+            pairs = pairs_of[sid]
             scored += len(pairs)
             for hid, pid in pairs:
                 history_part = history_parts.get(hid)
@@ -557,12 +557,11 @@ class MemoryStore:
                 sim = state_part + history_part
                 if sim >= threshold:
                     pos = pair_last[pid]
-                    if pos >= lo:
+                    # admits reads only the entry's two token sets, which every
+                    # row of a pair shares, so the pair's newest row stands for them all
+                    if pos >= lo and (task_filter is None
+                                      or task_filter.admits(query, entries[pos])):
                         hits.append((sim, pos, pid))
-        if task_filter is not None:
-            # admits reads only the entry's two token sets, which every row
-            # of a pair shares, so the pair's newest row stands for them all
-            hits = [hit for hit in hits if task_filter.admits(query, self._entries[hit[1]])]
         return hits, scored
 
     def _scan(self, query: StateKey, k: int, threshold: float,
@@ -581,7 +580,7 @@ class MemoryStore:
         top = np.flatnonzero(pair_sims >= threshold)
         last = np.frombuffer(self._pair_last, dtype=np.int64)[top]
         if task_filter is not None:
-            # see _probe: a pair's newest row stands for all of its rows
+            # see _score: a pair's newest row stands for all of its rows
             admitted = np.array([task_filter.admits(query, self._entries[pos])
                                  for pos in last.tolist()], dtype=bool)
             top, last = top[admitted], last[admitted]

@@ -241,6 +241,24 @@ def test_retrieve_threshold_filter():
     assert [e.action for e, _ in neighborhood.entries] == ["hit"]
 
 
+@pytest.mark.parametrize("name", ["state_weight", "history_weight"])
+@pytest.mark.parametrize("weight", [-0.1, math.nan, 1.5])
+def test_store_rejects_a_weight_outside_the_unit_interval(tmp_path, name, weight):
+    # the retrieval bounds assume non-negative weights; NaN fails every comparison
+    path = tmp_path / "bank.jsonl"
+    MemoryStore().save(path)
+    with pytest.raises(ValueError, match=f"{name} must lie in \\[0, 1\\]"):
+        MemoryStore(**{name: weight})
+    with pytest.raises(ValueError, match=f"{name} must lie in \\[0, 1\\]"):
+        MemoryStore.load(path, **{name: weight})
+
+
+@pytest.mark.parametrize("weights", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)])
+def test_store_accepts_the_ends_of_the_unit_interval(weights):
+    store = MemoryStore(state_weight=weights[0], history_weight=weights[1])
+    assert (store.state_weight, store.history_weight) == weights
+
+
 def test_retrieve_caps_at_k_and_respects_threshold(rng):
     store = populated_store(rng, 300)
     query = StateKey("door key hall", "go north")

@@ -387,10 +387,10 @@ def output_digests(out_dir, names):
             for name in names}
 
 
-def keydoor_pin_run(out_dir, mode, capacity, proposer_factory=None):
+def keydoor_pin_run(out_dir, mode, capacity, proposer_factory=None, **overrides):
     env_factory, advisor_factory = keydoor_factories()
     config = EngineConfig.profile("text-game", beta=2.0, episodes=6, seed=7,
-                                  memory_capacity=capacity)
+                                  memory_capacity=capacity, **overrides)
     run_experiment(config, env_factory, proposer_factory or advisor_factory, mode=mode,
                    out_dir=out_dir)
 
@@ -399,6 +399,32 @@ def keydoor_pin_run(out_dir, mode, capacity, proposer_factory=None):
 def test_keydoor_output_bytes_are_pinned(tmp_path, capacity):
     keydoor_pin_run(tmp_path, "memsteer", capacity)
     expected = KEYDOOR_OUTPUT_SHA256[capacity]
+    assert output_digests(tmp_path, expected) == expected
+
+
+# the same memsteer run at similarity threshold 0.2, which a pair can pass on
+# its history alone, so every query scans the distinct keys with numpy instead
+# of probing the postings; the four raw files only
+KEYDOOR_SCAN_SHA256 = {
+    None: {
+        "metrics.csv": "f835cb504d93ffdd9fc303d021c2da54aa75e44008c846b29478cea0e706b422",
+        "summary.json": "4ef6d07465a171cb8b5791ebb7a2812e08593e3b22d6b7470c332372b3cbf4a6",
+        "records.jsonl": "d1efb085ac1dc652c37d48253e7f06424c4db42a83c870f37acebdd3700b6b3f",
+        "memory.jsonl": "63a01975e9c059524788d4113462e37048cf4584da600f34b58da86ddc9b391f",
+    },
+    50: {
+        "metrics.csv": "3313b93c84960441ae096316bda8a5b379d04ff306ca477b8e2eb4c97cf7034e",
+        "summary.json": "e8f0b040df9622cd7375e8d799d1c8cc9381ece639af03bb6f3468cec2f66c04",
+        "records.jsonl": "b4aabcc2d4adbb11b4101147e30d55b6086079cefc00c58f10ffb13d18bbeef3",
+        "memory.jsonl": "c40d4670fc903f7946c64c0ead35f83748977efa6105458f685a0a30567a479c",
+    },
+}
+
+
+@pytest.mark.parametrize("capacity", [None, 50])
+def test_keydoor_scan_output_bytes_are_pinned(tmp_path, capacity):
+    keydoor_pin_run(tmp_path, "memsteer", capacity, similarity_threshold=0.2)
+    expected = KEYDOOR_SCAN_SHA256[capacity]
     assert output_digests(tmp_path, expected) == expected
 
 
