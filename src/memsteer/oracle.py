@@ -83,9 +83,13 @@ def _policy_cum(shape: tuple[int, ...], data: bytes) -> tuple[tuple[float, ...],
     return tuple(map(tuple, rows.tolist()))
 
 
-def rollout(mdp: TabularMDP, policy: np.ndarray, rng: np.random.Generator,
-            start_state: int | None = None, step_cap: int = 1000):
+def rollout(mdp: TabularMDP, policy: np.ndarray, rng, start_state: int | None = None,
+            step_cap: int = 1000):
     """One episode under the policy: (states, actions, rewards) lists.
+
+    ``rng`` is read only through ``rng.random()``, one uniform float in
+    [0, 1) a call: a ``np.random.Generator`` or any object with that method,
+    such as the block source the consistency fill passes.
 
     Draws are inverse-CDF with ``bisect.bisect_right``, the index
     ``np.searchsorted(side="right")`` gives: actions on the policy cumsum,

@@ -25,6 +25,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -471,11 +472,32 @@ def default_k(n: int) -> int:
     return int(math.ceil(math.sqrt(n)))
 
 
+_DRAW_BLOCK = 1024  # uniforms a block source draws per numpy call
+
+
+class _BlockUniforms:
+    """A generator's ``random()`` read from blocks of ``_DRAW_BLOCK`` draws.
+
+    ``Generator.random(n)`` returns exactly the next n values that n scalar
+    ``random()`` calls would, so this yields the generator's own sequence and
+    pays numpy's call overhead once a block instead of once a draw. The
+    generator runs up to one block ahead of the values handed out, so nothing
+    else may draw from it.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator):
+        blocks = iter(lambda: rng.random(_DRAW_BLOCK).tolist(), None)
+        self.random = chain.from_iterable(blocks).__next__
+
+
 def fill_memory_from_rollouts(mdp: TabularMDP, policy_of_episode, gamma: float,
-                              n_entries: int, rng: np.random.Generator,
-                              store: MemoryStore) -> None:
+                              n_entries: int, rng, store: MemoryStore) -> None:
     """Roll episodes until the store holds ``n_entries`` triplets.
 
+    ``rng`` is read only through ``rng.random()``, one uniform float in
+    [0, 1) a call: a ``np.random.Generator`` or any object with that method.
     ``policy_of_episode(i)`` may drift across episodes; returns are realized
     discounted tails, i.e. unbiased but noisy action-value samples. A store
     whose capacity is below ``n_entries`` could never fill, nor could any
@@ -536,7 +558,7 @@ def run_consistency_experiment(mdp: TabularMDP, policy, gamma: float,
             rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
             estimator_rng = np.random.default_rng(np.random.SeedSequence([seed, n, 1]))
             store = MemoryStore()
-            fill_memory_from_rollouts(mdp, schedule, gamma, n, rng, store)
+            fill_memory_from_rollouts(mdp, schedule, gamma, n, _BlockUniforms(rng), store)
             for s in probe_states:
                 neighborhood = store.retrieve(mdp.state_key(s), k, threshold)
                 if not neighborhood:

@@ -12,7 +12,8 @@ from memsteer.memory import ActionNormalizer, MemoryStore, StateKey
 from memsteer.policy import softmax
 from memsteer.proposer import CallablePolicyProposer, ProposerError, TabularProposer
 from memsteer.returns import EnvironmentTruthEvaluator, TrajectoryStep, discounted_returns
-from memsteer.runner import (EpisodeRecord, MetricsReport, fill_memory_from_rollouts,
+from memsteer.runner import (_DRAW_BLOCK, EpisodeRecord, MetricsReport, _BlockUniforms,
+                             fill_memory_from_rollouts,
                              replay_episode, run_consistency_experiment, run_episode,
                              run_experiment, run_task_suite, seed_streams,
                              summarize_consistency, update_memory,
@@ -744,6 +745,28 @@ def test_consistency_csv_bytes_are_pinned(tmp_path):
     path = tmp_path / "consistency.csv"
     write_consistency_csv(path, points)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SIX_STATE_CONSISTENCY_SHA256
+
+
+@pytest.mark.parametrize("length", [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1,
+                                    3 * _DRAW_BLOCK + 7])
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_block_uniforms_yield_the_generators_sequence(seed, length):
+    source = _BlockUniforms(np.random.default_rng(seed))
+    plain = np.random.default_rng(seed)
+    drawn = [source.random() for _ in range(length)]
+    assert drawn == [plain.random() for _ in range(length)]
+    assert source.random() == plain.random()  # and it goes on from there
+
+
+def test_consistency_fill_draws_what_the_plain_generator_draws(monkeypatch):
+    # N=200 stays inside the first block and N=2000 crosses several, so a
+    # skipped or repeated draw at a block edge moves a point
+    mdp, policy = six_state_fixture()
+    args = dict(gamma=0.9, memory_sizes=(200, 2000), seeds=(0, 1, 2), beta=1.0)
+    blocked = run_consistency_experiment(mdp, policy, **args)
+    monkeypatch.setattr("memsteer.runner._BlockUniforms", lambda rng: rng)
+    plain = run_consistency_experiment(mdp, policy, **args)
+    assert repr(blocked) == repr(plain)  # repr: a nan point compares equal
 
 
 def test_filled_store_keys_and_round_trip(tmp_path):
