@@ -223,10 +223,14 @@ def optimality_margin(pi_theta: np.ndarray, advantages: np.ndarray, beta: float,
 
 def closed_form_kl_policy(pi_theta: np.ndarray, advantages: np.ndarray,
                           beta: float) -> np.ndarray:
-    """The exponential-tilt solution: pi_theta * exp(beta * A), renormalized."""
+    """The exponential-tilt solution: pi_theta * exp(beta * A), renormalized.
+
+    Each exp is ``math.exp``, so the bits do not depend on numpy's CPU dispatch.
+    """
     pi_theta = np.asarray(pi_theta, dtype=np.float64)
     adv = np.asarray(advantages, dtype=np.float64)
-    weights = pi_theta * np.exp(beta * (adv - adv.max()))
+    tilt = np.array([math.exp(x) for x in (beta * (adv - adv.max())).tolist()])
+    weights = pi_theta * tilt
     return weights / weights.sum()
 
 

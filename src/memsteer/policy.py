@@ -94,11 +94,23 @@ def logit_update(candidates: Sequence[Candidate], beta: float) -> Sequence[Candi
     return candidates
 
 
+def _softmax_floats(logits: list[float]) -> list[float]:
+    """Softmax of Python floats: ``math.exp`` of ``z - max``, a sequential sum,
+    then a division. ``math.exp`` is the C library's, so the bits do not
+    depend on which SIMD kernel numpy dispatches its ``exp`` to on this CPU."""
+    top = max(logits)
+    e = [math.exp(z - top) for z in logits]
+    total = 0.0
+    for x in e:
+        total += x
+    return [x / total for x in e]
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax (max subtraction, no clipping)."""
+    """Numerically stable softmax (max subtraction, no clipping) over every
+    element, as an array of the input's shape."""
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    return np.array(_softmax_floats(z.ravel().tolist())).reshape(z.shape)
 
 
 def softmax_sample(candidates: Sequence[Candidate], rng: np.random.Generator) -> Decision:
@@ -110,22 +122,19 @@ def softmax_sample(candidates: Sequence[Candidate], rng: np.random.Generator) ->
               for c in candidates]
     if not all(map(math.isfinite, logits)):
         raise ValueError(f"non-finite logit among {logits}")
-    # softmax's arithmetic bit for bit with one exp call: numpy's exp and sum
-    # stay (math.exp and a Python sum differ from them in the last bit)
-    top = max(logits)
-    e = np.exp([z - top for z in logits])
-    distribution = e / e.sum()
+    probabilities = _softmax_floats(logits)
     # the first index whose running sum exceeds the draw, clamped to the last:
     # bisect_right on np.cumsum, which also adds in sequence
     draw = rng.random()
     chosen = len(logits) - 1
     total = 0.0
-    for i, p in enumerate(distribution.tolist()):
+    for i, p in enumerate(probabilities):
         total += p
         if total > draw:
             chosen = i
             break
-    return Decision(candidates=list(candidates), distribution=distribution, chosen=chosen)
+    return Decision(candidates=list(candidates), distribution=np.array(probabilities),
+                    chosen=chosen)
 
 
 def kl_objective(pi_prime: np.ndarray, pi_theta: np.ndarray,

@@ -199,8 +199,8 @@ def test_sample_matches_searchsorted_on_boundary_draws(logits, clamps):
 
 
 # ties, values near the edge of exp's range after the max is subtracted, and
-# logits of an ordinary spread; 40 logits run past numpy's 8-wide summation
-# blocks, where a Python sum of the same terms can differ in the last bit
+# logits of an ordinary spread; 40 logits run past the 8 terms beyond which
+# numpy's pairwise sum and a sequential sum can differ in the last bit
 _logit_values = st.one_of(st.floats(-8.0, 8.0), st.floats(-720.0, 720.0),
                           st.sampled_from([0.0, -0.0, 1.0, 699.5, 700.0, -700.0, -709.0]))
 

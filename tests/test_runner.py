@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +303,8 @@ def test_metrics_memory_size_counts_warm_rows(tmp_path):
 # records.jsonl with every left-out field recomputed (expand_record), and
 # "summary.json, with temperature" is summary.json with the config field
 # "temperature": 0.8 that nothing read put back. They show that no fact was lost.
+# The expanded digests take each distribution from policy.softmax, whose exp is
+# math.exp, so they hold whatever SIMD kernels numpy dispatches to.
 KEYDOOR_OUTPUT_SHA256 = {
     None: {
         "metrics.csv": "c3d7392806636bcdcf8ba03c2d919c0863d5d181a96303fdb3bed1a5131485ee",
@@ -307,7 +313,7 @@ KEYDOOR_OUTPUT_SHA256 = {
             "0285332337b1bc21defd4ea015a71a35f6d0895eeed20728f24781cd1859bd28",
         "records.jsonl": "678f5ed683a479c0849847d84b4558a7633a8991307e11311944f63fcb611214",
         "records.jsonl, expanded":
-            "b7bb8aa8edf984cd56a2b29b557d5c0c38b9851cc33a276f734852277badd492",
+            "da88c19defdcc372d87b08240190ec0e82802b199c9ca8810fd04be09200164e",
         "memory.jsonl": "0653e926692907f5141082e60526c73f9317fe658191131f78e304121f444a7e",
     },
     50: {
@@ -316,7 +322,7 @@ KEYDOOR_OUTPUT_SHA256 = {
             "44058a6cb272dac781f06e6abf2be0226d304fc4190a498547da0a5aa36e7afc",
         "records.jsonl": "0337c1cb476997ae73677666e20a382b8f6aa72fe362b5feb3ddf501a9c8fd8c",
         "records.jsonl, expanded":
-            "30df309e25715702e57b07e8df6798784e18bc222be663aad330bb0e7e91f5e9",
+            "e4f9523082f93652e46dc39619b0b4e276be1bed59de40d892a8eaf6532e6998",
         "memory.jsonl": "6330ca205186207b7855025179b91057c9886fb9be5a169e15ff730c76a47866",
     },
 }
@@ -477,7 +483,7 @@ KEYDOOR_ABORT_SHA256 = {
     "metrics.csv": "67b4b76a25df464110d9d296f85e366423fa73c91dcdcb75a9a455105303f8b9",
     "records.jsonl": "409d7ff9a98d0b7487870c134618cdcc2e4b32c86379917f601d3084add40e4d",
     "records.jsonl, expanded":
-        "328508344a696f8d61a315c9d867865e8d51ffa032313af2307b3fa02d771612",
+        "406e63086185fb477833993fac657cb0833b5c01555642b11eb05665e0b87d1f",
 }
 
 
@@ -733,9 +739,9 @@ def test_consistency_frozen_errors_not_worse_than_drifting():
 
 # sha256 of write_consistency_csv for the six-state fixture at sizes (200, 2000)
 # and seeds (0, 1): any change to a sampled draw, a stored key or a retrieval
-# moves it
+# moves it. Its tv column takes each exp with math.exp (closed_form_kl_policy).
 SIX_STATE_CONSISTENCY_SHA256 = \
-    "860ffb028de4f7be1d893cbc82e11208716d81b43eab6a1711663d1d9909b4f0"
+    "46bec35f7b42d9660da9bb74c0c8e7e0f5713e4a90169ddc3182b1d7999a856f"
 
 
 def test_consistency_csv_bytes_are_pinned(tmp_path):
@@ -745,6 +751,27 @@ def test_consistency_csv_bytes_are_pinned(tmp_path):
     path = tmp_path / "consistency.csv"
     write_consistency_csv(path, points)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SIX_STATE_CONSISTENCY_SHA256
+
+
+# every AVX-512 feature numpy lists; numpy ignores a name the CPU or its build
+# lacks, so this runs on any machine
+AVX512_FEATURES = ("AVX512F AVX512CD AVX512VPOPCNTDQ AVX512VL AVX512BW AVX512DQ AVX512VNNI "
+                   "AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512BITALG AVX512FP16 AVX512BF16 "
+                   "AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR X86_V4")
+
+
+def test_pins_hold_without_avx512_dispatch():
+    # numpy's AVX-512 exp differs from its other kernels in the last bit, so a
+    # pin that read np.exp would hold only on CPUs like the one it was taken on
+    pinned = [f"tests/test_runner.py::{name}" for name in (
+        "test_keydoor_output_bytes_are_pinned", "test_keydoor_abort_output_bytes_are_pinned",
+        "test_consistency_csv_bytes_are_pinned")]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *pinned],
+        cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_FEATURES))
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
+    assert "4 passed" in result.stdout
 
 
 @pytest.mark.parametrize("length", [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1,
