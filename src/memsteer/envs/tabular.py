@@ -17,6 +17,9 @@ values:
 * the last state index, the clamp of every state draw;
 * one ``StateKey`` per state and one name per action.
 
+``mdp_step`` and ``TabularEnvAdapter`` read these tables too, so a step makes
+no numpy call.
+
 The tables are read from the tensors only then, so mutating the tensors
 afterwards is not supported.
 """
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from memsteer.envs import Observation
 from memsteer.memory import StateKey
 
 ROW_SUM_TOL = 1e-12
@@ -103,13 +107,14 @@ class TabularMDP:
 def mdp_step(mdp: TabularMDP, s: int, a: int,
              rng: np.random.Generator) -> tuple[int, float, bool]:
     """One transition: (next state, reward, done). A terminal state has none."""
-    if not 0 <= s < mdp.n_states or not 0 <= a < mdp.n_actions:
+    if not 0 <= s <= mdp._last_state or not 0 <= a < len(mdp._action_names):
         raise IndexError(f"state/action ({s}, {a}) out of range "
                          f"({mdp.n_states} states, {mdp.n_actions} actions)")
-    if mdp.terminal[s]:
+    terminal = mdp._terminal
+    if terminal[s]:
         raise ValueError(f"cannot step from terminal state {s}")
     s2 = mdp.sample_next(s, a, rng)
-    return s2, float(mdp.rewards[s, a]), bool(mdp.terminal[s2])
+    return s2, mdp._reward_rows[s][a], terminal[s2]
 
 
 def six_state_fixture() -> tuple[TabularMDP, np.ndarray]:
@@ -177,12 +182,9 @@ class TabularEnvAdapter:
         self.step_cap = step_cap
         self.reset()
 
-    def _observe(self):
-        from memsteer.envs import Observation
-
-        done = bool(self.mdp.terminal[self.s]) or self.steps >= self.step_cap
-        actions = [] if done else [self.mdp.action_name(a)
-                                   for a in range(self.mdp.n_actions)]
+    def _observe(self) -> Observation:
+        done = self.mdp._terminal[self.s] or self.steps >= self.step_cap
+        actions = [] if done else list(self.mdp._action_names)  # a fresh list per observation
         return Observation(text=f"s{self.s}", score=self.score, done=done,
                            valid_actions=actions)
 
@@ -194,7 +196,7 @@ class TabularEnvAdapter:
 
     @property
     def success(self) -> bool:
-        return bool(self.mdp.terminal[self.s])
+        return self.mdp._terminal[self.s]
 
     def step(self, action: str):
         a = int(action.lstrip("a"))

@@ -8,7 +8,7 @@ import pytest
 from memsteer.envs import Observation
 from memsteer.envs.abstraction import abstract_state, regularize_url
 from memsteer.envs.tabular import (TabularEnvAdapter, TabularMDP, deterministic_chain,
-                                   mdp_step, six_state_fixture)
+                                   mdp_step, random_mdp, six_state_fixture)
 from memsteer.envs import textgame
 from memsteer.envs.textgame import (GameConfigError, InvalidActionError, TextMicroGame,
                                     advisor_action, key_door_config, key_door_game,
@@ -74,6 +74,47 @@ def test_tabular_adapter_runs_episode():
     assert adapter.success
     assert obs.valid_actions == []
     assert obs.score > 0.0 and steps >= 1
+
+
+
+def tensor_draw(cum: np.ndarray, u: float) -> int:
+    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+
+
+@pytest.mark.parametrize("step_cap", [4, 1000])
+@pytest.mark.parametrize("seed", range(4))
+def test_tabular_adapter_walk_matches_the_tensors(seed, step_cap):
+    # the adapter and mdp_step read list tables; replay the same seeded walk
+    # from the numpy tensors and compare every observation, reward and flag
+    mdp = six_state_fixture()[0] if seed == 0 else random_mdp(np.random.default_rng(seed))
+    adapter = TabularEnvAdapter(mdp, np.random.default_rng(seed), step_cap=step_cap)
+    reference_rng = np.random.default_rng(seed)
+    actions = np.random.default_rng(seed + 100)
+    reference_rng.random()  # the draw of the reset the constructor makes
+    s = tensor_draw(np.cumsum(mdp.start), reference_rng.random())
+    score, steps, obs, previous = 0.0, 0, adapter.reset(), None
+    while True:
+        done = bool(mdp.terminal[s]) or steps >= step_cap
+        names = [] if done else [f"a{i}" for i in range(mdp.n_actions)]
+        assert obs == Observation(text=f"s{s}", score=score, done=done, valid_actions=names)
+        assert type(obs.done) is bool and adapter.success is bool(mdp.terminal[s])
+        if previous is not None:
+            assert obs.valid_actions is not previous.valid_actions
+        if done:
+            break
+        a = int(actions.integers(mdp.n_actions))
+        cum = np.cumsum(mdp.transitions[s, a])
+        s2 = tensor_draw(cum, reference_rng.random())
+        # mdp_step on its own, from a generator of its own
+        u = np.random.default_rng([seed, steps]).random()
+        step = mdp_step(mdp, s, a, np.random.default_rng([seed, steps]))
+        assert step == (tensor_draw(cum, u), float(mdp.rewards[s, a]),
+                        bool(mdp.terminal[tensor_draw(cum, u)]))
+        assert type(step[1]) is float and type(step[2]) is bool
+        score += float(mdp.rewards[s, a])
+        s, steps = s2, steps + 1
+        obs.valid_actions.append("x")  # must not leak into the next observation
+        previous, obs = obs, adapter.step(f"a{a}")
 
 
 # -- micro-game dynamics ------------------------------------------------------------
