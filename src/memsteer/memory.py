@@ -642,6 +642,11 @@ def read_bank(path) -> Iterator[MemoryEntry]:
             yield entry
 
 
+# json.dumps(..., ensure_ascii=False) builds an encoder per call; one shared
+# encoder with the same settings writes the same bytes
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def encode_record(entry: MemoryEntry) -> str:
     record = {
         "state_text": entry.state.text,
@@ -652,7 +657,7 @@ def encode_record(entry: MemoryEntry) -> str:
         "step": entry.step,
         "time": entry.time_index,
     }
-    return json.dumps(record, ensure_ascii=False)
+    return _RECORD_ENCODER.encode(record)
 
 
 def decode_record(line: str, lineno: int) -> MemoryEntry:

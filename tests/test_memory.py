@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsteer.memory import (ActionNormalizer, MemoryEntry, MemoryFormatError, MemoryStore,
-                             StateKey, TaskFilter, append_records, group_by_action)
+                             StateKey, TaskFilter, append_records, encode_record,
+                             group_by_action)
 from memsteer.tokens import jaccard, tokenize
 
 from conftest import populated_store, random_entries
@@ -417,6 +418,22 @@ def test_append_records_matches_save(tmp_path, rng):
     append_records(appended, store.entries[:17])
     append_records(appended, store.entries[17:])
     assert appended.read_bytes() == saved.read_bytes()
+
+
+@settings(max_examples=200)
+@given(text=st.text(), history=st.text(), action=st.text(),
+       value=st.floats(allow_nan=True, allow_infinity=True),
+       episode=st.integers(0, 2**40), step=st.integers(0, 10**6),
+       time=st.integers(0, 2**40))
+def test_encode_record_writes_what_json_dumps_writes(text, history, action, value, episode,
+                                                     step, time):
+    # the shared encoder against a fresh json.dumps: non-ASCII text, escapes,
+    # surrogates and non-finite returns included
+    entry = MemoryEntry(state=StateKey(text=text, history=history), action=action,
+                        return_value=value, episode=episode, step=step, time_index=time)
+    assert encode_record(entry) == json.dumps(
+        {"state_text": text, "history_text": history, "action": action, "return": value,
+         "episode": episode, "step": step, "time": time}, ensure_ascii=False)
 
 
 def test_load_preserves_clock(tmp_path, rng):
