@@ -229,8 +229,7 @@ def closed_form_kl_policy(pi_theta: np.ndarray, advantages: np.ndarray,
     """
     pi_theta = np.asarray(pi_theta, dtype=np.float64)
     adv = np.asarray(advantages, dtype=np.float64)
-    tilt = np.array([math.exp(x) for x in (beta * (adv - adv.max())).tolist()])
-    weights = pi_theta * tilt
+    weights = pi_theta * np.array([math.exp(x) for x in (beta * (adv - adv.max())).tolist()])
     return weights / weights.sum()
 
 
