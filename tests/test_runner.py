@@ -936,6 +936,39 @@ def test_task_suite_applies_cross_task_gate():
     assert all(len(r.scores) == 1 for r in reports.values())
 
 
+# a two-task key-door suite on one global store, each task behind the
+# cross-task gate: the score matrix and the sha256 of the store's save() bytes,
+# at a threshold that probes (and, unbounded, recalls from the memo) and at one
+# whose every query scans. A counting wrapper on the gate, run once when these
+# were captured, saw it both admit and reject pairs in each run (admitted /
+# rejected): 44 / 64 and 20 / 41 at 0.95, 7,819 / 3,751 and 3,770 / 1,650 at 0.2
+GATED_SUITE_TEXTS = {"vault-a": "east hall north key",
+                     "vault-b": "gallery iron door north south"}
+GATED_SUITE_PINS = {
+    (0.95, 0.75, None): ([[30.0, 10.0, 30.0], [10.0, 10.0, 10.0]],
+                         "48d27d747f336554e097f67e075fbe1cfad62addbcbc03c595d3548a6349e178"),
+    (0.95, 0.75, 50): ([[30.0, 0.0, 10.0], [10.0, 10.0, 10.0]],
+                       "c13a95864e02f9d7d805c865b1f5788e81384a2b752326d6bcd01d8d1da21a8c"),
+    (0.2, 0.27, None): ([[30.0, 100.0, 10.0], [60.0, 60.0, 100.0]],
+                        "95d747d52b95bea78dac0ea866ca0eae990d5534ecca244e5e7c22921a26636a"),
+    (0.2, 0.27, 50): ([[30.0, 100.0, 0.0], [10.0, 10.0, 10.0]],
+                      "4942b2453f842fe5dc76b3ae811e1bf521c722b1532ad4935dba6d88e6ef1297"),
+}
+
+
+@pytest.mark.parametrize("threshold,gate,capacity", list(GATED_SUITE_PINS))
+def test_gated_task_suite_bytes_are_pinned(tmp_path, threshold, gate, capacity):
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=3, seed=11,
+                                  memory_scope="global", similarity_threshold=threshold,
+                                  task_similarity_threshold=gate, memory_capacity=capacity)
+    _, matrix, stores = run_task_suite(config, suite_tasks(), mode="memsteer",
+                                       task_texts=GATED_SUITE_TEXTS)
+    stores["global"].save(tmp_path / "memory.jsonl")
+    scores, digest = GATED_SUITE_PINS[threshold, gate, capacity]
+    assert matrix.tolist() == scores
+    assert hashlib.sha256((tmp_path / "memory.jsonl").read_bytes()).hexdigest() == digest
+
+
 def test_seed_streams_independent_and_reproducible():
     a1 = seed_streams(5, 2)["policy"].random(4)
     a2 = seed_streams(5, 2)["policy"].random(4)
