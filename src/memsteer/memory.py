@@ -23,19 +23,20 @@ hold every candidate; a token the index has never seen costs nothing. One
 Python scorer takes the candidates, each with its pairs: it skips sets whose
 rows are all evicted or whose size is out of bounds, scores the rest, a set
 intersection per state set and a history Jaccard memoised per history set,
-and gates each passing pair. When ``need`` is 0, a pair could pass on its
+and gates each passing pair on that Jaccard and the task tokens' Jaccard with
+its state set, once per set. When ``need`` is 0, a pair could pass on its
 history alone, so every distinct set is a candidate and the query scans with
-numpy instead (in the Python scorer a first ask on 20k distinct keys took
-30 to 70 times as long): one ``np.bincount`` over the postings of its tokens
-per index, each set's Jaccard and each pair's weighted sum once, then a
-threshold over the pairs, and a partition on the k-th best similarity before
-the sort when more than k pass. Either way only the passing pairs are
-expanded, along their row links, and only the k best of them when more than k
-pass. So a query costs about the candidates that share enough tokens with it,
-or, when it scans, the number of distinct sets and pairs; plus at most k rows
-per chosen pair, not the number of rows.
-Both paths compute :meth:`StateKey.similarity`'s arithmetic, so the
-similarities are bit-identical to it.
+numpy instead (on 20k distinct keys the Python scorer took 30 to 70 times as
+long): one ``np.bincount`` over the postings of its tokens per index (one
+more for a gate), each set's Jaccard and each pair's weighted sum once, then
+the threshold and the gate as vectors over the pairs, and a partition on the
+k-th best similarity before the sort when more than k pass. Either way only
+the passing pairs are expanded, along their row links, and only the k best of
+them when more than k pass. So a query costs about the candidates that share
+enough tokens with it, or, when it scans, the number of distinct sets and
+pairs; plus at most k rows per chosen pair, the only rows it reads. Both
+paths do the arithmetic of :meth:`StateKey.similarity` and
+:meth:`TaskFilter.admits`, bit for bit.
 
 A store without a capacity never evicts a row, so a pair that passes a query
 once passes it for good, and an agent asks about the same states again and
@@ -224,27 +225,26 @@ def group_by_action(neighborhood: Neighborhood,
 class TaskFilter:
     """Cross-task retrieval gate.
 
-    When a query carries a task description, candidate entries are kept only
-    if ``history_weight * J(query history, entry history) + task_weight *
+    When a query carries a task description, a stored pair is kept only if
+    ``history_weight * J(query history, entry history) + task_weight *
     J(task tokens, entry state tokens) >= threshold``. The bank schema has no
     task field, so an entry's task identity is proxied by its state tokens;
-    this composition is an interpretation. It filters the pairs that pass the
-    similarity threshold, before the top-k cut, and a pair's newest row stands
-    for all of its rows, which share both token sets.
+    this composition is an interpretation. Both Jaccards are of token sets the
+    index interns, so the store gates each pair that passes the similarity
+    threshold once, before the top-k cut, and reads no row for it.
     """
 
     task_text: str
     threshold: float
-    history_weight: float = 0.7
-    task_weight: float = 0.3
+    history_weight: float
+    task_weight: float
     task_tokens: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "task_tokens", tokenize(self.task_text))
 
-    def admits(self, query: StateKey, entry: MemoryEntry) -> bool:
-        jh = jaccard(query.history_tokens, entry.state.history_tokens)
-        jt = jaccard(self.task_tokens, entry.state.tokens)
+    def admits(self, jh, jt):
+        """Gate on a pair's history and task Jaccards; on arrays elementwise, same rounding."""
         return self.history_weight * jh + self.task_weight * jt >= self.threshold
 
 
@@ -532,8 +532,9 @@ class MemoryStore:
         history_sets = self._histories.sets
         ws, wh, lo = self.state_weight, self.history_weight, self._start
         perfect_history = wh * 1.0
-        state_last, pair_last, entries = self._state_last, self._pair_last, self._entries
+        state_last, pair_last = self._state_last, self._pair_last
         history_parts: dict[int, float] = {}  # history set id -> weighted Jaccard
+        history_jaccards: dict[int, float] = {}  # history set id -> Jaccard, for the gate
         hits = []
         scored = 0
         for sid in sids:
@@ -550,17 +551,17 @@ class MemoryStore:
                 continue
             pairs = pairs_of[sid]
             scored += len(pairs)
+            jt = None if task_filter is None else jaccard(task_filter.task_tokens, state_sets[sid])
             for hid, pid in pairs:
                 history_part = history_parts.get(hid)
                 if history_part is None:
-                    history_part = history_parts[hid] = wh * jaccard(qh, history_sets[hid])
+                    jh = history_jaccards[hid] = jaccard(qh, history_sets[hid])
+                    history_part = history_parts[hid] = wh * jh
                 sim = state_part + history_part
                 if sim >= threshold:
                     pos = pair_last[pid]
-                    # admits reads only the entry's two token sets, which every
-                    # row of a pair shares, so the pair's newest row stands for them all
-                    if pos >= lo and (task_filter is None
-                                      or task_filter.admits(query, entries[pos])):
+                    if pos >= lo and (task_filter is None or task_filter.admits(
+                            history_jaccards[hid], jt)):
                         hits.append((sim, pos, pid))
         return hits, scored
 
@@ -569,21 +570,20 @@ class MemoryStore:
         """(similarity, newest row, pair id) of the passing pairs, scored over
         every distinct set and pair with numpy; only the k best live ones when
         more than k pass."""
-        # weighted once per distinct set and summed once per distinct pair;
-        # the sum has the operand order of StateKey.similarity, so it is
-        # bit-identical. The array.array views are never bound to a name: a
-        # live export of a buffer would make the next append raise BufferError.
-        state_part = self.state_weight * self._states.jaccard(query.tokens)
-        history_part = self.history_weight * self._histories.jaccard(query.history_tokens)
-        pair_sims = (state_part[np.frombuffer(self._pair_states, dtype=np.int64)]
-                     + history_part[np.frombuffer(self._pair_histories, dtype=np.int64)])
+        # weighted once per distinct set and summed once per distinct pair in the
+        # operand order of StateKey.similarity, so bit-identical. The buffer views
+        # are locals, released on return: a live one would make an append raise BufferError
+        pair_states = np.frombuffer(self._pair_states, dtype=np.int64)
+        pair_histories = np.frombuffer(self._pair_histories, dtype=np.int64)
+        history_jaccard = self._histories.jaccard(query.history_tokens)
+        pair_sims = ((self.state_weight * self._states.jaccard(query.tokens))[pair_states]
+                     + (self.history_weight * history_jaccard)[pair_histories])
         top = np.flatnonzero(pair_sims >= threshold)
-        last = np.frombuffer(self._pair_last, dtype=np.int64)[top]
         if task_filter is not None:
-            # see _score: a pair's newest row stands for all of its rows
-            admitted = np.array([task_filter.admits(query, self._entries[pos])
-                                 for pos in last.tolist()], dtype=bool)
-            top, last = top[admitted], last[admitted]
+            task_jaccard = self._states.jaccard(task_filter.task_tokens)
+            top = top[task_filter.admits(history_jaccard[pair_histories[top]],
+                                         task_jaccard[pair_states[top]])]
+        last = np.frombuffer(self._pair_last, dtype=np.int64)[top]
         sims = pair_sims[top]
         if top.size > k:
             alive = last >= self._start

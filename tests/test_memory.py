@@ -7,6 +7,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -511,12 +512,49 @@ def test_task_filter_gates_retrieval():
 def test_task_filter_admits_arithmetic():
     gate = TaskFilter(task_text="a b", threshold=0.5,
                       history_weight=0.7, task_weight=0.3)
-    entry = MemoryEntry(state=StateKey("a b", history="h1 h2"), action="x",
-                        return_value=0.0)
+    entry = StateKey("a b", history="h1 h2")
+    jt = jaccard(gate.task_tokens, entry.tokens)
     # history jaccard 1/3, task jaccard 1.0 -> 0.7/3 + 0.3 = 0.5333
-    assert gate.admits(StateKey("a b", history="h1 zz"), entry)
+    assert gate.admits(jaccard(StateKey("x", history="h1 zz").history_tokens,
+                               entry.history_tokens), jt)
     # history jaccard 0 -> 0.3 < 0.5
-    assert not gate.admits(StateKey("a b", history="qq zz"), entry)
+    assert not gate.admits(jaccard(frozenset({"qq", "zz"}), entry.history_tokens), jt)
+
+
+@given(pairs=st.lists(st.tuples(token_sets, token_sets), min_size=1, max_size=30),
+       task=token_sets, threshold=st.sampled_from([0.0, 0.27, 0.3, 0.5, 0.7, 1.0]),
+       weights=st.sampled_from([(0.7, 0.3), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.3, 0.1)]))
+def test_task_filter_admits_arrays_as_it_admits_floats(pairs, task, threshold, weights):
+    gate = TaskFilter(" ".join(sorted(task)), threshold, *weights)
+    jh = [jaccard(a, frozenset("abc")) for a, _ in pairs]
+    jt = [jaccard(gate.task_tokens, b) for _, b in pairs]
+    assert gate.admits(np.array(jh), np.array(jt)).tolist() == \
+        [gate.admits(h, t) for h, t in zip(jh, jt)]
+
+
+class _CountingRows(list):
+    """A row list that counts the rows read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("threshold", [0.8, 0.0])  # need 2 (a probe), need 0 (a scan)
+def test_gated_query_reads_only_the_rows_it_returns(threshold):
+    store = MemoryStore()
+    for i in range(40):  # four pairs, ten rows each
+        store.add(StateKey("orders page" if i % 2 else "reviews page",
+                           history="open orders" if i % 4 < 2 else "open reviews"),
+                  f"act{i}", float(i))
+    store._entries = _CountingRows(store._entries)
+    gate = TaskFilter(task_text="orders", threshold=0.8, history_weight=0.7, task_weight=0.3)
+    kept = store.retrieve(StateKey("orders page", history="open orders"), k=5,
+                          threshold=threshold, task_filter=gate)
+    assert {e.state for e, _ in kept.entries} == {StateKey("orders page", "open orders")}
+    assert store._entries.reads == len(kept) == 5
 
 
 # -- index against the brute-force oracle -------------------------------------------
@@ -534,7 +572,9 @@ def _brute_force(live, q, k, threshold, ws, wh, gate=None):
                      for pos, entry in enumerate(live)),
                     key=lambda item: (-item[1], -item[2]))
     return [(entry, sim) for entry, sim, _ in ranked
-            if sim >= threshold and (gate is None or gate.admits(q, entry))][:k]
+            if sim >= threshold and (gate is None or gate.admits(
+                jaccard(q.history_tokens, entry.state.history_tokens),
+                jaccard(gate.task_tokens, entry.state.tokens)))][:k]
 
 
 @settings(max_examples=60, deadline=None)
@@ -681,7 +721,8 @@ schedules = st.lists(st.one_of(st.integers(0, 39),
                                          st.integers(0, 1), st.booleans())),
                      min_size=20, max_size=120)
 query_picks = st.lists(st.integers(0, 39), min_size=1, max_size=4)
-gates = st.builds(lambda task, threshold: TaskFilter(" ".join(sorted(task)), threshold),
+gates = st.builds(lambda task, threshold: TaskFilter(" ".join(sorted(task)), threshold,
+                                                     0.7, 0.3),
                   token_sets, st.sampled_from([0.0, 0.2, 0.3, 0.5, 0.7]))
 # few state sets, each with several histories: a probe then scores several
 # pairs, so a repeated query scores the pairs interned since instead of probing
@@ -755,7 +796,8 @@ def test_memo_scores_a_pair_interned_after_it():
     assert [e.action for e, _ in store.retrieve(query, k=5, threshold=0.9).entries] == ["exact"]
     assert [e.action for e, _ in store.retrieve(query, k=5, threshold=0.7).entries] == \
         ["exact", "first"]
-    gate = TaskFilter(task_text="zz", threshold=0.5)  # admits only a history Jaccard >= 5/7
+    # admits only a history Jaccard >= 5/7
+    gate = TaskFilter(task_text="zz", threshold=0.5, history_weight=0.7, task_weight=0.3)
     assert [e.action for e, _ in store.retrieve(query, k=5, threshold=0.7,
                                                 task_filter=gate).entries] == ["exact"]
 
