@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -762,16 +764,22 @@ AVX512_FEATURES = ("AVX512F AVX512CD AVX512VPOPCNTDQ AVX512VL AVX512BW AVX512DQ 
 
 def test_pins_hold_without_avx512_dispatch():
     # numpy's AVX-512 exp differs from its other kernels in the last bit, so a
-    # pin that read np.exp would hold only on CPUs like the one it was taken on
-    pinned = [f"tests/test_runner.py::{name}" for name in (
-        "test_keydoor_output_bytes_are_pinned", "test_keydoor_abort_output_bytes_are_pinned",
-        "test_consistency_csv_bytes_are_pinned")]
+    # pin that read np.exp would hold only on CPUs like the one it was taken on.
+    # The rerun selects every byte pin of this module by name, as -k does, and
+    # must pass each case of them: a parametrized pin counts once per case
+    pinned = sum(math.prod(len(mark.args[1]) for mark in getattr(test, "pytestmark", ())
+                           if mark.name == "parametrize")
+                 for name, test in globals().items()
+                 if name.startswith("test_") and "bytes_are_pinned" in name)
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *pinned],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", "bytes_are_pinned",
+         "tests/test_runner.py"],
         cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True, timeout=600,
         env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_FEATURES))
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
-    assert "4 passed" in result.stdout
+    assert pinned >= 13  # a selection of none would pass on nothing
+    assert re.search(rf"^{pinned} passed, \d+ deselected", result.stdout, re.M), \
+        result.stdout[-2000:]
 
 
 @pytest.mark.parametrize("length", [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1,
