@@ -108,15 +108,25 @@ def add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--memory-capacity", dest="memory_capacity", type=int)
 
 
-def positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
+def int_at_least(text: str, low: int) -> int:
+    """argparse type body: an integer of at least ``low``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{value} is below {low}")
     return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    return int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least 0."""
+    return int_at_least(text, 0)
 
 
 def unit_float(text: str) -> float:
@@ -138,6 +148,26 @@ def non_negative_float(text: str) -> float:
 def positive_ints(text: str) -> list[int]:
     """argparse type: comma-separated integers of at least 1."""
     return [positive_int(part) for part in text.split(",")]
+
+
+def positive_floats(text: str) -> list[float]:
+    """argparse type: comma-separated finite numbers above 0."""
+    values = [float(part) for part in text.split(",")]
+    for value in values:
+        if not (math.isfinite(value) and value > 0.0):
+            raise argparse.ArgumentTypeError(f"{value} is not a finite number > 0")
+    return values
+
+
+def grid_step(text: str) -> float:
+    """argparse type: a step in (0, 0.02] that divides 1, the grid oracle's
+    bounds (``oracle.grid_optimal_kl_policy`` and ``simplex_grid``)."""
+    value = float(text)
+    if not 0.0 < value <= 0.02:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"{value} is not in (0, 0.02]")
+    if abs(round(1.0 / value) * value - 1.0) > 1e-9:
+        raise argparse.ArgumentTypeError(f"{value} does not divide 1")
+    return value
 
 
 def check_pairing(env: str, proposer: str) -> None:
@@ -198,7 +228,7 @@ def cmd_verify_optimality(args) -> int:
     from memsteer.policy import kl_objective
 
     rng = np.random.default_rng(args.seed)
-    betas = [float(b) for b in args.betas.split(",")]
+    betas = args.betas
     worst_gap = -np.inf
     failures = 0
     for i in range(args.instances):
@@ -212,9 +242,9 @@ def cmd_verify_optimality(args) -> int:
         margin = optimality_margin(pi_theta, adv, beta, args.step)
         gap = j_grid - j_closed
         worst_gap = max(worst_gap, gap)
-        if gap > margin:
+        if not (math.isfinite(gap) and gap <= margin):  # a NaN gap is no evidence
             failures += 1
-            print(f"FAIL instance {i}: grid beats closed form by {gap:.3e} "
+            print(f"FAIL instance {i}: grid-minus-closed gap {gap:.3e} "
                   f"(allowed {margin:.3e})")
     status = "PASS" if failures == 0 else "FAIL"
     print(f"{status}: {args.instances} instances, worst grid-minus-closed gap "
@@ -296,15 +326,16 @@ def main(argv=None) -> int:
 
     p_opt = sub.add_parser("verify-optimality",
                            help="closed-form update vs exhaustive grid search")
-    p_opt.add_argument("--instances", type=int, default=120)
-    p_opt.add_argument("--step", type=float, default=0.01)
-    p_opt.add_argument("--betas", default="0.5,1,2,5")
+    p_opt.add_argument("--instances", type=positive_int, default=120)
+    p_opt.add_argument("--step", type=grid_step, default=0.01)
+    p_opt.add_argument("--betas", type=positive_floats, default="0.5,1,2,5",
+                       help="comma-separated betas")
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.set_defaults(func=cmd_verify_optimality)
 
     p_mem = sub.add_parser("inspect-memory", help="summarize a memory bank file")
     p_mem.add_argument("bank")
-    p_mem.add_argument("--top", type=int, default=10)
+    p_mem.add_argument("--top", type=non_negative_int, default=10)
     p_mem.set_defaults(func=cmd_inspect_memory)
 
     p_rep = sub.add_parser("replay", help="recompute a recorded episode")

@@ -167,6 +167,37 @@ def test_verify_optimality_subcommand(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--instances", "0"], "--instances"), (["--instances", "-2"], "--instances"),
+    (["--betas", "nan"], "--betas"), (["--betas", "0"], "--betas"),
+    (["--betas", "1,-2"], "--betas"), (["--betas", "1,inf"], "--betas"),
+    (["--betas", "1,x"], "--betas"),
+    (["--step", "0"], "--step"), (["--step", "-0.01"], "--step"),
+    (["--step", "0.03"], "--step"), (["--step", "nan"], "--step"),
+    (["--step", "0.015"], "--step"),  # in range, but 1 / 0.015 is no whole number
+])
+def test_verify_optimality_rejects_flags_out_of_range(flags, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-optimality", *flags])
+    assert exc.value.code == 2
+    assert f"argument {named}" in capsys.readouterr().err
+
+
+def test_verify_optimality_counts_a_nan_gap_as_a_failure(monkeypatch, capsys):
+    monkeypatch.setattr("memsteer.oracle.grid_optimal_kl_policy",
+                        lambda pi_theta, adv, beta, step: (pi_theta, float("nan")))
+    assert main(["verify-optimality", "--instances", "2", "--step", "0.02"]) == 1
+    printed = capsys.readouterr().out
+    assert printed.count("FAIL instance") == 2 and "PASS" not in printed
+
+
+def test_inspect_memory_rejects_a_negative_top(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["inspect-memory", str(tmp_path / "memory.jsonl"), "--top", "-1"])
+    assert exc.value.code == 2
+    assert "argument --top" in capsys.readouterr().err
+
+
 def test_inspect_memory_subcommand(tmp_path, capsys):
     out = tmp_path / "exp"
     main(["run", "--beta", "2", "--episodes", "2", "--seed", "0", "--out", str(out)])
