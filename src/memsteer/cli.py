@@ -26,6 +26,7 @@ import numpy as np
 
 from memsteer.config import EngineConfig, PROFILES
 from memsteer.memory import read_bank
+from memsteer.oracle import check_grid_step
 from memsteer.runner import (MODES, replay_episode, run_consistency_experiment,
                              run_experiment, summarize_consistency, write_consistency_csv)
 
@@ -160,13 +161,12 @@ def positive_floats(text: str) -> list[float]:
 
 
 def grid_step(text: str) -> float:
-    """argparse type: a step in (0, 0.02] that divides 1, the grid oracle's
-    bounds (``oracle.grid_optimal_kl_policy`` and ``simplex_grid``)."""
+    """argparse type: a step the grid oracle takes (``oracle.check_grid_step``)."""
     value = float(text)
-    if not 0.0 < value <= 0.02:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"{value} is not in (0, 0.02]")
-    if abs(round(1.0 / value) * value - 1.0) > 1e-9:
-        raise argparse.ArgumentTypeError(f"{value} does not divide 1")
+    try:
+        check_grid_step(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

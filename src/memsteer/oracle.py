@@ -164,6 +164,19 @@ def simplex_grid(n_actions: int, step: float) -> np.ndarray:
     return grid / units
 
 
+# the coarsest simplex-grid step at which the grid search is a faithful oracle
+MAX_GRID_STEP = 0.02
+
+
+def check_grid_step(step: float) -> None:
+    """Raise ValueError unless ``grid_optimal_kl_policy`` takes ``step``: it
+    must lie in (0, MAX_GRID_STEP] and evenly divide 1."""
+    if not 0.0 < step <= MAX_GRID_STEP:  # also false for NaN
+        raise ValueError(f"grid step must lie in (0, {MAX_GRID_STEP}] for a faithful "
+                         f"oracle, got {step}")
+    simplex_grid(1, step)  # a one-point grid: raises unless the step divides 1
+
+
 def grid_optimal_kl_policy(pi_theta: np.ndarray, advantages: np.ndarray, beta: float,
                            step: float = 0.01) -> tuple[np.ndarray, float]:
     """Exhaustively maximize the KL-regularized objective on the simplex grid.
@@ -177,8 +190,7 @@ def grid_optimal_kl_policy(pi_theta: np.ndarray, advantages: np.ndarray, beta: f
     n = pi_theta.shape[0]
     if n > 4:
         raise ValueError("grid search supports at most 4 actions")
-    if step > 0.02:
-        raise ValueError("grid step must be <= 0.02 for a faithful oracle")
+    check_grid_step(step)
     grid = simplex_grid(n, step)
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(grid > 0.0, grid * np.log(np.where(grid > 0.0, grid, 1.0)), 0.0)
@@ -240,6 +252,8 @@ def expected_advantage_identity_gap(values: ExactValues, policy: np.ndarray) -> 
 
 __all__ = [
     "ExactValues",
+    "MAX_GRID_STEP",
+    "check_grid_step",
     "closed_form_kl_policy",
     "episode_returns",
     "exact_policy_values",

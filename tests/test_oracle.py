@@ -312,8 +312,10 @@ def test_grid_rejects_too_many_actions():
 
 
 def test_grid_rejects_coarse_step():
-    with pytest.raises(ValueError, match="step"):
-        grid_optimal_kl_policy(np.ones(2) / 2, np.zeros(2), beta=1.0, step=0.1)
+    # too coarse, not positive, NaN, and in range but no divisor of 1
+    for step in (0.1, 0.03, 0.0, -0.01, float("nan"), 0.015):
+        with pytest.raises(ValueError, match="step"):
+            grid_optimal_kl_policy(np.ones(2) / 2, np.zeros(2), beta=1.0, step=step)
 
 
 def test_closed_form_never_below_grid_max(rng):
