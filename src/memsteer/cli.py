@@ -241,7 +241,7 @@ def cmd_verify_optimality(args) -> int:
         _, j_grid = grid_optimal_kl_policy(pi_theta, adv, beta, step=args.step)
         margin = optimality_margin(pi_theta, adv, beta, args.step)
         gap = j_grid - j_closed
-        worst_gap = max(worst_gap, gap)
+        worst_gap = np.maximum(worst_gap, gap)  # unlike max, keeps a NaN
         if not (math.isfinite(gap) and gap <= margin):  # a NaN gap is no evidence
             failures += 1
             print(f"FAIL instance {i}: grid-minus-closed gap {gap:.3e} "

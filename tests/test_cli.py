@@ -188,7 +188,8 @@ def test_verify_optimality_counts_a_nan_gap_as_a_failure(monkeypatch, capsys):
                         lambda pi_theta, adv, beta, step: (pi_theta, float("nan")))
     assert main(["verify-optimality", "--instances", "2", "--step", "0.02"]) == 1
     printed = capsys.readouterr().out
-    assert printed.count("FAIL instance") == 2 and "PASS" not in printed
+    assert printed.count("FAIL instance") == 2
+    assert "FAIL: 2 instances, worst grid-minus-closed gap nan" in printed
 
 
 def test_inspect_memory_rejects_a_negative_top(tmp_path, capsys):
