@@ -164,16 +164,11 @@ def simplex_grid(n_actions: int, step: float) -> np.ndarray:
     return grid / units
 
 
-# the coarsest simplex-grid step at which the grid search is a faithful oracle
-MAX_GRID_STEP = 0.02
-
-
 def check_grid_step(step: float) -> None:
     """Raise ValueError unless ``grid_optimal_kl_policy`` takes ``step``: it
-    must lie in (0, MAX_GRID_STEP] and evenly divide 1."""
-    if not 0.0 < step <= MAX_GRID_STEP:  # also false for NaN
-        raise ValueError(f"grid step must lie in (0, {MAX_GRID_STEP}] for a faithful "
-                         f"oracle, got {step}")
+    must lie in (0, 0.02] and evenly divide 1."""
+    if not 0.0 < step <= 0.02:  # also false for NaN
+        raise ValueError(f"grid step must lie in (0, 0.02] for a faithful oracle, got {step}")
     simplex_grid(1, step)  # a one-point grid: raises unless the step divides 1
 
 
@@ -252,7 +247,6 @@ def expected_advantage_identity_gap(values: ExactValues, policy: np.ndarray) -> 
 
 __all__ = [
     "ExactValues",
-    "MAX_GRID_STEP",
     "check_grid_step",
     "closed_form_kl_policy",
     "episode_returns",
