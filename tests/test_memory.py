@@ -515,8 +515,7 @@ def test_task_filter_admits_arithmetic():
     entry = StateKey("a b", history="h1 h2")
     jt = jaccard(gate.task_tokens, entry.tokens)
     # history jaccard 1/3, task jaccard 1.0 -> 0.7/3 + 0.3 = 0.5333
-    assert gate.admits(jaccard(StateKey("x", history="h1 zz").history_tokens,
-                               entry.history_tokens), jt)
+    assert gate.admits(jaccard(frozenset({"h1", "zz"}), entry.history_tokens), jt)
     # history jaccard 0 -> 0.3 < 0.5
     assert not gate.admits(jaccard(frozenset({"qq", "zz"}), entry.history_tokens), jt)
 
