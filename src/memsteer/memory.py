@@ -16,7 +16,8 @@ A query first bounds its state overlap. A state set that shares i of the
 query's nq state tokens has Jaccard at most i / nq, and at most nq / s for a
 set of s > nq tokens, and every rounding in the score is monotone; so from
 the threshold and the weights follows ``need``, the fewest shared tokens with
-which a pair can pass even with a perfect history.
+which a pair can pass even with a perfect history; it depends on the
+weights, the threshold and nq alone, so it is memoised on those four.
 When ``need`` is at least 1, any passing set shares one of the query's
 ``nq - need + 1`` rarest tokens (pigeonhole), so the postings of those tokens
 hold every candidate; a token the index has never seen costs nothing. One
@@ -30,11 +31,13 @@ numpy instead (on 20k distinct keys the Python scorer took 30 to 70 times as
 long): one ``np.bincount`` over the postings of its tokens per index (one
 more for a gate), each set's Jaccard and each pair's weighted sum once, then
 the threshold and the gate as vectors over the pairs, and a partition on the
-k-th best similarity before the sort when more than k pass. Either way only
-the passing pairs are expanded, along their row links, and only the k best of
-them when more than k pass. So a query costs about the candidates that share
-enough tokens with it, or, when it scans, the number of distinct sets and
-pairs; plus at most k rows per chosen pair, the only rows it reads. Both
+k-th best similarity before the sort when more than k pass. Either way a
+query that no pair passes returns at once; otherwise the row chains of the k
+best passing pairs are followed in rank order until k rows are read, and the
+rows are sorted only when two of those pairs tie. So a query costs about the
+candidates that share enough tokens with it, or, when it scans, the number of
+distinct sets and pairs; plus at most k row links when no two of its best
+pairs tie, and those are the only rows it reads. Both
 paths do the arithmetic of :meth:`StateKey.similarity` and
 :meth:`TaskFilter.admits`, bit for bit.
 
@@ -79,6 +82,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -256,6 +260,30 @@ class MemoryFormatError(ValueError):
         self.line_number = line_number
 
 
+def _is_count(value) -> bool:
+    """An ``int`` of at least 1, never a ``bool`` (``EngineConfig``'s rule)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+@lru_cache(maxsize=4096)
+def _need(state_weight: float, history_weight: float, threshold: float, nq: int) -> int:
+    """The fewest of a query's ``nq`` state tokens that a passing pair's
+    state set must share; memoised, as it depends on these four alone.
+
+    A set of size s sharing i tokens has Jaccard i / (nq + s - i) <= i / nq,
+    and every rounding in the score is monotone; so a pair sharing i tokens
+    fails when even ``state_weight * (i / nq) + history_weight * 1.0``, its
+    score with a perfect history in the scorer's own floats, is below the
+    threshold (both weights lie in [0, 1]). 0 when nothing is bounded (an
+    empty query, or a threshold the history alone reaches); nq + 1, which
+    probes no token, when nothing can pass.
+    """
+    if nq == 0:
+        return 0
+    return next((i for i in range(nq + 1)
+                 if state_weight * (i / nq) + history_weight * 1.0 >= threshold), nq + 1)
+
+
 class _TokenSetIndex:
     """Distinct token sets, each interned once, with token -> set-id postings."""
 
@@ -304,24 +332,29 @@ class MemoryStore:
     """Append-ordered triplet store with similarity retrieval.
 
     Unbounded by default; an optional ``capacity`` turns on FIFO eviction.
-    ``retrieval_count`` / ``insert_count`` exist so tests can assert that
-    non-learning modes never touch the store.
+    ``capacity`` and the weights are read-only, as the memo holds scores of
+    them. ``retrieval_count`` / ``insert_count`` exist so tests can assert
+    that non-learning modes never touch the store.
     """
 
     def __init__(self, capacity: int | None = None, state_weight: float = 0.75,
                  history_weight: float = 0.25):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be None or >= 1")
+        if capacity is not None and not _is_count(capacity):
+            raise ValueError(f"capacity must be None or an integer >= 1, got {capacity!r}")
         for name, weight in (("state_weight", state_weight), ("history_weight", history_weight)):
             if not 0.0 <= weight <= 1.0:  # NaN too; the retrieval bounds need it
                 raise ValueError(f"{name} must lie in [0, 1], got {weight}")
-        self.capacity = capacity
-        self.state_weight = state_weight
-        self.history_weight = history_weight
+        self._capacity = capacity
+        self._state_weight = state_weight
+        self._history_weight = history_weight
         self._rebuild([])
         self._clock = 0
         self.retrieval_count = 0
         self.insert_count = 0
+
+    capacity = property(lambda self: self._capacity)
+    state_weight = property(lambda self: self._state_weight)
+    history_weight = property(lambda self: self._history_weight)
 
     def __len__(self) -> int:
         return len(self._entries) - self._start
@@ -365,7 +398,7 @@ class MemoryStore:
             self._pair_last[pid] = pos
         self._state_last[sid] = pos
         self._clock = entry.time_index + 1
-        if self.capacity is not None and len(self._entries) - self._start > self.capacity:
+        if self._capacity is not None and len(self._entries) - self._start > self._capacity:
             self._start += 1
             if 2 * self._start > len(self._entries):
                 self._rebuild(self._entries[self._start:])
@@ -400,37 +433,41 @@ class MemoryStore:
         deterministic function of (store contents, query, k, threshold, gate).
 
         A pair can pass only if its state set shares at least ``need`` of the
-        query's nq state tokens (:meth:`_need`). When ``need`` is at least
+        query's nq state tokens (:func:`_need`). When ``need`` is at least
         1, the query reads the postings of its ``nq - need + 1`` rarest state
         tokens, which hold every such set (:meth:`_probe`), and scores those
         candidates in Python (:meth:`_score`); its cost follows the candidates
         that share enough tokens, not the distinct sets. When ``need`` is 0, a
         pair could pass on its history alone, so the query scans every
-        distinct set and pair with numpy (:meth:`_scan`). Either way it keeps at
-        most k passing pairs and reads at most k rows from each. Those pairs
-        hold the top k: a row of any other pair has k pairs ranked above it,
-        each with a newest row that ranks above that row.
+        distinct set and pair with numpy (:meth:`_scan`). Either way it
+        returns at once when no pair passes, and otherwise keeps the k best
+        passing pairs by (similarity, newest row): a row of any other pair has
+        k pairs ranked above it, each with a newest row that ranks above that
+        row. It follows their row chains newest first, in that order, each
+        only as far as k minus the rows of the pairs with a higher similarity;
+        so it follows at most k row links when no two of those pairs tie, and
+        sorts the rows only when some do.
 
         A store without a capacity never evicts, so a pair that passes once
         passes for good. There every passing pair of a probed query is
         memoised (:meth:`_recall`); asked again with the same threshold and
-        gate, the query skips ``_need`` and the probe, scores only the pairs
+        gate, the query skips the bound and the probe, scores only the pairs
         interned since, and ranks the passing pairs by their newest rows of
         now. A scan and a capped store keep no memo.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if not _is_count(k):
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
         self.retrieval_count += 1
         if len(self) == 0:
             return Neighborhood([])
         memo_key = chosen = None
-        if self.capacity is None:
+        if self._capacity is None:
             memo_key = (query.tokens, query.history_tokens, threshold, task_filter)
             chosen = self._recall(memo_key, query)
         if chosen is None:
-            need = self._need(threshold, len(query.tokens))
+            need = _need(self._state_weight, self._history_weight, threshold, len(query.tokens))
             if need > 0:
                 chosen, scored = self._probe(query, threshold, need, task_filter)
                 if memo_key is not None:
@@ -442,21 +479,30 @@ class MemoryStore:
                                             tuple((sim, pid) for sim, _, pid in chosen))
             else:
                 chosen = self._scan(query, k, threshold, task_filter)
-        if len(chosen) > k:
-            # similarity descending, then newest row descending
-            chosen.sort(reverse=True)
-            del chosen[k:]
+        if not chosen:
+            return Neighborhood([])
+        # similarity descending, then newest row descending
+        chosen.sort(reverse=True)
+        del chosen[k:]
+        # rows rank by similarity, then position (recency), both descending;
+        # above counts the rows of the pairs with a higher similarity
         rows = []
         lo, prev = self._start, self._prev
+        above, last, tied = 0, None, False
         for sim, pos, _ in chosen:
-            for _ in range(k):
+            if sim == last:
+                tied = True
+            else:
+                above, last = len(rows), sim
+                if above >= k:
+                    break
+            for _ in range(k - above):
                 if pos < lo:  # the rest of the chain is evicted (or -1)
                     break
                 rows.append((sim, pos))
                 pos = prev[pos]
-        # similarity descending, then row position descending; time indices
-        # rise with position, so this is recency first
-        rows.sort(reverse=True)
+        if tied:
+            rows.sort(reverse=True)
         return Neighborhood([(self._entries[pos], sim) for sim, pos in rows[:k]])
 
     def _recall(self, memo_key: tuple, query: StateKey) -> list[tuple[float, int, int]] | None:
@@ -486,23 +532,6 @@ class MemoryStore:
         pair_last = self._pair_last
         return [(sim, pair_last[pid], pid) for sim, pid in hits]
 
-    def _need(self, threshold: float, nq: int) -> int:
-        """The fewest of a query's ``nq`` state tokens that a passing pair's
-        state set must share.
-
-        A set of size s sharing i tokens has Jaccard i / (nq + s - i) <= i / nq,
-        and every rounding in the score is monotone; so a pair sharing i
-        tokens fails when even ``state_weight * (i / nq) + history_weight *
-        1.0``, its score with a perfect history in the scorer's own floats,
-        is below the threshold (both weights lie in [0, 1]). 0 when nothing is
-        bounded (an empty query, or a threshold the history alone reaches);
-        nq + 1, which probes no token, when nothing can pass.
-        """
-        if nq == 0:
-            return 0
-        ws, wh = self.state_weight, self.history_weight
-        return next((i for i in range(nq + 1) if ws * (i / nq) + wh * 1.0 >= threshold), nq + 1)
-
     def _probe(self, query: StateKey, threshold: float, need: int, task_filter: TaskFilter | None
                ) -> tuple[list[tuple[float, int, int]], int]:
         """:meth:`_score` of each state set in the postings of the query's
@@ -530,7 +559,7 @@ class MemoryStore:
         nq = len(qs)
         state_sets, sizes = self._states.sets, self._states.sizes
         history_sets = self._histories.sets
-        ws, wh, lo = self.state_weight, self.history_weight, self._start
+        ws, wh, lo = self._state_weight, self._history_weight, self._start
         perfect_history = wh * 1.0
         state_last, pair_last = self._state_last, self._pair_last
         history_parts: dict[int, float] = {}  # history set id -> weighted Jaccard
@@ -576,8 +605,8 @@ class MemoryStore:
         pair_states = np.frombuffer(self._pair_states, dtype=np.int64)
         pair_histories = np.frombuffer(self._pair_histories, dtype=np.int64)
         history_jaccard = self._histories.jaccard(query.history_tokens)
-        pair_sims = ((self.state_weight * self._states.jaccard(query.tokens))[pair_states]
-                     + (self.history_weight * history_jaccard)[pair_histories])
+        pair_sims = ((self._state_weight * self._states.jaccard(query.tokens))[pair_states]
+                     + (self._history_weight * history_jaccard)[pair_histories])
         top = np.flatnonzero(pair_sims >= threshold)
         if task_filter is not None:
             task_jaccard = self._states.jaccard(task_filter.task_tokens)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsteer.memory import (ActionNormalizer, MemoryEntry, MemoryFormatError, MemoryStore,
-                             StateKey, TaskFilter, append_records, encode_record,
+                             StateKey, TaskFilter, _need, append_records, encode_record,
                              group_by_action)
 from memsteer.tokens import jaccard, tokenize
 
@@ -34,7 +34,9 @@ web_histories = st.sampled_from([frozenset(), frozenset({"go"}), frozenset({"go"
 web_keys = st.tuples(web_states, web_histories)
 any_keys = st.one_of(st.tuples(token_sets, token_sets), web_keys)
 # each threshold of the profiles, a float just above one, and values between
-thresholds = st.sampled_from([0.0, 0.2, 0.5, 0.8, math.nextafter(0.8, 1.0), 0.95, 1.0])
+THRESHOLDS = [0.0, 0.2, 0.5, 0.8, math.nextafter(0.8, 1.0), 0.95, 1.0]
+thresholds = st.sampled_from(THRESHOLDS)
+WEIGHTS = [(0.75, 0.25), (1.0, 0.0), (0.5, 0.5), (0.1, 0.7)]
 
 
 # -- tokenizer and similarity ---------------------------------------------------
@@ -290,6 +292,41 @@ def test_retrieve_validates_arguments():
         store.retrieve(StateKey("x"), k=1, threshold=1.5)
 
 
+@pytest.mark.parametrize("k", [2.5, True, 2.0, "2", None])
+def test_retrieve_rejects_a_k_that_is_not_an_integer_before_any_work(k):
+    store = MemoryStore()
+    store.add(StateKey("a b c d"), "act", 0.0)
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        store.retrieve(StateKey("a b c d"), k, 0.5)
+    assert store.retrieval_count == 0 and not store._memo
+
+
+@pytest.mark.parametrize("capacity", [2.5, True, 2.0, "2", 0, -1])
+def test_store_rejects_a_capacity_that_is_not_a_positive_integer(tmp_path, capacity):
+    path = tmp_path / "bank.jsonl"
+    MemoryStore().save(path)
+    with pytest.raises(ValueError, match="capacity must be None or an integer >= 1"):
+        MemoryStore(capacity=capacity)
+    with pytest.raises(ValueError, match="capacity must be None or an integer >= 1"):
+        MemoryStore.load(path, capacity=capacity)
+
+
+@pytest.mark.parametrize("name,value", [("capacity", 1), ("capacity", None),
+                                        ("state_weight", 0.5), ("history_weight", 0.5)])
+def test_store_parameters_are_fixed_at_construction(name, value):
+    # the memo and the overlap bound were computed with the weights of
+    # construction; a changed weight would answer from them with stale scores
+    store = MemoryStore(capacity=None if name != "capacity" else 5)
+    x = store.add(StateKey("a b c d", history="p q r"), "x", 0.0)
+    y = store.add(StateKey("a b c e", history="g h"), "y", 1.0)
+    query = StateKey("a b c d", history="g h")
+    want = [(x, 0.75 + 0.0), (y, 0.75 * (3 / 5) + 0.25)]
+    assert store.retrieve(query, 5, 0.5).entries == want
+    with pytest.raises(AttributeError):
+        setattr(store, name, value)
+    assert store.retrieve(query, 5, 0.5).entries == want
+
+
 def test_weighted_state_history_similarity():
     store = MemoryStore()  # default 0.75 state / 0.25 history
     store.add(StateKey("hall door", history="go north"), "a", 1.0)
@@ -532,7 +569,7 @@ def test_task_filter_admits_arrays_as_it_admits_floats(pairs, task, threshold, w
 
 
 class _CountingRows(list):
-    """A row list that counts the rows read from it by index."""
+    """A list that counts the items read from it by index: rows, or row links."""
 
     reads = 0
 
@@ -583,7 +620,7 @@ def _brute_force(live, q, k, threshold, ws, wh, gate=None):
        query=any_keys,
        k=st.integers(1, 12),
        threshold=thresholds,
-       weights=st.sampled_from([(0.75, 0.25), (1.0, 0.0), (0.5, 0.5), (0.1, 0.7)]))
+       weights=st.sampled_from(WEIGHTS))
 def test_retrieve_matches_brute_force_ranking(keys, capacity, query, k, threshold, weights):
     # at least 25 inserts into at most 10 rows evicts past the point where
     # the store compacts and rebuilds its set tables
@@ -605,7 +642,7 @@ pooled_keys = st.one_of(st.lists(st.tuples(token_sets, token_sets), min_size=1, 
 pooled_inserts = st.lists(st.integers(0, 14), min_size=20, max_size=120)
 pooled_thresholds = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 0.8, math.nextafter(0.8, 1.0),
                                      0.9, 0.95, 1.0])
-pooled_weights = st.sampled_from([(0.75, 0.25), (1.0, 0.0), (0.5, 0.5), (0.1, 0.7)])
+pooled_weights = st.sampled_from(WEIGHTS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -707,6 +744,64 @@ def test_retrieve_keeps_a_similarity_equal_to_the_threshold():
         [(1, query.similarity(above)), (3, 0.95), (0, 0.95)]
     just_above = store.retrieve(query, k=10, threshold=math.nextafter(0.95, 1.0)).entries
     assert [e.time_index for e, _ in just_above] == [1]
+
+
+# keys that tie one query: its own state set or two at Jaccard 3/5 to it, with
+# its own history, one of three at Jaccard 1/3 to it, or the empty one
+_TIE_QUERY = (frozenset("abcd"), frozenset({"h1", "h2"}))
+_TIE_STATES = [frozenset("abcd"), frozenset("abce"), frozenset("abcf")]
+_TIE_HISTORIES = [frozenset({"h1", "h2"}), frozenset({"h1", "x1"}), frozenset({"h1", "x2"}),
+                  frozenset({"h2", "x3"}), frozenset()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), min_size=1, max_size=40),
+       capacity=capacities, k=st.one_of(st.integers(1, 4), st.integers(1, 45)),
+       threshold=st.sampled_from([0.0, 0.4, 0.5, 0.8]), weights=pooled_weights)
+def test_tied_pairs_rank_their_rows_as_brute_force_does(picks, capacity, k, threshold, weights):
+    # several passing pairs share one similarity, so their rows interleave by
+    # position; eviction and rebuilds cut their row chains
+    ws, wh = weights
+    store = MemoryStore(capacity=capacity, state_weight=ws, history_weight=wh)
+    q = _key(*_TIE_QUERY)
+    for i, (state, history) in enumerate(picks):
+        store.add(_key(_TIE_STATES[state], _TIE_HISTORIES[history]), f"act{i % 3}", float(i))
+        assert store.retrieve(q, k, threshold).entries == \
+            _brute_force(store.entries, q, k, threshold, ws, wh)
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.0])  # a probe then a memo hit; a scan
+def test_a_query_follows_at_most_k_row_links(threshold):
+    # five pairs of ten rows each, each pair at its own similarity: 1.0, 0.85,
+    # 0.8125, 0.625 and 0.4375
+    store = MemoryStore()
+    states = ["a b c d", "a b c d e", "a b c", "a b c e f", "a"]
+    for i in range(50):
+        store.add(StateKey(states[i % 5], history="go"), f"act{i}", float(i))
+    store._prev = _CountingRows(store._prev)
+    query = StateKey("a b c d", history="go")
+    for k in (3, 3, 12):
+        store._prev.reads = 0
+        kept = store.retrieve(query, k, threshold).entries
+        assert kept == _brute_force(store.entries, query, k, threshold, 0.75, 0.25)
+        assert store._prev.reads <= k
+
+
+def _need_by_definition(ws, wh, threshold, nq):
+    """The overlap bound as a search: the fewest shared tokens i whose score
+    with a perfect history reaches the threshold."""
+    if nq == 0:
+        return 0
+    return next((i for i in range(nq + 1) if ws * (i / nq) + wh * 1.0 >= threshold), nq + 1)
+
+
+def test_the_memoised_overlap_bound_equals_its_definition():
+    cases = [(ws, wh, threshold, nq) for ws, wh in WEIGHTS for threshold in THRESHOLDS
+             for nq in range(17)]
+    _need.cache_clear()
+    for _ in range(2):  # cold, then memoised
+        assert [_need(*case) for case in cases] == [_need_by_definition(*case) for case in cases]
+    assert _need.cache_info()[:2] == (len(cases), len(cases))  # hits, misses
 
 
 # -- the repeat-query memo of a store without a capacity ------------------------------

@@ -755,6 +755,59 @@ def test_consistency_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SIX_STATE_CONSISTENCY_SHA256
 
 
+def web_like_episodes(seed, episodes, steps=10):
+    """Seeded web-agent traffic: each key is one of a few page templates plus
+    0-3 volatile ids, with the last two actions as its history, so states
+    rarely repeat, histories often do, and pairs tie on similarity."""
+    rng = np.random.default_rng(seed)
+    pages = [" ".join(f"w{t}" for t in rng.choice(40, 5, replace=False)) for _ in range(12)]
+    links = rng.integers(0, len(pages), size=(len(pages), 3))
+    traffic = []
+    for _ in range(episodes):
+        page, history, visits = int(rng.integers(0, 4)), [], []
+        for _ in range(steps):
+            n_ids = rng.choice(4, p=[0.3, 0.4, 0.2, 0.1])
+            ids = " ".join(f"id{v}" for v in rng.integers(0, 60, size=n_ids))
+            choice = int(rng.choice(3, p=[0.6, 0.3, 0.1]))
+            action = f"click p{page}x{choice}"
+            visits.append((StateKey(f"{pages[page]} {ids}".strip(), " ".join(history[-2:])),
+                           action, float(rng.normal())))
+            history.append(action)
+            page = int(links[page, choice])
+        traffic.append(visits)
+    return traffic
+
+
+# sha256 of every query's [(time_index, similarity)] and of save()'s bytes for
+# 40 episodes of web-like traffic, each ten retrieves (k 10, threshold 0.8)
+# then its ten adds: once under a capacity that evicts and rebuilds, once
+# without one, where repeated queries are answered from the memo; with the
+# number of queries that found a neighbour
+WEB_RETRIEVAL_PINS = {
+    60: (162, "b35938c379ce42fd8eecde8dad8dee85729a4a88d2d2620c4da740f7869046c0",
+         "7482118a25008206256260f6da17d841db15bf532e0aaa46fa034e88eaa76cef"),
+    None: (233, "0f921970214d9ecc946aa1465f7625e12f3cd3a807bbbb0c5501f7978044de35",
+           "9e1f6cf151a246d9852a42d7ac4c00ae23546b10f962566d0c30f15bbcad8625"),
+}
+
+
+@pytest.mark.parametrize("capacity", list(WEB_RETRIEVAL_PINS))
+def test_web_retrieval_bytes_are_pinned(tmp_path, capacity):
+    store = MemoryStore(capacity=capacity)
+    found = hashlib.sha256()
+    hits = 0
+    for episode, visits in enumerate(web_like_episodes(19, 40)):
+        for key, _, _ in visits:
+            entries = store.retrieve(key, 10, 0.8).entries
+            hits += bool(entries)
+            found.update(repr([(e.time_index, sim) for e, sim in entries]).encode() + b"\n")
+        for step, (key, action, ret) in enumerate(visits):
+            store.add(key, action, ret, episode=episode, step=step)
+    store.save(tmp_path / "memory.jsonl")
+    bank = hashlib.sha256((tmp_path / "memory.jsonl").read_bytes()).hexdigest()
+    assert (hits, found.hexdigest(), bank) == WEB_RETRIEVAL_PINS[capacity]
+
+
 # every AVX-512 feature numpy lists; numpy ignores a name the CPU or its build
 # lacks, so this runs on any machine
 AVX512_FEATURES = ("AVX512F AVX512CD AVX512VPOPCNTDQ AVX512VL AVX512BW AVX512DQ AVX512VNNI "
