@@ -755,6 +755,26 @@ def test_consistency_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SIX_STATE_CONSISTENCY_SHA256
 
 
+# sha256 of save()'s bytes after the consistency fill of the six-state fixture
+# at N=2000 from seed 0 and 1: every row's key, action, return, episode, step
+# and time index, where the csv above sees only the estimates they aggregate to
+SIX_STATE_FILL_SHA256 = {
+    0: "20d453ceb30c821f1457e7b261c22c8c9f085dfd59c4b55d8700bdade5984e79",
+    1: "5adbe7abc552b39a64e032ec99ee7d4b9b1a80cc2b4b760998e435c785c37b6a",
+}
+
+
+@pytest.mark.parametrize("seed", list(SIX_STATE_FILL_SHA256))
+def test_consistency_fill_bytes_are_pinned(tmp_path, seed):
+    mdp, policy = six_state_fixture()
+    store = MemoryStore()
+    fill_memory_from_rollouts(mdp, lambda episode: policy, 0.9, 2000,
+                              _BlockUniforms(np.random.default_rng(seed)), store)
+    store.save(tmp_path / "memory.jsonl")
+    digest = hashlib.sha256((tmp_path / "memory.jsonl").read_bytes()).hexdigest()
+    assert digest == SIX_STATE_FILL_SHA256[seed]
+
+
 def web_like_episodes(seed, episodes, steps=10):
     """Seeded web-agent traffic: each key is one of a few page templates plus
     0-3 volatile ids, with the last two actions as its history, so states
