@@ -44,7 +44,9 @@ def build_env_factory(name: str):
 
         def fresh_game(rng):
             episode = copy.copy(game)
-            episode.reset()  # new mutable tables; the config and door table are shared
+            # new mutable tables; the config and door table are shared, and
+            # run_episode's reset builds the episode's one first observation
+            episode.reset_tables()
             return episode
 
         return fresh_game

@@ -126,9 +126,15 @@ class TextMicroGame:
                        for direction, dest in room.get("exits", {}).items())
             for rid, room in config["rooms"].items()}
         self._hops: dict[tuple[str, str, frozenset[str]], str | None] = {}
-        self.reset()
+        self.reset_tables()
 
     def reset(self) -> Observation:
+        """Start a new episode and observe its first state."""
+        self.reset_tables()
+        return self.observe()
+
+    def reset_tables(self) -> None:
+        """Start a new episode in fresh mutable tables, observing nothing."""
         cfg = self.config
         self.room = cfg["start_room"]
         self.inventory: list[str] = []
@@ -141,7 +147,6 @@ class TextMicroGame:
         self.done = False
         self.visits = {rid: 0 for rid in cfg["rooms"]}
         self.visits[self.room] = 1
-        return self.observe()
 
     @property
     def success(self) -> bool:

@@ -28,9 +28,11 @@ and gates each passing pair on that Jaccard and the task tokens' Jaccard with
 its state set, once per set. When ``need`` is 0, a pair could pass on its
 history alone, so every distinct set is a candidate and the query scans with
 numpy instead (on 20k distinct keys the Python scorer took 30 to 70 times as
-long): one ``np.bincount`` over the postings of its tokens per index (one
-more for a gate), each set's Jaccard and each pair's weighted sum once, then
-the threshold and the gate as vectors over the pairs, and a partition on the
+long): one ``np.bincount`` over the postings of its tokens per index, each
+set's Jaccard and each pair's weighted sum once, then the threshold, and the
+gate as a vector over the passing pairs, with the task tokens' Jaccard taken
+per distinct state set of those pairs (or over the index, one more
+``np.bincount``, when they are not few beside it), and a partition on the
 k-th best similarity before the sort when more than k pass. Either way a
 query that no pair passes returns at once; otherwise the row chains of the k
 best passing pairs are followed in rank order until k rows are read, and the
@@ -81,7 +83,7 @@ import json
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -126,12 +128,21 @@ class StateKey:
         return state_weight * js + history_weight * jh
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MemoryEntry:
     """One stored triplet with provenance.
 
     Slotted, so an entry has no ``__dict__``; fields, ``replace``, equality,
     hash, repr and pickling are those of a plain frozen dataclass.
+
+    ``__init__`` is written by hand. The one dataclasses generates for a
+    frozen class makes an ``object.__setattr__`` call per field, about half
+    the cost of a ``MemoryStore.add``; setting each slot through its member
+    descriptor costs about half as much. It takes the fields' names, order
+    and defaults (a test holds it to ``dataclasses.fields``), so every
+    caller, ``dataclasses.replace`` too, builds an entry through it; the
+    dataclass still freezes the entry and gives it equality, hash, repr and
+    pickling.
     """
 
     state: StateKey
@@ -141,11 +152,25 @@ class MemoryEntry:
     step: int = 0
     time_index: int = 0
 
+    def __init__(self, state: StateKey, action: str, return_value: float,
+                 episode: int = 0, step: int = 0, time_index: int = 0):
+        _set_state(self, state)
+        _set_action(self, action)
+        _set_return_value(self, return_value)
+        _set_episode(self, episode)
+        _set_step(self, step)
+        _set_time_index(self, time_index)
+
     def validate(self) -> None:
         if not self.action:
             raise ValueError("memory entry action must be non-empty")
         if not math.isfinite(self.return_value):
             raise ValueError(f"memory entry return must be finite, got {self.return_value!r}")
+
+
+# each slot's member-descriptor setter, which a frozen entry's __setattr__ does not reach
+(_set_state, _set_action, _set_return_value, _set_episode, _set_step,
+ _set_time_index) = (MemoryEntry.__dict__[f.name].__set__ for f in fields(MemoryEntry))
 
 
 @dataclass
@@ -608,10 +633,17 @@ class MemoryStore:
         pair_sims = ((self._state_weight * self._states.jaccard(query.tokens))[pair_states]
                      + (self._history_weight * history_jaccard)[pair_histories])
         top = np.flatnonzero(pair_sims >= threshold)
-        if task_filter is not None:
-            task_jaccard = self._states.jaccard(task_filter.task_tokens)
-            top = top[task_filter.admits(history_jaccard[pair_histories[top]],
-                                         task_jaccard[pair_states[top]])]
+        if task_filter is not None and top.size:
+            task, state_sets = task_filter.task_tokens, self._states.sets
+            if 64 * top.size <= len(state_sets):
+                # the task's Jaccard with each distinct state set of the few
+                # passing pairs, as _score takes it: the index's values
+                sids, where = np.unique(pair_states[top], return_inverse=True)
+                task_jaccard = np.array([jaccard(task, state_sets[sid])
+                                         for sid in sids.tolist()])[where]
+            else:  # at about 0.5 us a set in Python, numpy over every set is cheaper
+                task_jaccard = self._states.jaccard(task)[pair_states[top]]
+            top = top[task_filter.admits(history_jaccard[pair_histories[top]], task_jaccard)]
         last = np.frombuffer(self._pair_last, dtype=np.int64)[top]
         sims = pair_sims[top]
         if top.size > k:
@@ -704,14 +736,9 @@ def decode_record(line: str, lineno: int) -> MemoryEntry:
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise MemoryFormatError(lineno, f"{name} must be {noun}, got {value!r}")
     try:
-        entry = MemoryEntry(
-            state=StateKey(text=raw["state_text"], history=raw["history_text"]),
-            action=raw["action"],
-            return_value=float(raw["return"]),
-            episode=raw["episode"],
-            step=raw["step"],
-            time_index=raw["time"],
-        )
+        # by position, as MemoryStore.add builds its entries
+        entry = MemoryEntry(StateKey(raw["state_text"], raw["history_text"]), raw["action"],
+                            float(raw["return"]), raw["episode"], raw["step"], raw["time"])
         entry.validate()
     except (ValueError, OverflowError) as exc:  # a value validate rejects, or a huge int
         raise MemoryFormatError(lineno, str(exc)) from exc

@@ -232,7 +232,7 @@ def update_memory(record: EpisodeRecord, memory: MemoryStore, evaluator,
     record.rewards = list(outcome.rewards)
     record.evaluator_fallback = outcome.used_fallback
     returns = discounted_returns(outcome.rewards, gamma)
-    return [memory.add(step.state, step.action, g, episode=record.episode_index, step=t)
+    return [memory.add(step.state, step.action, g, record.episode_index, t)
             for t, (step, g) in enumerate(zip(record.trajectory, returns))]
 
 
@@ -442,7 +442,7 @@ def replay_episode(config: EngineConfig, env_factory, proposer_factory, mode: st
             if entry.episode >= episode:
                 break
             session.memory.add(entry.state, entry.action, entry.return_value,
-                               episode=entry.episode, step=entry.step)
+                               entry.episode, entry.step)
     fresh = episode_record_to_dict(session.play(env_factory, proposer_factory, episode))
     unchecked = ("rewards", "evaluator_fallback")
     same = ({k: v for k, v in fresh.items() if k not in unchecked}
@@ -510,14 +510,15 @@ def fill_memory_from_rollouts(mdp: TabularMDP, policy_of_episode, gamma: float,
         raise ValueError("every start state is terminal, so no rollout yields a triplet")
     room = n_entries - len(store)
     episode = 0
+    # the MDP's own key and name tables, read as state_key and action_name do
+    state_keys, action_names, add = mdp._state_keys, mdp._action_names, store.add
     while room > 0:
         policy = policy_of_episode(episode)
         states, actions, rewards = rollout(mdp, policy, rng)
         returns = episode_returns(rewards, gamma)
         taken = min(room, len(states))
         for t in range(taken):
-            store.add(mdp.state_key(states[t]), mdp.action_name(actions[t]), returns[t],
-                      episode=episode, step=t)
+            add(state_keys[states[t]], action_names[actions[t]], returns[t], episode, t)
         room -= taken
         episode += 1
 

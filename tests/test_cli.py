@@ -47,6 +47,43 @@ def test_keydoor_factory_checks_its_config_only_when_built_and_shares_no_table(m
     assert len(set(every)) == len(every)
 
 
+def test_a_keydoor_episode_observes_its_start_once(monkeypatch):
+    # the factory gives a game with fresh tables and no observation, so
+    # run_episode's reset builds each episode's only first observation
+    factory = build_env_factory("keydoor")
+    observed = []
+    observe = textgame.TextMicroGame.observe
+    monkeypatch.setattr(textgame.TextMicroGame, "observe",
+                        lambda game: observed.append(game) or observe(game))
+    games = []
+    _, _, records = run_experiment(EngineConfig.profile("text-game", 2.0, episodes=3, seed=0),
+                                   lambda rng: games.append(factory(rng)) or games[-1],
+                                   build_proposer_factory("noisy-advisor", 0.3))
+    for game, record in zip(games, records, strict=True):
+        assert record.steps > 0
+        assert sum(seen is game for seen in observed) == record.steps + 1
+    assert len(observed) == sum(record.steps + 1 for record in records)
+
+
+def test_keydoor_games_share_no_mutable_table_with_each_other_or_the_template(monkeypatch):
+    built = []
+    make = textgame.key_door_game
+    monkeypatch.setattr(textgame, "key_door_game", lambda: built.append(make()) or built[-1])
+    factory = build_env_factory("keydoor")
+    template, = built
+    first, second = factory(None), factory(None)
+
+    def tables(game):
+        return [game.inventory, game.room_objects, game.open_doors, game.fired, game.visits,
+                *game.room_objects.values()]
+
+    every = [id(table) for game in (template, first, second) for table in tables(game)]
+    assert len(set(every)) == len(every)
+    first.step("go north")
+    assert second.room == template.room == template.config["start_room"] != first.room
+    assert second.visits == template.visits != first.visits
+
+
 def test_run_requires_beta(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--episodes", "1"])
