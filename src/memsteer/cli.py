@@ -44,8 +44,9 @@ def build_env_factory(name: str):
 
         def fresh_game(rng):
             episode = copy.copy(game)
-            # new mutable tables; the config and door table are shared, and
-            # run_episode's reset builds the episode's one first observation
+            # new mutable tables, so no game aliases the template's; all else
+            # is shared. run_episode's reset builds the one first observation
+            # (and the tables once more)
             episode.reset_tables()
             return episode
 

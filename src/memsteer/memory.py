@@ -28,11 +28,9 @@ and gates each passing pair on that Jaccard and the task tokens' Jaccard with
 its state set, once per set. When ``need`` is 0, a pair could pass on its
 history alone, so every distinct set is a candidate and the query scans with
 numpy instead (on 20k distinct keys the Python scorer took 30 to 70 times as
-long): one ``np.bincount`` over the postings of its tokens per index, each
-set's Jaccard and each pair's weighted sum once, then the threshold, and the
-gate as a vector over the passing pairs, with the task tokens' Jaccard taken
-per distinct state set of those pairs (or over the index, one more
-``np.bincount``, when they are not few beside it), and a partition on the
+long): one ``np.bincount`` over the postings of its tokens per index (one
+more for a gate), each set's Jaccard and each pair's weighted sum once, then
+the threshold and the gate as vectors over the pairs, and a partition on the
 k-th best similarity before the sort when more than k pass. Either way a
 query that no pair passes returns at once; otherwise the row chains of the k
 best passing pairs are followed in rank order until k rows are read, and the
@@ -139,10 +137,11 @@ class MemoryEntry:
     frozen class makes an ``object.__setattr__`` call per field, about half
     the cost of a ``MemoryStore.add``; setting each slot through its member
     descriptor costs about half as much. It takes the fields' names, order
-    and defaults (a test holds it to ``dataclasses.fields``), so every
-    caller, ``dataclasses.replace`` too, builds an entry through it; the
-    dataclass still freezes the entry and gives it equality, hash, repr and
-    pickling.
+    and defaults (a test holds it to ``dataclasses.fields``), so callers,
+    ``decode_record`` and ``dataclasses.replace`` build an entry through it.
+    Pickle and copy do not call it: they restore the slots through the
+    dataclass's own ``__getstate__``/``__setstate__``. The dataclass still
+    freezes the entry and gives it equality, hash and repr.
     """
 
     state: StateKey
@@ -633,17 +632,10 @@ class MemoryStore:
         pair_sims = ((self._state_weight * self._states.jaccard(query.tokens))[pair_states]
                      + (self._history_weight * history_jaccard)[pair_histories])
         top = np.flatnonzero(pair_sims >= threshold)
-        if task_filter is not None and top.size:
-            task, state_sets = task_filter.task_tokens, self._states.sets
-            if 64 * top.size <= len(state_sets):
-                # the task's Jaccard with each distinct state set of the few
-                # passing pairs, as _score takes it: the index's values
-                sids, where = np.unique(pair_states[top], return_inverse=True)
-                task_jaccard = np.array([jaccard(task, state_sets[sid])
-                                         for sid in sids.tolist()])[where]
-            else:  # at about 0.5 us a set in Python, numpy over every set is cheaper
-                task_jaccard = self._states.jaccard(task)[pair_states[top]]
-            top = top[task_filter.admits(history_jaccard[pair_histories[top]], task_jaccard)]
+        if task_filter is not None:
+            task_jaccard = self._states.jaccard(task_filter.task_tokens)
+            top = top[task_filter.admits(history_jaccard[pair_histories[top]],
+                                         task_jaccard[pair_states[top]])]
         last = np.frombuffer(self._pair_last, dtype=np.int64)[top]
         sims = pair_sims[top]
         if top.size > k:

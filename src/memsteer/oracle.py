@@ -105,7 +105,7 @@ def rollout(mdp: TabularMDP, policy: np.ndarray, rng, start_state: int | None = 
     last_action = mdp.n_actions - 1
     terminal = mdp._terminal
     reward_rows = mdp._reward_rows
-    cum_next, last_state = mdp._cum_next, mdp._last_state
+    sample_next = mdp.sample_next
     states, actions, rewards = [], [], []
     for _ in range(step_cap):
         if terminal[s]:
@@ -114,7 +114,7 @@ def rollout(mdp: TabularMDP, policy: np.ndarray, rng, start_state: int | None = 
         states.append(s)
         actions.append(a)
         rewards.append(reward_rows[s][a])
-        s = min(bisect_right(cum_next[s][a], rng.random()), last_state)  # mdp.sample_next
+        s = sample_next(s, a, rng)
     return states, actions, rewards
 
 

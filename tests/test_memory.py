@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsteer.memory import (ActionNormalizer, MemoryEntry, MemoryFormatError, MemoryStore,
-                             StateKey, TaskFilter, _need, _TokenSetIndex, append_records,
-                             decode_record, encode_record, group_by_action)
+                             StateKey, TaskFilter, _need, append_records, decode_record,
+                             encode_record, group_by_action)
 from memsteer.tokens import jaccard, tokenize
 
 from conftest import populated_store, random_entries
@@ -624,29 +624,6 @@ def test_gated_query_reads_only_the_rows_it_returns(threshold):
     assert store._entries.reads == len(kept) == 5
 
 
-def test_a_gated_scan_never_asks_the_state_index_for_the_task_jaccard(monkeypatch):
-    # the task's Jaccard is taken with the passing pairs' state sets alone, not
-    # with every interned set: one pair passes here among 201 distinct sets
-    asked = []
-    jaccard_of = _TokenSetIndex.jaccard
-    monkeypatch.setattr(_TokenSetIndex, "jaccard",
-                        lambda index, tokens: asked.append((index, tokens))
-                        or jaccard_of(index, tokens))
-    store = MemoryStore()
-    for i in range(200):
-        store.add(StateKey(f"page{i} item{i}", history=f"open{i % 50}"), "look", float(i))
-    store.add(StateKey("orders page", history="open orders"), "click orders", 1.0)
-    gate = TaskFilter(task_text="orders", threshold=0.5, history_weight=0.7, task_weight=0.3)
-    query = StateKey("orders page", history="open orders")
-    assert _need(0.75, 0.25, 0.2, len(query.tokens)) == 0  # so the query scans
-    kept = store.retrieve(query, k=5, threshold=0.2, task_filter=gate)
-    assert kept.entries == _brute_force(store.entries, query, 5, 0.2, 0.75, 0.25, gate)
-    assert [e.action for e, _ in kept.entries] == ["click orders"]
-    assert {(id(index), tokens) for index, tokens in asked} == {
-        (id(store._states), query.tokens), (id(store._histories), query.history_tokens)}
-    assert len(asked) == 2
-
-
 # -- index against the brute-force oracle -------------------------------------------
 
 
@@ -735,31 +712,6 @@ def test_retrieve_with_task_filter_matches_brute_force(pool, picks, capacity, qu
         want = _brute_force(store.entries, q, k, threshold, 0.75, 0.25, gate)
         assert store.retrieve(q, k=k, threshold=threshold, task_filter=gate).entries == want
         store.add(_key(*pool[pick % len(pool)]), f"act{i % 4}", float(i))
-
-
-# distinct state sets that share no token with the pooled keys, so that a
-# gated scan with a few passing pairs takes the task Jaccard set by set
-FILLER_KEYS = [StateKey(f"x{i} y{i}", history=f"z{i % 7}") for i in range(1000)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(pool=pooled_keys, picks=pooled_inserts, query=st.one_of(st.integers(0, 14), any_keys),
-       task=token_sets, k=st.integers(1, 12), threshold=st.sampled_from([0.0, 0.1, 0.2, 0.25]),
-       gate_threshold=st.sampled_from([0.0, 0.2, 0.3, 0.5, 0.7, 1.0]),
-       gate_weights=st.sampled_from([(0.7, 0.3), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0)]))
-def test_gated_scan_among_many_sets_matches_brute_force(pool, picks, query, task, k, threshold,
-                                                        gate_threshold, gate_weights):
-    gate = TaskFilter(task_text=" ".join(sorted(task)), threshold=gate_threshold,
-                      history_weight=gate_weights[0], task_weight=gate_weights[1])
-    store = MemoryStore()
-    for i, key in enumerate(FILLER_KEYS):
-        store.add(key, "wait", float(i))
-    for i, pick in enumerate(picks):
-        store.add(_key(*pool[pick % len(pool)]), f"act{i % 4}", float(i))
-    q = _key(*(pool[query % len(pool)] if isinstance(query, int) else query))
-    assert _need(0.75, 0.25, threshold, len(q.tokens)) == 0  # every such query scans
-    assert store.retrieve(q, k=k, threshold=threshold, task_filter=gate).entries == \
-        _brute_force(store.entries, q, k, threshold, 0.75, 0.25, gate)
 
 
 def test_retrieve_skips_pairs_whose_rows_are_all_evicted():

@@ -275,63 +275,6 @@ def test_mdp_list_tables_equal_the_tensors(mdp):
     assert mdp._last_state == mdp.n_states - 1
 
 
-class CountingDraws:
-    """A generator's ``random()`` that counts the draws taken from it."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.draws = 0
-
-    def random(self):
-        self.draws += 1
-        return self.rng.random()
-
-
-def sampler_rollout(mdp, policy, rng, start_state=None, step_cap=1000):
-    """The rollout through the MDP's own samplers, which rollout draws inline."""
-    policy_cum = np.cumsum(np.asarray(policy, dtype=np.float64), axis=1)
-    s = mdp.sample_start(rng) if start_state is None else start_state
-    states, actions, rewards = [], [], []
-    for _ in range(step_cap):
-        if mdp._terminal[s]:
-            break
-        a = reference_index(policy_cum[s], rng.random())
-        states.append(s)
-        actions.append(a)
-        rewards.append(mdp._reward_rows[s][a])
-        s = mdp.sample_next(s, a, rng)
-    return states, actions, rewards
-
-
-@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])  # None: the six-state fixture
-def test_rollout_draws_what_the_mdps_samplers_draw(seed):
-    if seed is None:
-        mdp, policy = six_state_fixture()
-    else:
-        rng = np.random.default_rng(seed)
-        mdp = random_mdp(rng, n_states=int(rng.integers(2, 8)), n_actions=int(rng.integers(1, 4)))
-        policy = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
-    terminal = mdp.n_states - 1
-    assert mdp._terminal[terminal]
-    cases = [dict(), dict(start_state=0), dict(start_state=terminal), dict(step_cap=2),
-             dict(start_state=0, step_cap=1), dict(step_cap=0)]
-    ours, ref = CountingDraws([7, seed or 0]), CountingDraws([7, seed or 0])
-    longest = {}
-    for case in cases:
-        lengths = []
-        for _ in range(30):
-            drawn = rollout(mdp, policy, ours, **case)
-            assert drawn == sampler_rollout(mdp, policy, ref, **case)
-            assert ours.draws == ref.draws
-            lengths.append(len(drawn[0]))
-        longest[tuple(case.items())] = max(lengths)
-    assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
-    assert longest[(("start_state", terminal),)] == longest[(("step_cap", 0),)] == 0
-    # uncapped episodes run past the caps, so the caps cut some of them
-    assert longest[()] > longest[(("step_cap", 2),)] == 2
-    assert longest[(("start_state", 0), ("step_cap", 1))] == 1
-
-
 # -- simplex grid search --------------------------------------------------------------
 
 
