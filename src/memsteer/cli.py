@@ -141,6 +141,14 @@ def unit_float(text: str) -> float:
     return value
 
 
+def mass_float(text: str) -> float:
+    """argparse type: a number in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"{value} is not in (0, 1]")
+    return value
+
+
 def non_negative_float(text: str) -> float:
     """argparse type: a finite number of at least 0."""
     value = float(text)
@@ -311,7 +319,7 @@ def main(argv=None) -> int:
     add_config_flags(p_run)
     p_run.add_argument("--env", choices=ENVIRONMENTS, default="keydoor")
     p_run.add_argument("--proposer", choices=PROPOSERS, default="noisy-advisor")
-    p_run.add_argument("--optimal-mass", dest="optimal_mass", type=float, default=0.3)
+    p_run.add_argument("--optimal-mass", dest="optimal_mass", type=mass_float, default=0.3)
     p_run.add_argument("--mode", choices=MODES, default="memsteer")
     p_run.add_argument("--out", help="output directory for metrics/records/memory")
     p_run.set_defaults(func=cmd_run)
@@ -348,7 +356,7 @@ def main(argv=None) -> int:
     p_rep.add_argument("--memory", help="memory bank file backing the snapshot")
     p_rep.add_argument("--env", choices=ENVIRONMENTS, default="keydoor")
     p_rep.add_argument("--proposer", choices=PROPOSERS, default="noisy-advisor")
-    p_rep.add_argument("--optimal-mass", dest="optimal_mass", type=float, default=0.3)
+    p_rep.add_argument("--optimal-mass", dest="optimal_mass", type=mass_float, default=0.3)
     p_rep.add_argument("--mode", choices=MODES, default="memsteer")
     p_rep.set_defaults(func=cmd_replay)
 

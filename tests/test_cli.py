@@ -285,3 +285,28 @@ def test_replay_missing_episode(tmp_path, capsys):
     code = main(["replay", "--config", str(config_path),
                  "--records", str(out / "records.jsonl"), "--episode", "9"])
     assert code == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-0.25", "1.5", "nan", "inf"])
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_optimal_mass_is_checked_before_any_file_is_touched(tmp_path, capsys, command, value):
+    out = tmp_path / "exp"
+    out.mkdir()
+    bank = out / "memory.jsonl"
+    bank.write_text("kept\n", encoding="utf-8")
+    if command == "run":
+        argv = ["run", "--beta", "2", "--out", str(out)]
+    else:
+        argv = ["replay", "--config", str(tmp_path / "missing.json"),
+                "--records", str(tmp_path / "missing.jsonl"), "--episode", "0",
+                "--memory", str(bank)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--optimal-mass", value])
+    assert exc.value.code == 2
+    assert "argument --optimal-mass" in capsys.readouterr().err
+    assert bank.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_optimal_mass_of_one_is_accepted(tmp_path):
+    assert main(["run", "--beta", "2", "--episodes", "1", "--optimal-mass", "1",
+                 "--out", str(tmp_path / "exp")]) == 0
