@@ -5,17 +5,20 @@ stored return, and a candidate action's value is the mean over the subset
 sharing its normalized action. ``estimate_candidates`` is the one entry point:
 the caller groups the neighborhood by normalized action once per decision
 (``memory.group_by_action``, in neighborhood order) and passes the groups in,
-so each candidate reads its subset without a rescan. Actions with no
+so each candidate reads its subset without a rescan, by the normalized form
+the merge already computed (``keys``) when the caller has it. Actions with no
 historical evidence get an optimistic value (state value plus a bonus that
 shrinks as the neighborhood grows) with probability ``exploration_rate``, else
-a neutral zero. Advantages center the action values on the state value and are
-rescaled into [-1, 1] before they touch any logits.
+a neutral zero: one draw per unseen action, in candidate order. Each value is
+an ``ActionValue`` named tuple built by position. Advantages center the action
+values on the state value and are rescaled into [-1, 1] before they touch any
+logits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -30,14 +33,13 @@ class EmptyNeighborhoodError(ValueError):
     """No retrieved evidence: there is no estimate, fall back to the base policy."""
 
 
-@dataclass(frozen=True)
-class ActionValue:
+class ActionValue(NamedTuple):
     q: float
     count: int
     source: str  # known | explored | neutral
 
 
-@dataclass
+@dataclass(slots=True)
 class ValueEstimate:
     v: float
     per_action: dict[str, ActionValue]
@@ -52,48 +54,49 @@ def state_value(neighborhood: Neighborhood) -> float:
     return sum(returns) / len(returns)
 
 
-def _value(group: tuple[str, list[float]] | None, v: float, neighborhood_size: int,
-           exploration_rate: float, exploration_bonus: float,
-           rng: np.random.Generator) -> ActionValue:
-    if group is not None:
-        returns = group[1]
-        return ActionValue(q=sum(returns) / len(returns), count=len(returns), source=KNOWN)
-    if rng.random() < exploration_rate:
-        return ActionValue(q=v + exploration_bonus / neighborhood_size, count=0,
-                           source=EXPLORED)
-    return ActionValue(q=0.0, count=0, source=NEUTRAL)
-
-
 def estimate_candidates(neighborhood: Neighborhood, actions: Iterable[str],
                         exploration_rate: float, exploration_bonus: float,
                         rng: np.random.Generator, normalizer: ActionNormalizer,
-                        groups: ActionGroups) -> ValueEstimate:
+                        groups: ActionGroups,
+                        keys: Iterable[str] | None = None) -> ValueEstimate:
     """Per-candidate action values around the neighborhood's state value.
 
-    ``groups`` is ``group_by_action(neighborhood, normalizer)``. One
-    independent exploration draw is taken per unseen action, in candidate
-    order, so results are reproducible given the generator state.
+    ``groups`` is ``group_by_action(neighborhood, normalizer)``. ``keys``,
+    when given, are the actions' normalized forms in the same order (the
+    candidates' ``key``, which the merge computed), so no action is
+    normalized again. One independent exploration draw is taken per unseen
+    action, in candidate order, so results are reproducible given the
+    generator state.
     """
     v = state_value(neighborhood)
     if not 0.0 <= exploration_rate <= 1.0:
         raise ValueError("exploration_rate must lie in [0, 1]")
     if exploration_bonus < 0.0:
         raise ValueError("exploration_bonus must be >= 0")
-    size = len(neighborhood)
+    size = len(neighborhood.entries)
+    optimistic = v + exploration_bonus / size
     per_action: dict[str, ActionValue] = {}
-    for action in actions:
+    pairs = zip(actions, keys) if keys is not None else ((a, normalizer(a)) for a in actions)
+    for action, key in pairs:
         if action in per_action:
             continue
-        per_action[action] = _value(groups.get(normalizer(action)), v, size,
-                                    exploration_rate, exploration_bonus, rng)
+        group = groups.get(key)
+        if group is not None:
+            returns = group[1]
+            per_action[action] = ActionValue(sum(returns) / len(returns), len(returns), KNOWN)
+        elif rng.random() < exploration_rate:
+            per_action[action] = ActionValue(optimistic, 0, EXPLORED)
+        else:
+            per_action[action] = ActionValue(0.0, 0, NEUTRAL)
     if not per_action:
         raise ValueError("no candidate actions to estimate")
-    return ValueEstimate(v=v, per_action=per_action, neighborhood_size=size)
+    return ValueEstimate(v, per_action, size)
 
 
 def advantages(estimate: ValueEstimate) -> dict[str, float]:
     """Center each action value against the state baseline."""
-    return {action: av.q - estimate.v for action, av in estimate.per_action.items()}
+    v = estimate.v
+    return {action: av.q - v for action, av in estimate.per_action.items()}
 
 
 def normalize_advantages(raw: Mapping[str, float], epsilon: float = 1e-8) -> dict[str, float]:
@@ -106,8 +109,7 @@ def normalize_advantages(raw: Mapping[str, float], epsilon: float = 1e-8) -> dic
         raise ValueError("epsilon must be > 0")
     if not raw:
         return {}
-    peak = max(abs(value) for value in raw.values())
-    denom = peak + epsilon
+    denom = max(map(abs, raw.values())) + epsilon
     return {action: value / denom for action, value in raw.items()}
 
 

@@ -190,7 +190,10 @@ class Neighborhood:
         return [entry.return_value for entry, _ in self.entries]
 
 
-class ActionNormalizer:
+_NORMALIZER_MEMO_BOUND = 4096  # forms a normalizer keeps, as tokenize keeps texts
+
+
+class ActionNormalizer(dict):
     """Rewrite table mapping action text to a canonical comparison form.
 
     Rules are (regex, replacement) pairs applied in order, followed by
@@ -199,30 +202,36 @@ class ActionNormalizer:
     the proposals, so e.g. ``click('1240')`` and ``click('88')`` can be
     configured to match. Proposals match valid actions by case and whitespace.
 
-    Results are memoized per instance: a run compares the same few action
-    strings many times per step, and the rules never change after init.
+    A normalizer is its own memo, a dict from action text to normalized form:
+    a run meets the same few strings step after step, a dozen times a
+    decision, and the rules never change after init. Calling it is a plain
+    lookup (``__call__`` is ``dict.__getitem__``, with no Python frame), and a
+    miss computes the form in ``__missing__``. The memo is bounded: past 4,096
+    forms it is emptied whole, so volatile actions (``click('<id>')`` over
+    fresh element ids) cannot grow it without end. Within one decision the
+    merge normalizes each distinct string once per function and carries the
+    form on (:class:`memsteer.policy.Candidate` ``.key``). Equality and hash
+    are by identity, as for any object, not by what the memo holds.
     """
 
+    __call__ = dict.__getitem__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
     def __init__(self, rules: Iterable[tuple[str, str]] = ()):
+        super().__init__()
         self.rules = [(re.compile(pat), repl) for pat, repl in rules]
-        self._memo: dict[str, str] = {}
 
-    def __call__(self, action: str) -> str:
-        normalized = self._memo.get(action)
-        if normalized is None:
-            normalized = action
-            for pattern, repl in self.rules:
-                normalized = pattern.sub(repl, normalized)
-            normalized = " ".join(normalized.split()).casefold()
-            self._memo[action] = normalized
+    def __missing__(self, action: str) -> str:
+        normalized = action
+        for pattern, repl in self.rules:
+            normalized = pattern.sub(repl, normalized)
+        normalized = " ".join(normalized.split()).casefold()
+        if len(self) >= _NORMALIZER_MEMO_BOUND:
+            self.clear()
+        self[action] = normalized
         return normalized
-
-    def spellings(self, actions: Iterable[str]) -> dict[str, str]:
-        """Each normalized form -> its first spelling among ``actions``."""
-        spelling: dict[str, str] = {}
-        for action in actions:
-            spelling.setdefault(self(action), action)
-        return spelling
 
 
 IDENTITY_NORMALIZER = ActionNormalizer()
@@ -233,19 +242,22 @@ ActionGroups = dict[str, tuple[str, list[float]]]
 
 def group_by_action(neighborhood: Neighborhood,
                     normalizer: ActionNormalizer = IDENTITY_NORMALIZER) -> ActionGroups:
-    """Normalized action -> (its first raw spelling, its returns), one pass.
+    """Normalized action -> (its first raw spelling, its returns), one pass
+    that normalizes each distinct raw spelling once.
 
     Groups and their returns keep neighborhood order, so a group's mean is
     the same float sum as over the per-action subset of the neighborhood.
     """
     groups: ActionGroups = {}
+    returns_of: dict[str, list[float]] = {}  # raw spelling -> its group's returns
     for entry, _ in neighborhood.entries:
-        key = normalizer(entry.action)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = (entry.action, [entry.return_value])
-        else:
-            group[1].append(entry.return_value)
+        returns = returns_of.get(entry.action)
+        if returns is None:
+            group = groups.get(key := normalizer(entry.action))
+            if group is None:
+                group = groups[key] = (entry.action, [])
+            returns = returns_of[entry.action] = group[1]
+        returns.append(entry.return_value)
     return groups
 
 

@@ -5,12 +5,18 @@ is the exact maximizer of expected advantage minus (1/beta) times the KL
 divergence from the base policy — verified numerically against the grid
 oracle in memsteer.oracle. Memory can inject actions the proposer missed;
 those start from a neutral zero logit.
+
+A decision is one pass over a few candidates: the merge normalizes each
+proposed and remembered spelling once and keeps the form on the candidate
+(``Candidate.key``) for estimation; the logit update writes each candidate in
+place; the draw takes one uniform from the policy stream. ``Candidate`` and
+``Decision`` are slotted records built by position.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,16 +27,21 @@ PROPOSER = "proposer"
 MEMORY_ONLY = "memory_only"
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
+    """One action offered to the draw. ``key`` is the normalized form the merge
+    matched it by, carried on so that estimation does not normalize it again
+    (None for a candidate built by hand)."""
+
     action: str
     base_logit: float
     origin: str = PROPOSER  # proposer | memory_only
     normalized_advantage: float | None = None
     updated_logit: float | None = None
+    key: str | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Decision:
     """Everything needed to replay one sampled choice."""
 
@@ -50,7 +61,13 @@ def valid_memory_actions(groups: ActionGroups, valid_actions: Iterable[str] | No
     form (every group in its remembered spelling when ``valid_actions`` is None)."""
     if valid_actions is None:
         return [action for action, _ in groups.values()]
-    spelling = normalizer.spellings(valid_actions)
+    spelling: dict[str, str] = {}  # group key -> its first valid spelling
+    for action in valid_actions:
+        key = normalizer(action)
+        if key in groups and key not in spelling:
+            spelling[key] = action
+            if len(spelling) == len(groups):
+                break  # later valid actions can only repeat a form already spelled
     return [spelling[key] for key in groups if key in spelling]
 
 
@@ -60,28 +77,34 @@ def augment_candidates(proposed: Sequence[tuple[str, float]], memory_actions: Se
 
     ``memory_actions`` are the raw spellings to offer from memory, such as
     :func:`valid_memory_actions` gives (empty when nothing was retrieved).
-    Keyed by normalized action text. Proposer duplicates are merged keeping
-    the maximum base logit; actions found only in memory are appended with a
-    neutral zero logit and never override a proposer logit.
+    Keyed by normalized action text, which each candidate keeps as its
+    ``key``. Proposer duplicates are merged keeping the maximum base logit;
+    actions found only in memory are appended with a neutral zero logit and
+    never override a proposer logit.
     """
     if not proposed and not memory_actions:
         raise ValueError("no candidates: proposer and memory are both empty")
 
     out: list[Candidate] = []
-    index: dict[str, int] = {}
+    index: dict[str, Candidate] = {}  # normalized form -> its candidate
+    forms: dict[str, str] = {}  # proposed spelling -> its normalized form
     for action, logit in proposed:
-        key = normalizer(action)
-        if key in index:
-            cand = out[index[key]]
-            cand.base_logit = max(cand.base_logit, float(logit))
+        key = forms.get(action)
+        if key is None:
+            key = forms[action] = normalizer(action)
+        cand = index.get(key)
+        if cand is None:
+            cand = index[key] = Candidate(action, float(logit), PROPOSER, None, None, key)
+            out.append(cand)
         else:
-            index[key] = len(out)
-            out.append(Candidate(action=action, base_logit=float(logit), origin=PROPOSER))
+            cand.base_logit = max(cand.base_logit, float(logit))
     for action in memory_actions:
+        if action in forms:
+            continue  # proposed in this very spelling
         key = normalizer(action)
         if key not in index:
-            index[key] = len(out)
-            out.append(Candidate(action=action, base_logit=0.0, origin=MEMORY_ONLY))
+            cand = index[key] = Candidate(action, 0.0, MEMORY_ONLY, None, None, key)
+            out.append(cand)
     return out
 
 
@@ -133,8 +156,7 @@ def softmax_sample(candidates: Sequence[Candidate], rng: np.random.Generator) ->
         if total > draw:
             chosen = i
             break
-    return Decision(candidates=list(candidates), distribution=np.array(probabilities),
-                    chosen=chosen)
+    return Decision(list(candidates), np.array(probabilities), chosen)
 
 
 def kl_objective(pi_prime: np.ndarray, pi_theta: np.ndarray,

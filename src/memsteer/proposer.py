@@ -22,6 +22,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Mapping, Protocol, Sequence
 
 from memsteer.memory import IDENTITY_NORMALIZER
@@ -33,7 +34,7 @@ TOP_LOGPROBS = 8         # fewest token alternatives the index request asks for
 CONFIDENCE_FLOOR = 1.0   # least verbalized confidence, so every logit is finite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProposerRequest:
     state_text: str
     history_text: str = ""
@@ -71,53 +72,66 @@ class Proposer(Protocol):
     def propose(self, request: ProposerRequest) -> ProposerResponse: ...
 
 
-def _valid_only(options: Sequence[tuple], valid_actions: Sequence[str]) -> list[tuple]:
-    """The (action, ...) options matching a valid action by case and whitespace
-    only, spelled as that valid action: a session's action rules could match
-    ``click('99')`` to ``click('12')``, a different element."""
-    spelling = IDENTITY_NORMALIZER.spellings(valid_actions)
-    kept = []
+def _first_valid(options: Sequence[tuple], spelling: dict[str, str] | None,
+                 form: Mapping[str, str], n: int) -> list[tuple]:
+    """Up to ``n`` options, the first per normalized action, each spelled as
+    ``spelling[form]`` and dropped when its form has no spelling (all kept as
+    spelled when ``spelling`` is None). ``form`` holds known forms."""
+    kept: list[tuple] = []
+    seen: set[str] = set()
     for option in options:
-        action = spelling.get(IDENTITY_NORMALIZER(option[0]))
-        if action is not None:
-            kept.append(option if action == option[0] else (action, *option[1:]))
+        key = form.get(option[0])
+        if key is None:
+            key = IDENTITY_NORMALIZER(option[0])
+        if key in seen:
+            continue
+        seen.add(key)
+        action = option[0] if spelling is None else spelling.get(key)
+        if action is None:
+            continue
+        kept.append(option if action == option[0] else (action, *option[1:]))
+        if len(kept) == n:
+            break
     return kept
 
 
 def _ask_for_valid(ask: Callable[[ProposerRequest], tuple[list[tuple], Mapping]],
                    request: ProposerRequest) -> list[tuple]:
     """``ask(request)`` for (action, ...) options, best first, and the reply
-    payload; keep the first option per action up to case and whitespace, then
-    the first ``n_candidates`` valid ones (see :func:`_valid_only`), so each
-    valid action takes at most one slot. When none is valid, ask once more,
-    then give up."""
-
-    def ask_distinct() -> tuple[list[tuple], Mapping]:
-        options, payload = ask(request)
-        first: dict[str, tuple] = {}
-        for option in options:
-            first.setdefault(IDENTITY_NORMALIZER(option[0]), option)
-        return list(first.values()), payload
-
-    options, payload = ask_distinct()
+    payload; in one pass keep the first option per action up to case and
+    whitespace that matches a valid action, spelled as that valid action,
+    until ``n_candidates`` are kept, so each valid action takes at most one
+    slot. Options match valid actions by case and whitespace only: a
+    session's action rules could match ``click('99')`` to ``click('12')``, a
+    different element. When none is valid, ask once more, then give up. Each
+    valid action is normalized once, and a proposal spelled exactly as one
+    is not normalized again."""
+    spelling: dict[str, str] | None = None  # normalized form -> first valid spelling
+    form: dict[str, str] = {}  # valid spelling -> its normalized form
     if request.valid_actions is not None:
-        options = _valid_only(options, request.valid_actions)
-        if not options:
-            options, payload = ask_distinct()
-            options = _valid_only(options, request.valid_actions)
-            if not options:
-                raise ProposerError("no valid action proposed after retry", payload=payload)
-    return options[: request.n_candidates]
+        spelling = {}
+        for action in request.valid_actions:
+            if action not in form:
+                form[action] = key = IDENTITY_NORMALIZER(action)
+                spelling.setdefault(key, action)
+    options, payload = ask(request)
+    kept = _first_valid(options, spelling, form, request.n_candidates)
+    if not kept and spelling is not None:
+        options, payload = ask(request)
+        kept = _first_valid(options, spelling, form, request.n_candidates)
+        if not kept:
+            raise ProposerError("no valid action proposed after retry", payload=payload)
+    return kept
 
 
 def top_candidates(distribution: Mapping[str, float]) -> list[tuple[str, float]]:
     """(action, log prob) pairs, highest probability first.
 
-    Ties keep mapping insertion order; zero-probability actions are never
-    proposed (their logit would be -inf).
+    Ties keep mapping insertion order (the sort is stable, reversed too);
+    zero-probability actions are never proposed (their logit would be -inf).
     """
     items = [(a, p) for a, p in distribution.items() if p > 0.0]
-    items.sort(key=lambda ap: -ap[1])
+    items.sort(key=itemgetter(1), reverse=True)
     return [(a, math.log(p)) for a, p in items]
 
 

@@ -33,7 +33,7 @@ STEP_SCORING_INSTRUCTION = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryStep:
     state: StateKey
     action: str

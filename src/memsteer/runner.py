@@ -149,10 +149,9 @@ def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConf
             neighborhood = memory.retrieve(state, config.k_neighbors,
                                            config.similarity_threshold,
                                            task_filter=task_filter)
-        request = ProposerRequest(
-            state_text=state.text, history_text=state.history,
-            valid_actions=list(obs.valid_actions) if obs.valid_actions else None,
-            n_candidates=config.n_candidates)
+        request = ProposerRequest(state.text, state.history,
+                                  list(obs.valid_actions) if obs.valid_actions else None,
+                                  config.n_candidates)
         try:
             response = proposer.propose(request)
         except ProposerError as exc:
@@ -171,9 +170,8 @@ def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConf
         decisions.append(decision)
         action = decision.action
         next_obs = env.step(action)
-        steps.append(TrajectoryStep(state=state, action=action,
-                                    observation=next_obs.text,
-                                    score_delta=float(next_obs.score) - float(prev_score)))
+        steps.append(TrajectoryStep(state, action, next_obs.text,
+                                    float(next_obs.score) - float(prev_score)))
         history.append(action)
         prev_score = next_obs.score
         obs = next_obs
@@ -196,9 +194,9 @@ def _decide(candidates: list[Candidate], neighborhood, groups: ActionGroups | No
     if neighborhood:  # always None in static mode
         estimate = estimate_candidates(
             neighborhood, [c.action for c in candidates],
-            exploration_rate=0.0 if mode == "greedy-memory" else config.exploration_rate,
-            exploration_bonus=config.exploration_bonus,
-            rng=streams["estimator"], normalizer=normalizer, groups=groups)
+            0.0 if mode == "greedy-memory" else config.exploration_rate,
+            config.exploration_bonus, streams["estimator"], normalizer, groups,
+            [c.key for c in candidates])
 
     if mode == "greedy-memory" and estimate is not None:
         known = [(i, estimate.per_action[c.action])
@@ -208,7 +206,7 @@ def _decide(candidates: list[Candidate], neighborhood, groups: ActionGroups | No
             chosen = max(known, key=lambda iv: iv[1].q)[0]
             distribution = np.zeros(len(candidates))
             distribution[chosen] = 1.0
-            return Decision(candidates=candidates, distribution=distribution, chosen=chosen)
+            return Decision(candidates, distribution, chosen)
 
     # the full engine shifts the logits by the advantages (zero when memory is
     # silent); static mode and the greedy fallback sample the base policy

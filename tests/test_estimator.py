@@ -9,7 +9,7 @@ from memsteer.estimator import (EXPLORED, KNOWN, NEUTRAL, EmptyNeighborhoodError
 from memsteer.memory import (ActionNormalizer, IDENTITY_NORMALIZER, MemoryStore, Neighborhood,
                              StateKey, group_by_action)
 from memsteer.policy import augment_candidates, valid_memory_actions
-from memsteer.proposer import _valid_only
+from memsteer.proposer import ProposerError, ProposerRequest, _ask_for_valid
 
 
 def neighborhood_from(pairs):
@@ -306,7 +306,13 @@ def test_matched_actions_are_exact_valid_actions(remembered, proposed, valid, ru
     allowed = {normalizer(a) for a in valid}
     assert [normalizer(a) for a in offered] == [key for key in groups if key in allowed]
 
-    kept = _valid_only([(a, 1.0) for a in proposed], valid)
+    request = ProposerRequest(state_text="s", valid_actions=valid, n_candidates=len(proposed))
+    valid_forms = {IDENTITY_NORMALIZER(v) for v in valid}
+    matching = [IDENTITY_NORMALIZER(a) for a in proposed if IDENTITY_NORMALIZER(a) in valid_forms]
+    if not matching:
+        with pytest.raises(ProposerError):
+            _ask_for_valid(lambda r: ([(a, 1.0) for a in proposed], {}), request)
+        return
+    kept = _ask_for_valid(lambda r: ([(a, 1.0) for a in proposed], {}), request)
     assert all(action in valid for action, _ in kept)
-    assert len(kept) == sum(IDENTITY_NORMALIZER(a) in {IDENTITY_NORMALIZER(v) for v in valid}
-                            for a in proposed)
+    assert [IDENTITY_NORMALIZER(a) for a, _ in kept] == list(dict.fromkeys(matching))

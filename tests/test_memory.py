@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memsteer.memory import (ActionNormalizer, MemoryEntry, MemoryFormatError, MemoryStore,
-                             StateKey, TaskFilter, _need, append_records, decode_record,
-                             encode_record, group_by_action)
+from memsteer.memory import (IDENTITY_NORMALIZER, ActionNormalizer, MemoryEntry,
+                             MemoryFormatError, MemoryStore, StateKey, TaskFilter, _need,
+                             append_records, decode_record, encode_record, group_by_action)
+from memsteer.proposer import CallablePolicyProposer, ProposerRequest
 from memsteer.tokens import jaccard, tokenize
 
 from conftest import populated_store, random_entries
@@ -418,6 +419,32 @@ def test_action_partition_sums_to_neighborhood(rng):
 def test_normalizer_collapses_whitespace_and_case():
     normalizer = ActionNormalizer()
     assert normalizer("  Take   KEY ") == "take key"
+
+
+def unmemoised_normalization(action, rules):
+    for pattern, repl in rules:
+        action = re.sub(pattern, repl, action)
+    return " ".join(action.split()).casefold()
+
+
+def test_normalizer_memo_stays_within_its_bound():
+    rules = [(r"\(\s*'?\d+'?\s*\)", "({id})")]
+    normalizer = ActionNormalizer(rules)
+    for i in range(3 * 4096):
+        action = f"Click('{i}')  " if i % 2 else f"type {i}"
+        assert normalizer(action) == unmemoised_normalization(action, rules)
+        assert len(normalizer) <= 4096
+    assert normalizer("Click('0')") == "click({id})"
+
+
+def test_identity_normalizer_memo_stays_bounded_under_volatile_proposals():
+    # web-style element ids make every proposal a new string
+    for i in range(20_000):
+        action = f"click('{i}')"
+        proposer = CallablePolicyProposer(lambda request, a=action: {a: 1.0})
+        proposer.propose(ProposerRequest(state_text="page", valid_actions=[action]))
+    assert len(IDENTITY_NORMALIZER) <= 4096
+    assert IDENTITY_NORMALIZER(" CLICK('7') ") == "click('7')"
 
 
 # -- persistence ------------------------------------------------------------------
