@@ -76,7 +76,8 @@ def _first_valid(options: Sequence[tuple], spelling: dict[str, str] | None,
                  form: Mapping[str, str], n: int) -> list[tuple]:
     """Up to ``n`` options, the first per normalized action, each spelled as
     ``spelling[form]`` and dropped when its form has no spelling (all kept as
-    spelled when ``spelling`` is None). ``form`` holds known forms."""
+    spelled when ``spelling`` is None). ``form`` maps the valid spellings to
+    their forms, so an option spelled as one is not normalized again."""
     kept: list[tuple] = []
     seen: set[str] = set()
     for option in options:
