@@ -1,12 +1,18 @@
-"""Every name a module lists in ``__all__`` resolves on that module.
+"""Every name a module lists in ``__all__`` resolves on that module, and
+every name a module imports is used.
 
 A deletion that leaves its name behind in ``__all__`` fails here, not later
-as an ``ImportError`` in a star import.
+as an ``ImportError`` in a star import; one that leaves behind an import of
+what only the deleted code read fails here too.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "memsteer"
 
 MODULES = ["memsteer", "memsteer.memory", "memsteer.oracle", "memsteer.envs",
            "memsteer.envs.textgame"]
@@ -18,3 +24,50 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert module.__all__ and missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def _annotation(node: ast.AST) -> ast.expr | None:
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return node.annotation
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.returns
+    return None
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name the module reads, in code or in annotations (also those
+    written as strings), plus the names it lists in ``__all__``."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+        annotation = _annotation(node)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            read |= _names_read(ast.parse(annotation.value, mode="eval"))
+    return read
+
+
+def _names_bound_by_imports(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds -> the line of its import (``__future__`` left out)."""
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = _names_read(tree)
+        unused += [f"{path.relative_to(SOURCE)}:{line} {name}"
+                   for name, line in _names_bound_by_imports(tree).items() if name not in read]
+    assert unused == []
