@@ -8,7 +8,9 @@ Subcommands:
 * ``inspect-memory`` — summarize a memory bank file.
 * ``replay`` — recompute one recorded episode and check it matches.
 
-Config files are JSON (see memsteer.config); flags override file values.
+Config files are JSON (see memsteer.config); flags override file values. A
+config value out of range or a malformed bank record ends the command with
+one ``error:`` line that names the field or the bank line.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from memsteer.config import EngineConfig, PROFILES
-from memsteer.memory import read_bank
+from memsteer.config import ConfigError, EngineConfig, PROFILES
+from memsteer.memory import MemoryFormatError, read_bank
 from memsteer.oracle import check_grid_step
 from memsteer.runner import (MODES, replay_episode, run_consistency_experiment,
                              run_experiment, summarize_consistency, write_consistency_csv)
@@ -363,7 +365,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    return args.func(args)
+    # both are raised only where a config or a bank is read, before any output
+    try:
+        return args.func(args)
+    except (ConfigError, MemoryFormatError) as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -310,3 +310,47 @@ def test_optimal_mass_is_checked_before_any_file_is_touched(tmp_path, capsys, co
 def test_optimal_mass_of_one_is_accepted(tmp_path):
     assert main(["run", "--beta", "2", "--episodes", "1", "--optimal-mass", "1",
                  "--out", str(tmp_path / "exp")]) == 0
+
+
+@pytest.mark.parametrize("flags,config,message", [
+    (["--beta", "-1", "--episodes", "1"], None, "error: beta must be >= 0, got -1.0"),
+    ([], {"beta": 2.0, "k_neighbors": 2.5}, "error: k_neighbors must be an integer, got 2.5"),
+], ids=["flag", "config-file"])
+def test_run_ends_a_bad_config_value_in_one_line(tmp_path, flags, config, message):
+    out = tmp_path / "exp"
+    out.mkdir()
+    bank = out / "memory.jsonl"
+    bank.write_text("kept\n", encoding="utf-8")
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        flags = ["--config", str(config_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *flags, "--out", str(out)])
+    assert exc.value.code == message
+    assert bank.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_inspect_memory_ends_a_malformed_bank_in_one_line(tmp_path):
+    bank = tmp_path / "memory.jsonl"
+    bank.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["inspect-memory", str(bank)])
+    assert exc.value.code == "error: memory bank line 1: invalid JSON (Expecting value)"
+    assert bank.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_replay_ends_a_malformed_bank_in_one_line(tmp_path, capsys):
+    out = tmp_path / "exp"
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=2)
+    config_path = tmp_path / "config.json"
+    config.save(config_path)
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    capsys.readouterr()
+    bank = tmp_path / "broken.jsonl"
+    bank.write_text("{}\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--config", str(config_path), "--records", str(out / "records.jsonl"),
+              "--episode", "1", "--memory", str(bank)])
+    assert str(exc.value.code).startswith("error: memory bank line 1: missing fields")
+    assert bank.read_text(encoding="utf-8") == "{}\n"
