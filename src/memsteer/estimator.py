@@ -5,14 +5,14 @@ stored return, and a candidate action's value is the mean over the subset
 sharing its normalized action. ``estimate_candidates`` is the one entry point:
 the caller groups the neighborhood by normalized action once per decision
 (``memory.group_by_action``, in neighborhood order) and passes the groups in,
-so each candidate reads its subset without a rescan, by the normalized form
-the merge already computed (``keys``) when the caller has it. Actions with no
-historical evidence get an optimistic value (state value plus a bonus that
-shrinks as the neighborhood grows) with probability ``exploration_rate``, else
-a neutral zero: one draw per unseen action, in candidate order. Each value is
-an ``ActionValue`` named tuple built by position. Advantages center the action
-values on the state value and are rescaled into [-1, 1] before they touch any
-logits.
+so each candidate reads its subset without a rescan, by the form the
+session's normalizer gives its action (the normalizer's memo is the only
+cache of those forms). Actions with no historical evidence get an optimistic
+value (state value plus a bonus that shrinks as the neighborhood grows) with
+probability ``exploration_rate``, else a neutral zero: one draw per unseen
+action, in candidate order. Each value is an ``ActionValue`` named tuple
+built by position. Advantages center the action values on the state value
+and are rescaled into [-1, 1] before they touch any logits.
 """
 
 from __future__ import annotations
@@ -57,16 +57,13 @@ def state_value(neighborhood: Neighborhood) -> float:
 def estimate_candidates(neighborhood: Neighborhood, actions: Iterable[str],
                         exploration_rate: float, exploration_bonus: float,
                         rng: np.random.Generator, normalizer: ActionNormalizer,
-                        groups: ActionGroups,
-                        keys: Iterable[str] | None = None) -> ValueEstimate:
+                        groups: ActionGroups) -> ValueEstimate:
     """Per-candidate action values around the neighborhood's state value.
 
-    ``groups`` is ``group_by_action(neighborhood, normalizer)``. ``keys``,
-    when given, are the actions' normalized forms in the same order (the
-    candidates' ``key``, which the merge computed), so no action is
-    normalized again. One independent exploration draw is taken per unseen
-    action, in candidate order, so results are reproducible given the
-    generator state.
+    ``groups`` is ``group_by_action(neighborhood, normalizer)``, and each
+    action reads the group of ``normalizer(action)``. One independent
+    exploration draw is taken per unseen action, in candidate order, so
+    results are reproducible given the generator state.
     """
     v = state_value(neighborhood)
     if not 0.0 <= exploration_rate <= 1.0:
@@ -76,11 +73,10 @@ def estimate_candidates(neighborhood: Neighborhood, actions: Iterable[str],
     size = len(neighborhood.entries)
     optimistic = v + exploration_bonus / size
     per_action: dict[str, ActionValue] = {}
-    pairs = zip(actions, keys) if keys is not None else ((a, normalizer(a)) for a in actions)
-    for action, key in pairs:
+    for action in actions:
         if action in per_action:
             continue
-        group = groups.get(key)
+        group = groups.get(normalizer(action))
         if group is not None:
             returns = group[1]
             per_action[action] = ActionValue(sum(returns) / len(returns), len(returns), KNOWN)

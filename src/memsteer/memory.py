@@ -203,15 +203,15 @@ class ActionNormalizer(dict):
     configured to match. Proposals match valid actions by case and whitespace.
 
     A normalizer is its own memo, a dict from action text to normalized form:
-    a run meets the same few strings step after step, a dozen times a
-    decision, and the rules never change after init. Calling it is a plain
+    a run meets the same few strings step after step, about twenty times
+    a decision, and the rules never change after init. Calling it is a plain
     lookup (``__call__`` is ``dict.__getitem__``, with no Python frame), and a
     miss computes the form in ``__missing__``. The memo is bounded: past 4,096
     forms it is emptied whole, so volatile actions (``click('<id>')`` over
-    fresh element ids) cannot grow it without end. Within one decision the
-    merge normalizes each distinct string once per function and carries the
-    form on (:class:`memsteer.policy.Candidate` ``.key``). Equality and hash
-    are by identity, as for any object, not by what the memo holds.
+    fresh element ids) cannot grow it without end. It is the only cache of
+    normalized forms: each stage of a decision calls it for every action it
+    reads and keeps no map of its own. Equality and hash are by identity, as
+    for any object, not by what the memo holds.
     """
 
     __call__ = dict.__getitem__
@@ -243,21 +243,17 @@ ActionGroups = dict[str, tuple[str, list[float]]]
 def group_by_action(neighborhood: Neighborhood,
                     normalizer: ActionNormalizer = IDENTITY_NORMALIZER) -> ActionGroups:
     """Normalized action -> (its first raw spelling, its returns), one pass
-    that normalizes each distinct raw spelling once.
+    that normalizes each entry's action by a call to ``normalizer``.
 
     Groups and their returns keep neighborhood order, so a group's mean is
     the same float sum as over the per-action subset of the neighborhood.
     """
     groups: ActionGroups = {}
-    returns_of: dict[str, list[float]] = {}  # raw spelling -> its group's returns
     for entry, _ in neighborhood.entries:
-        returns = returns_of.get(entry.action)
-        if returns is None:
-            group = groups.get(key := normalizer(entry.action))
-            if group is None:
-                group = groups[key] = (entry.action, [])
-            returns = returns_of[entry.action] = group[1]
-        returns.append(entry.return_value)
+        group = groups.get(key := normalizer(entry.action))
+        if group is None:
+            group = groups[key] = (entry.action, [])
+        group[1].append(entry.return_value)
     return groups
 
 

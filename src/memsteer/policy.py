@@ -6,17 +6,17 @@ divergence from the base policy — verified numerically against the grid
 oracle in memsteer.oracle. Memory can inject actions the proposer missed;
 those start from a neutral zero logit.
 
-A decision is one pass over a few candidates: the merge normalizes each
-proposed and remembered spelling once and keeps the form on the candidate
-(``Candidate.key``) for estimation; the logit update writes each candidate in
-place; the draw takes one uniform from the policy stream. ``Candidate`` and
+A decision is one pass over a few candidates: each stage normalizes the
+actions it reads by calling the session's normalizer, whose memo is the only
+cache of normalized forms; the logit update writes each candidate in place;
+the draw takes one uniform from the policy stream. ``Candidate`` and
 ``Decision`` are slotted records built by position.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,16 +29,15 @@ MEMORY_ONLY = "memory_only"
 
 @dataclass(slots=True)
 class Candidate:
-    """One action offered to the draw. ``key`` is the normalized form the merge
-    matched it by, carried on so that estimation does not normalize it again
-    (None for a candidate built by hand)."""
+    """One action offered to the draw; estimation matches it to memory by the
+    normalized form of ``action``, so a candidate built by hand is estimated
+    as one the merge built."""
 
     action: str
     base_logit: float
     origin: str = PROPOSER  # proposer | memory_only
     normalized_advantage: float | None = None
     updated_logit: float | None = None
-    key: str | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(slots=True)
@@ -77,33 +76,28 @@ def augment_candidates(proposed: Sequence[tuple[str, float]], memory_actions: Se
 
     ``memory_actions`` are the raw spellings to offer from memory, such as
     :func:`valid_memory_actions` gives (empty when nothing was retrieved).
-    Keyed by normalized action text, which each candidate keeps as its
-    ``key``. Proposer duplicates are merged keeping the maximum base logit;
-    actions found only in memory are appended with a neutral zero logit and
-    never override a proposer logit.
+    Keyed by normalized action text, each spelling normalized by a call to
+    ``normalizer``. Proposer duplicates are merged keeping the maximum base
+    logit; actions found only in memory are appended with a neutral zero
+    logit and never override a proposer logit.
     """
     if not proposed and not memory_actions:
         raise ValueError("no candidates: proposer and memory are both empty")
 
     out: list[Candidate] = []
     index: dict[str, Candidate] = {}  # normalized form -> its candidate
-    forms: dict[str, str] = {}  # proposed spelling -> its normalized form
     for action, logit in proposed:
-        key = forms.get(action)
-        if key is None:
-            key = forms[action] = normalizer(action)
+        key = normalizer(action)
         cand = index.get(key)
         if cand is None:
-            cand = index[key] = Candidate(action, float(logit), PROPOSER, None, None, key)
+            cand = index[key] = Candidate(action, float(logit), PROPOSER)
             out.append(cand)
         else:
             cand.base_logit = max(cand.base_logit, float(logit))
     for action in memory_actions:
-        if action in forms:
-            continue  # proposed in this very spelling
         key = normalizer(action)
         if key not in index:
-            cand = index[key] = Candidate(action, 0.0, MEMORY_ONLY, None, None, key)
+            cand = index[key] = Candidate(action, 0.0, MEMORY_ONLY)
             out.append(cand)
     return out
 

@@ -73,17 +73,15 @@ class Proposer(Protocol):
 
 
 def _first_valid(options: Sequence[tuple], spelling: dict[str, str] | None,
-                 form: Mapping[str, str], n: int) -> list[tuple]:
+                 n: int) -> list[tuple]:
     """Up to ``n`` options, the first per normalized action, each spelled as
     ``spelling[form]`` and dropped when its form has no spelling (all kept as
-    spelled when ``spelling`` is None). ``form`` maps the valid spellings to
-    their forms, so an option spelled as one is not normalized again."""
+    spelled when ``spelling`` is None). Each option is normalized by a call to
+    ``IDENTITY_NORMALIZER``, whose memo is the only cache of its forms."""
     kept: list[tuple] = []
     seen: set[str] = set()
     for option in options:
-        key = form.get(option[0])
-        if key is None:
-            key = IDENTITY_NORMALIZER(option[0])
+        key = IDENTITY_NORMALIZER(option[0])
         if key in seen:
             continue
         seen.add(key)
@@ -104,22 +102,19 @@ def _ask_for_valid(ask: Callable[[ProposerRequest], tuple[list[tuple], Mapping]]
     until ``n_candidates`` are kept, so each valid action takes at most one
     slot. Options match valid actions by case and whitespace only: a
     session's action rules could match ``click('99')`` to ``click('12')``, a
-    different element. When none is valid, ask once more, then give up. Each
-    valid action is normalized once, and a proposal spelled exactly as one
-    is not normalized again."""
+    different element. When none is valid, ask once more, then give up.
+    Valid actions and proposals alike are normalized by calls to
+    ``IDENTITY_NORMALIZER``, whose memo is the only cache of their forms."""
     spelling: dict[str, str] | None = None  # normalized form -> first valid spelling
-    form: dict[str, str] = {}  # valid spelling -> its normalized form
     if request.valid_actions is not None:
         spelling = {}
         for action in request.valid_actions:
-            if action not in form:
-                form[action] = key = IDENTITY_NORMALIZER(action)
-                spelling.setdefault(key, action)
+            spelling.setdefault(IDENTITY_NORMALIZER(action), action)
     options, payload = ask(request)
-    kept = _first_valid(options, spelling, form, request.n_candidates)
+    kept = _first_valid(options, spelling, request.n_candidates)
     if not kept and spelling is not None:
         options, payload = ask(request)
-        kept = _first_valid(options, spelling, form, request.n_candidates)
+        kept = _first_valid(options, spelling, request.n_candidates)
         if not kept:
             raise ProposerError("no valid action proposed after retry", payload=payload)
     return kept

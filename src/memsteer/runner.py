@@ -195,8 +195,7 @@ def _decide(candidates: list[Candidate], neighborhood, groups: ActionGroups | No
         estimate = estimate_candidates(
             neighborhood, [c.action for c in candidates],
             0.0 if mode == "greedy-memory" else config.exploration_rate,
-            config.exploration_bonus, streams["estimator"], normalizer, groups,
-            [c.key for c in candidates])
+            config.exploration_bonus, streams["estimator"], normalizer, groups)
 
     if mode == "greedy-memory" and estimate is not None:
         known = [(i, estimate.per_action[c.action])

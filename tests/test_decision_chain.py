@@ -18,9 +18,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from memsteer.config import EngineConfig
-from memsteer.memory import (IDENTITY_NORMALIZER, ActionNormalizer, MemoryEntry, Neighborhood,
-                             StateKey, group_by_action)
-from memsteer.policy import augment_candidates, valid_memory_actions
+from memsteer.estimator import KNOWN, estimate_candidates
+from memsteer.memory import (IDENTITY_NORMALIZER, ActionNormalizer, MemoryEntry, MemoryStore,
+                             Neighborhood, StateKey, group_by_action)
+from memsteer.policy import Candidate, augment_candidates, valid_memory_actions
 from memsteer.proposer import ProposerError, ProposerRequest, _ask_for_valid, top_candidates
 from memsteer.runner import _decide
 
@@ -218,6 +219,29 @@ def test_decision_matches_the_reference_chain(rows, proposed, valid, rules, mode
     assert decision.action == ref_candidates[chosen].action
     for name in ("policy", "estimator"):
         assert streams[name].bit_generator.state == ref_streams[name].bit_generator.state
+
+
+def test_hand_built_candidates_are_estimated_by_their_action(monkeypatch):
+    store = MemoryStore()
+    store.add(StateKey("hall"), "look", 4.0)
+    store.add(StateKey("hall"), "go north", 0.0)
+    neighborhood = store.retrieve(StateKey("hall"), 5, 0.5)
+    normalizer = ActionNormalizer()
+    groups = group_by_action(neighborhood, normalizer)
+    estimates = []
+
+    def recording(*args, **kwargs):
+        estimates.append(estimate_candidates(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr("memsteer.runner.estimate_candidates", recording)
+    decision = _decide([Candidate("look", 0.0), Candidate("go north", 0.0)], neighborhood,
+                       groups, EngineConfig(beta=2.0, exploration_rate=0.0), streams_of(0),
+                       "memsteer", normalizer)
+
+    assert estimates[0].per_action == {"look": (4.0, 1, KNOWN), "go north": (0.0, 1, KNOWN)}
+    assert [c.normalized_advantage for c in decision.candidates] \
+        == [pytest.approx(1.0), pytest.approx(-1.0)]
 
 
 # -- the proposer's cut and top_candidates ----------------------------------------------
