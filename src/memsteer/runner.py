@@ -34,7 +34,7 @@ import numpy as np
 from memsteer.config import EngineConfig
 from memsteer.envs.abstraction import abstract_state
 from memsteer.envs.tabular import TabularMDP
-from memsteer.estimator import KNOWN, advantage_vector, estimate_candidates, state_value
+from memsteer.estimator import KNOWN, advantage_vector, estimate_candidates
 from memsteer.memory import (ActionGroups, ActionNormalizer, IDENTITY_NORMALIZER, MemoryEntry,
                              MemoryStore, TaskFilter, append_records, group_by_action, read_bank)
 from memsteer.oracle import closed_form_kl_policy, episode_returns, exact_policy_values, rollout
@@ -524,16 +524,15 @@ def run_consistency_experiment(mdp: TabularMDP, policy, gamma: float,
                                memory_sizes: Sequence[int], seeds: Sequence[int],
                                beta: float, k_of: Callable[[int], int] = default_k,
                                threshold: float = 0.95,
-                               probe_states: Sequence[int] | None = None,
                                policy_schedule: Callable[[int], np.ndarray] | None = None,
                                ) -> list[ConsistencyPoint]:
     """Error curves of the retrieval estimates against the exact oracle.
 
     Memory is filled with Monte Carlo returns (optionally under a drifting
     policy schedule), estimates are read back through the real retrieval
-    path, and compared with dynamic-programming values of the query-time
-    policy. ``tv`` is the total-variation gap between the KL-tilted policies
-    built from estimated vs exact advantages.
+    path at every non-terminal state, and compared with dynamic-programming
+    values of the query-time policy. ``tv`` is the total-variation gap
+    between the KL-tilted policies built from estimated vs exact advantages.
     """
     for n in memory_sizes:
         if n < 1:
@@ -544,8 +543,7 @@ def run_consistency_experiment(mdp: TabularMDP, policy, gamma: float,
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     policy = np.asarray(policy, dtype=np.float64)
     exact = exact_policy_values(mdp, policy, gamma)
-    if probe_states is None:
-        probe_states = [s for s in range(mdp.n_states) if not mdp.terminal[s]]
+    probe_states = [s for s in range(mdp.n_states) if not mdp.terminal[s]]
     schedule = policy_schedule or (lambda episode: policy)
     points: list[ConsistencyPoint] = []
     for n in memory_sizes:
@@ -561,7 +559,6 @@ def run_consistency_experiment(mdp: TabularMDP, policy, gamma: float,
                 neighborhood = store.retrieve(mdp.state_key(s), k, threshold)
                 if not neighborhood:
                     continue
-                v_hat = state_value(neighborhood)
                 estimate = estimate_candidates(
                     neighborhood, [mdp.action_name(a) for a in range(mdp.n_actions)],
                     exploration_rate=0.0, exploration_bonus=0.0, rng=estimator_rng,
@@ -570,6 +567,7 @@ def run_consistency_experiment(mdp: TabularMDP, policy, gamma: float,
                                   for a in range(mdp.n_actions)])
                 known = np.array([estimate.per_action[mdp.action_name(a)].source == KNOWN
                                   for a in range(mdp.n_actions)])
+                v_hat = estimate.v
                 a_hat = q_hat - v_hat
                 pi_star = closed_form_kl_policy(policy[s], exact.a[s], beta)
                 pi_hat = closed_form_kl_policy(policy[s], a_hat, beta)
