@@ -10,7 +10,8 @@ Subcommands:
 
 Config files are JSON (see memsteer.config); flags override file values. A
 config value out of range or a malformed bank record ends the command with
-one ``error:`` line that names the field or the bank line.
+one ``error:`` line that names the field or the bank line; an input file that
+cannot be opened or parsed, with one ``error: <path>: <reason>`` line.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import logging
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -82,13 +84,26 @@ def build_proposer_factory(name: str, optimal_mass: float):
     raise ValueError(f"unknown proposer {name!r}; choose from {PROPOSERS}")
 
 
+@contextmanager
+def input_file(path):
+    """End the command in one ``error: <path>: <reason>`` line when the input
+    file ``path`` cannot be opened or parsed inside the block."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit(f"error: {path}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"error: {path}: {exc}") from None
+
+
 def load_config(args) -> EngineConfig:
     """The config of ``--config`` or ``--profile``, with every config flag the
     parsed ``args`` carry (an EngineConfig field name set to a value) on top."""
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(EngineConfig)
                  if getattr(args, f.name, None) is not None}
     if args.config:
-        return EngineConfig.load(args.config, **overrides)
+        with input_file(args.config):
+            return EngineConfig.load(args.config, **overrides)
     profile = args.profile or "text-game"
     if "beta" not in overrides:
         raise SystemExit("error: --beta is required (it has no published default)")
@@ -266,7 +281,8 @@ def cmd_verify_optimality(args) -> int:
 
 
 def cmd_inspect_memory(args) -> int:
-    entries = list(read_bank(args.bank))
+    with input_file(args.bank):
+        entries = list(read_bank(args.bank))
     if not entries:
         print(f"{args.bank}: empty memory bank")
         return 0
@@ -289,12 +305,13 @@ def cmd_inspect_memory(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    config = EngineConfig.load(args.config)
+    with input_file(args.config):
+        config = EngineConfig.load(args.config)
     check_pairing(args.env, args.proposer)
     env_factory = build_env_factory(args.env)
     proposer_factory = build_proposer_factory(args.proposer, args.optimal_mass)
     recorded = None
-    with open(args.records, "r", encoding="utf-8") as fh:
+    with input_file(args.records), open(args.records, "r", encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
                 record = json.loads(line)
@@ -304,8 +321,9 @@ def cmd_replay(args) -> int:
     if recorded is None:
         print(f"episode {args.episode} not found in {args.records}")
         return 1
-    _, matches = replay_episode(config, env_factory, proposer_factory, args.mode,
-                                recorded, bank_path=args.memory)
+    with input_file(args.memory):  # the bank is read inside
+        _, matches = replay_episode(config, env_factory, proposer_factory, args.mode,
+                                    recorded, bank_path=args.memory)
     print(f"episode {args.episode}: {'MATCH' if matches else 'MISMATCH'}")
     return 0 if matches else 1
 

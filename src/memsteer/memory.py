@@ -73,6 +73,12 @@ run::
      "episode": ..., "step": ..., "time": ...}
 
 Time indices strictly increase down a bank, so row position is time order.
+:func:`encode_record` writes a row from a template, as ``json.dumps(...,
+ensure_ascii=False)`` writes its dict, byte for byte, without building the
+dict. A run keeps its bank open from the first episode to the last and
+appends each finished episode's rows in one write, then flushes
+(:func:`append_records`); so between episodes the file holds exactly the rows
+of the finished ones.
 """
 
 from __future__ import annotations
@@ -83,7 +89,8 @@ import re
 from array import array
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from json.encoder import encode_basestring
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -703,22 +710,33 @@ def read_bank(path) -> Iterator[MemoryEntry]:
             yield entry
 
 
-# json.dumps(..., ensure_ascii=False) builds an encoder per call; one shared
-# encoder with the same settings writes the same bytes
-_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# json writes a float as float.__repr__ does, but for NaN and the infinities
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_value(value) -> str:
+    """The text json.dumps writes for None, a bool, an int or a float."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    return int.__repr__(value)
 
 
 def encode_record(entry: MemoryEntry) -> str:
-    record = {
-        "state_text": entry.state.text,
-        "history_text": entry.state.history,
-        "action": entry.action,
-        "return": entry.return_value,
-        "episode": entry.episode,
-        "step": entry.step,
-        "time": entry.time_index,
-    }
-    return _RECORD_ENCODER.encode(record)
+    """The entry's bank line, as ``json.dumps(..., ensure_ascii=False)``
+    writes its record dict: same key order, separators and escapes."""
+    state = entry.state
+    return (f'{{"state_text": {encode_basestring(state.text)}, '
+            f'"history_text": {encode_basestring(state.history)}, '
+            f'"action": {encode_basestring(entry.action)}, '
+            f'"return": {json_value(entry.return_value)}, "episode": {json_value(entry.episode)}, '
+            f'"step": {json_value(entry.step)}, "time": {json_value(entry.time_index)}}}')
 
 
 def decode_record(line: str, lineno: int) -> MemoryEntry:
@@ -745,9 +763,10 @@ def decode_record(line: str, lineno: int) -> MemoryEntry:
     return entry
 
 
-def append_records(path, entries: Sequence[MemoryEntry]) -> None:
-    """Append entries to a bank file (the per-episode, append-only write path)."""
-    with open(path, "a", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(encode_record(entry))
-            fh.write("\n")
+def append_records(bank: TextIO, entries: Sequence[MemoryEntry]) -> None:
+    """Append entries to the open bank file ``bank`` in one write, then flush
+    it (the per-episode, append-only write path): a run opens its bank once,
+    and a reader between two episodes finds every row of the finished ones."""
+    if entries:
+        bank.write("\n".join(map(encode_record, entries)) + "\n")
+    bank.flush()

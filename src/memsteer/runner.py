@@ -24,10 +24,12 @@ import dataclasses
 import json
 import logging
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ContextManager, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -36,7 +38,8 @@ from memsteer.envs.abstraction import abstract_state
 from memsteer.envs.tabular import TabularMDP
 from memsteer.estimator import KNOWN, advantage_vector, estimate_candidates
 from memsteer.memory import (ActionGroups, ActionNormalizer, IDENTITY_NORMALIZER, MemoryEntry,
-                             MemoryStore, TaskFilter, append_records, group_by_action, read_bank)
+                             MemoryStore, TaskFilter, append_records, group_by_action, json_value,
+                             read_bank)
 from memsteer.oracle import closed_form_kl_policy, episode_returns, exact_policy_values, rollout
 from memsteer.policy import (Candidate, Decision, augment_candidates, logit_update,
                              softmax_sample, valid_memory_actions)
@@ -235,12 +238,13 @@ def update_memory(record: EpisodeRecord, memory: MemoryStore, evaluator,
 
 class Session:
     """One frozen policy playing episodes against one evolving memory: the
-    config, mode, store, action normalizer, evaluator and optional bank file,
-    which a new session starts empty. A supplied store must have the config's
-    capacity and similarity weights, since the outputs report the config's."""
+    config, mode, store, action normalizer, evaluator and ``bank``, an open
+    bank file that each episode's rows are appended to, or None (the
+    default). A supplied store must have the config's capacity and similarity
+    weights, since the outputs report the config's."""
 
     def __init__(self, config: EngineConfig, mode: str = "memsteer", evaluator=None,
-                 memory: MemoryStore | None = None, bank_path: Path | None = None):
+                 memory: MemoryStore | None = None):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.config = config
@@ -257,10 +261,7 @@ class Session:
                                  f"but config {field} is {getattr(config, field)!r}")
         self.memory = memory
         self.normalizer = ActionNormalizer(config.action_rules)
-        self.bank_path = bank_path
-        if bank_path is not None:
-            bank_path.parent.mkdir(parents=True, exist_ok=True)
-            bank_path.write_text("", encoding="utf-8")
+        self.bank: TextIO | None = None
 
     def play(self, env_factory, proposer_factory, episode: int, stream: int | None = None,
              task_filter: TaskFilter | None = None) -> EpisodeRecord:
@@ -274,8 +275,8 @@ class Session:
                              task_filter=task_filter)
         if self.mode != "static":
             new_entries = update_memory(record, self.memory, self.evaluator, self.config.gamma)
-            if self.bank_path is not None and new_entries:
-                append_records(self.bank_path, new_entries)
+            if self.bank is not None and new_entries:
+                append_records(self.bank, new_entries)
         record.memory_size = len(self.memory)
         return record
 
@@ -289,12 +290,14 @@ def run_experiment(config: EngineConfig, env_factory, proposer_factory,
     memory.jsonl under ``out_dir`` when given.
 
     ``env_factory(rng)`` builds a fresh environment per episode;
-    ``proposer_factory(env)`` binds the proposer to it.
+    ``proposer_factory(env)`` binds the proposer to it. memory.jsonl is
+    opened once, after the session has checked its arguments, and closed when
+    the last episode ends or one raises.
     """
-    bank_path = Path(out_dir) / "memory.jsonl" if out_dir is not None else None
-    session = Session(config, mode, evaluator=evaluator, memory=memory, bank_path=bank_path)
-    records = [session.play(env_factory, proposer_factory, episode)
-               for episode in range(config.episodes)]
+    session = Session(config, mode, evaluator=evaluator, memory=memory)
+    with _open_bank(out_dir) as session.bank:
+        records = [session.play(env_factory, proposer_factory, episode)
+                   for episode in range(config.episodes)]
     report = MetricsReport(scores=[r.final_score for r in records],
                            successes=[r.success for r in records])
     if out_dir is not None:
@@ -345,6 +348,15 @@ def run_task_suite(config: EngineConfig, tasks: dict, mode: str = "memsteer",
 # -- output files --------------------------------------------------------------
 
 
+def _open_bank(out_dir) -> ContextManager[TextIO | None]:
+    """``out_dir``'s memory.jsonl opened empty, its directory made first; a
+    context of None when there is no ``out_dir``."""
+    if out_dir is None:
+        return nullcontext()
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return open(Path(out_dir) / "memory.jsonl", "w", encoding="utf-8")
+
+
 def write_outputs(out_dir: Path, config: EngineConfig, mode: str,
                   report: MetricsReport, records: Sequence[EpisodeRecord],
                   memory: MemoryStore) -> None:
@@ -365,8 +377,7 @@ def write_outputs(out_dir: Path, config: EngineConfig, mode: str,
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     with open(out_dir / "records.jsonl", "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(episode_record_to_dict(record), ensure_ascii=False))
-            fh.write("\n")
+            fh.write(encode_episode_record(record) + "\n")
 
 
 def write_metrics_csv(path, records: Sequence[EpisodeRecord]) -> None:
@@ -379,45 +390,31 @@ def write_metrics_csv(path, records: Sequence[EpisodeRecord]) -> None:
                              int(record.aborted), record.memory_size])
 
 
-def episode_record_to_dict(record: EpisodeRecord) -> dict:
-    """The record's line of records.jsonl. It leaves out what the line and the
-    run's summary.json give exactly (README, "Decision records"): each step's
-    action and history, the returns, and each decision's beta, updated logits
-    and distribution."""
-    return {
-        "episode": record.episode_index,
-        "score": record.final_score,
-        "success": record.success,
-        "truncated": record.truncated,
-        "aborted": record.aborted,
-        "abort_reason": record.abort_reason,
-        "evaluator_fallback": record.evaluator_fallback,
-        "memory_size_at_start": record.memory_size_at_start,
-        "rewards": record.rewards,
-        "steps": [
-            {
-                "state_text": step.state.text,
-                "observation": step.observation,
-                "score_delta": step.score_delta,
-            }
-            for step in record.trajectory
-        ],
-        "decisions": [
-            {
-                "candidates": [
-                    {
-                        "action": c.action,
-                        "base_logit": c.base_logit,
-                        "origin": c.origin,
-                        "normalized_advantage": c.normalized_advantage,
-                    }
-                    for c in decision.candidates
-                ],
-                "chosen": decision.chosen,
-            }
-            for decision in record.decisions
-        ],
-    }
+def encode_episode_record(record: EpisodeRecord) -> str:
+    """The record's line of records.jsonl, built from a template as
+    ``json.dumps(..., ensure_ascii=False)`` writes the record's dict. It leaves
+    out what the line and the run's summary.json give exactly (README,
+    "Decision records"): each step's action and history, the returns, and
+    each decision's beta, updated logits and distribution."""
+    text, value = encode_basestring, json_value
+    rewards = "null" if record.rewards is None else f"[{', '.join(map(value, record.rewards))}]"
+    steps = ", ".join([f'{{"state_text": {text(step.state.text)}, '
+                       f'"observation": {text(step.observation)}, '
+                       f'"score_delta": {value(step.score_delta)}}}'
+                       for step in record.trajectory])
+    decisions = ", ".join([
+        '{"candidates": [' + ", ".join([
+            f'{{"action": {text(c.action)}, "base_logit": {value(c.base_logit)}, '
+            f'"origin": {text(c.origin)}, '
+            f'"normalized_advantage": {value(c.normalized_advantage)}}}'
+            for c in decision.candidates]) + f'], "chosen": {value(decision.chosen)}}}'
+        for decision in record.decisions])
+    return (f'{{"episode": {value(record.episode_index)}, "score": {value(record.final_score)}, '
+            f'"success": {value(record.success)}, "truncated": {value(record.truncated)}, '
+            f'"aborted": {value(record.aborted)}, "abort_reason": {text(record.abort_reason)}, '
+            f'"evaluator_fallback": {value(record.evaluator_fallback)}, '
+            f'"memory_size_at_start": {value(record.memory_size_at_start)}, '
+            f'"rewards": {rewards}, "steps": [{steps}], "decisions": [{decisions}]}}')
 
 
 def replay_episode(config: EngineConfig, env_factory, proposer_factory, mode: str,
@@ -440,7 +437,8 @@ def replay_episode(config: EngineConfig, env_factory, proposer_factory, mode: st
                 break
             session.memory.add(entry.state, entry.action, entry.return_value,
                                entry.episode, entry.step)
-    fresh = episode_record_to_dict(session.play(env_factory, proposer_factory, episode))
+    fresh = json.loads(encode_episode_record(
+        session.play(env_factory, proposer_factory, episode)))
     unchecked = ("rewards", "evaluator_fallback")
     same = ({k: v for k, v in fresh.items() if k not in unchecked}
             == {k: v for k, v in recorded.items() if k not in unchecked})

@@ -354,3 +354,48 @@ def test_replay_ends_a_malformed_bank_in_one_line(tmp_path, capsys):
               "--episode", "1", "--memory", str(bank)])
     assert str(exc.value.code).startswith("error: memory bank line 1: missing fields")
     assert bank.read_text(encoding="utf-8") == "{}\n"
+
+
+@pytest.mark.parametrize("text,reason", [
+    (None, "No such file or directory"),
+    ('{"beta": 2,', "Expecting property name enclosed in double quotes: line 1 column 12 "
+                    "(char 11)"),
+], ids=["missing", "unparseable"])
+def test_run_ends_an_unreadable_config_file_in_one_line(tmp_path, text, reason):
+    out = tmp_path / "exp"
+    out.mkdir()
+    bank = out / "memory.jsonl"
+    bank.write_text("kept\n", encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    if text is not None:
+        config_path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config_path), "--out", str(out)])
+    assert exc.value.code == f"error: {config_path}: {reason}"
+    assert bank.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in out.iterdir()) == ["memory.jsonl"]
+
+
+def test_inspect_memory_ends_a_missing_bank_in_one_line(tmp_path):
+    bank = tmp_path / "missing.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["inspect-memory", str(bank)])
+    assert exc.value.code == f"error: {bank}: No such file or directory"
+
+
+@pytest.mark.parametrize("missing", ["--config", "--records", "--memory"])
+def test_replay_ends_a_missing_input_file_in_one_line(tmp_path, capsys, missing):
+    out = tmp_path / "exp"
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=2)
+    config_path = tmp_path / "config.json"
+    config.save(config_path)
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    capsys.readouterr()
+    paths = {"--config": config_path, "--records": out / "records.jsonl",
+             "--memory": out / "memory.jsonl"}
+    paths[missing] = gone = tmp_path / "missing.file"
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--episode", "1",
+              *(part for flag, path in paths.items() for part in (flag, str(path)))])
+    assert exc.value.code == f"error: {gone}: No such file or directory"
+    assert not gone.exists()

@@ -228,7 +228,8 @@ def test_every_construction_path_builds_the_same_entry(tmp_path):
                                  state=entry.state, action="take key", return_value=1.5,
                                  episode=2, step=3, time_index=4),
              decode_record(encode_record(entry), 1)]
-    append_records(tmp_path / "bank.jsonl", [entry])
+    with open(tmp_path / "bank.jsonl", "w", encoding="utf-8") as bank:
+        append_records(bank, [entry])
     built += MemoryStore.load(tmp_path / "bank.jsonl").entries
     for other in built:
         assert type(other) is MemoryEntry and other == entry and hash(other) == hash(entry)
@@ -510,9 +511,9 @@ def test_append_records_matches_save(tmp_path, rng):
     saved = tmp_path / "saved.jsonl"
     appended = tmp_path / "appended.jsonl"
     store.save(saved)
-    appended.write_text("", encoding="utf-8")
-    append_records(appended, store.entries[:17])
-    append_records(appended, store.entries[17:])
+    with open(appended, "w", encoding="utf-8") as bank:
+        append_records(bank, store.entries[:17])
+        append_records(bank, store.entries[17:])
     assert appended.read_bytes() == saved.read_bytes()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,17 +10,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsteer.config import EngineConfig
 from memsteer.envs.abstraction import abstract_state
 from memsteer.envs.tabular import TabularEnvAdapter, TabularMDP, deterministic_chain, six_state_fixture
 from memsteer.envs.textgame import key_door_game, noisy_advisor_policy
 from memsteer.memory import ActionNormalizer, MemoryStore, StateKey
-from memsteer.policy import softmax
+from memsteer.policy import Candidate, Decision, softmax
 from memsteer.proposer import CallablePolicyProposer, ProposerError, TabularProposer
 from memsteer.returns import EnvironmentTruthEvaluator, TrajectoryStep, discounted_returns
 from memsteer.runner import (_DRAW_BLOCK, EpisodeRecord, MetricsReport, _BlockUniforms,
-                             fill_memory_from_rollouts,
+                             encode_episode_record, fill_memory_from_rollouts,
                              replay_episode, run_consistency_experiment, run_episode,
                              run_experiment, run_task_suite, seed_streams,
                              summarize_consistency, update_memory,
@@ -257,6 +260,148 @@ def test_metrics_csv_shape(tmp_path):
     lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
     assert lines[0] == "episode,score,success,steps,aborted,memory_size"
     assert len(lines) == 4
+
+
+def bank_of_episodes_before(store, episode, path):
+    """``path`` holding what ``save`` writes for ``store``'s rows of earlier episodes."""
+    before = MemoryStore()
+    for entry in store.entries:
+        if entry.episode < episode:
+            before.add(entry.state, entry.action, entry.return_value, entry.episode, entry.step)
+    before.save(path)
+    return path.read_bytes()
+
+
+# at 4 steps an episode's rows fit in the file's write buffer; at 60 they can overflow it
+@pytest.mark.parametrize("step_limit", [60, 4])
+def test_bank_holds_every_finished_episode_when_the_next_starts(tmp_path, step_limit):
+    env_factory, proposer_factory = keydoor_factories()
+    out = tmp_path / "exp"
+    seen = []
+
+    def reading_env_factory(rng):
+        seen.append((out / "memory.jsonl").read_bytes())
+        return env_factory(rng)
+
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=5, seed=7,
+                                  step_limit=step_limit)
+    _, memory, _ = run_experiment(config, reading_env_factory, proposer_factory,
+                                  out_dir=out)
+    assert len(seen) == 5 and seen[0] == b"" and seen[-1] != b""
+    for episode, bank in enumerate(seen):
+        assert bank == bank_of_episodes_before(memory, episode, tmp_path / f"{episode}.jsonl")
+    assert (out / "memory.jsonl").read_bytes() == bank_of_episodes_before(
+        memory, 5, tmp_path / "all.jsonl")
+
+
+def test_bank_is_closed_and_kept_when_an_episode_raises(tmp_path, monkeypatch):
+    from memsteer import memory as memory_module, runner as runner_module
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    for module in (memory_module, runner_module):
+        monkeypatch.setattr(module, "open", recording_open, raising=False)
+    env_factory, advisor_factory = keydoor_factories()
+    envs = []
+
+    def proposer_factory(env):
+        envs.append(env)
+        if len(envs) == 4:
+            raise RuntimeError("proposer gone")
+        return advisor_factory(env)
+
+    out = tmp_path / "exp"
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=6, seed=7)
+    with pytest.raises(RuntimeError, match="proposer gone"):
+        run_experiment(config, env_factory, proposer_factory, out_dir=out)
+    bank = out / "memory.jsonl"
+    handles = [fh for fh in opened if Path(fh.name) == bank]
+    assert handles and all(fh.closed for fh in handles)
+    # the same config's first three episodes, played to the end
+    _, memory, _ = run_experiment(dataclasses.replace(config, episodes=3), env_factory,
+                                  advisor_factory)
+    assert {entry.episode for entry in memory.entries} == {0, 1, 2}
+    assert bank.read_bytes() == bank_of_episodes_before(memory, 3, tmp_path / "kept.jsonl")
+
+
+def record_dict(record):
+    """A records.jsonl line's dict as the engine built it before the line was
+    written from a template; ``json.dumps(..., ensure_ascii=False)`` of it is
+    the oracle of ``encode_episode_record``."""
+    return {
+        "episode": record.episode_index,
+        "score": record.final_score,
+        "success": record.success,
+        "truncated": record.truncated,
+        "aborted": record.aborted,
+        "abort_reason": record.abort_reason,
+        "evaluator_fallback": record.evaluator_fallback,
+        "memory_size_at_start": record.memory_size_at_start,
+        "rewards": record.rewards,
+        "steps": [
+            {
+                "state_text": step.state.text,
+                "observation": step.observation,
+                "score_delta": step.score_delta,
+            }
+            for step in record.trajectory
+        ],
+        "decisions": [
+            {
+                "candidates": [
+                    {
+                        "action": c.action,
+                        "base_logit": c.base_logit,
+                        "origin": c.origin,
+                        "normalized_advantage": c.normalized_advantage,
+                    }
+                    for c in decision.candidates
+                ],
+                "chosen": decision.chosen,
+            }
+            for decision in record.decisions
+        ],
+    }
+
+
+# any code point, lone surrogates included, or one of the characters json escapes
+record_texts = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=8),
+    st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\ud800",
+                             "\udfff", "\u2028", "é", "\U0001f600", "a"]), max_size=8))
+# NaN and both infinities as json writes them; -0.0 equals 0.0, so both are drawn
+record_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     math.nan, math.inf, -math.inf]))
+record_steps = st.builds(TrajectoryStep, state=st.builds(StateKey, record_texts, record_texts),
+                         action=record_texts, observation=record_texts,
+                         score_delta=st.none() | record_floats)
+# a None normalized_advantage is a greedy-memory pick
+record_candidates = st.builds(Candidate, action=record_texts, base_logit=record_floats,
+                              origin=st.sampled_from(["proposer", "memory_only"]) | record_texts,
+                              normalized_advantage=st.none() | record_floats)
+record_decisions = st.builds(Decision, candidates=st.lists(record_candidates, min_size=1,
+                                                           max_size=4),
+                             distribution=st.just(np.zeros(0)), chosen=st.integers(0, 3))
+# empty and aborted episodes included; rewards is None for an unevaluated one
+episode_records = st.builds(
+    EpisodeRecord, episode_index=st.integers(0, 2**40),
+    trajectory=st.lists(record_steps, max_size=3), decisions=st.lists(record_decisions, max_size=3),
+    final_score=record_floats, success=st.booleans(), truncated=st.booleans(),
+    aborted=st.booleans(), abort_reason=record_texts, evaluator_fallback=st.booleans(),
+    memory_size_at_start=st.integers(0, 2**40), rewards=st.none() | st.lists(record_floats,
+                                                                             max_size=3))
+
+
+@settings(max_examples=300)
+@given(record=episode_records)
+def test_encode_episode_record_writes_what_json_dumps_writes(record):
+    assert encode_episode_record(record) == json.dumps(record_dict(record), ensure_ascii=False)
 
 
 def metrics_memory_sizes(out_dir):
