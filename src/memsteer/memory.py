@@ -716,13 +716,17 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def json_value(value) -> str:
     """The text json.dumps writes for None, a bool, an int or a float."""
+    cls = value.__class__
+    # a finite float or an int, nearly every value written: repr is json's text
+    if cls is float and value - value == 0.0 or cls is int:
+        return repr(value)
     if value is None:
         return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, float):
+    if isinstance(value, float):  # NaN, an infinity, or a float subclass such as numpy's
         text = float.__repr__(value)
         return _NON_FINITE.get(text, text)
     return int.__repr__(value)
