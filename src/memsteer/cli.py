@@ -9,9 +9,8 @@ Subcommands:
 * ``replay`` — recompute one recorded episode and check it matches.
 
 Config files are JSON (see memsteer.config); flags override file values. A
-config value out of range or a malformed bank record ends the command with
-one ``error:`` line that names the field or the bank line; an input file that
-cannot be opened or parsed, with one ``error: <path>: <reason>`` line.
+bad config value, a malformed bank record, a file that cannot be opened or a
+config file that does not parse ends the command with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import json
 import logging
 import math
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -84,26 +82,13 @@ def build_proposer_factory(name: str, optimal_mass: float):
     raise ValueError(f"unknown proposer {name!r}; choose from {PROPOSERS}")
 
 
-@contextmanager
-def input_file(path):
-    """End the command in one ``error: <path>: <reason>`` line when the input
-    file ``path`` cannot be opened or parsed inside the block."""
-    try:
-        yield
-    except OSError as exc:
-        raise SystemExit(f"error: {path}: {exc.strerror or exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SystemExit(f"error: {path}: {exc}") from None
-
-
 def load_config(args) -> EngineConfig:
     """The config of ``--config`` or ``--profile``, with every config flag the
     parsed ``args`` carry (an EngineConfig field name set to a value) on top."""
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(EngineConfig)
                  if getattr(args, f.name, None) is not None}
     if args.config:
-        with input_file(args.config):
-            return EngineConfig.load(args.config, **overrides)
+        return EngineConfig.load(args.config, **overrides)
     profile = args.profile or "text-game"
     if "beta" not in overrides:
         raise SystemExit("error: --beta is required (it has no published default)")
@@ -281,8 +266,7 @@ def cmd_verify_optimality(args) -> int:
 
 
 def cmd_inspect_memory(args) -> int:
-    with input_file(args.bank):
-        entries = list(read_bank(args.bank))
+    entries = list(read_bank(args.bank))
     if not entries:
         print(f"{args.bank}: empty memory bank")
         return 0
@@ -305,25 +289,18 @@ def cmd_inspect_memory(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with input_file(args.config):
-        config = EngineConfig.load(args.config)
+    config = EngineConfig.load(args.config)
     check_pairing(args.env, args.proposer)
     env_factory = build_env_factory(args.env)
     proposer_factory = build_proposer_factory(args.proposer, args.optimal_mass)
-    recorded = None
-    with input_file(args.records), open(args.records, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                record = json.loads(line)
-                if record["episode"] == args.episode:
-                    recorded = record
-                    break
+    with open(args.records, "r", encoding="utf-8") as fh:
+        records = (json.loads(line) for line in fh if line.strip())
+        recorded = next((r for r in records if r["episode"] == args.episode), None)
     if recorded is None:
         print(f"episode {args.episode} not found in {args.records}")
         return 1
-    with input_file(args.memory):  # the bank is read inside
-        _, matches = replay_episode(config, env_factory, proposer_factory, args.mode,
-                                    recorded, bank_path=args.memory)
+    _, matches = replay_episode(config, env_factory, proposer_factory, args.mode,
+                                recorded, bank_path=args.memory)
     print(f"episode {args.episode}: {'MATCH' if matches else 'MISMATCH'}")
     return 0 if matches else 1
 
@@ -388,6 +365,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, MemoryFormatError) as exc:
         raise SystemExit(f"error: {exc}") from None
+    except OSError as exc:  # a file that cannot be opened, an input or an output
+        if exc.filename is None:
+            raise
+        raise SystemExit(f"error: {exc.filename}: {exc.strerror}") from None
 
 
 if __name__ == "__main__":

@@ -164,7 +164,10 @@ class EngineConfig:
     @classmethod
     def load(cls, path, **overrides) -> "EngineConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         raw.update(overrides)

@@ -73,12 +73,9 @@ run::
      "episode": ..., "step": ..., "time": ...}
 
 Time indices strictly increase down a bank, so row position is time order.
-:func:`encode_record` writes a row from a template, as ``json.dumps(...,
-ensure_ascii=False)`` writes its dict, byte for byte, without building the
-dict. A run keeps its bank open from the first episode to the last and
-appends each finished episode's rows in one write, then flushes
-(:func:`append_records`); so between episodes the file holds exactly the rows
-of the finished ones.
+A row is written from a template, byte for byte as ``json.dumps(...,
+ensure_ascii=False)`` writes its dict. A run opens its bank once; after each
+episode, one write appends that episode's rows and a flush follows it.
 """
 
 from __future__ import annotations
@@ -673,9 +670,7 @@ class MemoryStore:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for entry in self._entries[self._start:]:
-                fh.write(encode_record(entry))
-                fh.write("\n")
+            fh.writelines(f"{encode_record(entry)}\n" for entry in self._entries[self._start:])
 
     @classmethod
     def load(cls, path, capacity: int | None = None, state_weight: float = 0.75,
@@ -710,31 +705,24 @@ def read_bank(path) -> Iterator[MemoryEntry]:
             yield entry
 
 
-# json writes a float as float.__repr__ does, but for NaN and the infinities
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# json's text of None, the bools, and float.__repr__'s NaN and infinities
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false",
+                   "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def json_value(value) -> str:
     """The text json.dumps writes for None, a bool, an int or a float."""
     cls = value.__class__
-    # a finite float or an int, nearly every value written: repr is json's text
-    if cls is float and value - value == 0.0 or cls is int:
+    if cls is float and value - value == 0.0 or cls is int:  # neither NaN, inf nor a subclass
         return repr(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, float):  # NaN, an infinity, or a float subclass such as numpy's
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    return int.__repr__(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    text = float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+    return _JSON_CONSTANTS.get(text, text)
 
 
 def encode_record(entry: MemoryEntry) -> str:
-    """The entry's bank line, as ``json.dumps(..., ensure_ascii=False)``
-    writes its record dict: same key order, separators and escapes."""
+    """The entry's bank line, as json.dumps(..., ensure_ascii=False) writes its dict."""
     state = entry.state
     return (f'{{"state_text": {encode_basestring(state.text)}, '
             f'"history_text": {encode_basestring(state.history)}, '
@@ -771,6 +759,5 @@ def append_records(bank: TextIO, entries: Sequence[MemoryEntry]) -> None:
     """Append entries to the open bank file ``bank`` in one write, then flush
     it (the per-episode, append-only write path): a run opens its bank once,
     and a reader between two episodes finds every row of the finished ones."""
-    if entries:
-        bank.write("\n".join(map(encode_record, entries)) + "\n")
+    bank.write("".join([f"{encode_record(entry)}\n" for entry in entries]))
     bank.flush()

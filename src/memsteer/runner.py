@@ -27,9 +27,8 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, ContextManager, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -239,9 +238,9 @@ def update_memory(record: EpisodeRecord, memory: MemoryStore, evaluator,
 class Session:
     """One frozen policy playing episodes against one evolving memory: the
     config, mode, store, action normalizer, evaluator and ``bank``, an open
-    bank file that each episode's rows are appended to, or None (the
-    default). A supplied store must have the config's capacity and similarity
-    weights, since the outputs report the config's."""
+    file each episode's rows are appended to, or None. A supplied store must
+    have the config's capacity and similarity weights, since the outputs
+    report the config's."""
 
     def __init__(self, config: EngineConfig, mode: str = "memsteer", evaluator=None,
                  memory: MemoryStore | None = None):
@@ -291,11 +290,13 @@ def run_experiment(config: EngineConfig, env_factory, proposer_factory,
 
     ``env_factory(rng)`` builds a fresh environment per episode;
     ``proposer_factory(env)`` binds the proposer to it. memory.jsonl is
-    opened once, after the session has checked its arguments, and closed when
-    the last episode ends or one raises.
+    opened once, after the session has checked its arguments.
     """
     session = Session(config, mode, evaluator=evaluator, memory=memory)
-    with _open_bank(out_dir) as session.bank:
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    with (nullcontext() if out_dir is None
+          else open(Path(out_dir) / "memory.jsonl", "w", encoding="utf-8")) as session.bank:
         records = [session.play(env_factory, proposer_factory, episode)
                    for episode in range(config.episodes)]
     report = MetricsReport(scores=[r.final_score for r in records],
@@ -348,15 +349,6 @@ def run_task_suite(config: EngineConfig, tasks: dict, mode: str = "memsteer",
 # -- output files --------------------------------------------------------------
 
 
-def _open_bank(out_dir) -> ContextManager[TextIO | None]:
-    """``out_dir``'s memory.jsonl opened empty, its directory made first; a
-    context of None when there is no ``out_dir``."""
-    if out_dir is None:
-        return nullcontext()
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return open(Path(out_dir) / "memory.jsonl", "w", encoding="utf-8")
-
-
 def write_outputs(out_dir: Path, config: EngineConfig, mode: str,
                   report: MetricsReport, records: Sequence[EpisodeRecord],
                   memory: MemoryStore) -> None:
@@ -376,8 +368,7 @@ def write_outputs(out_dir: Path, config: EngineConfig, mode: str,
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     with open(out_dir / "records.jsonl", "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(encode_episode_record(record) + "\n")
+        fh.writelines(f"{encode_episode_record(record)}\n" for record in records)
 
 
 def write_metrics_csv(path, records: Sequence[EpisodeRecord]) -> None:
@@ -391,12 +382,12 @@ def write_metrics_csv(path, records: Sequence[EpisodeRecord]) -> None:
 
 
 def encode_episode_record(record: EpisodeRecord) -> str:
-    """The record's line of records.jsonl, built from a template as
-    ``json.dumps(..., ensure_ascii=False)`` writes the record's dict. It leaves
-    out what the line and the run's summary.json give exactly (README,
-    "Decision records"): each step's action and history, the returns, and
-    each decision's beta, updated logits and distribution."""
-    text, value = encode_basestring, json_value
+    """The record's line of records.jsonl, from a template, as json.dumps(...,
+    ensure_ascii=False) writes its dict. It leaves out what the line and the
+    run's summary.json give exactly (README, "Decision records"): each step's
+    action and history, the returns, and each decision's beta, updated logits
+    and distribution."""
+    text, value = json.encoder.encode_basestring, json_value
     rewards = "null" if record.rewards is None else f"[{', '.join(map(value, record.rewards))}]"
     steps = ", ".join([f'{{"state_text": {text(step.state.text)}, '
                        f'"observation": {text(step.observation)}, '
@@ -437,8 +428,7 @@ def replay_episode(config: EngineConfig, env_factory, proposer_factory, mode: st
                 break
             session.memory.add(entry.state, entry.action, entry.return_value,
                                entry.episode, entry.step)
-    fresh = json.loads(encode_episode_record(
-        session.play(env_factory, proposer_factory, episode)))
+    fresh = json.loads(encode_episode_record(session.play(env_factory, proposer_factory, episode)))
     unchecked = ("rewards", "evaluator_fallback")
     same = ({k: v for k, v in fresh.items() if k not in unchecked}
             == {k: v for k, v in recorded.items() if k not in unchecked})
