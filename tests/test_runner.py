@@ -722,11 +722,15 @@ def test_supplied_store_must_match_config(field):
                        memory=MemoryStore(**MISMATCHED_STORES[field]))
 
 
-def test_mode_validation():
+def test_mode_validation(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
     config = EngineConfig.profile("text-game", beta=2.0, episodes=1)
+    bank = tmp_path / "memory.jsonl"
+    bank.write_text("kept\n", encoding="utf-8")
     with pytest.raises(ValueError, match="mode"):
-        run_experiment(config, env_factory, proposer_factory, mode="turbo")
+        run_experiment(config, env_factory, proposer_factory, mode="turbo", out_dir=tmp_path)
+    # the run is refused before its bank is opened, so an earlier run's bank stays
+    assert bank.read_text(encoding="utf-8") == "kept\n"
 
 
 # -- metrics formulas -----------------------------------------------------------------
