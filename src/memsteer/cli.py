@@ -294,11 +294,17 @@ def cmd_replay(args) -> int:
     env_factory = build_env_factory(args.env)
     proposer_factory = build_proposer_factory(args.proposer, args.optimal_mass)
     with open(args.records, "r", encoding="utf-8") as fh:
-        records = (json.loads(line) for line in fh if line.strip())
-        recorded = next((r for r in records if r["episode"] == args.episode), None)
-    if recorded is None:
-        print(f"episode {args.episode} not found in {args.records}")
-        return 1
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if line.strip() and (recorded := json.loads(line))["episode"] == args.episode:
+                    break
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:  # not JSON, or not a record
+                reason = (f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError)
+                          else 'record has no "episode" field')
+                raise SystemExit(f"error: {args.records}: line {lineno}: {reason}") from None
+        else:
+            print(f"episode {args.episode} not found in {args.records}")
+            return 1
     _, matches = replay_episode(config, env_factory, proposer_factory, args.mode,
                                 recorded, bank_path=args.memory)
     print(f"episode {args.episode}: {'MATCH' if matches else 'MISMATCH'}")

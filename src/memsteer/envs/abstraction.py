@@ -5,11 +5,16 @@ abstraction is a deterministic stopword filter (no NLP): boilerplate and
 flavor vocabulary is dropped, and the remaining tokens (location, salient
 nouns, inventory, door states) are sorted into the state text. The history
 half of the key is the last few actions taken.
+
+A key is memoised per (observation text, history text, stopwords) with
+``tokenize``'s fixed bound of 4,096, so a revisited state builds its key once;
+decisions and memory rows may share it, as a ``StateKey`` is frozen.
 """
 
 from __future__ import annotations
 
 import logging
+from functools import lru_cache
 from typing import Sequence
 from urllib.parse import urlsplit, urlunsplit
 
@@ -36,10 +41,13 @@ def abstract_state(observation: Observation, history_actions: Sequence[str] = ()
                    history_length: int = 3,
                    stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> StateKey:
     """Token-set state key: kept observation tokens plus recent-action history."""
-    kept = tokenize(observation.text) - stopwords
-    text = " ".join(sorted(kept))
     history = " ".join(history_actions[-history_length:]) if history_length > 0 else ""
-    return StateKey(text=text, history=history)
+    return _state_key(observation.text, history, frozenset(stopwords))
+
+
+@lru_cache(maxsize=4096)
+def _state_key(text: str, history: str, stopwords: frozenset[str]) -> StateKey:
+    return StateKey(text=" ".join(sorted(tokenize(text) - stopwords)), history=history)
 
 
 def regularize_url(url: str) -> str:

@@ -108,7 +108,9 @@ def key_door_config() -> dict:
 
 
 class TextMicroGame:
-    """Pure, replayable state machine over a validated game config."""
+    """Pure, replayable state machine over a validated game config. Valid
+    actions are computed once per observation, which carries a copy; the next
+    ``step`` checks its action against the kept list."""
 
     def __init__(self, config: dict):
         self.config = validate_game_config(config)
@@ -119,13 +121,15 @@ class TextMicroGame:
         for door in config["doors"]:
             self._doors.setdefault(frozenset(door["rooms"]), door)
         # each room's exits in config order as (direction, destination, door
-        # or None), and the advisor's next hops; passability reads only the
-        # config and the open doors, so copies of a game share both
+        # or None), the advisor's next hops and its score events by id;
+        # passability reads only the config and the open doors, so copies of
+        # a game share all three
         self._exits: dict[str, tuple[tuple[str, str, dict | None], ...]] = {
             rid: tuple((direction, dest, self._door_at(rid, dest))
                        for direction, dest in room.get("exits", {}).items())
             for rid, room in config["rooms"].items()}
         self._hops: dict[tuple[str, str, frozenset[str]], str | None] = {}
+        self._events = {event["id"]: event for event in config["score_events"]}
         self.reset_tables()
 
     def reset(self) -> Observation:
@@ -147,6 +151,7 @@ class TextMicroGame:
         self.done = False
         self.visits = {rid: 0 for rid in cfg["rooms"]}
         self.visits[self.room] = 1
+        self._valid: list[str] | None = None  # the last observation's valid actions
 
     @property
     def success(self) -> bool:
@@ -196,13 +201,14 @@ class TextMicroGame:
         flavor = room.get("flavor", [])
         if flavor:
             parts.append(flavor[(self.visits[self.room] - 1) % len(flavor)])
+        self._valid = self.valid_actions()
         return Observation(text=". ".join(parts) + ".", score=self.score,
-                           done=self.done, valid_actions=self.valid_actions())
+                           done=self.done, valid_actions=list(self._valid))
 
     # -- dynamics ----------------------------------------------------------
 
     def step(self, action: str) -> Observation:
-        valid = self.valid_actions()
+        valid = self.valid_actions() if self._valid is None else self._valid
         if action not in valid:
             raise InvalidActionError(action, valid)
         acted_room = self.room
@@ -286,7 +292,7 @@ def _act_in(game: TextMicroGame, room: str | None, action: str) -> str:
 
 def advisor_action(game: TextMicroGame) -> str:
     """Optimal next action for the key-door fixture (phase-based BFS policy)."""
-    goal_event = {e["id"]: e for e in game.config["score_events"]}
+    goal_event = game._events
     if "delivered" in game.fired:
         return "look"
     door = game.config["doors"][0]

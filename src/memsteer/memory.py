@@ -687,15 +687,19 @@ class MemoryStore:
 def read_bank(path) -> Iterator[MemoryEntry]:
     """Yield a bank's entries in file order, decoding each line as it is reached.
 
-    Raises :class:`MemoryFormatError` on a malformed record or on a time index
-    that does not exceed the previous record's. A caller that stops early
-    leaves the rest of the file unread.
+    Raises :class:`MemoryFormatError` on a line that is not UTF-8, a malformed
+    record or a time index that does not exceed the previous record's. A
+    caller that stops early leaves the rest of the file unread.
     """
     previous: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            try:
+                line.encode("utf-8")  # an undecodable byte reads as a lone surrogate
+            except UnicodeEncodeError:
+                raise MemoryFormatError(lineno, "not UTF-8 text") from None
             entry = decode_record(line, lineno)
             if previous is not None and entry.time_index <= previous:
                 raise MemoryFormatError(

@@ -65,6 +65,22 @@ def test_a_keydoor_episode_observes_its_start_once(monkeypatch):
     assert len(observed) == sum(record.steps + 1 for record in records)
 
 
+def test_a_keydoor_run_computes_each_states_valid_actions_once(monkeypatch):
+    # each observation computes the list once, and the step after it checks
+    # its action against that list instead of computing it again
+    calls = []
+    valid_actions = textgame.TextMicroGame.valid_actions
+    monkeypatch.setattr(textgame.TextMicroGame, "valid_actions",
+                        lambda game: calls.append(game) or valid_actions(game))
+    _, _, records = run_experiment(EngineConfig.profile("text-game", 2.0, episodes=50,
+                                                        seed=1001),
+                                   build_env_factory("keydoor"),
+                                   build_proposer_factory("noisy-advisor", 0.3))
+    steps = sum(record.steps for record in records)
+    assert steps > 0
+    assert len(calls) <= steps + len(records)
+
+
 def test_keydoor_games_share_no_mutable_table_with_each_other_or_the_template(monkeypatch):
     built = []
     make = textgame.key_door_game
@@ -354,6 +370,44 @@ def test_replay_ends_a_malformed_bank_in_one_line(tmp_path, capsys):
               "--episode", "1", "--memory", str(bank)])
     assert str(exc.value.code).startswith("error: memory bank line 1: missing fields")
     assert bank.read_text(encoding="utf-8") == "{}\n"
+
+
+def test_inspect_memory_ends_a_bank_that_is_not_utf8_in_one_line(tmp_path):
+    bank = tmp_path / "latin.jsonl"
+    bank.write_bytes(b"\xff\xfe{}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["inspect-memory", str(bank)])
+    assert exc.value.code == "error: memory bank line 1: not UTF-8 text"
+
+
+def test_replay_ends_a_bank_that_is_not_utf8_in_one_line(tmp_path, capsys):
+    out = tmp_path / "exp"
+    config_path = tmp_path / "config.json"
+    EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=2).save(config_path)
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    capsys.readouterr()
+    bank = tmp_path / "latin.jsonl"
+    bank.write_bytes(b"\xff\xfe{}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--config", str(config_path), "--records", str(out / "records.jsonl"),
+              "--episode", "1", "--memory", str(bank)])
+    assert exc.value.code == "error: memory bank line 1: not UTF-8 text"
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("{not json", "invalid JSON (Expecting property name enclosed in double quotes)"),
+    ('{"steps": []}', 'record has no "episode" field'),
+    ("[0]", 'record has no "episode" field'),
+], ids=["unparseable", "no-episode", "not-an-object"])
+def test_replay_ends_a_malformed_records_line_in_one_line(tmp_path, line, reason):
+    config_path = tmp_path / "config.json"
+    EngineConfig.profile("text-game", beta=2.0, episodes=1, seed=0).save(config_path)
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"episode": 1}\n\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--config", str(config_path), "--records", str(records),
+              "--episode", "0"])
+    assert exc.value.code == f"error: {records}: line 3: {reason}"
 
 
 @pytest.mark.parametrize("text,reason", [

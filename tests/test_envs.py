@@ -4,16 +4,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from memsteer.envs import Observation
-from memsteer.envs.abstraction import abstract_state, regularize_url
+from memsteer.envs import Observation, abstraction
+from memsteer.envs.abstraction import DEFAULT_STOPWORDS, abstract_state, regularize_url
 from memsteer.envs.tabular import (TabularEnvAdapter, TabularMDP, deterministic_chain,
                                    mdp_step, random_mdp, six_state_fixture)
 from memsteer.envs import textgame
 from memsteer.envs.textgame import (GameConfigError, InvalidActionError, TextMicroGame,
                                     advisor_action, key_door_config, key_door_game,
                                     load_game_config, noisy_advisor_policy, solution_path)
+from memsteer.memory import StateKey
 from memsteer.proposer import ProposerRequest
+from memsteer.tokens import tokenize
 
 
 # -- tabular stepping -----------------------------------------------------------------
@@ -165,6 +169,37 @@ def test_score_is_monotone_and_episode_truncates():
         assert obs.score >= last
         last = obs.score
     assert game.steps <= game.step_limit
+
+
+def test_a_step_with_no_observation_since_reset_tables_checks_the_current_state():
+    game = key_door_game()
+    game.reset()
+    seen = set(game.valid_actions())
+    for action in solution_path()[:3]:  # to the library, where the key lies
+        seen.update(game.step(action).valid_actions)
+    seen.update(solution_path())
+    game.reset_tables()  # back at the start, with the library's list kept no longer
+    valid = game.valid_actions()
+    assert "take key" in seen and "take key" not in valid
+    for action in sorted(seen):
+        trial = copy.deepcopy(game)
+        if action in valid:
+            trial.step(action)
+        else:
+            with pytest.raises(InvalidActionError) as err:
+                trial.step(action)
+            assert err.value.valid == valid
+
+
+def test_changing_an_observations_actions_leaves_what_step_accepts():
+    game = key_door_game()
+    obs = game.reset()
+    obs.valid_actions.append("take key")
+    with pytest.raises(InvalidActionError) as err:
+        game.step("take key")
+    assert "take key" not in err.value.valid
+    obs.valid_actions.clear()
+    assert game.step("go north").valid_actions == game.valid_actions()
 
 
 def test_replay_reproduces_observations_bit_exactly():
@@ -444,6 +479,46 @@ def test_history_tail_respects_length():
     assert key.history == "a2 a3 a4"
     key0 = abstract_state(obs, ["a1", "a2"], history_length=0)
     assert key0.history == ""
+
+
+def _abstract_state_afresh(observation, history_actions=(), history_length=3,
+                           stopwords=DEFAULT_STOPWORDS):
+    # the unmemoised abstraction, building every key anew
+    kept = tokenize(observation.text) - stopwords
+    text = " ".join(sorted(kept))
+    history = " ".join(history_actions[-history_length:]) if history_length > 0 else ""
+    return StateKey(text=text, history=history)
+
+
+def _key_fields(key):
+    return key.text, key.history, key.tokens, key.history_tokens
+
+
+_WORDS = st.sampled_from(["the", "You", "EXITS", "location", "dust", "hall", "Key", "key",
+                          "iron", "door", "s3", "café", "north", "open", ""])
+_GAPS = st.sampled_from([" ", ", ", ". ", ": ", "_", "-", "!\n"])
+_ACTIONS = st.sampled_from(["go north", "take key", "look", "unlock iron door", "put key"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=st.lists(st.tuples(_WORDS, _GAPS), max_size=14).map(
+           lambda pieces: "".join(word + gap for word, gap in pieces)),
+       history=st.lists(_ACTIONS, max_size=5), history_length=st.integers(0, 4),
+       stopwords=st.sets(_WORDS, max_size=4))
+def test_memoised_abstraction_matches_the_key_built_afresh(text, history, history_length,
+                                                          stopwords):
+    obs = Observation(text=text, score=0, done=False)
+    expected = _key_fields(_abstract_state_afresh(obs, history, history_length))
+    abstraction._state_key.cache_clear()
+    cold = abstract_state(obs, history, history_length)
+    assert _key_fields(cold) == expected
+    memoised = abstract_state(obs, list(history), history_length)
+    assert memoised is cold and _key_fields(memoised) == expected
+    # a plain set of stopwords works, and gives its frozenset's key
+    custom = _key_fields(_abstract_state_afresh(obs, history, history_length,
+                                                frozenset(stopwords)))
+    assert _key_fields(abstract_state(obs, history, history_length, set(stopwords))) == \
+        _key_fields(abstract_state(obs, history, history_length, frozenset(stopwords))) == custom
 
 
 # -- URL regularization ---------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Every name a module lists in ``__all__`` resolves on that module, and
-every name a module imports is used.
+"""Every name a module lists in ``__all__`` resolves on that module, every
+name a module imports is used, and every memo has a finite bound.
 
 A deletion that leaves its name behind in ``__all__`` fails here, not later
 as an ``ImportError`` in a star import; one that leaves behind an import of
@@ -71,3 +71,56 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.relative_to(SOURCE)}:{line} {name}"
                    for name, line in _names_bound_by_imports(tree).items() if name not in read]
     assert unused == []
+
+
+_MEMOS = ("cache", "lru_cache")
+
+
+def _unbounded_memos(tree: ast.Module) -> list[int]:
+    """Lines that name ``functools.cache``, or an ``lru_cache`` not called
+    with a positive integer ``maxsize``."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "functools"}
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names if alias.name in _MEMOS}
+
+    def memo(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and node.attr in _MEMOS:
+            return node.attr
+        return imported.get(node.id) if isinstance(node, ast.Name) else None
+
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and memo(node.func) == "lru_cache":
+            size = node.args[0] if node.args else next(
+                (kw.value for kw in node.keywords if kw.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0:
+                bounded.add(node.func)
+    return [node.lineno for node in ast.walk(tree) if memo(node) and node not in bounded]
+
+
+@pytest.mark.parametrize("source,unbounded", [
+    ("from functools import lru_cache\n@lru_cache(maxsize=4096)\ndef f(x): pass", []),
+    ("import functools\n@functools.lru_cache(8)\ndef f(x): pass", []),
+    ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): pass", [2]),
+    ("from functools import lru_cache\n@lru_cache(None)\ndef f(x): pass", [2]),
+    ("from functools import lru_cache\n@lru_cache\ndef f(x): pass", [2]),
+    ("from functools import lru_cache as memo\nN = 8\n@memo(maxsize=N)\ndef f(x): pass", [3]),
+    ("import functools as ft\n@ft.cache\ndef f(x): pass", [2]),
+    ("from functools import cache\ng = cache(len)", [2]),
+    ("cache = {}\nlru_cache = dict\ng = lru_cache()", []),
+], ids=["keyword", "positional", "none", "none-positional", "bare", "named-size",
+        "cache", "cache-call", "not-functools"])
+def test_the_memo_check_flags_each_unbounded_form(source, unbounded):
+    assert _unbounded_memos(ast.parse(source)) == unbounded
+
+
+def test_every_memo_has_a_finite_bound():
+    unbounded = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        unbounded += [f"{path.relative_to(SOURCE)}:{line}"
+                      for line in _unbounded_memos(ast.parse(path.read_text(encoding="utf-8")))]
+    assert unbounded == []

@@ -1032,6 +1032,22 @@ def test_decode_rejects_wrong_field_types(tmp_path, field, value):
         MemoryStore.load(path)
 
 
+@pytest.mark.parametrize("lines,line_number", [
+    ([b"\xff\xfe" + json.dumps(_GOOD_RECORD).encode()], 1),
+    ([json.dumps(_GOOD_RECORD).encode(),
+      json.dumps({**_GOOD_RECORD, "time": 1}).encode().replace(b"hall", b"caf\xe9")], 2),
+], ids=["utf-16-mark", "latin-1-text"])
+def test_a_line_that_is_not_utf8_raises_with_its_line(tmp_path, lines, line_number):
+    # the second case's bad byte sits inside a JSON string, where it would
+    # otherwise decode to a key no written bank holds
+    path = tmp_path / "bank.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(MemoryFormatError) as err:
+        MemoryStore.load(path)
+    assert err.value.line_number == line_number
+    assert str(err.value) == f"memory bank line {line_number}: not UTF-8 text"
+
+
 def test_decode_accepts_an_integer_return(tmp_path):
     path = tmp_path / "bank.jsonl"
     path.write_text(json.dumps({**_GOOD_RECORD, "return": 2}) + "\n", encoding="utf-8")
