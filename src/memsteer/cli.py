@@ -293,13 +293,15 @@ def cmd_replay(args) -> int:
     check_pairing(args.env, args.proposer)
     env_factory = build_env_factory(args.env)
     proposer_factory = build_proposer_factory(args.proposer, args.optimal_mass)
-    with open(args.records, "r", encoding="utf-8") as fh:
+    with open(args.records, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
+                line.encode("utf-8")  # an undecodable byte reads as a lone surrogate
                 if line.strip() and (recorded := json.loads(line))["episode"] == args.episode:
                     break
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:  # not JSON, or not a record
-                reason = (f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError)
+            except (UnicodeEncodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+                reason = ("not UTF-8 text" if isinstance(exc, UnicodeEncodeError)
+                          else f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError)
                           else 'record has no "episode" field')
                 raise SystemExit(f"error: {args.records}: line {lineno}: {reason}") from None
         else:

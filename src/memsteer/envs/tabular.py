@@ -14,7 +14,9 @@ values:
   per draw and no numpy call;
 * the terminal flags and the reward rows, the ``.tolist()`` of ``terminal``
   and ``rewards``;
-* the last state index, the clamp of every state draw;
+* the last state and action indices, each draw's ``hi`` bound: on a
+  non-decreasing row, such as a cumsum of the non-negative entries checked
+  here, ``bisect_right(row, u, 0, last)`` is ``min(bisect_right(row, u), last)``;
 * one ``StateKey`` per state and one name per action.
 
 ``mdp_step`` and ``TabularEnvAdapter`` read these tables too, so a step makes
@@ -49,6 +51,7 @@ class TabularMDP:
     _terminal: list[bool] = field(init=False, repr=False)
     _reward_rows: list[list[float]] = field(init=False, repr=False)
     _last_state: int = field(init=False, repr=False)
+    _last_action: int = field(init=False, repr=False)
     _state_keys: list[StateKey] = field(init=False, repr=False)
     _action_names: list[str] = field(init=False, repr=False)
 
@@ -79,6 +82,7 @@ class TabularMDP:
         self._terminal = self.terminal.tolist()
         self._reward_rows = self.rewards.tolist()
         self._last_state = s - 1
+        self._last_action = a - 1
         self._state_keys = [StateKey(text=f"s{i}") for i in range(s)]
         self._action_names = [f"a{i}" for i in range(a)]
 
@@ -91,10 +95,12 @@ class TabularMDP:
         return self.transitions.shape[1]
 
     def sample_start(self, rng: np.random.Generator) -> int:
-        return min(bisect_right(self._cum_start, rng.random()), self._last_state)
+        """A start state by inverse CDF, the search bounded by the last state."""
+        return bisect_right(self._cum_start, rng.random(), 0, self._last_state)
 
     def sample_next(self, s: int, a: int, rng: np.random.Generator) -> int:
-        return min(bisect_right(self._cum_next[s][a], rng.random()), self._last_state)
+        """A next state by inverse CDF, the search bounded by the last state."""
+        return bisect_right(self._cum_next[s][a], rng.random(), 0, self._last_state)
 
     def state_key(self, s: int) -> StateKey:
         """The key ``StateKey("s<s>")``, one shared instance per state."""

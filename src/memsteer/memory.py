@@ -404,13 +404,13 @@ class MemoryStore:
         """Insert one triplet; the store assigns the time index."""
         # by position: a keyword call costs about half as much again
         entry = MemoryEntry(state, action, float(return_value), episode, step, self._clock)
+        entry.validate()  # load's rows were validated by decode_record, rebuilt rows when added
         self._insert(entry)
         self.insert_count += 1
         return entry
 
     def _insert(self, entry: MemoryEntry) -> None:
-        """Validate and append ``entry``, then evict the oldest past capacity."""
-        entry.validate()
+        """Append the validated ``entry``, then evict the oldest past capacity."""
         pos = len(self._entries)
         self._entries.append(entry)
         state = entry.state

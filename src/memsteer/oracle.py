@@ -78,8 +78,16 @@ def exact_policy_values(mdp: TabularMDP, policy: np.ndarray, gamma: float | None
 def _policy_cum(shape: tuple[int, ...], data: bytes) -> tuple[tuple[float, ...], ...]:
     """Row cumsums of the float64 policy with this C-order content, as tuples
     because every caller shares them. ``np.add.accumulate`` is the ufunc
-    ``np.cumsum`` calls, without its dispatch cost."""
-    rows = np.add.accumulate(np.frombuffer(data).reshape(shape), axis=1)
+    ``np.cumsum`` calls, without its dispatch cost. Raises ValueError at the
+    first entry that is negative or not finite, since a bounded draw needs
+    non-decreasing rows; a memo hit skips that check."""
+    policy = np.frombuffer(data).reshape(shape)
+    bad = np.flatnonzero(~(np.isfinite(policy) & (policy >= 0.0)))
+    if bad.size:
+        row, column = divmod(int(bad[0]), shape[1])
+        raise ValueError(f"policy entry ({row}, {column}) is {policy.item(bad[0])!r}; "
+                         "every entry must be finite and non-negative")
+    rows = np.add.accumulate(policy, axis=1)
     return tuple(map(tuple, rows.tolist()))
 
 
@@ -92,17 +100,20 @@ def rollout(mdp: TabularMDP, policy: np.ndarray, rng, start_state: int | None = 
     such as the block source the consistency fill passes.
 
     Draws are inverse-CDF with ``bisect.bisect_right``, the index
-    ``np.searchsorted(side="right")`` gives: actions on the policy cumsum,
-    next states on the MDP's list tables built at its construction, which
-    also give the terminal flags and rewards. The policy cumsum comes from a
-    memo of the last 8 distinct policies, keyed by the shape and C-order
-    bytes of the policy as a float64 array: a fixed or repeating policy is
-    summed once, and one changed in place is summed afresh.
+    ``np.searchsorted(side="right")`` gives, bounded by the table's last index
+    in place of a clamp to it: actions on the policy cumsum, next states on
+    the MDP's list tables built at its construction, which also give the
+    terminal flags and rewards. The bound needs non-decreasing rows, so a
+    policy with a negative or non-finite entry raises ValueError; a row
+    summing below 1 is legal. The policy cumsum comes from a memo of the last
+    8 distinct policies, keyed by the shape and C-order bytes of the policy
+    as a float64 array: a fixed or repeating policy is summed and checked
+    once, and one changed in place is summed and checked afresh.
     """
     policy = np.asarray(policy, dtype=np.float64)
     policy_cum = _policy_cum(policy.shape, policy.tobytes())
     s = mdp.sample_start(rng) if start_state is None else start_state
-    last_action = mdp.n_actions - 1
+    last_action = mdp._last_action
     terminal = mdp._terminal
     reward_rows = mdp._reward_rows
     sample_next = mdp.sample_next
@@ -110,7 +121,7 @@ def rollout(mdp: TabularMDP, policy: np.ndarray, rng, start_state: int | None = 
     for _ in range(step_cap):
         if terminal[s]:
             break
-        a = min(bisect_right(policy_cum[s], rng.random()), last_action)
+        a = bisect_right(policy_cum[s], rng.random(), 0, last_action)
         states.append(s)
         actions.append(a)
         rewards.append(reward_rows[s][a])

@@ -501,7 +501,7 @@ def fill_memory_from_rollouts(mdp: TabularMDP, policy_of_episode, gamma: float,
         policy = policy_of_episode(episode)
         states, actions, rewards = rollout(mdp, policy, rng)
         returns = episode_returns(rewards, gamma)
-        taken = min(room, len(states))
+        taken = len(states) if len(states) < room else room  # min() would cost a call
         for t in range(taken):
             add(state_keys[states[t]], action_names[actions[t]], returns[t], episode, t)
         room -= taken

@@ -410,6 +410,19 @@ def test_replay_ends_a_malformed_records_line_in_one_line(tmp_path, line, reason
     assert exc.value.code == f"error: {records}: line 3: {reason}"
 
 
+@pytest.mark.parametrize("head,lineno", [(b"", 1), (b'{"episode": 1}\n\n', 3)],
+                         ids=["first-line", "third-line"])
+def test_replay_ends_records_that_are_not_utf8_in_one_line(tmp_path, head, lineno):
+    config_path = tmp_path / "config.json"
+    EngineConfig.profile("text-game", beta=2.0, episodes=1, seed=0).save(config_path)
+    records = tmp_path / "latin.jsonl"
+    records.write_bytes(head + b'\xff\xfe{"episode": 0}\n')
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--config", str(config_path), "--records", str(records),
+              "--episode", "0"])
+    assert exc.value.code == f"error: {records}: line {lineno}: not UTF-8 text"
+
+
 @pytest.mark.parametrize("text,reason", [
     (None, "No such file or directory"),
     ('{"beta": 2,', "Expecting property name enclosed in double quotes: line 1 column 12 "

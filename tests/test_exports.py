@@ -1,5 +1,6 @@
 """Every name a module lists in ``__all__`` resolves on that module, every
-name a module imports is used, and every memo has a finite bound.
+name a module imports is used, every memo has a finite bound, and every
+binary search is bounded.
 
 A deletion that leaves its name behind in ``__all__`` fails here, not later
 as an ``ImportError`` in a star import; one that leaves behind an import of
@@ -123,4 +124,56 @@ def test_every_memo_has_a_finite_bound():
     for path in sorted(SOURCE.rglob("*.py")):
         unbounded += [f"{path.relative_to(SOURCE)}:{line}"
                       for line in _unbounded_memos(ast.parse(path.read_text(encoding="utf-8")))]
+    assert unbounded == []
+
+
+_BISECTS = ("bisect_right", "bisect_left")
+
+
+def _unbounded_bisects(tree: ast.Module) -> list[int]:
+    """Lines of a ``bisect_right`` or ``bisect_left`` call from the ``bisect``
+    module that does not pass both ``lo`` and ``hi``. An inverse-CDF draw
+    needs ``hi``: without it, a draw past the table's rounded total indexes
+    one past its end."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names if alias.name == "bisect"}
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "bisect"
+                for alias in node.names if alias.name in _BISECTS}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id in imported
+                or isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in modules and func.attr in _BISECTS):
+            passed = {"lo", "hi"}.intersection(("lo", "hi")[:len(node.args) - 2])
+            passed |= {kw.arg for kw in node.keywords}
+            if not {"lo", "hi"} <= passed:
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source,unbounded", [
+    ("from bisect import bisect_right\nbisect_right(r, u, 0, 3)", []),
+    ("from bisect import bisect_left\nbisect_left(r, u, lo=0, hi=3)", []),
+    ("import bisect\nbisect.bisect_right(r, u, 0, hi=3)", []),
+    ("from bisect import bisect_right\nmin(bisect_right(r, u), 3)", [2]),
+    ("from bisect import bisect_right\nbisect_right(r, u, 0)", [2]),
+    ("from bisect import bisect_left\nbisect_left(r, u, hi=3)", [2]),
+    ("from bisect import bisect_right as search\nsearch(r, u)", [2]),
+    ("import bisect as b\nb.bisect_left(r, u, 1)", [2]),
+    ("def bisect_right(r, u): pass\nbisect_right(r, u)", []),
+], ids=["positional", "keyword", "module", "clamped", "lo-only", "hi-only", "alias",
+        "module-alias", "not-bisect"])
+def test_the_bisect_check_flags_each_unbounded_form(source, unbounded):
+    assert _unbounded_bisects(ast.parse(source)) == unbounded
+
+
+def test_every_bisect_passes_lo_and_hi():
+    unbounded = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        unbounded += [f"{path.relative_to(SOURCE)}:{line}"
+                      for line in _unbounded_bisects(ast.parse(path.read_text(encoding="utf-8")))]
     assert unbounded == []

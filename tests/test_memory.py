@@ -156,6 +156,29 @@ def test_insert_rejects_empty_action():
         store.add(StateKey("hall"), "", 1.0)
 
 
+def test_each_row_is_validated_once_however_it_enters_the_store(tmp_path, monkeypatch):
+    validated, rebuilds = [], []
+    validate, rebuild = MemoryEntry.validate, MemoryStore._rebuild
+    monkeypatch.setattr(MemoryEntry, "validate",
+                        lambda entry: validated.append(entry) or validate(entry))
+    monkeypatch.setattr(MemoryStore, "_rebuild",
+                        lambda store, live: rebuilds.append(len(live)) or rebuild(store, live))
+    store = MemoryStore(capacity=4)
+    rebuilds.clear()  # the constructor's own, of no rows
+    added = [store.add(StateKey(f"room {i}"), "look", float(i)) for i in range(12)]
+    assert rebuilds  # capacity rebuilds re-index live rows without validating them again
+    assert [id(entry) for entry in validated] == [id(entry) for entry in added]
+    path = tmp_path / "bank.jsonl"
+    store.save(path)
+    validated.clear()
+    rebuilds.clear()
+    loaded = MemoryStore.load(path, capacity=2)
+    assert rebuilds
+    assert len(validated) == 4  # once per bank line, by decode_record
+    assert [entry.time_index for entry in validated] == [8, 9, 10, 11]
+    assert loaded.entries == tuple(validated[2:])
+
+
 # -- the MemoryEntry dataclass contract ---------------------------------------------
 
 

@@ -1,15 +1,20 @@
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memsteer import oracle
 from memsteer.envs.tabular import TabularMDP, deterministic_chain, random_mdp, six_state_fixture
+from memsteer.memory import MemoryStore
 from memsteer.oracle import (closed_form_kl_policy, episode_returns, exact_policy_values,
                              expected_advantage_identity_gap, grid_optimal_kl_policy,
                              kl_objective, monte_carlo_returns, optimality_margin,
                              rollout, simplex_grid)
 from memsteer.policy import softmax
+from memsteer.runner import fill_memory_from_rollouts
 
 
 def single_absorbing_state():
@@ -214,6 +219,75 @@ def test_sampler_matches_reference_on_boundary_draws():
     assert ours.values == ref.values == []
 
 
+def clamped_index(row, u):
+    """The draw as it was before its search took a ``hi`` bound: an unbounded
+    search clamped to the last index."""
+    return min(bisect_right(row, u), len(row) - 1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(weights=st.lists(st.just(0.0) | st.floats(0.0, 1.0, allow_subnormal=False),
+                        min_size=1, max_size=7).filter(lambda w: sum(w) > 0.0),
+       scale=st.just(1.0) | st.floats(0.05, 1.0))
+@example(weights=[0.3, 0.7, 0.0], scale=1.0)  # the cumsum plateaus at its end
+@example(weights=[0.0, 0.0, 1.0, 0.0, 0.0], scale=0.5)  # and a short policy row
+@example(weights=[0.1] * 7, scale=1.0)
+@example(weights=[1.0], scale=0.5)
+def test_bounded_draws_equal_the_clamped_search(weights, scale):
+    # n states and n actions, every transition row and the start distribution
+    # the normalised weights, every policy row those scaled by ``scale``
+    # (below 1 a short row, which the bound must still clamp)
+    n = len(weights)
+    row = np.asarray(weights) / sum(weights)
+    mdp = TabularMDP(transitions=np.tile(row, (n, n, 1)),
+                     rewards=np.arange(float(n * n)).reshape(n, n),
+                     terminal=np.zeros(n, dtype=bool), start=row, gamma=0.9)
+    policy = np.tile(row * scale, (n, 1))
+    cum, policy_cum = np.cumsum(row).tolist(), np.cumsum(policy[0]).tolist()
+    assert mdp._cum_start == mdp._cum_next[n - 1][0] == cum
+    draws = {0.0, math.nextafter(1.0, 0.0)}
+    for value in cum + policy_cum:
+        draws |= {value, math.nextafter(value, 0.0)}
+    for u in sorted(draws):
+        s, a = clamped_index(cum, u), clamped_index(policy_cum, u)
+        assert mdp.sample_start(FixedDraws([u])) == s
+        assert mdp.sample_next(0, n - 1, FixedDraws([u])) == s
+        assert mdp.sample_next(n - 1, 0, FixedDraws([u])) == s
+        # start, then an action and a next state per step
+        ours = FixedDraws([u] * 5)
+        assert rollout(mdp, policy, ours, step_cap=2) == ([s, s], [a, a], [mdp.rewards[s, a]] * 2)
+        assert ours.values == []
+
+
+@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf, -math.inf])
+def test_rollout_rejects_a_policy_entry_that_is_negative_or_not_finite(value):
+    mdp, policy = six_state_fixture()
+    policy = policy.copy()
+    policy[2, 1] = value
+    policy[3, 0] = -1.0  # a later bad entry is not the one named
+    with pytest.raises(ValueError, match=rf"policy entry \(2, 1\) is {value!r};"):
+        rollout(mdp, policy, np.random.default_rng(0))
+    policy[2, 1] = policy[3, 0] = 0.3  # the same array, repaired, is checked afresh
+    rollout(mdp, policy, np.random.default_rng(0))
+
+
+def test_fill_rejects_a_negative_policy_entry_from_its_schedule():
+    mdp, policy = six_state_fixture()
+    bad = policy.copy()
+    bad[4] = [0.5, -0.1, 0.6]
+    episodes = []
+
+    def schedule(episode):
+        episodes.append(episode)
+        return policy if episode < 3 else bad
+
+    store = MemoryStore()
+    with pytest.raises(ValueError, match=r"policy entry \(4, 1\) is -0.1;"):
+        fill_memory_from_rollouts(mdp, schedule, 0.9, 10_000, np.random.default_rng(0), store)
+    assert episodes == [0, 1, 2, 3]
+    assert {entry.episode for entry in store.entries} == {0, 1, 2}
+
+
 # -- the policy cumsum memo and the MDP's list tables ----------------------------------
 
 
@@ -273,6 +347,7 @@ def test_mdp_list_tables_equal_the_tensors(mdp):
     assert mdp._reward_rows == mdp.rewards.tolist()
     assert all(type(r) is float for row in mdp._reward_rows for r in row)
     assert mdp._last_state == mdp.n_states - 1
+    assert mdp._last_action == mdp.n_actions - 1
 
 
 # -- simplex grid search --------------------------------------------------------------
