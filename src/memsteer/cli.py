@@ -6,11 +6,11 @@ Subcommands:
 * ``consistency`` — estimation-error curves against the exact oracle.
 * ``verify-optimality`` — closed-form update vs grid-search sweep.
 * ``inspect-memory`` — summarize a memory bank file.
-* ``replay`` — recompute one recorded episode and check it matches.
+* ``replay`` — recompute one episode of a run directory and check it matches.
 
 Config files are JSON (see memsteer.config); flags override file values. A
-bad config value, a malformed bank record, a file that cannot be opened or a
-config file that does not parse ends the command with one ``error:`` line.
+bad config value, a file that cannot be opened, a config file that does not
+parse or a run's file that cannot be read ends the command in one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from memsteer.memory import MemoryFormatError, read_bank
 from memsteer.oracle import check_grid_step
 from memsteer.runner import (MODES, replay_episode, run_consistency_experiment,
                              run_experiment, summarize_consistency, write_consistency_csv)
-
-log = logging.getLogger(__name__)
 
 ENVIRONMENTS = ("keydoor", "six-mdp")
 PROPOSERS = ("noisy-advisor", "uniform", "fixture-policy")
@@ -289,28 +287,14 @@ def cmd_inspect_memory(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    config = EngineConfig.load(args.config)
     check_pairing(args.env, args.proposer)
-    env_factory = build_env_factory(args.env)
-    proposer_factory = build_proposer_factory(args.proposer, args.optimal_mass)
-    with open(args.records, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")  # an undecodable byte reads as a lone surrogate
-                if line.strip() and (recorded := json.loads(line))["episode"] == args.episode:
-                    break
-            except (UnicodeEncodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-                reason = ("not UTF-8 text" if isinstance(exc, UnicodeEncodeError)
-                          else f"invalid JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError)
-                          else 'record has no "episode" field')
-                raise SystemExit(f"error: {args.records}: line {lineno}: {reason}") from None
-        else:
-            print(f"episode {args.episode} not found in {args.records}")
-            return 1
-    _, matches = replay_episode(config, env_factory, proposer_factory, args.mode,
-                                recorded, bank_path=args.memory)
-    print(f"episode {args.episode}: {'MATCH' if matches else 'MISMATCH'}")
-    return 0 if matches else 1
+    replayed = replay_episode(args.run_dir, args.episode, build_env_factory(args.env),
+                              build_proposer_factory(args.proposer, args.optimal_mass))
+    if replayed is None:
+        print(f"episode {args.episode} not found in {Path(args.run_dir) / 'records.jsonl'}")
+        return 1
+    print(f"episode {args.episode}: {'MATCH' if replayed[1] else 'MISMATCH'}")
+    return 0 if replayed[1] else 1
 
 
 def main(argv=None) -> int:
@@ -322,9 +306,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a sequential-episode experiment")
     add_config_flags(p_run)
-    p_run.add_argument("--env", choices=ENVIRONMENTS, default="keydoor")
-    p_run.add_argument("--proposer", choices=PROPOSERS, default="noisy-advisor")
-    p_run.add_argument("--optimal-mass", dest="optimal_mass", type=mass_float, default=0.3)
     p_run.add_argument("--mode", choices=MODES, default="memsteer")
     p_run.add_argument("--out", help="output directory for metrics/records/memory")
     p_run.set_defaults(func=cmd_run)
@@ -354,21 +335,19 @@ def main(argv=None) -> int:
     p_mem.add_argument("--top", type=non_negative_int, default=10)
     p_mem.set_defaults(func=cmd_inspect_memory)
 
-    p_rep = sub.add_parser("replay", help="recompute a recorded episode")
-    p_rep.add_argument("--config", required=True)
-    p_rep.add_argument("--records", required=True)
+    p_rep = sub.add_parser("replay", help="recompute a recorded episode of a run")
+    p_rep.add_argument("run_dir", help="a run's --out directory")
     p_rep.add_argument("--episode", type=int, required=True)
-    p_rep.add_argument("--memory", help="memory bank file backing the snapshot")
-    p_rep.add_argument("--env", choices=ENVIRONMENTS, default="keydoor")
-    p_rep.add_argument("--proposer", choices=PROPOSERS, default="noisy-advisor")
-    p_rep.add_argument("--optimal-mass", dest="optimal_mass", type=mass_float, default=0.3)
-    p_rep.add_argument("--mode", choices=MODES, default="memsteer")
     p_rep.set_defaults(func=cmd_replay)
+    for p in (p_run, p_rep):  # summary.json does not record these, so replay asks for them again
+        p.add_argument("--env", choices=ENVIRONMENTS, default="keydoor")
+        p.add_argument("--proposer", choices=PROPOSERS, default="noisy-advisor")
+        p.add_argument("--optimal-mass", dest="optimal_mass", type=mass_float, default=0.3)
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    # both are raised only where a config or a bank is read, before any output
+    # both are raised only where a config or a run's file is read, before any output
     try:
         return args.func(args)
     except (ConfigError, MemoryFormatError) as exc:

@@ -87,7 +87,7 @@ from array import array
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -289,11 +289,12 @@ class TaskFilter:
 
 
 class MemoryFormatError(ValueError):
-    """A memory bank record could not be parsed; carries the 1-based line number."""
+    """A run's file could not be read; carries its path and 1-based line (None: whole file)."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"memory bank line {line_number}: {message}")
-        self.line_number = line_number
+    def __init__(self, path, line_number: int | None, reason: str):
+        super().__init__(f"{path}: {reason}" if line_number is None
+                         else f"{path}: line {line_number}: {reason}")
+        self.path, self.line_number = path, line_number
 
 
 def _is_count(value) -> bool:
@@ -684,29 +685,36 @@ class MemoryStore:
         return store
 
 
-def read_bank(path) -> Iterator[MemoryEntry]:
-    """Yield a bank's entries in file order, decoding each line as it is reached.
-
-    Raises :class:`MemoryFormatError` on a line that is not UTF-8, a malformed
-    record or a time index that does not exceed the previous record's. A
-    caller that stops early leaves the rest of the file unread.
-    """
-    previous: int | None = None
+def read_json(path, decode: Callable, per_line: bool = True) -> Iterator[tuple]:
+    """Yield ``(line, decode(value))`` per non-blank JSON line of a file as it is
+    reached, or ``(None, decode(value))`` for the whole file. Text that is not
+    UTF-8 or not JSON, or decode's ValueError or OverflowError, raises MemoryFormatError."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+        for lineno, text in enumerate(fh, start=1) if per_line else [(None, fh.read())]:
+            if per_line and not text.strip():
                 continue
             try:
-                line.encode("utf-8")  # an undecodable byte reads as a lone surrogate
+                text.encode("utf-8")  # an undecodable byte reads as a lone surrogate
+                value = decode(json.loads(text))
             except UnicodeEncodeError:
-                raise MemoryFormatError(lineno, "not UTF-8 text") from None
-            entry = decode_record(line, lineno)
-            if previous is not None and entry.time_index <= previous:
-                raise MemoryFormatError(
-                    lineno, f"time {entry.time_index} does not exceed the previous "
-                            f"record's time {previous}")
-            previous = entry.time_index
-            yield entry
+                raise MemoryFormatError(path, lineno, "not UTF-8 text") from None
+            except json.JSONDecodeError as exc:
+                raise MemoryFormatError(path, lineno, f"invalid JSON ({exc.msg})") from None
+            except (ValueError, OverflowError) as exc:  # decode's reason, or a huge number
+                raise MemoryFormatError(path, lineno, str(exc)) from None
+            yield lineno, value
+
+
+def read_bank(path) -> Iterator[MemoryEntry]:
+    """Yield a bank's entries in file order through :func:`read_json`; a time
+    index that does not exceed the previous one also raises MemoryFormatError."""
+    previous: int | None = None
+    for lineno, entry in read_json(path, decode_record):
+        if previous is not None and entry.time_index <= previous:
+            raise MemoryFormatError(path, lineno, f"time {entry.time_index} does not exceed "
+                                                  f"the previous record's time {previous}")
+        previous = entry.time_index
+        yield entry
 
 
 # json's text of None, the bools, and float.__repr__'s NaN and infinities
@@ -735,27 +743,21 @@ def encode_record(entry: MemoryEntry) -> str:
             f'"step": {json_value(entry.step)}, "time": {json_value(entry.time_index)}}}')
 
 
-def decode_record(line: str, lineno: int) -> MemoryEntry:
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MemoryFormatError(lineno, f"invalid JSON ({exc.msg})") from exc
+def decode_record(raw) -> MemoryEntry:
+    """The entry of one parsed bank line; a ValueError says what is wrong."""
     if not isinstance(raw, dict):
-        raise MemoryFormatError(lineno, "record is not an object")
+        raise ValueError("record is not an object")
     missing = [name for name in RECORD_FIELDS if name not in raw]
     if missing:
-        raise MemoryFormatError(lineno, f"missing fields {missing}")
+        raise ValueError(f"missing fields {missing}")
     for name, (allowed, noun) in RECORD_FIELDS.items():
         value = raw[name]
         if isinstance(value, bool) or not isinstance(value, allowed):
-            raise MemoryFormatError(lineno, f"{name} must be {noun}, got {value!r}")
-    try:
-        # by position, as MemoryStore.add builds its entries
-        entry = MemoryEntry(StateKey(raw["state_text"], raw["history_text"]), raw["action"],
-                            float(raw["return"]), raw["episode"], raw["step"], raw["time"])
-        entry.validate()
-    except (ValueError, OverflowError) as exc:  # a value validate rejects, or a huge int
-        raise MemoryFormatError(lineno, str(exc)) from exc
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
+    # by position, as MemoryStore.add builds its entries
+    entry = MemoryEntry(StateKey(raw["state_text"], raw["history_text"]), raw["action"],
+                        float(raw["return"]), raw["episode"], raw["step"], raw["time"])
+    entry.validate()
     return entry
 
 

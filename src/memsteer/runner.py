@@ -26,7 +26,7 @@ import logging
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -38,7 +38,7 @@ from memsteer.envs.tabular import TabularMDP
 from memsteer.estimator import KNOWN, advantage_vector, estimate_candidates
 from memsteer.memory import (ActionGroups, ActionNormalizer, IDENTITY_NORMALIZER, MemoryEntry,
                              MemoryStore, TaskFilter, append_records, group_by_action, json_value,
-                             read_bank)
+                             read_bank, read_json)
 from memsteer.oracle import closed_form_kl_policy, episode_returns, exact_policy_values, rollout
 from memsteer.policy import (Candidate, Decision, augment_candidates, logit_update,
                              softmax_sample, valid_memory_actions)
@@ -408,26 +408,43 @@ def encode_episode_record(record: EpisodeRecord) -> str:
             f'"rewards": {rewards}, "steps": [{steps}], "decisions": [{decisions}]}}')
 
 
-def replay_episode(config: EngineConfig, env_factory, proposer_factory, mode: str,
-                   recorded: dict, bank_path=None) -> tuple[dict, bool]:
-    """Re-run one recorded episode from its seed and memory snapshot.
+def _session_of(summary) -> Session:
+    """A session of the config and mode a summary.json records (a ConfigError is a ValueError)."""
+    if not (isinstance(summary, dict) and isinstance(summary.get("config"), dict)
+            and "mode" in summary):
+        raise ValueError('summary has no "config" object or no "mode"')
+    return Session(EngineConfig.from_dict(summary["config"]), summary["mode"])
 
-    The snapshot of episode ``e`` is the bank's rows from episodes before
-    ``e``, inserted in order into a store built from ``config``, so that a
-    capacity evicts as it did in the run; the bank is read only up to the
-    first row of ``e``. Only the run's own bank, from a run that started with
-    an empty store, gives the recorded ``memory_size_at_start``. Returns the
-    freshly computed record dict and whether it matches the recorded one
-    exactly.
+
+def _episode_record(recorded) -> dict:
+    """A records.jsonl line; its ``"episode"`` is an int, not a bool, as in the bank."""
+    if not isinstance(recorded, dict) or "episode" not in recorded:
+        raise ValueError('record has no "episode" field')
+    if type(recorded["episode"]) is not int:
+        raise ValueError(f"episode must be an integer, got {recorded['episode']!r}")
+    return recorded
+
+
+def replay_episode(run_dir, episode: int, env_factory,
+                   proposer_factory) -> tuple[dict, bool] | None:
+    """Re-run an episode of the run written to ``run_dir``; return the fresh
+    record dict and whether it equals ``records.jsonl``'s, or None if absent.
+
+    The config and the mode come from ``summary.json``. The store starts from
+    the rows of ``memory.jsonl`` (a static run's is empty) of earlier
+    episodes, inserted in order so that a capacity evicts as it did; the bank
+    is read only up to the episode's first row. A run that started from a
+    store of its own does not replay.
     """
-    episode = recorded["episode"]
-    session = Session(config, mode)
-    if bank_path is not None:
-        for entry in read_bank(bank_path):  # rows are in episode order
-            if entry.episode >= episode:
-                break
-            session.memory.add(entry.state, entry.action, entry.return_value,
-                               entry.episode, entry.step)
+    run_dir = Path(run_dir)
+    [(_, session)] = read_json(run_dir / "summary.json", _session_of, per_line=False)
+    recorded = next((r for _, r in read_json(run_dir / "records.jsonl", _episode_record)
+                     if r["episode"] == episode), None)  # reads no line past it
+    if recorded is None:
+        return None
+    for entry in takewhile(lambda entry: entry.episode < episode,  # rows in episode order
+                           read_bank(run_dir / "memory.jsonl")):
+        session.memory.add(entry.state, entry.action, entry.return_value, entry.episode, entry.step)
     fresh = json.loads(encode_episode_record(session.play(env_factory, proposer_factory, episode)))
     unchecked = ("rewards", "evaluator_fallback")
     same = ({k: v for k, v in fresh.items() if k not in unchecked}

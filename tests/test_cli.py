@@ -1,7 +1,11 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from memsteer import cli
 from memsteer.cli import build_env_factory, build_proposer_factory, main
 from memsteer.config import EngineConfig
 from memsteer.envs import textgame
@@ -262,45 +266,49 @@ def test_inspect_memory_subcommand(tmp_path, capsys):
     assert "entries" in printed and "returns:" in printed
 
 
-def test_replay_subcommand_matches(tmp_path, capsys):
+def flag_only_run(tmp_path, capsys, *flags):
+    """The directory of ``memsteer run --beta 2 --seed 2 [flags]``, no config file."""
     out = tmp_path / "exp"
-    config = EngineConfig.profile("text-game", beta=2.0, episodes=3, seed=2)
-    config_path = tmp_path / "config.json"
-    config.save(config_path)
-    main(["run", "--config", str(config_path), "--out", str(out)])
+    assert main(["run", "--beta", "2", "--seed", "2", *flags, "--out", str(out)]) == 0
     capsys.readouterr()
-    code = main(["replay", "--config", str(config_path),
-                 "--records", str(out / "records.jsonl"), "--episode", "2",
-                 "--memory", str(out / "memory.jsonl")])
+    return out
+
+
+def test_replay_subcommand_matches(tmp_path, capsys):
+    out = flag_only_run(tmp_path, capsys, "--episodes", "3")
+    code = main(["replay", str(out), "--episode", "2"])
     assert code == 0
     assert "MATCH" in capsys.readouterr().out
 
 
 def test_replay_subcommand_matches_under_capacity(tmp_path, capsys):
-    out = tmp_path / "exp"
-    config = EngineConfig.profile("text-game", beta=2.0, episodes=4, seed=2,
-                                  memory_capacity=7)
-    config_path = tmp_path / "config.json"
-    config.save(config_path)
-    main(["run", "--config", str(config_path), "--out", str(out)])
-    capsys.readouterr()
-    code = main(["replay", "--config", str(config_path),
-                 "--records", str(out / "records.jsonl"), "--episode", "3",
-                 "--memory", str(out / "memory.jsonl")])
+    out = flag_only_run(tmp_path, capsys, "--episodes", "4", "--memory-capacity", "7")
+    code = main(["replay", str(out), "--episode", "3"])
     assert code == 0
     assert "episode 3: MATCH" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("run_flags,replay_flags", [
+    (["--mode", "static"], []),
+    (["--mode", "greedy-memory"], []),
+    (["--memory-capacity", "7"], []),
+    (["--similarity-threshold", "0.2"], []),  # reaches retrieval's need == 0 scan
+    (["--env", "six-mdp", "--proposer", "fixture-policy"],
+     ["--env", "six-mdp", "--proposer", "fixture-policy"]),
+], ids=["static", "greedy-memory", "capacity-7", "threshold-0.2", "six-mdp"])
+def test_replay_matches_every_episode_of_a_flag_only_run(tmp_path, capsys, run_flags,
+                                                         replay_flags):
+    out = flag_only_run(tmp_path, capsys, "--episodes", "6", *run_flags)
+    for episode in range(6):
+        assert main(["replay", str(out), "--episode", str(episode), *replay_flags]) == 0
+        assert capsys.readouterr().out == f"episode {episode}: MATCH\n"
+
+
 def test_replay_missing_episode(tmp_path, capsys):
-    out = tmp_path / "exp"
-    config = EngineConfig.profile("text-game", beta=2.0, episodes=1, seed=2)
-    config_path = tmp_path / "config.json"
-    config.save(config_path)
-    main(["run", "--config", str(config_path), "--out", str(out)])
-    capsys.readouterr()
-    code = main(["replay", "--config", str(config_path),
-                 "--records", str(out / "records.jsonl"), "--episode", "9"])
+    out = flag_only_run(tmp_path, capsys, "--episodes", "1")
+    code = main(["replay", str(out), "--episode", "9"])
     assert code == 1
+    assert capsys.readouterr().out == f"episode 9 not found in {out / 'records.jsonl'}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-0.25", "1.5", "nan", "inf"])
@@ -313,9 +321,7 @@ def test_optimal_mass_is_checked_before_any_file_is_touched(tmp_path, capsys, co
     if command == "run":
         argv = ["run", "--beta", "2", "--out", str(out)]
     else:
-        argv = ["replay", "--config", str(tmp_path / "missing.json"),
-                "--records", str(tmp_path / "missing.jsonl"), "--episode", "0",
-                "--memory", str(bank)]
+        argv = ["replay", str(out), "--episode", "0"]
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--optimal-mass", value])
     assert exc.value.code == 2
@@ -352,23 +358,17 @@ def test_inspect_memory_ends_a_malformed_bank_in_one_line(tmp_path):
     bank.write_text("kept\n", encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         main(["inspect-memory", str(bank)])
-    assert exc.value.code == "error: memory bank line 1: invalid JSON (Expecting value)"
+    assert exc.value.code == f"error: {bank}: line 1: invalid JSON (Expecting value)"
     assert bank.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_replay_ends_a_malformed_bank_in_one_line(tmp_path, capsys):
-    out = tmp_path / "exp"
-    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=2)
-    config_path = tmp_path / "config.json"
-    config.save(config_path)
-    main(["run", "--config", str(config_path), "--out", str(out)])
-    capsys.readouterr()
-    bank = tmp_path / "broken.jsonl"
+    out = flag_only_run(tmp_path, capsys, "--episodes", "2")
+    bank = out / "memory.jsonl"
     bank.write_text("{}\n", encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
-        main(["replay", "--config", str(config_path), "--records", str(out / "records.jsonl"),
-              "--episode", "1", "--memory", str(bank)])
-    assert str(exc.value.code).startswith("error: memory bank line 1: missing fields")
+        main(["replay", str(out), "--episode", "1"])
+    assert str(exc.value.code).startswith(f"error: {bank}: line 1: missing fields")
     assert bank.read_text(encoding="utf-8") == "{}\n"
 
 
@@ -377,21 +377,16 @@ def test_inspect_memory_ends_a_bank_that_is_not_utf8_in_one_line(tmp_path):
     bank.write_bytes(b"\xff\xfe{}\n")
     with pytest.raises(SystemExit) as exc:
         main(["inspect-memory", str(bank)])
-    assert exc.value.code == "error: memory bank line 1: not UTF-8 text"
+    assert exc.value.code == f"error: {bank}: line 1: not UTF-8 text"
 
 
 def test_replay_ends_a_bank_that_is_not_utf8_in_one_line(tmp_path, capsys):
-    out = tmp_path / "exp"
-    config_path = tmp_path / "config.json"
-    EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=2).save(config_path)
-    main(["run", "--config", str(config_path), "--out", str(out)])
-    capsys.readouterr()
-    bank = tmp_path / "latin.jsonl"
+    out = flag_only_run(tmp_path, capsys, "--episodes", "2")
+    bank = out / "memory.jsonl"
     bank.write_bytes(b"\xff\xfe{}\n")
     with pytest.raises(SystemExit) as exc:
-        main(["replay", "--config", str(config_path), "--records", str(out / "records.jsonl"),
-              "--episode", "1", "--memory", str(bank)])
-    assert exc.value.code == "error: memory bank line 1: not UTF-8 text"
+        main(["replay", str(out), "--episode", "1"])
+    assert exc.value.code == f"error: {bank}: line 1: not UTF-8 text"
 
 
 @pytest.mark.parametrize("line,reason", [
@@ -399,28 +394,77 @@ def test_replay_ends_a_bank_that_is_not_utf8_in_one_line(tmp_path, capsys):
     ('{"steps": []}', 'record has no "episode" field'),
     ("[0]", 'record has no "episode" field'),
 ], ids=["unparseable", "no-episode", "not-an-object"])
-def test_replay_ends_a_malformed_records_line_in_one_line(tmp_path, line, reason):
-    config_path = tmp_path / "config.json"
-    EngineConfig.profile("text-game", beta=2.0, episodes=1, seed=0).save(config_path)
-    records = tmp_path / "records.jsonl"
+def test_replay_ends_a_malformed_records_line_in_one_line(tmp_path, capsys, line, reason):
+    out = flag_only_run(tmp_path, capsys, "--episodes", "1")
+    records = out / "records.jsonl"
     records.write_text('{"episode": 1}\n\n' + line + "\n", encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
-        main(["replay", "--config", str(config_path), "--records", str(records),
-              "--episode", "0"])
+        main(["replay", str(out), "--episode", "0"])
     assert exc.value.code == f"error: {records}: line 3: {reason}"
+
+
+@pytest.mark.parametrize("value", ["true", "false", "1.0", '"1"', "null"])
+def test_replay_ends_a_records_episode_that_is_not_an_integer_in_one_line(tmp_path, capsys,
+                                                                         value):
+    # true == 1 in Python, so a record of episode true used to replay as episode 1
+    out = flag_only_run(tmp_path, capsys, "--episodes", "2")
+    records = out / "records.jsonl"
+    first, second = records.read_text(encoding="utf-8").splitlines()
+    records.write_text(first + "\n" + second.replace('"episode": 1,', f'"episode": {value},', 1)
+                       + "\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", str(out), "--episode", "1"])
+    assert exc.value.code == (f"error: {records}: line 2: episode must be an integer, "
+                              f"got {json.loads(value)!r}")
 
 
 @pytest.mark.parametrize("head,lineno", [(b"", 1), (b'{"episode": 1}\n\n', 3)],
                          ids=["first-line", "third-line"])
-def test_replay_ends_records_that_are_not_utf8_in_one_line(tmp_path, head, lineno):
-    config_path = tmp_path / "config.json"
-    EngineConfig.profile("text-game", beta=2.0, episodes=1, seed=0).save(config_path)
-    records = tmp_path / "latin.jsonl"
+def test_replay_ends_records_that_are_not_utf8_in_one_line(tmp_path, capsys, head, lineno):
+    out = flag_only_run(tmp_path, capsys, "--episodes", "1")
+    records = out / "records.jsonl"
     records.write_bytes(head + b'\xff\xfe{"episode": 0}\n')
     with pytest.raises(SystemExit) as exc:
-        main(["replay", "--config", str(config_path), "--records", str(records),
-              "--episode", "0"])
+        main(["replay", str(out), "--episode", "0"])
     assert exc.value.code == f"error: {records}: line {lineno}: not UTF-8 text"
+
+
+_MODES = "('memsteer', 'static', 'greedy-memory')"
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (lambda summary: "{not json",
+     "invalid JSON (Expecting property name enclosed in double quotes)"),
+    (lambda summary: "", "invalid JSON (Expecting value)"),
+    (lambda summary: b"\xff\xfe{}", "not UTF-8 text"),
+    (lambda summary: "[]", 'summary has no "config" object or no "mode"'),
+    (lambda summary: {k: v for k, v in summary.items() if k != "config"},
+     'summary has no "config" object or no "mode"'),
+    (lambda summary: {**summary, "config": [1]}, 'summary has no "config" object or no "mode"'),
+    (lambda summary: {k: v for k, v in summary.items() if k != "mode"},
+     'summary has no "config" object or no "mode"'),
+    (lambda summary: {**summary, "config": {**summary["config"], "beta": -1.0}},
+     "beta must be >= 0, got -1.0"),
+    (lambda summary: {**summary, "config": {**summary["config"], "k_neighbors": True}},
+     "k_neighbors must be an integer, got True"),
+    (lambda summary: {**summary, "config": {**summary["config"], "temperature": 0.8}},
+     "unknown config fields: ['temperature']"),
+    (lambda summary: {**summary, "mode": "ablation"},
+     f"mode must be one of {_MODES}, got 'ablation'"),
+    (lambda summary: {**summary, "mode": None}, f"mode must be one of {_MODES}, got None"),
+], ids=["not-json", "empty", "not-utf8", "not-an-object", "no-config", "config-not-an-object",
+        "no-mode", "bad-config-value", "bool-config-value", "unknown-config-field",
+        "unknown-mode", "null-mode"])
+def test_replay_ends_an_unreadable_summary_in_one_line(tmp_path, capsys, edit, reason):
+    out = flag_only_run(tmp_path, capsys, "--episodes", "2")
+    summary_path = out / "summary.json"
+    edited = edit(json.loads(summary_path.read_text(encoding="utf-8")))
+    if isinstance(edited, dict):
+        edited = json.dumps(edited)
+    summary_path.write_bytes(edited if isinstance(edited, bytes) else edited.encode("utf-8"))
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", str(out), "--episode", "1"])
+    assert exc.value.code == f"error: {summary_path}: {reason}"
 
 
 @pytest.mark.parametrize("text,reason", [
@@ -450,19 +494,41 @@ def test_inspect_memory_ends_a_missing_bank_in_one_line(tmp_path):
     assert exc.value.code == f"error: {bank}: No such file or directory"
 
 
-@pytest.mark.parametrize("missing", ["--config", "--records", "--memory"])
+@pytest.mark.parametrize("missing", ["summary.json", "records.jsonl", "memory.jsonl"])
 def test_replay_ends_a_missing_input_file_in_one_line(tmp_path, capsys, missing):
-    out = tmp_path / "exp"
-    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=2)
-    config_path = tmp_path / "config.json"
-    config.save(config_path)
-    main(["run", "--config", str(config_path), "--out", str(out)])
-    capsys.readouterr()
-    paths = {"--config": config_path, "--records": out / "records.jsonl",
-             "--memory": out / "memory.jsonl"}
-    paths[missing] = gone = tmp_path / "missing.file"
+    out = flag_only_run(tmp_path, capsys, "--episodes", "2")
+    gone = out / missing
+    gone.unlink()
     with pytest.raises(SystemExit) as exc:
-        main(["replay", "--episode", "1",
-              *(part for flag, path in paths.items() for part in (flag, str(path)))])
+        main(["replay", str(out), "--episode", "1"])
     assert exc.value.code == f"error: {gone}: No such file or directory"
     assert not gone.exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the ``memsteer ...`` lines in README's bash blocks,
+    with backslash continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```", text, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["memsteer"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_every_readme_command_parses(monkeypatch):
+    commands = readme_commands()
+    named = {argv[0] for argv in commands}
+    assert named == {"run", "consistency", "verify-optimality", "inspect-memory", "replay"}
+    called = []
+    for name in [name for name in vars(cli) if name.startswith("cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args, name=name: called.append(name) or 0)
+    for argv in commands:
+        called.clear()
+        assert main(argv) == 0, argv  # argparse exits with status 2 on a stale flag
+        assert called == ["cmd_" + argv[0].replace("-", "_")], argv

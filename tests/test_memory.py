@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from memsteer.memory import (IDENTITY_NORMALIZER, ActionNormalizer, MemoryEntry,
                              MemoryFormatError, MemoryStore, StateKey, TaskFilter, _need,
-                             append_records, decode_record, encode_record, group_by_action)
+                             append_records, decode_record, encode_record, group_by_action,
+                             read_json)
 from memsteer.proposer import CallablePolicyProposer, ProposerRequest
 from memsteer.tokens import jaccard, tokenize
 
@@ -250,7 +251,7 @@ def test_every_construction_path_builds_the_same_entry(tmp_path):
              dataclasses.replace(MemoryEntry(StateKey("lamp"), "look", 0.0),
                                  state=entry.state, action="take key", return_value=1.5,
                                  episode=2, step=3, time_index=4),
-             decode_record(encode_record(entry), 1)]
+             decode_record(json.loads(encode_record(entry)))]
     with open(tmp_path / "bank.jsonl", "w", encoding="utf-8") as bank:
         append_records(bank, [entry])
     built += MemoryStore.load(tmp_path / "bank.jsonl").entries
@@ -1068,7 +1069,51 @@ def test_a_line_that_is_not_utf8_raises_with_its_line(tmp_path, lines, line_numb
     with pytest.raises(MemoryFormatError) as err:
         MemoryStore.load(path)
     assert err.value.line_number == line_number
-    assert str(err.value) == f"memory bank line {line_number}: not UTF-8 text"
+    assert str(err.value) == f"{path}: line {line_number}: not UTF-8 text"
+
+
+def test_a_number_too_long_to_parse_raises_with_its_line(tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, past 4,300 digits
+    path = tmp_path / "bank.jsonl"
+    path.write_text(json.dumps(_GOOD_RECORD) + "\n"
+                    + json.dumps({**_GOOD_RECORD, "time": 1}).replace('"step": 0', '"step": '
+                                                                      + "1" * 5000) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MemoryFormatError) as err:
+        MemoryStore.load(path)
+    assert (err.value.path, err.value.line_number) == (path, 2)
+    assert str(err.value).startswith(f"{path}: line 2: Exceeds the limit")
+
+
+def test_read_json_names_the_path_and_line_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    path.write_text('{"a": 1}\n\n  \n[2]\n', encoding="utf-8")
+    assert list(read_json(path, lambda value: value)) == [(1, {"a": 1}), (4, [2])]
+
+    def reject_lists(value):
+        if isinstance(value, list):
+            raise ValueError("a list")
+        return value
+
+    with pytest.raises(MemoryFormatError) as err:
+        list(read_json(path, reject_lists))
+    assert (err.value.path, err.value.line_number, str(err.value)) == \
+        (path, 4, f"{path}: line 4: a list")
+
+
+@pytest.mark.parametrize("text,reason", [
+    (b'{"a": 1}', None), (b'{"a": 1,\n "b": 2}\n', None), (b"", "invalid JSON (Expecting value)"),
+    (b'{"a": 1}\n{"b": 2}\n', "invalid JSON (Extra data)"), (b"\xff{}", "not UTF-8 text"),
+], ids=["one-line", "two-lines", "empty", "two-values", "not-utf8"])
+def test_read_json_reads_a_whole_file_as_one_value(tmp_path, text, reason):
+    path = tmp_path / "summary.json"
+    path.write_bytes(text)
+    if reason is None:
+        assert list(read_json(path, dict, per_line=False)) == [(None, json.loads(text))]
+        return
+    with pytest.raises(MemoryFormatError) as err:
+        list(read_json(path, dict, per_line=False))
+    assert (err.value.line_number, str(err.value)) == (None, f"{path}: {reason}")
 
 
 def test_decode_accepts_an_integer_return(tmp_path):

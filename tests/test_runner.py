@@ -783,11 +783,7 @@ def test_replay_reproduces_recorded_episode(tmp_path):
     config = EngineConfig.profile("text-game", beta=2.0, episodes=5, seed=3)
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
-    records = [json.loads(line) for line in
-               (tmp_path / "records.jsonl").read_text().splitlines() if line]
-    recorded = records[3]
-    _, matches = replay_episode(config, env_factory, proposer_factory, "memsteer",
-                                recorded, bank_path=tmp_path / "memory.jsonl")
+    _, matches = replay_episode(tmp_path, 3, env_factory, proposer_factory)
     assert matches
 
 
@@ -798,12 +794,9 @@ def test_replay_matches_every_episode_under_capacity(tmp_path, capacity):
                                   memory_capacity=capacity)
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
-    records = [json.loads(line) for line in
-               (tmp_path / "records.jsonl").read_text().splitlines() if line]
-    for recorded in records:
-        _, matches = replay_episode(config, env_factory, proposer_factory, "memsteer",
-                                    recorded, bank_path=tmp_path / "memory.jsonl")
-        assert matches, f"episode {recorded['episode']} did not replay"
+    for episode in range(8):
+        _, matches = replay_episode(tmp_path, episode, env_factory, proposer_factory)
+        assert matches, f"episode {episode} did not replay"
 
 
 def test_replay_reads_no_bank_row_past_the_replayed_episode(tmp_path):
@@ -811,15 +804,24 @@ def test_replay_reads_no_bank_row_past_the_replayed_episode(tmp_path):
     config = EngineConfig.profile("text-game", beta=2.0, episodes=4, seed=3, memory_capacity=7)
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
-    records = [json.loads(line) for line in
-               (tmp_path / "records.jsonl").read_text().splitlines() if line]
     bank = tmp_path / "memory.jsonl"
     rows = bank.read_text().splitlines()
     first_of_2 = next(i for i, row in enumerate(rows) if json.loads(row)["episode"] == 2)
     # past the first row of episode 2: a line that is not JSON, then a time that goes back
     bank.write_text("\n".join(rows[:first_of_2 + 1] + ["{not json", rows[0]]) + "\n")
-    _, matches = replay_episode(config, env_factory, proposer_factory, "memsteer",
-                                records[2], bank_path=bank)
+    _, matches = replay_episode(tmp_path, 2, env_factory, proposer_factory)
+    assert matches
+
+
+def test_replay_reads_no_records_line_past_the_replayed_episode(tmp_path):
+    env_factory, proposer_factory = keydoor_factories()
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=3, seed=3)
+    run_experiment(config, env_factory, proposer_factory, mode="memsteer",
+                   out_dir=tmp_path)
+    records = tmp_path / "records.jsonl"
+    lines = records.read_text().splitlines()
+    records.write_text("\n".join(lines[:2] + ["{not json"]) + "\n")
+    _, matches = replay_episode(tmp_path, 1, env_factory, proposer_factory)
     assert matches
 
 
@@ -828,13 +830,22 @@ def test_replay_detects_tampered_record(tmp_path):
     config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=3)
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
-    records = [json.loads(line) for line in
-               (tmp_path / "records.jsonl").read_text().splitlines() if line]
-    recorded = records[1]
+    records = tmp_path / "records.jsonl"
+    lines = records.read_text().splitlines()
+    recorded = json.loads(lines[1])
     recorded["score"] = 999.0
-    _, matches = replay_episode(config, env_factory, proposer_factory, "memsteer",
-                                recorded, bank_path=tmp_path / "memory.jsonl")
+    records.write_text("\n".join([lines[0], json.dumps(recorded)]) + "\n")
+    _, matches = replay_episode(tmp_path, 1, env_factory, proposer_factory)
     assert not matches
+
+
+def test_replay_of_an_episode_the_records_lack_is_none(tmp_path):
+    env_factory, proposer_factory = keydoor_factories()
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=3)
+    run_experiment(config, env_factory, proposer_factory, mode="memsteer",
+                   out_dir=tmp_path)
+    assert replay_episode(tmp_path, 2, env_factory, proposer_factory) is None
+    assert replay_episode(tmp_path, -1, env_factory, proposer_factory) is None
 
 
 # -- consistency experiments --------------------------------------------------------------
