@@ -8,9 +8,10 @@ Subcommands:
 * ``inspect-memory`` — summarize a memory bank file.
 * ``replay`` — recompute one episode of a run directory and check it matches.
 
-Config files are JSON (see memsteer.config); flags override file values. A
-bad config value, a file that cannot be opened, a config file that does not
-parse or a run's file that cannot be read ends the command in one ``error:`` line.
+Config files are JSON (see memsteer.config); flags override file values. Exit
+status 2: the input was refused and nothing ran, with one ``error:`` line on
+stderr, worded by argparse or by :func:`main` alone; 1: the command ran and its
+answer is negative (a FAIL, a MISMATCH, no such episode).
 """
 
 from __future__ import annotations
@@ -87,11 +88,9 @@ def load_config(args) -> EngineConfig:
                  if getattr(args, f.name, None) is not None}
     if args.config:
         return EngineConfig.load(args.config, **overrides)
-    profile = args.profile or "text-game"
     if "beta" not in overrides:
-        raise SystemExit("error: --beta is required (it has no published default)")
-    beta = overrides.pop("beta")
-    return EngineConfig.profile(profile, beta, **overrides)
+        raise ConfigError("--beta is required (it has no published default)")
+    return EngineConfig.profile(args.profile or "text-game", overrides.pop("beta"), **overrides)
 
 
 def add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -184,8 +183,7 @@ def grid_step(text: str) -> float:
 def check_pairing(env: str, proposer: str) -> None:
     needs = {"noisy-advisor": "keydoor", "fixture-policy": "six-mdp"}
     if proposer in needs and env != needs[proposer]:
-        raise SystemExit(f"error: proposer {proposer!r} only works with "
-                         f"--env {needs[proposer]}")
+        raise ConfigError(f"proposer {proposer!r} only works with --env {needs[proposer]}")
 
 
 def cmd_run(args) -> int:
@@ -208,6 +206,8 @@ def cmd_run(args) -> int:
 def cmd_consistency(args) -> int:
     from memsteer.envs.tabular import six_state_fixture
 
+    if args.out:  # made first, so a directory that cannot be made is refused before the run
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     mdp, policy = six_state_fixture()
     points = run_consistency_experiment(
         mdp, policy, gamma=args.gamma, memory_sizes=args.sizes,
@@ -224,7 +224,6 @@ def cmd_consistency(args) -> int:
               f"median TV={row['median_tv']:.5f}")
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         write_consistency_csv(out / "consistency.csv", points)
         (out / "consistency_summary.json").write_text(
             json.dumps({str(n): row for n, row in summary.items()},
@@ -347,15 +346,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    # both are raised only where a config or a run's file is read, before any output
+    # both are raised only where a config or an input file is read, before any output
     try:
         return args.func(args)
     except (ConfigError, MemoryFormatError) as exc:
-        raise SystemExit(f"error: {exc}") from None
+        refusal = str(exc)
     except OSError as exc:  # a file that cannot be opened, an input or an output
         if exc.filename is None:
             raise
-        raise SystemExit(f"error: {exc.filename}: {exc.strerror}") from None
+        refusal = f"{exc.filename}: {exc.strerror}"
+    print(f"error: {refusal}", file=sys.stderr)
+    raise SystemExit(2)  # argparse's status for a refused flag
 
 
 if __name__ == "__main__":

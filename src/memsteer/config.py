@@ -19,12 +19,23 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from memsteer.memory import json_of, read_json
+
 # each profile's values that differ from the field defaults
 PROFILES = {
     "text-game": {},
     "web": dict(gamma=0.1, similarity_threshold=0.8, exploration_rate=0.05, step_limit=10,
                 task_similarity_threshold=0.27),
 }
+
+# the bounds validate checks first, in order: (field, the bound its value must meet)
+_BOUNDS = (("beta", "be >= 0"), ("gamma", "lie in [0, 1]"), ("k_neighbors", "be >= 1"),
+           ("similarity_threshold", "lie in [0, 1]"), ("exploration_rate", "lie in [0, 1]"),
+           ("exploration_bonus", "be >= 0"), ("epsilon", "be > 0"), ("n_candidates", "be >= 1"),
+           ("step_limit", "be >= 1"), ("episodes", "be >= 1"), ("seed", "be >= 0"),
+           ("history_length", "be >= 0"))
+_MEETS = {"be >= 0": lambda v: v >= 0, "be >= 1": lambda v: v >= 1, "be > 0": lambda v: v > 0,
+          "lie in [0, 1]": lambda v: 0 <= v <= 1}
 
 
 class ConfigError(ValueError):
@@ -60,32 +71,10 @@ class EngineConfig:
 
     def validate(self) -> None:
         self._check_types()
-        if self.beta < 0.0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.k_neighbors < 1:
-            raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if not 0.0 <= self.similarity_threshold <= 1.0:
-            raise ConfigError(f"similarity_threshold must lie in [0, 1], "
-                              f"got {self.similarity_threshold}")
-        if not 0.0 <= self.exploration_rate <= 1.0:
-            raise ConfigError(f"exploration_rate must lie in [0, 1], "
-                              f"got {self.exploration_rate}")
-        if self.exploration_bonus < 0.0:
-            raise ConfigError(f"exploration_bonus must be >= 0, got {self.exploration_bonus}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.n_candidates < 1:
-            raise ConfigError(f"n_candidates must be >= 1, got {self.n_candidates}")
-        if self.step_limit < 1:
-            raise ConfigError(f"step_limit must be >= 1, got {self.step_limit}")
-        if self.episodes < 1:
-            raise ConfigError(f"episodes must be >= 1, got {self.episodes}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.history_length < 0:
-            raise ConfigError(f"history_length must be >= 0, got {self.history_length}")
+        for name, bound in _BOUNDS:
+            value = getattr(self, name)
+            if not _MEETS[bound](value):
+                raise ConfigError(f"{name} must {bound}, got {value}")
         if self.memory_scope not in ("global", "per-task"):
             raise ConfigError(f"memory_scope must be 'global' or 'per-task', "
                               f"got {self.memory_scope!r}")
@@ -148,6 +137,9 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EngineConfig":
+        """The config of a dict of field values; anything else raises ConfigError."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -163,12 +155,6 @@ class EngineConfig:
 
     @classmethod
     def load(cls, path, **overrides) -> "EngineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        raw.update(overrides)
-        return cls.from_dict(raw)
+        """The config of a JSON object file (``memory.read_json``), ``overrides`` on top."""
+        [(_, raw)] = read_json(path, json_of(dict), per_line=False)
+        return cls.from_dict({**raw, **overrides})

@@ -186,7 +186,6 @@ class TabularEnvAdapter:
         self.mdp = mdp
         self.rng = rng
         self.step_cap = step_cap
-        self.reset()
 
     def _observe(self) -> Observation:
         done = self.mdp._terminal[self.s] or self.steps >= self.step_cap

@@ -34,6 +34,7 @@ from importlib import resources
 from typing import Iterable
 
 from memsteer.envs import Observation
+from memsteer.memory import json_of, read_json
 
 __all__ = [
     "GameConfigError",
@@ -97,8 +98,9 @@ def validate_game_config(config: dict) -> dict:
 
 
 def load_game_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_game_config(json.load(fh))
+    """A game config file (``memory.read_json``), checked by validate_game_config."""
+    [(_, config)] = read_json(path, json_of(dict), per_line=False)
+    return validate_game_config(config)
 
 
 def key_door_config() -> dict:

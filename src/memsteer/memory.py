@@ -289,7 +289,7 @@ class TaskFilter:
 
 
 class MemoryFormatError(ValueError):
-    """A run's file could not be read; carries its path and 1-based line (None: whole file)."""
+    """A JSON input could not be read; carries its path and 1-based line (None: whole file)."""
 
     def __init__(self, path, line_number: int | None, reason: str):
         super().__init__(f"{path}: {reason}" if line_number is None
@@ -687,8 +687,9 @@ class MemoryStore:
 
 def read_json(path, decode: Callable, per_line: bool = True) -> Iterator[tuple]:
     """Yield ``(line, decode(value))`` per non-blank JSON line of a file as it is
-    reached, or ``(None, decode(value))`` for the whole file. Text that is not
-    UTF-8 or not JSON, or decode's ValueError or OverflowError, raises MemoryFormatError."""
+    reached, or ``(None, decode(value))`` for the whole file: every JSON input is
+    read here. Text that is not UTF-8 or not JSON, or decode's ValueError or
+    OverflowError, raises MemoryFormatError naming the file."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, text in enumerate(fh, start=1) if per_line else [(None, fh.read())]:
             if per_line and not text.strip():
@@ -703,6 +704,15 @@ def read_json(path, decode: Callable, per_line: bool = True) -> Iterator[tuple]:
             except (ValueError, OverflowError) as exc:  # decode's reason, or a huge number
                 raise MemoryFormatError(path, lineno, str(exc)) from None
             yield lineno, value
+
+
+def json_of(kind: type) -> Callable:
+    """A :func:`read_json` decode that refuses any value but a ``kind``, dict or list."""
+    def decode(value):
+        if isinstance(value, kind):
+            return value
+        raise ValueError(f"not a JSON {'object' if kind is dict else 'array'}")
+    return decode
 
 
 def read_bank(path) -> Iterator[MemoryEntry]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Mapping, Protocol, Sequence
 
-from memsteer.memory import IDENTITY_NORMALIZER
+from memsteer.memory import IDENTITY_NORMALIZER, json_of, read_json
 
 log = logging.getLogger(__name__)
 
@@ -228,8 +228,7 @@ class FixtureChatClient:
 
     def __init__(self, exchanges: Sequence[dict] | str):
         if isinstance(exchanges, str):
-            with open(exchanges, "r", encoding="utf-8") as fh:
-                exchanges = json.load(fh)
+            [(_, exchanges)] = read_json(exchanges, json_of(list), per_line=False)
         self.exchanges = list(exchanges)
         self.cursor = 0
 

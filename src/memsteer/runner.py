@@ -37,8 +37,8 @@ from memsteer.envs.abstraction import abstract_state
 from memsteer.envs.tabular import TabularMDP
 from memsteer.estimator import KNOWN, advantage_vector, estimate_candidates
 from memsteer.memory import (ActionGroups, ActionNormalizer, IDENTITY_NORMALIZER, MemoryEntry,
-                             MemoryStore, TaskFilter, append_records, group_by_action, json_value,
-                             read_bank, read_json)
+                             MemoryStore, TaskFilter, append_records, group_by_action, json_of,
+                             json_value, read_bank, read_json)
 from memsteer.oracle import closed_form_kl_policy, episode_returns, exact_policy_values, rollout
 from memsteer.policy import (Candidate, Decision, augment_candidates, logit_update,
                              softmax_sample, valid_memory_actions)
@@ -410,10 +410,8 @@ def encode_episode_record(record: EpisodeRecord) -> str:
 
 def _session_of(summary) -> Session:
     """A session of the config and mode a summary.json records (a ConfigError is a ValueError)."""
-    if not (isinstance(summary, dict) and isinstance(summary.get("config"), dict)
-            and "mode" in summary):
-        raise ValueError('summary has no "config" object or no "mode"')
-    return Session(EngineConfig.from_dict(summary["config"]), summary["mode"])
+    summary = json_of(dict)(summary)
+    return Session(EngineConfig.from_dict(summary.get("config")), summary.get("mode"))
 
 
 def _episode_record(recorded) -> dict:
@@ -446,10 +444,7 @@ def replay_episode(run_dir, episode: int, env_factory,
                            read_bank(run_dir / "memory.jsonl")):
         session.memory.add(entry.state, entry.action, entry.return_value, entry.episode, entry.step)
     fresh = json.loads(encode_episode_record(session.play(env_factory, proposer_factory, episode)))
-    unchecked = ("rewards", "evaluator_fallback")
-    same = ({k: v for k, v in fresh.items() if k not in unchecked}
-            == {k: v for k, v in recorded.items() if k not in unchecked})
-    return fresh, same
+    return fresh, fresh == recorded
 
 
 # -- consistency experiments ----------------------------------------------------

@@ -12,6 +12,16 @@ from memsteer.envs import textgame
 from memsteer.runner import run_experiment
 
 
+def refused(argv, capsys) -> str:
+    """The one stderr line of a command ``main`` refuses with exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    return err[:-1]
+
+
 def test_run_subcommand_writes_outputs(tmp_path, capsys):
     out = tmp_path / "exp"
     code = main(["run", "--beta", "2", "--episodes", "3", "--seed", "0",
@@ -105,14 +115,14 @@ def test_keydoor_games_share_no_mutable_table_with_each_other_or_the_template(mo
 
 
 def test_run_requires_beta(capsys):
-    with pytest.raises(SystemExit):
-        main(["run", "--episodes", "1"])
+    assert (refused(["run", "--episodes", "1"], capsys)
+            == "error: --beta is required (it has no published default)")
 
 
-def test_run_rejects_mismatched_env_proposer():
-    with pytest.raises(SystemExit, match="only works with"):
-        main(["run", "--beta", "1", "--episodes", "1",
-              "--env", "six-mdp", "--proposer", "noisy-advisor"])
+def test_run_rejects_mismatched_env_proposer(capsys):
+    assert refused(["run", "--beta", "1", "--episodes", "1", "--env", "six-mdp",
+                    "--proposer", "noisy-advisor"], capsys) \
+        == "error: proposer 'noisy-advisor' only works with --env keydoor"
 
 
 def test_run_static_mode_on_mdp(capsys):
@@ -338,7 +348,7 @@ def test_optimal_mass_of_one_is_accepted(tmp_path):
     (["--beta", "-1", "--episodes", "1"], None, "error: beta must be >= 0, got -1.0"),
     ([], {"beta": 2.0, "k_neighbors": 2.5}, "error: k_neighbors must be an integer, got 2.5"),
 ], ids=["flag", "config-file"])
-def test_run_ends_a_bad_config_value_in_one_line(tmp_path, flags, config, message):
+def test_run_ends_a_bad_config_value_in_one_line(tmp_path, flags, config, message, capsys):
     out = tmp_path / "exp"
     out.mkdir()
     bank = out / "memory.jsonl"
@@ -347,18 +357,15 @@ def test_run_ends_a_bad_config_value_in_one_line(tmp_path, flags, config, messag
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
         flags = ["--config", str(config_path)]
-    with pytest.raises(SystemExit) as exc:
-        main(["run", *flags, "--out", str(out)])
-    assert exc.value.code == message
+    assert refused(["run", *flags, "--out", str(out)], capsys) == message
     assert bank.read_text(encoding="utf-8") == "kept\n"
 
 
-def test_inspect_memory_ends_a_malformed_bank_in_one_line(tmp_path):
+def test_inspect_memory_ends_a_malformed_bank_in_one_line(tmp_path, capsys):
     bank = tmp_path / "memory.jsonl"
     bank.write_text("kept\n", encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main(["inspect-memory", str(bank)])
-    assert exc.value.code == f"error: {bank}: line 1: invalid JSON (Expecting value)"
+    err = refused(["inspect-memory", str(bank)], capsys)
+    assert err == f"error: {bank}: line 1: invalid JSON (Expecting value)"
     assert bank.read_text(encoding="utf-8") == "kept\n"
 
 
@@ -366,27 +373,24 @@ def test_replay_ends_a_malformed_bank_in_one_line(tmp_path, capsys):
     out = flag_only_run(tmp_path, capsys, "--episodes", "2")
     bank = out / "memory.jsonl"
     bank.write_text("{}\n", encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main(["replay", str(out), "--episode", "1"])
-    assert str(exc.value.code).startswith(f"error: {bank}: line 1: missing fields")
+    err = refused(["replay", str(out), "--episode", "1"], capsys)
+    assert err.startswith(f"error: {bank}: line 1: missing fields")
     assert bank.read_text(encoding="utf-8") == "{}\n"
 
 
-def test_inspect_memory_ends_a_bank_that_is_not_utf8_in_one_line(tmp_path):
+def test_inspect_memory_ends_a_bank_that_is_not_utf8_in_one_line(tmp_path, capsys):
     bank = tmp_path / "latin.jsonl"
     bank.write_bytes(b"\xff\xfe{}\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["inspect-memory", str(bank)])
-    assert exc.value.code == f"error: {bank}: line 1: not UTF-8 text"
+    err = refused(["inspect-memory", str(bank)], capsys)
+    assert err == f"error: {bank}: line 1: not UTF-8 text"
 
 
 def test_replay_ends_a_bank_that_is_not_utf8_in_one_line(tmp_path, capsys):
     out = flag_only_run(tmp_path, capsys, "--episodes", "2")
     bank = out / "memory.jsonl"
     bank.write_bytes(b"\xff\xfe{}\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["replay", str(out), "--episode", "1"])
-    assert exc.value.code == f"error: {bank}: line 1: not UTF-8 text"
+    err = refused(["replay", str(out), "--episode", "1"], capsys)
+    assert err == f"error: {bank}: line 1: not UTF-8 text"
 
 
 @pytest.mark.parametrize("line,reason", [
@@ -398,9 +402,8 @@ def test_replay_ends_a_malformed_records_line_in_one_line(tmp_path, capsys, line
     out = flag_only_run(tmp_path, capsys, "--episodes", "1")
     records = out / "records.jsonl"
     records.write_text('{"episode": 1}\n\n' + line + "\n", encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main(["replay", str(out), "--episode", "0"])
-    assert exc.value.code == f"error: {records}: line 3: {reason}"
+    err = refused(["replay", str(out), "--episode", "0"], capsys)
+    assert err == f"error: {records}: line 3: {reason}"
 
 
 @pytest.mark.parametrize("value", ["true", "false", "1.0", '"1"', "null"])
@@ -412,10 +415,9 @@ def test_replay_ends_a_records_episode_that_is_not_an_integer_in_one_line(tmp_pa
     first, second = records.read_text(encoding="utf-8").splitlines()
     records.write_text(first + "\n" + second.replace('"episode": 1,', f'"episode": {value},', 1)
                        + "\n", encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main(["replay", str(out), "--episode", "1"])
-    assert exc.value.code == (f"error: {records}: line 2: episode must be an integer, "
-                              f"got {json.loads(value)!r}")
+    err = refused(["replay", str(out), "--episode", "1"], capsys)
+    assert err == (f"error: {records}: line 2: episode must be an integer, "
+                   f"got {json.loads(value)!r}")
 
 
 @pytest.mark.parametrize("head,lineno", [(b"", 1), (b'{"episode": 1}\n\n', 3)],
@@ -424,9 +426,8 @@ def test_replay_ends_records_that_are_not_utf8_in_one_line(tmp_path, capsys, hea
     out = flag_only_run(tmp_path, capsys, "--episodes", "1")
     records = out / "records.jsonl"
     records.write_bytes(head + b'\xff\xfe{"episode": 0}\n')
-    with pytest.raises(SystemExit) as exc:
-        main(["replay", str(out), "--episode", "0"])
-    assert exc.value.code == f"error: {records}: line {lineno}: not UTF-8 text"
+    err = refused(["replay", str(out), "--episode", "0"], capsys)
+    assert err == f"error: {records}: line {lineno}: not UTF-8 text"
 
 
 _MODES = "('memsteer', 'static', 'greedy-memory')"
@@ -437,12 +438,12 @@ _MODES = "('memsteer', 'static', 'greedy-memory')"
      "invalid JSON (Expecting property name enclosed in double quotes)"),
     (lambda summary: "", "invalid JSON (Expecting value)"),
     (lambda summary: b"\xff\xfe{}", "not UTF-8 text"),
-    (lambda summary: "[]", 'summary has no "config" object or no "mode"'),
+    (lambda summary: "[]", "not a JSON object"),
     (lambda summary: {k: v for k, v in summary.items() if k != "config"},
-     'summary has no "config" object or no "mode"'),
-    (lambda summary: {**summary, "config": [1]}, 'summary has no "config" object or no "mode"'),
+     "config must be a JSON object, got None"),
+    (lambda summary: {**summary, "config": [1]}, "config must be a JSON object, got [1]"),
     (lambda summary: {k: v for k, v in summary.items() if k != "mode"},
-     'summary has no "config" object or no "mode"'),
+     f"mode must be one of {_MODES}, got None"),
     (lambda summary: {**summary, "config": {**summary["config"], "beta": -1.0}},
      "beta must be >= 0, got -1.0"),
     (lambda summary: {**summary, "config": {**summary["config"], "k_neighbors": True}},
@@ -462,17 +463,15 @@ def test_replay_ends_an_unreadable_summary_in_one_line(tmp_path, capsys, edit, r
     if isinstance(edited, dict):
         edited = json.dumps(edited)
     summary_path.write_bytes(edited if isinstance(edited, bytes) else edited.encode("utf-8"))
-    with pytest.raises(SystemExit) as exc:
-        main(["replay", str(out), "--episode", "1"])
-    assert exc.value.code == f"error: {summary_path}: {reason}"
+    err = refused(["replay", str(out), "--episode", "1"], capsys)
+    assert err == f"error: {summary_path}: {reason}"
 
 
 @pytest.mark.parametrize("text,reason", [
     (None, "No such file or directory"),
-    ('{"beta": 2,', "Expecting property name enclosed in double quotes: line 1 column 12 "
-                    "(char 11)"),
+    ('{"beta": 2,', "invalid JSON (Expecting property name enclosed in double quotes)"),
 ], ids=["missing", "unparseable"])
-def test_run_ends_an_unreadable_config_file_in_one_line(tmp_path, text, reason):
+def test_run_ends_an_unreadable_config_file_in_one_line(tmp_path, text, reason, capsys):
     out = tmp_path / "exp"
     out.mkdir()
     bank = out / "memory.jsonl"
@@ -480,18 +479,16 @@ def test_run_ends_an_unreadable_config_file_in_one_line(tmp_path, text, reason):
     config_path = tmp_path / "config.json"
     if text is not None:
         config_path.write_text(text, encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", str(config_path), "--out", str(out)])
-    assert exc.value.code == f"error: {config_path}: {reason}"
+    err = refused(["run", "--config", str(config_path), "--out", str(out)], capsys)
+    assert err == f"error: {config_path}: {reason}"
     assert bank.read_text(encoding="utf-8") == "kept\n"
     assert sorted(p.name for p in out.iterdir()) == ["memory.jsonl"]
 
 
-def test_inspect_memory_ends_a_missing_bank_in_one_line(tmp_path):
+def test_inspect_memory_ends_a_missing_bank_in_one_line(tmp_path, capsys):
     bank = tmp_path / "missing.jsonl"
-    with pytest.raises(SystemExit) as exc:
-        main(["inspect-memory", str(bank)])
-    assert exc.value.code == f"error: {bank}: No such file or directory"
+    err = refused(["inspect-memory", str(bank)], capsys)
+    assert err == f"error: {bank}: No such file or directory"
 
 
 @pytest.mark.parametrize("missing", ["summary.json", "records.jsonl", "memory.jsonl"])
@@ -499,10 +496,156 @@ def test_replay_ends_a_missing_input_file_in_one_line(tmp_path, capsys, missing)
     out = flag_only_run(tmp_path, capsys, "--episodes", "2")
     gone = out / missing
     gone.unlink()
-    with pytest.raises(SystemExit) as exc:
-        main(["replay", str(out), "--episode", "1"])
-    assert exc.value.code == f"error: {gone}: No such file or directory"
+    err = refused(["replay", str(out), "--episode", "1"], capsys)
+    assert err == f"error: {gone}: No such file or directory"
     assert not gone.exists()
+
+
+def two_episode_run(tmp_path) -> Path:
+    """The directory of a finished flag-only run of two episodes."""
+    out = tmp_path / "exp"
+    assert main(["run", "--beta", "2", "--seed", "2", "--episodes", "2", "--out", str(out)]) == 0
+    return out
+
+
+def written(path: Path, data: bytes) -> Path:
+    path.write_bytes(data)
+    return path
+
+
+def edit_record(records: Path, episode: int, edit) -> None:
+    """Rewrite records.jsonl with ``edit`` applied to one episode's record dict."""
+    lines = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
+    edit(lines[episode])
+    records.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+
+def config_case(data: bytes | None, reason: str):
+    """``run --config`` on a file holding ``data`` (None: no file)."""
+    def case(tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        if data is not None:
+            path.write_bytes(data)
+        return ["run", "--config", str(path)], f"error: {path}: {reason}"
+    return case
+
+
+def replay_case(name: str, data: bytes | None, reason: str):
+    """``replay`` of a run whose file ``name`` holds ``data`` (None: deleted)."""
+    def case(tmp_path, monkeypatch):
+        path = two_episode_run(tmp_path) / name
+        path.unlink() if data is None else path.write_bytes(data)
+        return ["replay", str(path.parent), "--episode", "1"], f"error: {path}: {reason}"
+    return case
+
+
+def argparse_case(*argv: str):
+    return lambda tmp_path, monkeypatch: (list(argv), f"error: argument {argv[-2]}: ")
+
+
+def verify_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr("memsteer.oracle.grid_optimal_kl_policy",
+                        lambda pi_theta, adv, beta, step: (pi_theta, float("nan")))
+    return ["verify-optimality", "--instances", "1", "--step", "0.02"], "FAIL: 1 instances"
+
+
+def replay_mismatches(tmp_path, monkeypatch):
+    out = two_episode_run(tmp_path)
+    edit_record(out / "records.jsonl", 1, lambda record: record.update(score=-1.0))
+    return ["replay", str(out), "--episode", "1"], "episode 1: MISMATCH"
+
+
+def replay_finds_no_episode(tmp_path, monkeypatch):
+    out = two_episode_run(tmp_path)
+    return ["replay", str(out), "--episode", "9"], "episode 9 not found in"
+
+
+BANK_REASON = ("line 1: missing fields ['state_text', 'history_text', 'action', 'return', "
+               "'episode', 'step', 'time']")
+OUTCOMES = {
+    # refused: exit status 2 and one ``error:`` line on stderr
+    "run-argparse": argparse_case("run", "--beta", "2", "--episodes", "x"),
+    "run-config-value": lambda tmp_path, monkeypatch: (
+        ["run", "--beta", "-1"], "error: beta must be >= 0, got -1.0"),
+    "run-no-beta": lambda tmp_path, monkeypatch: (
+        ["run"], "error: --beta is required (it has no published default)"),
+    "run-pairing": lambda tmp_path, monkeypatch: (
+        ["run", "--beta", "2", "--env", "six-mdp"],
+        "error: proposer 'noisy-advisor' only works with --env keydoor"),
+    "run-config-missing": config_case(None, "No such file or directory"),
+    "run-config-not-utf8": config_case(b'{"beta": 2, "action_rules": [["caf\xe9", "x"]]}',
+                                       "not UTF-8 text"),
+    "run-config-not-json": config_case(b'{"beta": 2,', "invalid JSON "
+                                       "(Expecting property name enclosed in double quotes)"),
+    "run-config-array": config_case(b"[1, 2]", "not a JSON object"),
+    "run-out-is-a-file": lambda tmp_path, monkeypatch: (
+        ["run", "--beta", "2", "--out", str(written(tmp_path / "out", b""))],
+        f"error: {tmp_path / 'out'}: File exists"),
+    "consistency-argparse": argparse_case("consistency", "--beta", "-1"),
+    "consistency-out-is-a-file": lambda tmp_path, monkeypatch: (
+        ["consistency", "--sizes", "50", "--seeds", "1",
+         "--out", str(written(tmp_path / "out", b""))],
+        f"error: {tmp_path / 'out'}: File exists"),
+    "verify-optimality-argparse": argparse_case("verify-optimality", "--instances", "0"),
+    "inspect-memory-argparse": argparse_case("inspect-memory", "bank.jsonl", "--top", "-1"),
+    "inspect-memory-missing-bank": lambda tmp_path, monkeypatch: (
+        ["inspect-memory", str(tmp_path / "gone.jsonl")],
+        f"error: {tmp_path / 'gone.jsonl'}: No such file or directory"),
+    "inspect-memory-malformed-bank": lambda tmp_path, monkeypatch: (
+        ["inspect-memory", str(written(tmp_path / "bank.jsonl", b"{}\n"))],
+        f"error: {tmp_path / 'bank.jsonl'}: {BANK_REASON}"),
+    "replay-argparse": argparse_case("replay", "exp", "--episode", "x"),
+    "replay-pairing": lambda tmp_path, monkeypatch: (
+        ["replay", str(tmp_path), "--episode", "0", "--env", "six-mdp"],
+        "error: proposer 'noisy-advisor' only works with --env keydoor"),
+    "replay-malformed-bank": replay_case("memory.jsonl", b"{}\n", BANK_REASON),
+    "replay-malformed-records": replay_case("records.jsonl", b"[0]\n",
+                                            'line 1: record has no "episode" field'),
+    "replay-malformed-summary": replay_case("summary.json", b"[]", "not a JSON object"),
+    "replay-summary-config-value": replay_case(
+        "summary.json", b'{"mode": "static", "config": {"beta": -1}}',
+        "beta must be >= 0, got -1"),
+    "replay-missing-summary": replay_case("summary.json", None, "No such file or directory"),
+    "replay-missing-records": replay_case("records.jsonl", None, "No such file or directory"),
+    "replay-missing-bank": replay_case("memory.jsonl", None, "No such file or directory"),
+    # ran, with a negative answer: exit status 1 and nothing on stderr
+    "verify-optimality-fail": verify_fails,
+    "replay-mismatch": replay_mismatches,
+    "replay-missing-episode": replay_finds_no_episode,
+}
+
+
+@pytest.mark.parametrize("case", OUTCOMES.values(), ids=OUTCOMES.keys())
+def test_each_command_exits_2_on_refused_input_and_1_on_a_negative_answer(
+        tmp_path, monkeypatch, capsys, case):
+    argv, expected = case(tmp_path, monkeypatch)
+    capsys.readouterr()
+    if expected.startswith("error: argument "):  # argparse prints its usage first
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error:" in line] == err[-1:]
+        assert f"memsteer {argv[0]}: {expected}" in err[-1]
+    elif expected.startswith("error: "):
+        assert refused(argv, capsys) == expected
+    else:
+        assert main(argv) == 1
+        printed = capsys.readouterr()
+        assert printed.err == "" and expected in printed.out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda record: record["rewards"].__setitem__(0, record["rewards"][0] + 1.0),
+    lambda record: record.update(evaluator_fallback=True),
+], ids=["rewards", "evaluator_fallback"])
+def test_replay_checks_every_field_of_the_record(tmp_path, capsys, edit):
+    out = two_episode_run(tmp_path)
+    assert main(["replay", str(out), "--episode", "1"]) == 0
+    edit_record(out / "records.jsonl", 1, edit)
+    capsys.readouterr()
+    assert main(["replay", str(out), "--episode", "1"]) == 1
+    assert capsys.readouterr().out == "episode 1: MISMATCH\n"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -1,8 +1,10 @@
 import dataclasses
+import re
 
 import pytest
 
 from memsteer.config import ConfigError, EngineConfig
+from memsteer.memory import MemoryFormatError
 from memsteer.envs.textgame import key_door_game, noisy_advisor_policy
 from memsteer.proposer import CallablePolicyProposer
 from memsteer.runner import run_experiment, run_task_suite
@@ -128,6 +130,26 @@ def test_from_dict_requires_beta():
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown config fields"):
         EngineConfig.from_dict({"beta": 1.0, "neighbours": 3})
+
+
+@pytest.mark.parametrize("raw", [5, "abc", None, [["beta", 1.0]]],
+                         ids=["int", "str", "none", "pairs"])
+def test_from_dict_refuses_anything_but_an_object(raw):
+    with pytest.raises(ConfigError, match=re.escape(f"config must be a JSON object, got {raw!r}")):
+        EngineConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("data,reason", [
+    (b'{"beta": 1.0, "action_rules": [["caf\xe9", "x"]]}', "not UTF-8 text"),
+    (b'{"beta": 1.0,', "invalid JSON (Expecting property name enclosed in double quotes)"),
+    (b"[1, 2]", "not a JSON object"),
+], ids=["not-utf8", "not-json", "array"])
+def test_load_names_the_file_it_cannot_read(tmp_path, data, reason):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    with pytest.raises(MemoryFormatError) as exc:
+        EngineConfig.load(path, beta=2.0)
+    assert str(exc.value) == f"{path}: {reason}" and exc.value.path == path
 
 
 def test_file_roundtrip_and_overrides(tmp_path):

@@ -15,7 +15,7 @@ from memsteer.envs import textgame
 from memsteer.envs.textgame import (GameConfigError, InvalidActionError, TextMicroGame,
                                     advisor_action, key_door_config, key_door_game,
                                     load_game_config, noisy_advisor_policy, solution_path)
-from memsteer.memory import StateKey
+from memsteer.memory import MemoryFormatError, StateKey
 from memsteer.proposer import ProposerRequest
 from memsteer.tokens import tokenize
 
@@ -80,6 +80,13 @@ def test_tabular_adapter_runs_episode():
     assert obs.score > 0.0 and steps >= 1
 
 
+def test_tabular_adapter_draws_nothing_until_reset():
+    # run_episode's reset draws each episode's one start state
+    rng = np.random.default_rng(5)
+    adapter = TabularEnvAdapter(six_state_fixture()[0], rng, step_cap=200)
+    assert rng.random() == np.random.default_rng(5).random()
+    assert adapter.reset().text.startswith("s")
+
 
 def tensor_draw(cum: np.ndarray, u: float) -> int:
     return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
@@ -94,7 +101,6 @@ def test_tabular_adapter_walk_matches_the_tensors(seed, step_cap):
     adapter = TabularEnvAdapter(mdp, np.random.default_rng(seed), step_cap=step_cap)
     reference_rng = np.random.default_rng(seed)
     actions = np.random.default_rng(seed + 100)
-    reference_rng.random()  # the draw of the reset the constructor makes
     s = tensor_draw(np.cumsum(mdp.start), reference_rng.random())
     score, steps, obs, previous = 0.0, 0, adapter.reset(), None
     while True:
@@ -385,6 +391,19 @@ def test_load_game_config_from_file(tmp_path):
     path.write_text(json.dumps(key_door_config()), encoding="utf-8")
     game = TextMicroGame(load_game_config(path))
     assert game.max_score == 100 and game.step_limit == 60
+
+
+@pytest.mark.parametrize("data,reason", [
+    (b'{"name": "caf\xe9"}', "not UTF-8 text"),
+    (b'{"name": ', "invalid JSON (Expecting value)"),
+    (b'["hall"]', "not a JSON object"),
+], ids=["not-utf8", "not-json", "array"])
+def test_load_game_config_names_the_file_it_cannot_read(tmp_path, data, reason):
+    path = tmp_path / "game.json"
+    path.write_bytes(data)
+    with pytest.raises(MemoryFormatError) as exc:
+        load_game_config(path)
+    assert str(exc.value) == f"{path}: {reason}" and exc.value.path == path
 
 
 # -- advisor policy -------------------------------------------------------------------

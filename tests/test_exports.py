@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` resolves on that module, every
-name a module imports is used, every memo has a finite bound, and every
-binary search is bounded.
+name a module imports is used, every memo has a finite bound, every binary
+search is bounded, every JSON file is read by ``memory.read_json``, and only
+``cli.main`` ends a command.
 
 A deletion that leaves its name behind in ``__all__`` fails here, not later
 as an ``ImportError`` in a star import; one that leaves behind an import of
@@ -74,25 +75,37 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def _resolver(tree: ast.Module, module: str, names: tuple[str, ...]):
+    """A function from an expression node to the one of ``names`` of
+    ``module`` it refers to, through ``import module as m`` or ``from module
+    import name as n``, or None."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names if alias.name == module}
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == module
+                for alias in node.names if alias.name in names}
+
+    def name_of(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and node.attr in names:
+            return node.attr
+        return imported.get(node.id) if isinstance(node, ast.Name) else None
+
+    return name_of
+
+
+def _calls(tree: ast.Module, callee) -> list[ast.Call]:
+    """The calls whose function ``callee`` (a :func:`_resolver`) names."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and callee(node.func)]
+
+
 _MEMOS = ("cache", "lru_cache")
 
 
 def _unbounded_memos(tree: ast.Module) -> list[int]:
     """Lines that name ``functools.cache``, or an ``lru_cache`` not called
     with a positive integer ``maxsize``."""
-    modules = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.Import) for alias in node.names
-               if alias.name == "functools"}
-    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module == "functools"
-                for alias in node.names if alias.name in _MEMOS}
-
-    def memo(node):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id in modules and node.attr in _MEMOS:
-            return node.attr
-        return imported.get(node.id) if isinstance(node, ast.Name) else None
-
+    memo = _resolver(tree, "functools", _MEMOS)
     bounded = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and memo(node.func) == "lru_cache":
@@ -135,23 +148,12 @@ def _unbounded_bisects(tree: ast.Module) -> list[int]:
     module that does not pass both ``lo`` and ``hi``. An inverse-CDF draw
     needs ``hi``: without it, a draw past the table's rounded total indexes
     one past its end."""
-    modules = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.Import) for alias in node.names if alias.name == "bisect"}
-    imported = {alias.asname or alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module == "bisect"
-                for alias in node.names if alias.name in _BISECTS}
     lines = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (isinstance(func, ast.Name) and func.id in imported
-                or isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
-                and func.value.id in modules and func.attr in _BISECTS):
-            passed = {"lo", "hi"}.intersection(("lo", "hi")[:len(node.args) - 2])
-            passed |= {kw.arg for kw in node.keywords}
-            if not {"lo", "hi"} <= passed:
-                lines.append(node.lineno)
+    for node in _calls(tree, _resolver(tree, "bisect", _BISECTS)):
+        passed = {"lo", "hi"}.intersection(("lo", "hi")[:len(node.args) - 2])
+        passed |= {kw.arg for kw in node.keywords}
+        if not {"lo", "hi"} <= passed:
+            lines.append(node.lineno)
     return lines
 
 
@@ -177,3 +179,73 @@ def test_every_bisect_passes_lo_and_hi():
         unbounded += [f"{path.relative_to(SOURCE)}:{line}"
                       for line in _unbounded_bisects(ast.parse(path.read_text(encoding="utf-8")))]
     assert unbounded == []
+
+
+def _json_loads_of_files(tree: ast.Module) -> list[int]:
+    """Lines of a ``json.load`` call: a file is read by ``memory.read_json``,
+    which names the file in every error."""
+    return [node.lineno for node in _calls(tree, _resolver(tree, "json", ("load",)))]
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("import json\njson.load(fh)", [2]),
+    ("import json as j\nj.load(fh)", [2]),
+    ("from json import load\nload(fh)", [2]),
+    ("from json import load as read\nread(fh)", [2]),
+    ("import json\njson.loads(text)", []),
+    ("from pickle import load\nload(fh)", []),
+], ids=["module", "module-alias", "imported", "imported-alias", "loads", "not-json"])
+def test_the_json_check_flags_each_form_of_json_load(source, lines):
+    assert _json_loads_of_files(ast.parse(source)) == lines
+
+
+def test_no_module_calls_json_load():
+    calls = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        calls += [f"{path.relative_to(SOURCE)}:{line}"
+                  for line in _json_loads_of_files(ast.parse(path.read_text(encoding="utf-8")))]
+    assert calls == []
+
+
+def _exits(tree: ast.Module, allowed: tuple[str, ...] = ()) -> list[int]:
+    """Lines that raise ``SystemExit`` or call ``sys.exit`` outside the
+    module's functions named in ``allowed`` and its ``__main__`` guard."""
+    exempt = set()
+    for node in tree.body:
+        if (isinstance(node, ast.FunctionDef) and node.name in allowed
+                or isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"):
+            exempt.update(ast.walk(node))
+    exits = _calls(tree, _resolver(tree, "sys", ("exit",)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "SystemExit":
+                exits.append(node)
+    return sorted(node.lineno for node in exits if node not in exempt)
+
+
+@pytest.mark.parametrize("source,allowed,lines", [
+    ("def f():\n    raise SystemExit('error: x')", (), [2]),
+    ("def f():\n    raise SystemExit", (), [2]),
+    ("import sys\ndef f():\n    sys.exit(1)", (), [3]),
+    ("import sys as s\ns.exit()", (), [2]),
+    ("from sys import exit as leave\nleave(2)", (), [2]),
+    ("def main():\n    raise SystemExit(2)", ("main",), []),
+    ("def main():\n    def inner():\n        raise SystemExit(2)", ("main",), []),
+    ("def main():\n    raise SystemExit(2)", (), [2]),
+    ("import sys\nif __name__ == '__main__':\n    sys.exit(main())", (), []),
+    ("import sys\nif __name__ != '__main__':\n    sys.exit(main())", (), [3]),
+    ("def f():\n    raise ValueError('x')\nexit = print\nexit(1)", (), []),
+], ids=["raise-call", "raise-bare", "sys-exit", "sys-alias", "exit-imported", "in-main",
+        "nested-in-main", "main-not-allowed", "main-guard", "not-main-guard", "not-sys"])
+def test_the_exit_check_flags_each_exit_outside_main(source, allowed, lines):
+    assert _exits(ast.parse(source), allowed) == lines
+
+
+def test_only_cli_main_ends_a_command():
+    exits = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        allowed = ("main",) if path == SOURCE / "cli.py" else ()
+        exits += [f"{path.relative_to(SOURCE)}:{line}"
+                  for line in _exits(ast.parse(path.read_text(encoding="utf-8")), allowed)]
+    assert exits == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from memsteer.memory import MemoryFormatError
 from memsteer.policy import softmax
 from memsteer.proposer import (CallablePolicyProposer, FixtureChatClient, ProposerError,
                                ProposerRequest, TabularProposer, TokenLogitProposer,
@@ -500,6 +501,19 @@ def test_fixture_client_replays_in_order(tmp_path):
     assert payload == exchanges[0]["response"]
     with pytest.raises(ProposerError, match="exhausted"):
         client.complete(request)
+
+
+@pytest.mark.parametrize("data,reason", [
+    (b'[{"request": {"model": "caf\xe9"}}]', "not UTF-8 text"),
+    (b'[{"request": ', "invalid JSON (Expecting value)"),
+    (b'{"request": {}, "response": {}}', "not a JSON array"),
+], ids=["not-utf8", "not-json", "object"])
+def test_fixture_client_names_the_file_it_cannot_read(tmp_path, data, reason):
+    path = tmp_path / "fixture.json"
+    path.write_bytes(data)
+    with pytest.raises(MemoryFormatError) as exc:
+        FixtureChatClient(str(path))
+    assert str(exc.value) == f"{path}: {reason}" and exc.value.path == str(path)
 
 
 def test_fixture_client_detects_request_drift():
