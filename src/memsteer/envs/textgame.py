@@ -62,35 +62,63 @@ class InvalidActionError(ValueError):
         super().__init__(f"invalid action {action!r}; valid actions: {self.valid}")
 
 
+def _object_with(value, fields: tuple[str, ...], what: str) -> dict:
+    """``value`` if it is a JSON object holding every one of ``fields``."""
+    if not isinstance(value, dict):
+        raise GameConfigError(f"{what} must be an object, got {value!r}")
+    for field in fields:
+        if field not in value:
+            raise GameConfigError(f"{what} has no field {field!r}")
+    return value
+
+
+def _list_of(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise GameConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def validate_game_config(config: dict) -> dict:
-    for field in ("name", "max_score", "step_limit", "start_room", "rooms",
-                  "objects", "doors", "score_events"):
-        if field not in config:
-            raise GameConfigError(f"missing config field {field!r}")
-    rooms = config["rooms"]
+    """``config`` if it follows the schema above, else a ``GameConfigError``
+    naming the first field that does not: the config, each room, door and
+    score event must be an object holding the fields the game reads."""
+    _object_with(config, ("name", "max_score", "step_limit", "start_room", "rooms",
+                          "objects", "doors", "score_events"), "config")
+    rooms = _object_with(config["rooms"], (), "config field 'rooms'")
+    objects = _object_with(config["objects"], (), "config field 'objects'")
     if config["start_room"] not in rooms:
         raise GameConfigError(f"start room {config['start_room']!r} is not a room")
     for room_id, room in rooms.items():
-        for direction, dest in room.get("exits", {}).items():
+        _object_with(room, ("title",), f"room {room_id!r}")
+        exits = _object_with(room.get("exits", {}), (), f"room {room_id!r} field 'exits'")
+        for direction, dest in exits.items():
             if dest not in rooms:
                 raise GameConfigError(f"room {room_id!r} exit {direction!r} "
                                       f"leads to unknown room {dest!r}")
-        for obj in room.get("objects", []):
-            if obj not in config["objects"]:
+        for obj in _list_of(room.get("objects", []), f"room {room_id!r} field 'objects'"):
+            if obj not in objects:
                 raise GameConfigError(f"room {room_id!r} holds unknown object {obj!r}")
-    for door in config["doors"]:
-        a, b = door["rooms"]
-        if a not in rooms or b not in rooms:
+    for i, door in enumerate(_list_of(config["doors"], "config field 'doors'")):
+        _object_with(door, ("id", "title", "rooms", "requires"), f"door {i}")
+        joined = _list_of(door["rooms"], f"door {door['id']!r} field 'rooms'")
+        if len(joined) != 2:
+            raise GameConfigError(f"door {door['id']!r} field 'rooms' must name two rooms")
+        if joined[0] not in rooms or joined[1] not in rooms:
             raise GameConfigError(f"door {door['id']!r} joins unknown rooms")
-        if door["requires"] not in config["objects"]:
+        if door["requires"] not in objects:
             raise GameConfigError(f"door {door['id']!r} requires unknown object")
     total = 0
-    for event in config["score_events"]:
-        if event["points"] < 0:
+    for i, event in enumerate(_list_of(config["score_events"], "config field 'score_events'")):
+        _object_with(event, ("id", "action", "room", "points"), f"score event {i}")
+        points = event["points"]
+        if isinstance(points, bool) or not isinstance(points, (int, float)):
+            raise GameConfigError(f"event {event['id']!r} points must be a number, "
+                                  f"got {points!r}")
+        if points < 0:
             raise GameConfigError(f"event {event['id']!r} has negative points")
         if event["room"] not in rooms:
             raise GameConfigError(f"event {event['id']!r} names unknown room")
-        total += event["points"]
+        total += points
     if total != config["max_score"]:
         raise GameConfigError(f"event points sum to {total}, expected "
                               f"max_score {config['max_score']}")

@@ -22,6 +22,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -146,17 +147,21 @@ class CallablePolicyProposer:
 
 
 class TabularProposer(CallablePolicyProposer):
-    """Deterministic stand-in for the frozen policy: a state -> distribution table."""
+    """Deterministic stand-in for the frozen policy: a state -> distribution
+    table. Its policy function holds the table, not the proposer, so a
+    proposer is in no reference cycle and is freed as soon as it is dropped."""
 
     def __init__(self, table: Mapping[str, Mapping[str, float]]):
-        super().__init__(self._row)
+        super().__init__(partial(_table_row, table))
         self.table = table
 
-    def _row(self, request: ProposerRequest) -> Mapping[str, float]:
-        row = self.table.get(request.state_text)
-        if row is None:
-            raise ProposerError(f"state {request.state_text!r} not in the policy table")
-        return row
+
+def _table_row(table: Mapping[str, Mapping[str, float]],
+               request: ProposerRequest) -> Mapping[str, float]:
+    row = table.get(request.state_text)
+    if row is None:
+        raise ProposerError(f"state {request.state_text!r} not in the policy table")
+    return row
 
 
 def uniform_policy(request: ProposerRequest) -> dict[str, float]:

@@ -10,7 +10,10 @@ the argmax known action value when one exists).
 
 Experiments, task suites and replay all play their episodes through
 :meth:`Session.play`, and a :class:`Session` is the one place that builds a
-memory store from a config.
+memory store from a config. The cyclic garbage collector is paused while an
+episode plays (:func:`_collector_paused`), so the collections an episode's
+allocations trigger run at its boundary, outside every decision; an episode
+makes no reference cycle, so the pause defers work and frees nothing later.
 
 One root seed fans out into independent per-episode streams (policy sampling,
 exploration draws, environment noise), so identical (config, seed, fixtures)
@@ -21,10 +24,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
+import gc
 import json
 import logging
 import math
-from contextlib import nullcontext
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import chain, takewhile
 from pathlib import Path
@@ -235,6 +241,20 @@ def update_memory(record: EpisodeRecord, memory: MemoryStore, evaluator,
             for t, (step, g) in enumerate(zip(record.trajectory, returns))]
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for the block. It is turned back on
+    afterwards, also when the block raises, only if it was on before, so a
+    caller that turned it off keeps it off."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
 class Session:
     """One frozen policy playing episodes against one evolving memory: the
     config, mode, store, action normalizer, evaluator and ``bank``, an open
@@ -266,12 +286,19 @@ class Session:
              task_filter: TaskFilter | None = None) -> EpisodeRecord:
         """Play episode ``episode`` on the seed streams of ``stream`` (default
         ``episode``), then, unless the mode is static, store its triplets and
-        append them to the bank. Records the store's size afterwards."""
+        append them to the bank. Records the store's size afterwards.
+
+        The cyclic collector is paused while :func:`run_episode` runs and
+        restored as it was found, so no decision waits on a collection: those
+        the episode's allocations trigger run during the update that follows.
+        """
         streams = seed_streams(self.config.seed, episode if stream is None else stream)
         env = env_factory(streams["env"])
-        record = run_episode(env, proposer_factory(env), self.memory, self.config, streams,
-                             self.normalizer, mode=self.mode, episode_index=episode,
-                             task_filter=task_filter)
+        proposer = proposer_factory(env)
+        with _collector_paused():
+            record = run_episode(env, proposer, self.memory, self.config, streams,
+                                 self.normalizer, mode=self.mode, episode_index=episode,
+                                 task_filter=task_filter)
         if self.mode != "static":
             new_entries = update_memory(record, self.memory, self.evaluator, self.config.gamma)
             if self.bank is not None and new_entries:
@@ -290,11 +317,13 @@ def run_experiment(config: EngineConfig, env_factory, proposer_factory,
 
     ``env_factory(rng)`` builds a fresh environment per episode;
     ``proposer_factory(env)`` binds the proposer to it. memory.jsonl is
-    opened once, after the session has checked its arguments.
+    opened once, after the session has checked its arguments and every
+    output path has been checked (:func:`_check_outputs`).
     """
     session = Session(config, mode, evaluator=evaluator, memory=memory)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
+        _check_outputs(Path(out_dir))
     with (nullcontext() if out_dir is None
           else open(Path(out_dir) / "memory.jsonl", "w", encoding="utf-8")) as session.bank:
         records = [session.play(env_factory, proposer_factory, episode)
@@ -347,6 +376,19 @@ def run_task_suite(config: EngineConfig, tasks: dict, mode: str = "memsteer",
 
 
 # -- output files --------------------------------------------------------------
+
+
+def _check_outputs(out_dir: Path) -> None:
+    """Raise the ``OSError`` that writing a run's outputs in ``out_dir`` would
+    raise, before anything is written: an output that exists is opened to
+    append, which changes no byte, and one that does not needs a writable
+    directory."""
+    for name in ("memory.jsonl", "metrics.csv", "summary.json", "records.jsonl"):
+        path = out_dir / name
+        if path.exists():
+            open(path, "a", encoding="utf-8").close()
+        elif not os.access(out_dir, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 
 def write_outputs(out_dir: Path, config: EngineConfig, mode: str,

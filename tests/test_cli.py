@@ -549,6 +549,21 @@ def verify_fails(tmp_path, monkeypatch):
     return ["verify-optimality", "--instances", "1", "--step", "0.02"], "FAIL: 1 instances"
 
 
+def summary_is_a_directory(tmp_path, monkeypatch):
+    """``run --out`` into an earlier run's directory whose summary.json is a directory."""
+    summary = two_episode_run(tmp_path) / "summary.json"
+    summary.unlink()
+    summary.mkdir()
+    return (["run", "--beta", "2", "--episodes", "3", "--out", str(summary.parent)],
+            f"error: {summary}: Is a directory")
+
+
+def files_under(root: Path) -> dict[Path, bytes | None]:
+    """Each path under ``root`` and its bytes (None for a directory)."""
+    return {path: None if path.is_dir() else path.read_bytes()
+            for path in sorted(root.rglob("*"))}
+
+
 def replay_mismatches(tmp_path, monkeypatch):
     out = two_episode_run(tmp_path)
     edit_record(out / "records.jsonl", 1, lambda record: record.update(score=-1.0))
@@ -581,6 +596,7 @@ OUTCOMES = {
     "run-out-is-a-file": lambda tmp_path, monkeypatch: (
         ["run", "--beta", "2", "--out", str(written(tmp_path / "out", b""))],
         f"error: {tmp_path / 'out'}: File exists"),
+    "run-output-is-a-directory": summary_is_a_directory,
     "consistency-argparse": argparse_case("consistency", "--beta", "-1"),
     "consistency-out-is-a-file": lambda tmp_path, monkeypatch: (
         ["consistency", "--sizes", "50", "--seeds", "1",
@@ -620,6 +636,7 @@ def test_each_command_exits_2_on_refused_input_and_1_on_a_negative_answer(
         tmp_path, monkeypatch, capsys, case):
     argv, expected = case(tmp_path, monkeypatch)
     capsys.readouterr()
+    before = files_under(tmp_path)
     if expected.startswith("error: argument "):  # argparse prints its usage first
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -629,6 +646,7 @@ def test_each_command_exits_2_on_refused_input_and_1_on_a_negative_answer(
         assert f"memsteer {argv[0]}: {expected}" in err[-1]
     elif expected.startswith("error: "):
         assert refused(argv, capsys) == expected
+        assert files_under(tmp_path) == before  # nothing ran, so nothing was written
     else:
         assert main(argv) == 1
         printed = capsys.readouterr()

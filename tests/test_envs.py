@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,52 @@ def test_game_config_validation_errors():
     config["rooms"]["hall"]["exits"]["west"] = "nowhere"
     with pytest.raises(GameConfigError, match="unknown room"):
         TextMicroGame(config)
+
+
+def _config_with(edit):
+    config = copy.deepcopy(key_door_config())
+    edit(config)
+    return config
+
+
+MALFORMED_GAME_CONFIGS = {
+    "not-an-object": (lambda: 5, "config must be an object, got 5"),
+    "a-list": (lambda: [], "config must be an object, got []"),
+    "no-rooms": (lambda: _config_with(lambda c: c.pop("rooms")), "config has no field 'rooms'"),
+    "rooms-a-list": (lambda: _config_with(lambda c: c.update(rooms=["hall"])),
+                     "config field 'rooms' must be an object"),
+    "room-a-string": (lambda: _config_with(lambda c: c["rooms"].update(hall="hall")),
+                      "room 'hall' must be an object, got 'hall'"),
+    "room-no-title": (lambda: _config_with(lambda c: c["rooms"]["hall"].pop("title")),
+                      "room 'hall' has no field 'title'"),
+    "exits-a-list": (lambda: _config_with(lambda c: c["rooms"]["hall"].update(exits=["north"])),
+                     "room 'hall' field 'exits' must be an object"),
+    "doors-an-object": (lambda: _config_with(lambda c: c.update(doors={})),
+                        "config field 'doors' must be a list, got {}"),
+    "door-id-only": (lambda: _config_with(lambda c: c.update(doors=[{"id": "x"}])),
+                     "door 0 has no field 'title'"),
+    "door-a-string": (lambda: _config_with(lambda c: c.update(doors=["x"])),
+                      "door 0 must be an object, got 'x'"),
+    "door-no-rooms": (lambda: _config_with(lambda c: c["doors"][0].pop("rooms")),
+                      "door 0 has no field 'rooms'"),
+    "door-three-rooms": (lambda: _config_with(
+        lambda c: c["doors"][0].update(rooms=["hall", "study", "cellar"])),
+        "door 'irondoor' field 'rooms' must name two rooms"),
+    "event-a-number": (lambda: _config_with(lambda c: c["score_events"].append(7)),
+                       "score event 4 must be an object, got 7"),
+    "event-no-points": (lambda: _config_with(lambda c: c["score_events"][1].pop("points")),
+                        "score event 1 has no field 'points'"),
+    "event-points-text": (lambda: _config_with(
+        lambda c: c["score_events"][0].update(points="10")),
+        "points must be a number, got '10'"),
+}
+
+
+@pytest.mark.parametrize("make,message", MALFORMED_GAME_CONFIGS.values(),
+                         ids=MALFORMED_GAME_CONFIGS.keys())
+def test_validate_game_config_names_the_malformed_field(make, message):
+    with pytest.raises(GameConfigError, match=re.escape(message)):
+        textgame.validate_game_config(make())
 
 
 def _door_by_linear_search(config, room_a, room_b):

@@ -1,7 +1,8 @@
 """Every name a module lists in ``__all__`` resolves on that module, every
 name a module imports is used, every memo has a finite bound, every binary
-search is bounded, every JSON file is read by ``memory.read_json``, and only
-``cli.main`` ends a command.
+search is bounded, every JSON file is read by ``memory.read_json``, only
+``cli.main`` ends a command, and only the runner's one helper switches the
+cyclic garbage collector.
 
 A deletion that leaves its name behind in ``__all__`` fails here, not later
 as an ``ImportError`` in a star import; one that leaves behind an import of
@@ -207,13 +208,19 @@ def test_no_module_calls_json_load():
     assert calls == []
 
 
+def _inside(tree: ast.Module, allowed: tuple[str, ...]) -> set[ast.AST]:
+    """Every node inside the module's top-level functions named in ``allowed``."""
+    return {inner for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in allowed
+            for inner in ast.walk(node)}
+
+
 def _exits(tree: ast.Module, allowed: tuple[str, ...] = ()) -> list[int]:
     """Lines that raise ``SystemExit`` or call ``sys.exit`` outside the
     module's functions named in ``allowed`` and its ``__main__`` guard."""
-    exempt = set()
+    exempt = _inside(tree, allowed)
     for node in tree.body:
-        if (isinstance(node, ast.FunctionDef) and node.name in allowed
-                or isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
             exempt.update(ast.walk(node))
     exits = _calls(tree, _resolver(tree, "sys", ("exit",)))
     for node in ast.walk(tree):
@@ -249,3 +256,42 @@ def test_only_cli_main_ends_a_command():
         exits += [f"{path.relative_to(SOURCE)}:{line}"
                   for line in _exits(ast.parse(path.read_text(encoding="utf-8")), allowed)]
     assert exits == []
+
+
+_COLLECTOR_SWITCHES = ("disable", "enable", "freeze", "unfreeze", "set_threshold")
+
+
+def _collector_switches(tree: ast.Module, allowed: tuple[str, ...] = ()) -> list[int]:
+    """Lines of a call that switches the cyclic garbage collector or retunes
+    it for the whole process (``gc.disable``, ``enable``, ``freeze``,
+    ``unfreeze``, ``set_threshold``) outside the module's functions named in
+    ``allowed``."""
+    exempt = _inside(tree, allowed)
+    return [node.lineno for node in _calls(tree, _resolver(tree, "gc", _COLLECTOR_SWITCHES))
+            if node not in exempt]
+
+
+@pytest.mark.parametrize("source,allowed,lines", [
+    ("import gc\ngc.disable()", (), [2]),
+    ("import gc as g\ng.freeze()\ng.unfreeze()", (), [2, 3]),
+    ("from gc import set_threshold\nset_threshold(0)", (), [2]),
+    ("from gc import enable as on\non()", (), [2]),
+    ("import gc\ndef paused():\n    gc.disable()\n    gc.enable()", ("paused",), []),
+    ("import gc\ndef paused():\n    gc.disable()\n    gc.enable()", (), [3, 4]),
+    ("import gc\nclass C:\n    def paused(self):\n        gc.disable()", ("paused",), [4]),
+    ("import gc\ngc.collect()\ngc.isenabled()\ngc.set_debug(0)", (), []),
+    ("def disable(): pass\ndisable()", (), []),
+], ids=["disable", "module-alias", "set-threshold", "imported-alias", "in-helper",
+        "helper-not-allowed", "method-not-helper", "not-a-switch", "not-gc"])
+def test_the_collector_check_flags_each_switch_outside_the_helper(source, allowed, lines):
+    assert _collector_switches(ast.parse(source), allowed) == lines
+
+
+def test_only_the_runner_helper_switches_the_collector():
+    switches = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        allowed = ("_collector_paused",) if path == SOURCE / "runner.py" else ()
+        switches += [f"{path.relative_to(SOURCE)}:{line}" for line in
+                     _collector_switches(ast.parse(path.read_text(encoding="utf-8")), allowed)]
+    assert switches == []
+    assert _collector_switches(ast.parse((SOURCE / "runner.py").read_text(encoding="utf-8")))

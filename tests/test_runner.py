@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memsteer.cli import build_env_factory, build_proposer_factory
 from memsteer.config import EngineConfig
 from memsteer.envs.abstraction import abstract_state
 from memsteer.envs.tabular import TabularEnvAdapter, TabularMDP, deterministic_chain, six_state_fixture
@@ -21,7 +23,7 @@ from memsteer.memory import ActionNormalizer, MemoryStore, StateKey
 from memsteer.policy import Candidate, Decision, softmax
 from memsteer.proposer import CallablePolicyProposer, ProposerError, TabularProposer
 from memsteer.returns import EnvironmentTruthEvaluator, TrajectoryStep, discounted_returns
-from memsteer.runner import (_DRAW_BLOCK, EpisodeRecord, MetricsReport, _BlockUniforms,
+from memsteer.runner import (_DRAW_BLOCK, EpisodeRecord, MetricsReport, Session, _BlockUniforms,
                              encode_episode_record, fill_memory_from_rollouts,
                              replay_episode, run_consistency_experiment, run_episode,
                              run_experiment, run_task_suite, seed_streams,
@@ -326,6 +328,79 @@ def test_bank_is_closed_and_kept_when_an_episode_raises(tmp_path, monkeypatch):
                                   advisor_factory)
     assert {entry.episode for entry in memory.entries} == {0, 1, 2}
     assert bank.read_bytes() == bank_of_episodes_before(memory, 3, tmp_path / "kept.jsonl")
+
+
+# -- the cyclic collector ---------------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back as it was, and its debug flags off, after the test."""
+    was_on = gc.isenabled()
+    yield
+    gc.set_debug(0)
+    gc.garbage.clear()
+    (gc.enable if was_on else gc.disable)()
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["on", "off"])
+def test_play_leaves_the_collector_as_it_found_it(collector, on):
+    (gc.enable if on else gc.disable)()
+    env_factory, advisor_factory = keydoor_factories()
+    during = []
+
+    def proposer_factory(env):
+        proposer = advisor_factory(env)
+        propose = proposer.propose
+
+        def watched(request):
+            during.append(gc.isenabled())
+            return propose(request)
+
+        proposer.propose = watched
+        return proposer
+
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=1, step_limit=5, seed=0)
+    Session(config).play(env_factory, proposer_factory, 0)
+    assert during == [False] * 5  # paused at every decision
+    assert gc.isenabled() is on
+
+
+def test_play_turns_the_collector_back_on_when_an_episode_raises(collector):
+    gc.enable()
+
+    class BrokenProposer:
+        def propose(self, request):
+            raise KeyError("not a ProposerError")
+
+    env_factory, _ = keydoor_factories()
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=1, seed=0)
+    with pytest.raises(KeyError, match="not a ProposerError"):
+        Session(config).play(env_factory, lambda env: BrokenProposer(), 0)
+    assert gc.isenabled()
+
+
+SHIPPED_PAIRS = {
+    **{f"keydoor-noisy-advisor-{mode}-{capacity}": ("keydoor", "noisy-advisor", mode, capacity)
+       for mode in ("memsteer", "static", "greedy-memory") for capacity in (None, 50)},
+    "six-mdp-fixture-policy": ("six-mdp", "fixture-policy", "memsteer", None),
+}
+
+
+@pytest.mark.parametrize("env,proposer,mode,capacity", SHIPPED_PAIRS.values(),
+                         ids=SHIPPED_PAIRS.keys())
+def test_episodes_leave_no_cyclic_garbage(collector, env, proposer, mode, capacity):
+    """Pausing the collector while an episode plays defers no work past the
+    run: no episode of a shipped (env, proposer) pair makes a reference cycle."""
+    config = EngineConfig.profile("text-game", beta=2.0, episodes=6, seed=3,
+                                  memory_capacity=capacity)
+    env_factory = build_env_factory(env)
+    proposer_factory = build_proposer_factory(proposer, 0.3)
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    run_experiment(config, env_factory, proposer_factory, mode=mode)
+    assert gc.collect() == 0
 
 
 def record_dict(record):
