@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from memsteer.config import ConfigError, EngineConfig, PROFILES
-from memsteer.memory import MemoryFormatError, read_bank
+from memsteer.config import ConfigError, EngineConfig, PROFILES, meets
+from memsteer.memory import MemoryFormatError, json_of, read_bank, read_json
 from memsteer.oracle import check_grid_step
 from memsteer.runner import (MODES, replay_episode, run_consistency_experiment,
                              run_experiment, summarize_consistency, write_consistency_csv)
@@ -94,8 +94,10 @@ def load_config(args) -> EngineConfig:
 
 
 def add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--profile", choices=PROFILES,
+    # a file's missing fields take the field defaults, never a profile's
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", help="JSON config file")
+    source.add_argument("--profile", choices=PROFILES,
                         help="built-in defaults when no config file is given")
     parser.add_argument("--beta", type=float, help="logit-update strength")
     parser.add_argument("--gamma", type=float)
@@ -111,63 +113,24 @@ def add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--memory-capacity", dest="memory_capacity", type=int)
 
 
-def int_at_least(text: str, low: int) -> int:
-    """argparse type body: an integer of at least ``low``."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"{value} is below {low}")
-    return value
+def bounded(kind: type, bound: str):
+    """argparse type: a finite ``kind`` (int or float) that meets ``bound`` of
+    EngineConfig's bounds table (``config.meets``)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
+        if not meets(value, bound):
+            raise argparse.ArgumentTypeError(f"must {bound}, got {value}")
+        return value
+    return parse
 
 
-def positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    return int_at_least(text, 1)
-
-
-def non_negative_int(text: str) -> int:
-    """argparse type: an integer of at least 0."""
-    return int_at_least(text, 0)
-
-
-def unit_float(text: str) -> float:
-    """argparse type: a number in [0, 1]."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"{value} is not in [0, 1]")
-    return value
-
-
-def mass_float(text: str) -> float:
-    """argparse type: a number in (0, 1]."""
-    value = float(text)
-    if not 0.0 < value <= 1.0:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"{value} is not in (0, 1]")
-    return value
-
-
-def non_negative_float(text: str) -> float:
-    """argparse type: a finite number of at least 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"{value} is not a finite number >= 0")
-    return value
-
-
-def positive_ints(text: str) -> list[int]:
-    """argparse type: comma-separated integers of at least 1."""
-    return [positive_int(part) for part in text.split(",")]
-
-
-def positive_floats(text: str) -> list[float]:
-    """argparse type: comma-separated finite numbers above 0."""
-    values = [float(part) for part in text.split(",")]
-    for value in values:
-        if not (math.isfinite(value) and value > 0.0):
-            raise argparse.ArgumentTypeError(f"{value} is not a finite number > 0")
-    return values
+def comma_list(parse):
+    """argparse type: comma-separated values, each read by the argparse type ``parse``."""
+    return lambda text: [parse(part) for part in text.split(",")]
 
 
 def grid_step(text: str) -> float:
@@ -180,19 +143,32 @@ def grid_step(text: str) -> float:
     return value
 
 
-def check_pairing(env: str, proposer: str) -> None:
+def check_run(run) -> dict:
+    """``run`` if it is a ``{"env", "proposer", "optimal_mass"}`` object of a
+    known, paired env and proposer and a mass in (0, 1], as ``memsteer run``
+    records it in summary.json, else ConfigError."""
+    if not isinstance(run, dict):
+        raise ConfigError(f"run must be a JSON object, got {run!r}")
+    env, proposer, mass = run.get("env"), run.get("proposer"), run.get("optimal_mass")
+    for key, value, known in (("env", env, ENVIRONMENTS), ("proposer", proposer, PROPOSERS)):
+        if value not in known:
+            raise ConfigError(f"run {key} must be one of {known}, got {value!r}")
     needs = {"noisy-advisor": "keydoor", "fixture-policy": "six-mdp"}
     if proposer in needs and env != needs[proposer]:
         raise ConfigError(f"proposer {proposer!r} only works with --env {needs[proposer]}")
+    if type(mass) not in (int, float) or not meets(mass, "lie in (0, 1]"):  # a bool is neither
+        raise ConfigError(f"run optimal_mass must lie in (0, 1], got {mass!r}")
+    return run
 
 
 def cmd_run(args) -> int:
     config = load_config(args)
-    check_pairing(args.env, args.proposer)
-    env_factory = build_env_factory(args.env)
-    proposer_factory = build_proposer_factory(args.proposer, args.optimal_mass)
-    report, memory, records = run_experiment(config, env_factory, proposer_factory,
-                                             mode=args.mode, out_dir=args.out)
+    run = check_run({"env": args.env, "proposer": args.proposer,
+                     "optimal_mass": args.optimal_mass})
+    report, memory, records = run_experiment(
+        config, build_env_factory(args.env),
+        build_proposer_factory(args.proposer, args.optimal_mass),
+        mode=args.mode, out_dir=args.out, run=run)
     aborted = sum(1 for r in records if r.aborted)
     print(f"mode={args.mode} env={args.env} episodes={config.episodes} "
           f"avg={report.avg_score:.3f} final={report.final_score:.3f} "
@@ -286,9 +262,12 @@ def cmd_inspect_memory(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    check_pairing(args.env, args.proposer)
-    replayed = replay_episode(args.run_dir, args.episode, build_env_factory(args.env),
-                              build_proposer_factory(args.proposer, args.optimal_mass))
+    # the env, proposer and mass the run recorded; summary.json names a bad one
+    [(_, run)] = read_json(Path(args.run_dir) / "summary.json",
+                           lambda summary: check_run(json_of(dict)(summary).get("run")),
+                           per_line=False)
+    replayed = replay_episode(args.run_dir, args.episode, build_env_factory(run["env"]),
+                              build_proposer_factory(run["proposer"], run["optimal_mass"]))
     if replayed is None:
         print(f"episode {args.episode} not found in {Path(args.run_dir) / 'records.jsonl'}")
         return 1
@@ -306,42 +285,42 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a sequential-episode experiment")
     add_config_flags(p_run)
     p_run.add_argument("--mode", choices=MODES, default="memsteer")
+    p_run.add_argument("--env", choices=ENVIRONMENTS, default="keydoor")
+    p_run.add_argument("--proposer", choices=PROPOSERS, default="noisy-advisor")
+    p_run.add_argument("--optimal-mass", dest="optimal_mass",
+                       type=bounded(float, "lie in (0, 1]"), default=0.3)
     p_run.add_argument("--out", help="output directory for metrics/records/memory")
     p_run.set_defaults(func=cmd_run)
 
     p_cons = sub.add_parser("consistency", help="estimation-error curves vs the oracle")
-    p_cons.add_argument("--sizes", type=positive_ints, default=[200, 2000, 20000],
-                        help="comma-separated memory sizes")
-    p_cons.add_argument("--seeds", type=positive_int, default=20)
-    p_cons.add_argument("--beta", type=non_negative_float, default=1.0)
-    p_cons.add_argument("--gamma", type=unit_float, default=0.9)
+    p_cons.add_argument("--sizes", type=comma_list(bounded(int, "be >= 1")),
+                        default=[200, 2000, 20000], help="comma-separated memory sizes")
+    p_cons.add_argument("--seeds", type=bounded(int, "be >= 1"), default=20)
+    p_cons.add_argument("--beta", type=bounded(float, "be >= 0"), default=1.0)
+    p_cons.add_argument("--gamma", type=bounded(float, "lie in [0, 1]"), default=0.9)
     p_cons.add_argument("--similarity-threshold", dest="similarity_threshold",
-                        type=unit_float, default=0.95)
+                        type=bounded(float, "lie in [0, 1]"), default=0.95)
     p_cons.add_argument("--out")
     p_cons.set_defaults(func=cmd_consistency)
 
     p_opt = sub.add_parser("verify-optimality",
                            help="closed-form update vs exhaustive grid search")
-    p_opt.add_argument("--instances", type=positive_int, default=120)
+    p_opt.add_argument("--instances", type=bounded(int, "be >= 1"), default=120)
     p_opt.add_argument("--step", type=grid_step, default=0.01)
-    p_opt.add_argument("--betas", type=positive_floats, default="0.5,1,2,5",
-                       help="comma-separated betas")
-    p_opt.add_argument("--seed", type=int, default=0)
+    p_opt.add_argument("--betas", type=comma_list(bounded(float, "be > 0")),
+                       default="0.5,1,2,5", help="comma-separated betas")
+    p_opt.add_argument("--seed", type=bounded(int, "be >= 0"), default=0)
     p_opt.set_defaults(func=cmd_verify_optimality)
 
     p_mem = sub.add_parser("inspect-memory", help="summarize a memory bank file")
     p_mem.add_argument("bank")
-    p_mem.add_argument("--top", type=non_negative_int, default=10)
+    p_mem.add_argument("--top", type=bounded(int, "be >= 0"), default=10)
     p_mem.set_defaults(func=cmd_inspect_memory)
 
     p_rep = sub.add_parser("replay", help="recompute a recorded episode of a run")
     p_rep.add_argument("run_dir", help="a run's --out directory")
     p_rep.add_argument("--episode", type=int, required=True)
     p_rep.set_defaults(func=cmd_replay)
-    for p in (p_run, p_rep):  # summary.json does not record these, so replay asks for them again
-        p.add_argument("--env", choices=ENVIRONMENTS, default="keydoor")
-        p.add_argument("--proposer", choices=PROPOSERS, default="noisy-advisor")
-        p.add_argument("--optimal-mass", dest="optimal_mass", type=mass_float, default=0.3)
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,

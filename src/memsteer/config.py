@@ -35,7 +35,13 @@ _BOUNDS = (("beta", "be >= 0"), ("gamma", "lie in [0, 1]"), ("k_neighbors", "be 
            ("step_limit", "be >= 1"), ("episodes", "be >= 1"), ("seed", "be >= 0"),
            ("history_length", "be >= 0"))
 _MEETS = {"be >= 0": lambda v: v >= 0, "be >= 1": lambda v: v >= 1, "be > 0": lambda v: v > 0,
-          "lie in [0, 1]": lambda v: 0 <= v <= 1}
+          "lie in [0, 1]": lambda v: 0 <= v <= 1, "lie in (0, 1]": lambda v: 0 < v <= 1}
+
+
+def meets(value: int | float, bound: str) -> bool:
+    """Whether ``value`` is finite and meets ``bound``, a bound of the table
+    above (``"be >= 1"``, ``"lie in (0, 1]"``, ...); every bound is false for NaN."""
+    return _MEETS[bound](value) and (not isinstance(value, float) or math.isfinite(value))
 
 
 class ConfigError(ValueError):
@@ -73,7 +79,7 @@ class EngineConfig:
         self._check_types()
         for name, bound in _BOUNDS:
             value = getattr(self, name)
-            if not _MEETS[bound](value):
+            if not meets(value, bound):
                 raise ConfigError(f"{name} must {bound}, got {value}")
         if self.memory_scope not in ("global", "per-task"):
             raise ConfigError(f"memory_scope must be 'global' or 'per-task', "

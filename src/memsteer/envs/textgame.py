@@ -78,46 +78,58 @@ def _list_of(value, what: str) -> list:
     return value
 
 
+def _known(value, names: dict, kind: str, what: str) -> None:
+    """Raise unless ``value`` is a string naming one of ``names``, each a ``kind``."""
+    if not isinstance(value, str):
+        raise GameConfigError(f"{what} must be a string, got {value!r}")
+    if value not in names:
+        raise GameConfigError(f"{what} names unknown {kind} {value!r}")
+
+
+def _number(value, kinds: tuple, what: str):
+    """``value`` if its type is one of ``kinds`` (so never a bool)."""
+    if type(value) not in kinds:
+        raise GameConfigError(f"{what} must be {'a number' if float in kinds else 'an integer'}, "
+                              f"got {value!r}")
+    return value
+
+
 def validate_game_config(config: dict) -> dict:
     """``config`` if it follows the schema above, else a ``GameConfigError``
-    naming the first field that does not: the config, each room, door and
-    score event must be an object holding the fields the game reads."""
+    naming the first field that does not: the config, each room, object, door
+    and score event must be an object holding the fields the game reads, each
+    name a string naming a room or an object, and each count a number."""
     _object_with(config, ("name", "max_score", "step_limit", "start_room", "rooms",
                           "objects", "doors", "score_events"), "config")
+    _number(config["max_score"], (int, float), "config field 'max_score'")
+    _number(config["step_limit"], (int,), "config field 'step_limit'")
     rooms = _object_with(config["rooms"], (), "config field 'rooms'")
     objects = _object_with(config["objects"], (), "config field 'objects'")
-    if config["start_room"] not in rooms:
-        raise GameConfigError(f"start room {config['start_room']!r} is not a room")
+    for obj_id, obj in objects.items():
+        _object_with(obj, (), f"object {obj_id!r}")
+    _known(config["start_room"], rooms, "room", "config field 'start_room'")
     for room_id, room in rooms.items():
         _object_with(room, ("title",), f"room {room_id!r}")
         exits = _object_with(room.get("exits", {}), (), f"room {room_id!r} field 'exits'")
         for direction, dest in exits.items():
-            if dest not in rooms:
-                raise GameConfigError(f"room {room_id!r} exit {direction!r} "
-                                      f"leads to unknown room {dest!r}")
+            _known(dest, rooms, "room", f"room {room_id!r} exit {direction!r}")
         for obj in _list_of(room.get("objects", []), f"room {room_id!r} field 'objects'"):
-            if obj not in objects:
-                raise GameConfigError(f"room {room_id!r} holds unknown object {obj!r}")
+            _known(obj, objects, "object", f"room {room_id!r} object")
     for i, door in enumerate(_list_of(config["doors"], "config field 'doors'")):
         _object_with(door, ("id", "title", "rooms", "requires"), f"door {i}")
-        joined = _list_of(door["rooms"], f"door {door['id']!r} field 'rooms'")
-        if len(joined) != 2:
-            raise GameConfigError(f"door {door['id']!r} field 'rooms' must name two rooms")
-        if joined[0] not in rooms or joined[1] not in rooms:
-            raise GameConfigError(f"door {door['id']!r} joins unknown rooms")
-        if door["requires"] not in objects:
-            raise GameConfigError(f"door {door['id']!r} requires unknown object")
+        what = f"door {door['id']!r}"
+        if len(_list_of(door["rooms"], f"{what} field 'rooms'")) != 2:
+            raise GameConfigError(f"{what} field 'rooms' must name two rooms")
+        for room_id in door["rooms"]:
+            _known(room_id, rooms, "room", f"{what} room")
+        _known(door["requires"], objects, "object", f"{what} field 'requires'")
     total = 0
     for i, event in enumerate(_list_of(config["score_events"], "config field 'score_events'")):
         _object_with(event, ("id", "action", "room", "points"), f"score event {i}")
-        points = event["points"]
-        if isinstance(points, bool) or not isinstance(points, (int, float)):
-            raise GameConfigError(f"event {event['id']!r} points must be a number, "
-                                  f"got {points!r}")
+        points = _number(event["points"], (int, float), f"event {event['id']!r} points")
         if points < 0:
             raise GameConfigError(f"event {event['id']!r} has negative points")
-        if event["room"] not in rooms:
-            raise GameConfigError(f"event {event['id']!r} names unknown room")
+        _known(event["room"], rooms, "room", f"event {event['id']!r} field 'room'")
         total += points
     if total != config["max_score"]:
         raise GameConfigError(f"event points sum to {total}, expected "

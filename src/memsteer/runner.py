@@ -309,11 +309,12 @@ class Session:
 
 def run_experiment(config: EngineConfig, env_factory, proposer_factory,
                    mode: str = "memsteer", evaluator=None, out_dir=None,
-                   memory: MemoryStore | None = None,
+                   memory: MemoryStore | None = None, run: dict | None = None,
                    ) -> tuple[MetricsReport, MemoryStore, list[EpisodeRecord]]:
     """Sequential episodes sharing one evolving memory (static mode never
     touches it). Writes metrics.csv, summary.json, records.jsonl and
-    memory.jsonl under ``out_dir`` when given.
+    memory.jsonl under ``out_dir`` when given, and ``run``, when given, as
+    summary.json's ``"run"`` (the env, proposer and optimal mass a replay builds).
 
     ``env_factory(rng)`` builds a fresh environment per episode;
     ``proposer_factory(env)`` binds the proposer to it. memory.jsonl is
@@ -331,7 +332,7 @@ def run_experiment(config: EngineConfig, env_factory, proposer_factory,
     report = MetricsReport(scores=[r.final_score for r in records],
                            successes=[r.success for r in records])
     if out_dir is not None:
-        write_outputs(Path(out_dir), config, mode, report, records, session.memory)
+        write_outputs(Path(out_dir), config, mode, report, records, session.memory, run)
     return report, session.memory, records
 
 
@@ -393,8 +394,7 @@ def _check_outputs(out_dir: Path) -> None:
 
 def write_outputs(out_dir: Path, config: EngineConfig, mode: str,
                   report: MetricsReport, records: Sequence[EpisodeRecord],
-                  memory: MemoryStore) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+                  memory: MemoryStore, run: dict | None) -> None:
     write_metrics_csv(out_dir / "metrics.csv", records)
     summary = {
         "mode": mode,
@@ -407,6 +407,8 @@ def write_outputs(out_dir: Path, config: EngineConfig, mode: str,
         "memory_entries": len(memory),
         "learning_curve": report.running_avg(),
     }
+    if run is not None:
+        summary["run"] = run
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     with open(out_dir / "records.jsonl", "w", encoding="utf-8") as fh:

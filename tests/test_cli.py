@@ -35,6 +35,7 @@ def test_run_subcommand_writes_outputs(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mode"] == "memsteer"
     assert summary["episodes"] == 3
+    assert summary["run"] == {"env": "keydoor", "proposer": "noisy-advisor", "optimal_mass": 0.3}
 
 
 def test_keydoor_factory_checks_its_config_only_when_built_and_shares_no_table(monkeypatch):
@@ -167,7 +168,7 @@ def test_run_config_flag_reaches_config(tmp_path, monkeypatch, flag, field, valu
 
     seen = {}
 
-    def fake_run_experiment(config, env_factory, proposer_factory, mode, out_dir):
+    def fake_run_experiment(config, env_factory, proposer_factory, mode, out_dir, run):
         seen["config"] = config
         return MetricsReport(scores=[0.0], successes=[False]), [], []
 
@@ -298,20 +299,30 @@ def test_replay_subcommand_matches_under_capacity(tmp_path, capsys):
     assert "episode 3: MATCH" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("run_flags,replay_flags", [
-    (["--mode", "static"], []),
-    (["--mode", "greedy-memory"], []),
-    (["--memory-capacity", "7"], []),
-    (["--similarity-threshold", "0.2"], []),  # reaches retrieval's need == 0 scan
-    (["--env", "six-mdp", "--proposer", "fixture-policy"],
-     ["--env", "six-mdp", "--proposer", "fixture-policy"]),
-], ids=["static", "greedy-memory", "capacity-7", "threshold-0.2", "six-mdp"])
-def test_replay_matches_every_episode_of_a_flag_only_run(tmp_path, capsys, run_flags,
-                                                         replay_flags):
+@pytest.mark.parametrize("run_flags", [
+    ["--mode", "static"],
+    ["--mode", "greedy-memory"],
+    ["--memory-capacity", "7"],
+    ["--similarity-threshold", "0.2"],  # reaches retrieval's need == 0 scan
+    ["--env", "six-mdp", "--proposer", "fixture-policy"],
+    ["--optimal-mass", "0.6"],
+], ids=["static", "greedy-memory", "capacity-7", "threshold-0.2", "six-mdp", "mass-0.6"])
+def test_replay_matches_every_episode_of_a_flag_only_run(tmp_path, capsys, run_flags):
+    # replay takes the env, the proposer and the optimal mass from summary.json
     out = flag_only_run(tmp_path, capsys, "--episodes", "6", *run_flags)
     for episode in range(6):
-        assert main(["replay", str(out), "--episode", str(episode), *replay_flags]) == 0
+        assert main(["replay", str(out), "--episode", str(episode)]) == 0
         assert capsys.readouterr().out == f"episode {episode}: MATCH\n"
+
+
+def test_replay_refuses_its_former_flags(tmp_path, capsys):
+    out = flag_only_run(tmp_path, capsys, "--episodes", "1")
+    for flag, value in (("--env", "keydoor"), ("--proposer", "noisy-advisor"),
+                        ("--optimal-mass", "0.3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(out), "--episode", "0", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_replay_missing_episode(tmp_path, capsys):
@@ -323,19 +334,30 @@ def test_replay_missing_episode(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["0", "-0.25", "1.5", "nan", "inf"])
 @pytest.mark.parametrize("command", ["run", "replay"])
-def test_optimal_mass_is_checked_before_any_file_is_touched(tmp_path, capsys, command, value):
+def test_optimal_mass_is_checked_before_any_file_is_touched(tmp_path, monkeypatch, capsys,
+                                                            command, value):
+    # run checks its flag; replay checks the mass its run recorded in summary.json
     out = tmp_path / "exp"
-    out.mkdir()
+    if command == "run":
+        out.mkdir()
+        argv = ["run", "--beta", "2", "--out", str(out), "--optimal-mass", value]
+        expected = "argument --optimal-mass: must lie in (0, 1]"
+    else:
+        out = flag_only_run(tmp_path, capsys, "--episodes", "1")
+        summary_path = out / "summary.json"
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        summary["run"]["optimal_mass"] = float(value)
+        summary_path.write_text(json.dumps(summary), encoding="utf-8")
+        monkeypatch.setattr(cli, "replay_episode", lambda *args: pytest.fail("replayed"))
+        argv = ["replay", str(out), "--episode", "0"]
+        expected = (f"error: {summary_path}: run optimal_mass must lie in (0, 1], "
+                    f"got {float(value)!r}")
     bank = out / "memory.jsonl"
     bank.write_text("kept\n", encoding="utf-8")
-    if command == "run":
-        argv = ["run", "--beta", "2", "--out", str(out)]
-    else:
-        argv = ["replay", str(out), "--episode", "0"]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--optimal-mass", value])
+        main(argv)
     assert exc.value.code == 2
-    assert "argument --optimal-mass" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
     assert bank.read_text(encoding="utf-8") == "kept\n"
 
 
@@ -453,9 +475,26 @@ _MODES = "('memsteer', 'static', 'greedy-memory')"
     (lambda summary: {**summary, "mode": "ablation"},
      f"mode must be one of {_MODES}, got 'ablation'"),
     (lambda summary: {**summary, "mode": None}, f"mode must be one of {_MODES}, got None"),
+    (lambda summary: {k: v for k, v in summary.items() if k != "run"},
+     "run must be a JSON object, got None"),
+    (lambda summary: {**summary, "run": ["keydoor"]}, "run must be a JSON object, got ['keydoor']"),
+    (lambda summary: {**summary, "run": {**summary["run"], "env": "web"}},
+     f"run env must be one of {cli.ENVIRONMENTS}, got 'web'"),
+    (lambda summary: {**summary, "run": {**summary["run"], "proposer": None}},
+     f"run proposer must be one of {cli.PROPOSERS}, got None"),
+    (lambda summary: {**summary, "run": {**summary["run"], "env": "six-mdp"}},
+     "proposer 'noisy-advisor' only works with --env keydoor"),
+    (lambda summary: {**summary, "run": {**summary["run"], "optimal_mass": True}},
+     "run optimal_mass must lie in (0, 1], got True"),
+    (lambda summary: {**summary, "run": {**summary["run"], "optimal_mass": "0.3"}},
+     "run optimal_mass must lie in (0, 1], got '0.3'"),
+    (lambda summary: {**summary, "run": {k: v for k, v in summary["run"].items()
+                                         if k != "optimal_mass"}},
+     "run optimal_mass must lie in (0, 1], got None"),
 ], ids=["not-json", "empty", "not-utf8", "not-an-object", "no-config", "config-not-an-object",
         "no-mode", "bad-config-value", "bool-config-value", "unknown-config-field",
-        "unknown-mode", "null-mode"])
+        "unknown-mode", "null-mode", "no-run", "run-not-an-object", "unknown-env",
+        "unknown-proposer", "mispaired", "bool-mass", "text-mass", "no-mass"])
 def test_replay_ends_an_unreadable_summary_in_one_line(tmp_path, capsys, edit, reason):
     out = flag_only_run(tmp_path, capsys, "--episodes", "2")
     summary_path = out / "summary.json"
@@ -597,12 +636,14 @@ OUTCOMES = {
         ["run", "--beta", "2", "--out", str(written(tmp_path / "out", b""))],
         f"error: {tmp_path / 'out'}: File exists"),
     "run-output-is-a-directory": summary_is_a_directory,
+    "run-config-and-profile": argparse_case("run", "--config", "c.json", "--profile", "web"),
     "consistency-argparse": argparse_case("consistency", "--beta", "-1"),
     "consistency-out-is-a-file": lambda tmp_path, monkeypatch: (
         ["consistency", "--sizes", "50", "--seeds", "1",
          "--out", str(written(tmp_path / "out", b""))],
         f"error: {tmp_path / 'out'}: File exists"),
     "verify-optimality-argparse": argparse_case("verify-optimality", "--instances", "0"),
+    "verify-optimality-negative-seed": argparse_case("verify-optimality", "--seed", "-1"),
     "inspect-memory-argparse": argparse_case("inspect-memory", "bank.jsonl", "--top", "-1"),
     "inspect-memory-missing-bank": lambda tmp_path, monkeypatch: (
         ["inspect-memory", str(tmp_path / "gone.jsonl")],
@@ -611,15 +652,17 @@ OUTCOMES = {
         ["inspect-memory", str(written(tmp_path / "bank.jsonl", b"{}\n"))],
         f"error: {tmp_path / 'bank.jsonl'}: {BANK_REASON}"),
     "replay-argparse": argparse_case("replay", "exp", "--episode", "x"),
-    "replay-pairing": lambda tmp_path, monkeypatch: (
-        ["replay", str(tmp_path), "--episode", "0", "--env", "six-mdp"],
-        "error: proposer 'noisy-advisor' only works with --env keydoor"),
+    "replay-pairing": replay_case(
+        "summary.json", b'{"run": {"env": "six-mdp", "proposer": "noisy-advisor", '
+                        b'"optimal_mass": 0.3}}',
+        "proposer 'noisy-advisor' only works with --env keydoor"),
     "replay-malformed-bank": replay_case("memory.jsonl", b"{}\n", BANK_REASON),
     "replay-malformed-records": replay_case("records.jsonl", b"[0]\n",
                                             'line 1: record has no "episode" field'),
     "replay-malformed-summary": replay_case("summary.json", b"[]", "not a JSON object"),
     "replay-summary-config-value": replay_case(
-        "summary.json", b'{"mode": "static", "config": {"beta": -1}}',
+        "summary.json", b'{"mode": "static", "config": {"beta": -1}, "run": {"env": "keydoor", '
+                        b'"proposer": "noisy-advisor", "optimal_mass": 0.3}}',
         "beta must be >= 0, got -1"),
     "replay-missing-summary": replay_case("summary.json", None, "No such file or directory"),
     "replay-missing-records": replay_case("records.jsonl", None, "No such file or directory"),

@@ -292,6 +292,31 @@ MALFORMED_GAME_CONFIGS = {
     "event-points-text": (lambda: _config_with(
         lambda c: c["score_events"][0].update(points="10")),
         "points must be a number, got '10'"),
+    # a list where a name belongs used to raise TypeError (unhashable), an
+    # object that is not an object or a text number to fail only mid-game
+    "start-room-a-list": (lambda: _config_with(lambda c: c.update(start_room=["hall"])),
+                          "config field 'start_room' must be a string, got ['hall']"),
+    "exit-a-list": (lambda: _config_with(
+        lambda c: c["rooms"]["hall"]["exits"].update(north=["corridor"])),
+        "room 'hall' exit 'north' must be a string, got ['corridor']"),
+    "room-object-a-list": (lambda: _config_with(
+        lambda c: c["rooms"]["library"].update(objects=[["key"]])),
+        "room 'library' object must be a string, got ['key']"),
+    "door-room-a-list": (lambda: _config_with(
+        lambda c: c["doors"][0].update(rooms=["gallery", ["vault"]])),
+        "door 'irondoor' room must be a string, got ['vault']"),
+    "door-requires-a-list": (lambda: _config_with(
+        lambda c: c["doors"][0].update(requires=["key"])),
+        "door 'irondoor' field 'requires' must be a string, got ['key']"),
+    "event-room-a-list": (lambda: _config_with(
+        lambda c: c["score_events"][0].update(room=["library"])),
+        "event 'got-key' field 'room' must be a string, got ['library']"),
+    "object-a-number": (lambda: _config_with(lambda c: c["objects"].update(key=5)),
+                        "object 'key' must be an object, got 5"),
+    "step-limit-text": (lambda: _config_with(lambda c: c.update(step_limit="60")),
+                        "config field 'step_limit' must be an integer, got '60'"),
+    "max-score-text": (lambda: _config_with(lambda c: c.update(max_score="100")),
+                       "config field 'max_score' must be a number, got '100'"),
 }
 
 
