@@ -12,6 +12,11 @@ Config files are JSON (see memsteer.config); flags override file values. Exit
 status 2: the input was refused and nothing ran, with one ``error:`` line on
 stderr, worded by argparse or by :func:`main` alone; 1: the command ran and its
 answer is negative (a FAIL, a MISMATCH, no such episode).
+
+Each command imports what it runs inside the function that runs it, so
+importing this module loads only ``memsteer.config``, ``memsteer.memory`` and
+``memsteer.tokens``. Without a bytecode cache every module loaded is compiled
+at start-up, and ``inspect-memory`` never compiles the runner.
 """
 
 from __future__ import annotations
@@ -27,11 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from memsteer.config import ConfigError, EngineConfig, PROFILES, meets
+from memsteer.config import MODES, PROFILES, ConfigError, EngineConfig, meets
 from memsteer.memory import MemoryFormatError, json_of, read_bank, read_json
-from memsteer.oracle import check_grid_step
-from memsteer.runner import (MODES, replay_episode, run_consistency_experiment,
-                             run_experiment, summarize_consistency, write_consistency_csv)
 
 ENVIRONMENTS = ("keydoor", "six-mdp")
 PROPOSERS = ("noisy-advisor", "uniform", "fixture-policy")
@@ -135,6 +137,8 @@ def comma_list(parse):
 
 def grid_step(text: str) -> float:
     """argparse type: a step the grid oracle takes (``oracle.check_grid_step``)."""
+    from memsteer.oracle import check_grid_step
+
     value = float(text)
     try:
         check_grid_step(value)
@@ -162,6 +166,8 @@ def check_run(run) -> dict:
 
 
 def cmd_run(args) -> int:
+    from memsteer.runner import run_experiment
+
     config = load_config(args)
     run = check_run({"env": args.env, "proposer": args.proposer,
                      "optimal_mass": args.optimal_mass})
@@ -181,6 +187,8 @@ def cmd_run(args) -> int:
 
 def cmd_consistency(args) -> int:
     from memsteer.envs.tabular import six_state_fixture
+    from memsteer.runner import (run_consistency_experiment, summarize_consistency,
+                                 write_consistency_csv)
 
     if args.out:  # made first, so a directory that cannot be made is refused before the run
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -262,6 +270,8 @@ def cmd_inspect_memory(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from memsteer.runner import replay_episode
+
     # the env, proposer and mass the run recorded; summary.json names a bad one
     [(_, run)] = read_json(Path(args.run_dir) / "summary.json",
                            lambda summary: check_run(json_of(dict)(summary).get("run")),

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 from memsteer.memory import json_of, read_json
@@ -27,6 +28,9 @@ PROFILES = {
     "web": dict(gamma=0.1, similarity_threshold=0.8, exploration_rate=0.05, step_limit=10,
                 task_similarity_threshold=0.27),
 }
+# how a run picks its actions: the full engine, the base policy alone, or the
+# greedy ablation (memsteer.runner)
+MODES = ("memsteer", "static", "greedy-memory")
 
 # the bounds validate checks first, in order: (field, the bound its value must meet)
 _BOUNDS = (("beta", "be >= 0"), ("gamma", "lie in [0, 1]"), ("k_neighbors", "be >= 1"),
@@ -42,6 +46,14 @@ def meets(value: int | float, bound: str) -> bool:
     """Whether ``value`` is finite and meets ``bound``, a bound of the table
     above (``"be >= 1"``, ``"lie in (0, 1]"``, ...); every bound is false for NaN."""
     return _MEETS[bound](value) and (not isinstance(value, float) or math.isfinite(value))
+
+
+def _finite(value: int | float) -> bool:
+    """Whether a float is finite, or an int lies in float range; ``math.isfinite``
+    raises OverflowError for an int past it."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return -sys.float_info.max <= value <= sys.float_info.max
 
 
 class ConfigError(ValueError):
@@ -114,8 +126,9 @@ class EngineConfig:
                 raise ConfigError(f"action rule {rule!r} does not compile: {exc}") from exc
 
     def _check_types(self) -> None:
-        """Integer fields hold an ``int`` and float fields a finite number,
-        never a ``bool``; an optional field may also hold None."""
+        """Integer fields hold an ``int`` and float fields a finite number (a
+        finite float, or an int a float can hold), never a ``bool``; an
+        optional field may also hold None."""
         for f in dataclasses.fields(self):
             kind, _, optional = f.type.partition(" | ")  # annotations are strings
             value = getattr(self, f.name)
@@ -123,7 +136,7 @@ class EngineConfig:
                 continue
             allowed = int if kind == "int" else (int, float)
             if (isinstance(value, bool) or not isinstance(value, allowed)
-                    or not math.isfinite(value)):
+                    or kind == "float" and not _finite(value)):
                 noun = "an integer" if kind == "int" else "a finite number"
                 raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
 

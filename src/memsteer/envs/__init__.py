@@ -1,9 +1,11 @@
 """Desk-scale environments with exact ground truth.
 
-``tabular`` holds a small stochastic MDP family (the substrate for the
-convergence experiments), ``textgame`` a deterministic key-door micro-game
-driven by a declarative config, and ``abstraction`` the observation-to-state
-mapping shared by both.
+``memsteer.envs.tabular`` holds a small stochastic MDP family (the substrate
+for the convergence experiments), ``memsteer.envs.textgame`` a deterministic
+key-door micro-game driven by a declarative config, and
+``memsteer.envs.abstraction`` the observation-to-state mapping shared by
+both. The package itself holds only :class:`Observation`, so importing one
+environment does not compile the other: import each name from its own module.
 """
 
 from __future__ import annotations
@@ -21,7 +23,4 @@ class Observation:
     valid_actions: list[str] = field(default_factory=list)
 
 
-from memsteer.envs.tabular import TabularMDP, mdp_step  # noqa: E402
-from memsteer.envs.textgame import TextMicroGame  # noqa: E402
-
-__all__ = ["Observation", "TabularMDP", "TextMicroGame", "mdp_step"]
+__all__ = ["Observation"]

@@ -18,7 +18,8 @@ fixture):
 * ``score_events``: list of ``{"id", "action", "room", "requires": [objects],
   "points"}``. An event fires (once per episode) when the exact action is
   taken in the room while holding the required objects (checked before the
-  action's effects). Points are non-negative.
+  action's effects); a missing ``requires`` requires none. Points are
+  non-negative.
 
 Supported actions: ``go <direction>``, ``take <object>``, ``put <object>``,
 ``unlock <door title>``, ``look``. The valid-action list is deterministic and
@@ -130,6 +131,8 @@ def validate_game_config(config: dict) -> dict:
         if points < 0:
             raise GameConfigError(f"event {event['id']!r} has negative points")
         _known(event["room"], rooms, "room", f"event {event['id']!r} field 'room'")
+        for obj in _list_of(event.get("requires", []), f"event {event['id']!r} field 'requires'"):
+            _known(obj, objects, "object", f"event {event['id']!r} required object")
         total += points
     if total != config["max_score"]:
         raise GameConfigError(f"event points sum to {total}, expected "

@@ -1,38 +1,23 @@
-"""Base-policy proposers: scripted tables and remote chat endpoints.
+"""Base-policy proposers: the request and response types and the scripted
+policies.
 
 A proposer turns (state, history, valid actions) into candidate actions with
-logits. Scripted proposers make experiments exactly reproducible; the two
-remote variants cover endpoints that expose token log-probabilities and
-endpoints that only verbalize a 0-100 confidence per candidate. All of them
-keep the candidates that match a valid action, spelled as that valid action.
-
-Wire protocol (chat completion): requests are JSON objects
-``{"model", "messages", "temperature", "logprobs"?, "top_logprobs"?}``;
-responses must carry the assistant text at ``choices[0].message.content`` and
-— for the token-logit path — per-token alternatives at
-``choices[0].logprobs.content[0].top_logprobs`` as ``{"token", "logprob"}``
-pairs. Recorded request/response fixtures replay offline via
-``FixtureChatClient``; deterministic tests never touch the network.
+logits. Scripted proposers make experiments exactly reproducible. Every
+proposer keeps the candidates that match a valid action, spelled as that valid
+action (:func:`_ask_for_valid`). The remote proposers, which ask a
+chat-completion endpoint, live in :mod:`memsteer.wire`, so a scripted run
+never compiles the wire path.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import math
-import time
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Protocol, Sequence
 
-from memsteer.memory import IDENTITY_NORMALIZER, json_of, read_json
-
-log = logging.getLogger(__name__)
-
-FLOOR_PROB = 1e-6        # token-logit probability of an index the reply omits
-TOP_LOGPROBS = 8         # fewest token alternatives the index request asks for
-CONFIDENCE_FLOOR = 1.0   # least verbalized confidence, so every logit is finite
+from memsteer.memory import IDENTITY_NORMALIZER
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,258 +155,3 @@ def uniform_policy(request: ProposerRequest) -> dict[str, float]:
         raise ProposerError("uniform policy needs valid_actions on the request")
     p = 1.0 / len(request.valid_actions)
     return {action: p for action in request.valid_actions}
-
-
-# -- chat clients -------------------------------------------------------------
-
-
-class ChatClient(Protocol):
-    def complete(self, payload: dict) -> dict:
-        """One chat-completion exchange. Retries its own transport and raises
-        :class:`ProposerError` when it gives up."""
-
-
-class HttpChatClient:
-    """Blocking chat-completion client with timeout and bounded retry; the one
-    layer of the package that retries a failed transport.
-
-    Transport errors, unreadable replies, 5xx and 429 are sent again, up to
-    ``max_attempts`` sends; any other HTTP error raises after one send.
-    """
-
-    def __init__(self, url: str, api_key: str | None = None, timeout: float = 30.0,
-                 max_attempts: int = 3, retry_delay: float = 0.5):
-        self.url = url
-        self.api_key = api_key
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.retry_delay = retry_delay
-
-    def complete(self, payload: dict) -> dict:
-        import requests  # deferred: only remote endpoints need it, and it is slow to import
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last: Exception | None = None
-        for attempt in range(self.max_attempts):
-            try:
-                response = requests.post(self.url, json=payload, headers=headers,
-                                         timeout=self.timeout)
-                response.raise_for_status()
-                return response.json()
-            except (requests.RequestException, ValueError) as exc:
-                # a resend cannot fix a client error (4xx) other than 429
-                if (isinstance(exc, requests.HTTPError) and exc.response.status_code < 500
-                        and exc.response.status_code != 429):
-                    raise ProposerError(f"chat endpoint rejected the request: {exc}") from exc
-                last = exc
-                log.warning("chat request attempt %d/%d failed: %s",
-                            attempt + 1, self.max_attempts, exc)
-                if attempt + 1 < self.max_attempts:
-                    time.sleep(self.retry_delay)
-        raise ProposerError(f"chat endpoint failed after {self.max_attempts} attempts: {last}")
-
-
-class FixtureChatClient:
-    """Replays recorded request -> response exchanges, in order.
-
-    Fixture files are JSON lists of ``{"request": {...}, "response": {...}}``.
-    When a recorded request carries "model" or "messages" they must match the
-    live payload, which catches prompt drift in tests.
-    """
-
-    def __init__(self, exchanges: Sequence[dict] | str):
-        if isinstance(exchanges, str):
-            [(_, exchanges)] = read_json(exchanges, json_of(list), per_line=False)
-        self.exchanges = list(exchanges)
-        self.cursor = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self.exchanges) - self.cursor
-
-    def complete(self, payload: dict) -> dict:
-        if self.cursor >= len(self.exchanges):
-            raise ProposerError("fixture exhausted: no recorded response left")
-        exchange = self.exchanges[self.cursor]
-        self.cursor += 1
-        recorded = exchange.get("request", {})
-        for key in ("model", "messages"):
-            if key in recorded and recorded[key] != payload.get(key):
-                raise ProposerError(
-                    f"fixture request mismatch on {key!r} at exchange {self.cursor - 1}",
-                    payload=payload)
-        return exchange["response"]
-
-
-# -- remote proposers ----------------------------------------------------------
-
-
-def reply_object(payload: dict, error: Callable[..., Exception]) -> dict:
-    """The JSON object at ``choices[0].message.content`` of a chat reply; raises
-    ``error(message, payload=payload)`` when there is none."""
-    try:
-        body = json.loads(payload["choices"][0]["message"]["content"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise error(f"reply has no JSON content: {exc!r}", payload=payload) from exc
-    if not isinstance(body, dict):
-        raise error("reply content is not a JSON object", payload=payload)
-    return body
-
-
-def _request_lines(request: ProposerRequest) -> list[str]:
-    """The state, recent-action and valid-action lines of both proposal prompts."""
-    lines = [f"State: {request.state_text}"]
-    if request.history_text:
-        lines.append(f"Recent actions: {request.history_text}")
-    if request.valid_actions is not None:
-        lines.append("Valid actions (choose only from these): "
-                     + "; ".join(request.valid_actions))
-    return lines
-
-
-def generation_messages(request: ProposerRequest) -> list[dict]:
-    lines = _request_lines(request)
-    lines.append(f"Propose up to {request.n_candidates} distinct promising actions.")
-    return [
-        {"role": "system", "content":
-            "You control an agent in an interactive environment. Respond with "
-            'JSON only: {"options": ["<action>", ...]} listing your candidate '
-            "actions, best first."},
-        {"role": "user", "content": "\n".join(lines)},
-    ]
-
-
-def index_messages(actions: Sequence[str]) -> list[dict]:
-    numbered = "\n".join(f"{i + 1}. {a}" for i, a in enumerate(actions))
-    return [
-        {"role": "system", "content":
-            "Pick the best action. Answer with the index digit only."},
-        {"role": "user", "content": f"Candidate actions:\n{numbered}\nBest index:"},
-    ]
-
-
-def verbalized_messages(request: ProposerRequest) -> list[dict]:
-    lines = _request_lines(request)
-    lines.append(f"Propose up to {request.n_candidates} distinct actions with an "
-                 "integer confidence 0-100 each; confidences must sum to 100.")
-    return [
-        {"role": "system", "content":
-            "You control an agent in an interactive environment. Respond with "
-            'JSON only: {"options": [{"action": "<action>", "confidence": '
-            "<integer 0-100>}, ...]}."},
-        {"role": "user", "content": "\n".join(lines)},
-    ]
-
-
-class TokenLogitProposer:
-    """Derives logits from the endpoint's token log-probabilities.
-
-    One call generates candidate actions; a second call asks the model to
-    answer with the best candidate's index while requesting log-probabilities,
-    and the logit of candidate i is the log-probability of the token "i+1" at
-    the answer position. Index tokens absent from the returned alternatives
-    fall back to ``log(FLOOR_PROB)``.
-    """
-
-    def __init__(self, client: ChatClient, model: str, temperature: float = 0.8):
-        self.client = client
-        self.model = model
-        self.temperature = temperature
-
-    def _generate_actions(self, request: ProposerRequest) -> tuple[list[tuple[str]], dict]:
-        """Proposed actions as 1-tuples (the option shape of
-        :func:`_ask_for_valid`), and the reply payload."""
-        payload = self.client.complete({
-            "model": self.model,
-            "temperature": self.temperature,
-            "messages": generation_messages(request),
-        })
-        options = reply_object(payload, ProposerError).get("options")
-        if not isinstance(options, list) or not all(isinstance(o, str) and o for o in options):
-            raise ProposerError('expected {"options": [<non-empty action strings>]}',
-                                payload=payload)
-        return [(a,) for a in options], payload
-
-    def propose(self, request: ProposerRequest) -> ProposerResponse:
-        actions = [action for (action,) in _ask_for_valid(self._generate_actions, request)]
-        logit_payload = self.client.complete({
-            "model": self.model,
-            "temperature": 0.0,
-            "messages": index_messages(actions),
-            "logprobs": True,
-            "top_logprobs": max(TOP_LOGPROBS, len(actions)),
-        })
-        try:
-            alternatives = logit_payload["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProposerError(f"response carries no token log-probabilities: {exc!r}",
-                                payload=logit_payload) from exc
-        by_token = {}
-        for alt in alternatives:
-            try:
-                by_token.setdefault(alt["token"], float(alt["logprob"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProposerError(f"malformed logprob entry {alt!r}",
-                                    payload=logit_payload) from exc
-        floor = math.log(FLOOR_PROB)
-        candidates = [(action, by_token.get(str(i + 1), floor))
-                      for i, action in enumerate(actions)]
-        return ProposerResponse(candidates=candidates)
-
-
-def confidence_logits(confidences: Sequence[int]) -> list[float]:
-    """log of the confidences floored at :data:`CONFIDENCE_FLOOR`, renormalized.
-
-    The minimal map whose softmax recovers the verbalized distribution; the
-    floor keeps zero confidences finite.
-    """
-    floored = [max(float(c), CONFIDENCE_FLOOR) for c in confidences]
-    total = sum(floored)
-    return [math.log(c / total) for c in floored]
-
-
-class VerbalizedProposer:
-    """Derives logits from verbalized 0-100 confidences (for endpoints
-    that hide log-probabilities)."""
-
-    def __init__(self, client: ChatClient, model: str, temperature: float = 0.8):
-        self.client = client
-        self.model = model
-        self.temperature = temperature
-
-    def _ask(self, request: ProposerRequest) -> tuple[list[tuple[str, int]], dict]:
-        payload = self.client.complete({
-            "model": self.model,
-            "temperature": self.temperature,
-            "messages": verbalized_messages(request),
-        })
-        options = reply_object(payload, ProposerError).get("options")
-        if not isinstance(options, list) or not options:
-            raise ProposerError('expected {"options": [{"action", "confidence"}]}',
-                                payload=payload)
-        parsed: list[tuple[str, int]] = []
-        for item in options:
-            try:
-                action = item["action"]
-                confidence = item["confidence"]
-            except (KeyError, TypeError) as exc:
-                raise ProposerError(f"malformed option {item!r}", payload=payload) from exc
-            if not isinstance(action, str) or not action:
-                raise ProposerError(f"action must be a non-empty string, got {action!r}",
-                                    payload=payload)
-            if isinstance(confidence, bool) or not isinstance(confidence, int):
-                raise ProposerError(f"confidence must be an integer, got {confidence!r}",
-                                    payload=payload)
-            if not 0 <= confidence <= 100:
-                raise ProposerError(f"confidence {confidence} outside [0, 100]",
-                                    payload=payload)
-            parsed.append((action, confidence))
-        return parsed, payload
-
-    def propose(self, request: ProposerRequest) -> ProposerResponse:
-        parsed = _ask_for_valid(self._ask, request)
-        logits = confidence_logits([c for _, c in parsed])
-        candidates = [(action, z) for (action, _), z in zip(parsed, logits)]
-        return ProposerResponse(candidates=candidates)

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from memsteer.config import EngineConfig
+from memsteer.config import MODES, EngineConfig
 from memsteer.envs.abstraction import abstract_state
 from memsteer.envs.tabular import TabularMDP
 from memsteer.estimator import KNOWN, advantage_vector, estimate_candidates
@@ -54,7 +54,6 @@ from memsteer.returns import (EnvironmentTruthEvaluator, EvaluationOutcome, Traj
 
 log = logging.getLogger(__name__)
 
-MODES = ("memsteer", "static", "greedy-memory")
 # (config field, MemoryStore attribute) pairs a session's store must agree on
 STORE_FIELDS = (("memory_capacity", "capacity"), ("state_weight", "state_weight"),
                 ("history_weight", "history_weight"))

@@ -163,7 +163,6 @@ RUN_CONFIG_FLAGS = [
 @pytest.mark.parametrize("flag,field,value", RUN_CONFIG_FLAGS,
                          ids=[flag for flag, _, _ in RUN_CONFIG_FLAGS])
 def test_run_config_flag_reaches_config(tmp_path, monkeypatch, flag, field, value, from_file):
-    import memsteer.cli as cli
     from memsteer.runner import MetricsReport
 
     seen = {}
@@ -172,7 +171,7 @@ def test_run_config_flag_reaches_config(tmp_path, monkeypatch, flag, field, valu
         seen["config"] = config
         return MetricsReport(scores=[0.0], successes=[False]), [], []
 
-    monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+    monkeypatch.setattr("memsteer.runner.run_experiment", fake_run_experiment)
     argv = ["run", flag, str(value)]
     if flag != "--beta":
         argv += ["--beta", "1"]
@@ -222,9 +221,14 @@ def test_consistency_rejects_rates_out_of_range(flags, named, capsys):
     assert f"argument {named}" in capsys.readouterr().err
 
 
+def test_run_takes_a_seed_past_float_range(capsys):
+    # SeedSequence takes any int; the config check used to raise OverflowError
+    assert main(["run", "--beta", "2", "--episodes", "1", "--seed", HUGE.decode()]) == 0
+
+
 def test_consistency_reports_a_size_without_neighbours(monkeypatch, capsys):
     # every probe retrieval of the size came back empty, so no point was kept
-    monkeypatch.setattr("memsteer.cli.run_consistency_experiment", lambda *a, **kw: [])
+    monkeypatch.setattr("memsteer.runner.run_consistency_experiment", lambda *a, **kw: [])
     assert main(["consistency", "--sizes", "50", "--seeds", "1"]) == 0
     assert "N=     50  no probe retrieval found a neighbour" in capsys.readouterr().out
 
@@ -348,7 +352,8 @@ def test_optimal_mass_is_checked_before_any_file_is_touched(tmp_path, monkeypatc
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         summary["run"]["optimal_mass"] = float(value)
         summary_path.write_text(json.dumps(summary), encoding="utf-8")
-        monkeypatch.setattr(cli, "replay_episode", lambda *args: pytest.fail("replayed"))
+        monkeypatch.setattr("memsteer.runner.replay_episode",
+                            lambda *args: pytest.fail("replayed"))
         argv = ["replay", str(out), "--episode", "0"]
         expected = (f"error: {summary_path}: run optimal_mass must lie in (0, 1], "
                     f"got {float(value)!r}")
@@ -614,6 +619,9 @@ def replay_finds_no_episode(tmp_path, monkeypatch):
     return ["replay", str(out), "--episode", "9"], "episode 9 not found in"
 
 
+HUGE = b"9" * 400  # an int past float range
+
+
 BANK_REASON = ("line 1: missing fields ['state_text', 'history_text', 'action', 'return', "
                "'episode', 'step', 'time']")
 OUTCOMES = {
@@ -632,6 +640,10 @@ OUTCOMES = {
     "run-config-not-json": config_case(b'{"beta": 2,', "invalid JSON "
                                        "(Expecting property name enclosed in double quotes)"),
     "run-config-array": config_case(b"[1, 2]", "not a JSON object"),
+    # a float field's int past float range raised OverflowError in math.isfinite
+    "run-config-int-past-float-range": lambda tmp_path, monkeypatch: (
+        ["run", "--config", str(written(tmp_path / "config.json", b'{"beta": %s}' % HUGE))],
+        f"error: beta must be a finite number, got {HUGE.decode()}"),
     "run-out-is-a-file": lambda tmp_path, monkeypatch: (
         ["run", "--beta", "2", "--out", str(written(tmp_path / "out", b""))],
         f"error: {tmp_path / 'out'}: File exists"),

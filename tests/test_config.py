@@ -102,6 +102,14 @@ def test_float_fields_accept_integers():
     assert (config.beta, config.gamma, config.exploration_bonus) == (2, 1, 0)
 
 
+def test_an_int_past_float_range_fits_an_int_field_but_not_a_float_field():
+    huge = int("9" * 400)  # math.isfinite(huge) raises OverflowError
+    assert EngineConfig.from_dict({"beta": 1.0, "seed": huge}).seed == huge
+    for field in ("beta", "terminal_bonus"):
+        with pytest.raises(ConfigError, match=rf"^{field} must be a finite number, got 9{{400}}$"):
+            EngineConfig.from_dict({"beta": 1.0, field: huge})
+
+
 def test_beta_must_be_finite():
     with pytest.raises(ConfigError, match="beta"):
         EngineConfig(beta=float("nan"))

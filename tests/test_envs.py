@@ -311,6 +311,14 @@ MALFORMED_GAME_CONFIGS = {
     "event-room-a-list": (lambda: _config_with(
         lambda c: c["score_events"][0].update(room=["library"])),
         "event 'got-key' field 'room' must be a string, got ['library']"),
+    # a string was iterated as its characters and an unknown object accepted,
+    # so the event silently never fired
+    "event-requires-a-string": (lambda: _config_with(
+        lambda c: c["score_events"][1].update(requires="key")),
+        "event 'door-open' field 'requires' must be a list, got 'key'"),
+    "event-requires-unknown-object": (lambda: _config_with(
+        lambda c: c["score_events"][1].update(requires=["nothing"])),
+        "event 'door-open' required object names unknown object 'nothing'"),
     "object-a-number": (lambda: _config_with(lambda c: c["objects"].update(key=5)),
                         "object 'key' must be an object, got 5"),
     "step-limit-text": (lambda: _config_with(lambda c: c.update(step_limit="60")),

@@ -1,8 +1,8 @@
 """Every name a module lists in ``__all__`` resolves on that module, every
 name a module imports is used, every memo has a finite bound, every binary
 search is bounded, every JSON file is read by ``memory.read_json``, only
-``cli.main`` ends a command, and only the runner's one helper switches the
-cyclic garbage collector.
+``cli.main`` ends a command, only the runner's one helper switches the
+cyclic garbage collector, and a module loads only the modules it runs.
 
 A deletion that leaves its name behind in ``__all__`` fails here, not later
 as an ``ImportError`` in a star import; one that leaves behind an import of
@@ -11,6 +11,9 @@ what only the deleted code read fails here too.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -295,3 +298,32 @@ def test_only_the_runner_helper_switches_the_collector():
                      _collector_switches(ast.parse(path.read_text(encoding="utf-8")), allowed)]
     assert switches == []
     assert _collector_switches(ast.parse((SOURCE / "runner.py").read_text(encoding="utf-8")))
+
+
+def _loaded_by(statement: str) -> set[str]:
+    """The memsteer modules a fresh interpreter holds after running ``statement``.
+    Without a bytecode cache every module loaded is compiled, so this is what
+    the statement costs at start-up."""
+    code = (f"import sys\n{statement}\n"
+            "print(*(name for name in sys.modules if name.split('.')[0] == 'memsteer'))")
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return set(done.stdout.split())
+
+
+def test_the_cli_loads_only_what_every_command_needs():
+    # each command imports the rest inside the function that runs it
+    assert _loaded_by("import memsteer.cli") == {
+        "memsteer", "memsteer.cli", "memsteer.config", "memsteer.memory", "memsteer.tokens"}
+
+
+def test_the_text_game_does_not_load_the_tabular_mdp():
+    loaded = _loaded_by("import memsteer.envs.textgame")
+    assert "memsteer.envs.textgame" in loaded and "memsteer.envs.tabular" not in loaded
+
+
+def test_the_run_path_loads_neither_the_wire_path_nor_the_text_game():
+    loaded = _loaded_by("import memsteer.runner")
+    assert "memsteer.runner" in loaded
+    assert not {"memsteer.wire", "memsteer.envs.textgame"} & loaded

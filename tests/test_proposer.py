@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from memsteer.memory import MemoryFormatError
 from memsteer.policy import softmax
-from memsteer.proposer import (CallablePolicyProposer, FixtureChatClient, ProposerError,
-                               ProposerRequest, TabularProposer, TokenLogitProposer,
-                               VerbalizedProposer, confidence_logits, generation_messages,
-                               index_messages, reply_object, top_candidates, uniform_policy,
-                               verbalized_messages)
+from memsteer.proposer import (CallablePolicyProposer, ProposerError, ProposerRequest,
+                               TabularProposer, top_candidates, uniform_policy)
 from memsteer.returns import EvaluatorError
+from memsteer.wire import (FixtureChatClient, TokenLogitProposer, VerbalizedProposer,
+                           confidence_logits, generation_messages, index_messages, reply_object,
+                           verbalized_messages)
 
 
 def chat_response(content, logprobs=None):
@@ -391,7 +391,7 @@ def test_reply_object_raises_the_callers_error_with_the_payload(payload, error):
 def test_http_client_posts_json_with_auth(monkeypatch):
     import requests as requests_module
 
-    from memsteer.proposer import HttpChatClient
+    from memsteer.wire import HttpChatClient
 
     seen = {}
 
@@ -419,7 +419,7 @@ def test_http_client_posts_json_with_auth(monkeypatch):
 def test_http_client_retries_then_raises(monkeypatch):
     import requests as requests_module
 
-    from memsteer.proposer import HttpChatClient
+    from memsteer.wire import HttpChatClient
 
     calls = {"n": 0}
 
@@ -448,7 +448,7 @@ def http_response(status, body=b'{"choices": []}'):
 def test_http_client_does_not_resend_a_client_error(monkeypatch, status):
     import requests as requests_module
 
-    from memsteer.proposer import HttpChatClient
+    from memsteer.wire import HttpChatClient
 
     sends = []
 
@@ -467,7 +467,7 @@ def test_http_client_does_not_resend_a_client_error(monkeypatch, status):
 def test_http_client_resends_server_errors_and_rate_limits(monkeypatch, status):
     import requests as requests_module
 
-    from memsteer.proposer import HttpChatClient
+    from memsteer.wire import HttpChatClient
 
     replies = [http_response(status), http_response(status), http_response(200)]
 

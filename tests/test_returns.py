@@ -5,10 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from memsteer.memory import StateKey
-from memsteer.proposer import FixtureChatClient, ProposerError
-from memsteer.returns import (EnvironmentTruthEvaluator, EvaluatorError, RemoteEvaluator,
-                              TrajectoryStep, build_scoring_request, discounted_returns,
-                              parse_step_scores)
+from memsteer.proposer import ProposerError
+from memsteer.returns import (EnvironmentTruthEvaluator, EvaluatorError, TrajectoryStep,
+                              discounted_returns)
+from memsteer.wire import (FixtureChatClient, RemoteEvaluator, build_scoring_request,
+                           parse_step_scores)
 
 
 def make_trajectory(deltas, actions=None):

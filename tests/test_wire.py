@@ -7,9 +7,10 @@ import json
 import pytest
 
 from memsteer.memory import StateKey
-from memsteer.proposer import (HttpChatClient, ProposerRequest, generation_messages,
-                               index_messages, verbalized_messages)
-from memsteer.returns import RemoteEvaluator, TrajectoryStep, build_scoring_request
+from memsteer.proposer import ProposerRequest
+from memsteer.returns import TrajectoryStep
+from memsteer.wire import (HttpChatClient, RemoteEvaluator, build_scoring_request,
+                           generation_messages, index_messages, verbalized_messages)
 
 REQUESTS = {
     "bare": ProposerRequest(state_text="hall door"),
