@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from memsteer.config import MODES, PROFILES, ConfigError, EngineConfig, meets
-from memsteer.memory import MemoryFormatError, json_of, read_bank, read_json
+from memsteer.memory import MemoryFormatError, read_bank
 
 ENVIRONMENTS = ("keydoor", "six-mdp")
 PROPOSERS = ("noisy-advisor", "uniform", "fixture-policy")
@@ -166,6 +166,7 @@ def check_run(run) -> dict:
 
 
 def cmd_run(args) -> int:
+    from memsteer.rundir import OUTPUTS
     from memsteer.runner import run_experiment
 
     config = load_config(args)
@@ -181,7 +182,7 @@ def cmd_run(args) -> int:
           f"avg_success={report.avg_success:.3f} final_success={report.final_success:.3f} "
           f"memory={len(memory)} aborted={aborted}")
     if args.out:
-        print(f"wrote metrics.csv, summary.json, records.jsonl, memory.jsonl to {args.out}")
+        print(f"wrote {', '.join(OUTPUTS)} to {args.out}")
     return 0
 
 
@@ -270,16 +271,16 @@ def cmd_inspect_memory(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from memsteer.rundir import RECORDS, read_summary
     from memsteer.runner import replay_episode
 
-    # the env, proposer and mass the run recorded; summary.json names a bad one
-    [(_, run)] = read_json(Path(args.run_dir) / "summary.json",
-                           lambda summary: check_run(json_of(dict)(summary).get("run")),
-                           per_line=False)
-    replayed = replay_episode(args.run_dir, args.episode, build_env_factory(run["env"]),
+    # the config, mode, env, proposer and mass the run recorded; summary.json names a bad one
+    summary = read_summary(args.run_dir, check_run)
+    _, _, run = summary
+    replayed = replay_episode(args.run_dir, summary, args.episode, build_env_factory(run["env"]),
                               build_proposer_factory(run["proposer"], run["optimal_mass"]))
     if replayed is None:
-        print(f"episode {args.episode} not found in {Path(args.run_dir) / 'records.jsonl'}")
+        print(f"episode {args.episode} not found in {Path(args.run_dir) / RECORDS}")
         return 1
     print(f"episode {args.episode}: {'MATCH' if replayed[1] else 'MISMATCH'}")
     return 0 if replayed[1] else 1

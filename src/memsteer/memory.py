@@ -66,16 +66,15 @@ and never see a half-updated entry; two readers may drop each other's entry,
 which costs only a later probe. Writes require exclusive access (the engine
 runs episodes sequentially, which provides that discipline).
 
-Persistence is line-delimited JSON, one record per line, append-only during a
-run::
+Persistence is line-delimited JSON, one record per line::
 
     {"state_text": ..., "history_text": ..., "action": ..., "return": ...,
      "episode": ..., "step": ..., "time": ...}
 
 Time indices strictly increase down a bank, so row position is time order.
 A row is written from a template, byte for byte as ``json.dumps(...,
-ensure_ascii=False)`` writes its dict. A run opens its bank once; after each
-episode, one write appends that episode's rows and a flush follows it.
+ensure_ascii=False)`` writes its dict. :mod:`memsteer.rundir` says when a run
+appends its bank.
 """
 
 from __future__ import annotations
@@ -772,8 +771,6 @@ def decode_record(raw) -> MemoryEntry:
 
 
 def append_records(bank: TextIO, entries: Sequence[MemoryEntry]) -> None:
-    """Append entries to the open bank file ``bank`` in one write, then flush
-    it (the per-episode, append-only write path): a run opens its bank once,
-    and a reader between two episodes finds every row of the finished ones."""
+    """Append entries to the open bank file ``bank`` in one write, then flush it."""
     bank.write("".join([f"{encode_record(entry)}\n" for entry in entries]))
     bank.flush()

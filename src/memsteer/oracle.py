@@ -13,11 +13,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from memsteer.envs.tabular import ROW_SUM_TOL, TabularMDP
 from memsteer.policy import kl_objective
+
+if TYPE_CHECKING:
+    from memsteer.envs.tabular import TabularMDP
 
 
 @dataclass
@@ -40,6 +43,8 @@ def exact_policy_values(mdp: TabularMDP, policy: np.ndarray, gamma: float | None
     within the MDP's row tolerance. Raises if the sup-norm residual is still
     above ``tol`` at the iteration cap.
     """
+    from memsteer.envs.tabular import ROW_SUM_TOL
+
     if gamma is None:
         gamma = mdp.gamma
     if not 0.0 <= gamma <= 1.0:  # also false for NaN

@@ -10,10 +10,11 @@ the argmax known action value when one exists).
 
 Experiments, task suites and replay all play their episodes through
 :meth:`Session.play`, and a :class:`Session` is the one place that builds a
-memory store from a config. The cyclic garbage collector is paused while an
-episode plays (:func:`_collector_paused`), so the collections an episode's
-allocations trigger run at its boundary, outside every decision; an episode
-makes no reference cycle, so the pause defers work and frees nothing later.
+memory store from a config; :mod:`memsteer.rundir` writes and reads its
+files. The cyclic garbage collector is paused while an episode plays
+(:func:`_collector_paused`), so the collections an episode's allocations
+trigger run at its boundary, outside every decision; an episode makes no
+reference cycle, so the pause defers work and frees nothing later.
 
 One root seed fans out into independent per-episode streams (policy sampling,
 exploration draws, environment noise), so identical (config, seed, fixtures)
@@ -24,17 +25,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import errno
 import gc
 import json
 import logging
 import math
-import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from itertools import chain, takewhile
-from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,14 +41,15 @@ from memsteer.envs.abstraction import abstract_state
 from memsteer.envs.tabular import TabularMDP
 from memsteer.estimator import KNOWN, advantage_vector, estimate_candidates
 from memsteer.memory import (ActionGroups, ActionNormalizer, IDENTITY_NORMALIZER, MemoryEntry,
-                             MemoryStore, TaskFilter, append_records, group_by_action, json_of,
-                             json_value, read_bank, read_json)
+                             MemoryStore, TaskFilter, group_by_action)
 from memsteer.oracle import closed_form_kl_policy, episode_returns, exact_policy_values, rollout
 from memsteer.policy import (Candidate, Decision, augment_candidates, logit_update,
                              softmax_sample, valid_memory_actions)
 from memsteer.proposer import Proposer, ProposerError, ProposerRequest
 from memsteer.returns import (EnvironmentTruthEvaluator, EvaluationOutcome, TrajectoryStep,
                               discounted_returns)
+from memsteer.rundir import (bank_before, encode_episode_record, open_run, read_record,
+                             write_outputs, write_summary)
 
 log = logging.getLogger(__name__)
 
@@ -256,9 +255,8 @@ def _collector_paused():
 
 class Session:
     """One frozen policy playing episodes against one evolving memory: the
-    config, mode, store, action normalizer, evaluator and ``bank``, an open
-    file each episode's rows are appended to, or None. A supplied store must
-    have the config's capacity and similarity weights, since the outputs
+    config, mode, store, action normalizer and evaluator. A supplied store
+    must have the config's capacity and similarity weights, since the outputs
     report the config's."""
 
     def __init__(self, config: EngineConfig, mode: str = "memsteer", evaluator=None,
@@ -279,13 +277,13 @@ class Session:
                                  f"but config {field} is {getattr(config, field)!r}")
         self.memory = memory
         self.normalizer = ActionNormalizer(config.action_rules)
-        self.bank: TextIO | None = None
 
     def play(self, env_factory, proposer_factory, episode: int, stream: int | None = None,
-             task_filter: TaskFilter | None = None) -> EpisodeRecord:
+             task_filter: TaskFilter | None = None) -> tuple[EpisodeRecord, list[MemoryEntry]]:
         """Play episode ``episode`` on the seed streams of ``stream`` (default
-        ``episode``), then, unless the mode is static, store its triplets and
-        append them to the bank. Records the store's size afterwards.
+        ``episode``), then, unless the mode is static, store its triplets.
+        Returns the record, with the store's size afterwards, and the entries
+        stored.
 
         The cyclic collector is paused while :func:`run_episode` runs and
         restored as it was found, so no decision waits on a collection: those
@@ -298,12 +296,10 @@ class Session:
             record = run_episode(env, proposer, self.memory, self.config, streams,
                                  self.normalizer, mode=self.mode, episode_index=episode,
                                  task_filter=task_filter)
-        if self.mode != "static":
-            new_entries = update_memory(record, self.memory, self.evaluator, self.config.gamma)
-            if self.bank is not None and new_entries:
-                append_records(self.bank, new_entries)
+        stored = [] if self.mode == "static" else update_memory(
+            record, self.memory, self.evaluator, self.config.gamma)
         record.memory_size = len(self.memory)
-        return record
+        return record, stored
 
 
 def run_experiment(config: EngineConfig, env_factory, proposer_factory,
@@ -311,27 +307,25 @@ def run_experiment(config: EngineConfig, env_factory, proposer_factory,
                    memory: MemoryStore | None = None, run: dict | None = None,
                    ) -> tuple[MetricsReport, MemoryStore, list[EpisodeRecord]]:
     """Sequential episodes sharing one evolving memory (static mode never
-    touches it). Writes metrics.csv, summary.json, records.jsonl and
-    memory.jsonl under ``out_dir`` when given, and ``run``, when given, as
-    summary.json's ``"run"`` (the env, proposer and optimal mass a replay builds).
+    touches it). With ``out_dir``, writes the run directory as
+    :mod:`memsteer.rundir` lays it out, and ``run``, when given, as
+    summary.json's ``"run"``. The session checks its arguments first.
 
     ``env_factory(rng)`` builds a fresh environment per episode;
-    ``proposer_factory(env)`` binds the proposer to it. memory.jsonl is
-    opened once, after the session has checked its arguments and every
-    output path has been checked (:func:`_check_outputs`).
+    ``proposer_factory(env)`` binds the proposer to it.
     """
     session = Session(config, mode, evaluator=evaluator, memory=memory)
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        _check_outputs(Path(out_dir))
-    with (nullcontext() if out_dir is None
-          else open(Path(out_dir) / "memory.jsonl", "w", encoding="utf-8")) as session.bank:
-        records = [session.play(env_factory, proposer_factory, episode)
-                   for episode in range(config.episodes)]
-    report = MetricsReport(scores=[r.final_score for r in records],
-                           successes=[r.success for r in records])
-    if out_dir is not None:
-        write_outputs(Path(out_dir), config, mode, report, records, session.memory, run)
+    records = []
+    with nullcontext() if out_dir is None else open_run(out_dir) as files:
+        for episode in range(config.episodes):
+            record, stored = session.play(env_factory, proposer_factory, episode)
+            if files is not None:
+                write_outputs(files, record, stored)
+            records.append(record)
+        report = MetricsReport(scores=[r.final_score for r in records],
+                               successes=[r.success for r in records])
+        if files is not None:
+            write_summary(out_dir, config, mode, report, len(session.memory), run)
     return report, session.memory, records
 
 
@@ -367,7 +361,7 @@ def run_task_suite(config: EngineConfig, tasks: dict, mode: str = "memsteer",
                                      task_weight=config.cross_task_task_weight)
         records = [sessions[scope].play(env_factory, proposer_factory, episode,
                                         stream=row * config.episodes + episode,
-                                        task_filter=task_filter)
+                                        task_filter=task_filter)[0]
                    for episode in range(config.episodes)]
         reports[task_id] = MetricsReport(scores=[r.final_score for r in records],
                                          successes=[r.success for r in records])
@@ -375,118 +369,25 @@ def run_task_suite(config: EngineConfig, tasks: dict, mode: str = "memsteer",
     return reports, matrix, {scope: s.memory for scope, s in sessions.items()}
 
 
-# -- output files --------------------------------------------------------------
-
-
-def _check_outputs(out_dir: Path) -> None:
-    """Raise the ``OSError`` that writing a run's outputs in ``out_dir`` would
-    raise, before anything is written: an output that exists is opened to
-    append, which changes no byte, and one that does not needs a writable
-    directory."""
-    for name in ("memory.jsonl", "metrics.csv", "summary.json", "records.jsonl"):
-        path = out_dir / name
-        if path.exists():
-            open(path, "a", encoding="utf-8").close()
-        elif not os.access(out_dir, os.W_OK | os.X_OK):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
-
-
-def write_outputs(out_dir: Path, config: EngineConfig, mode: str,
-                  report: MetricsReport, records: Sequence[EpisodeRecord],
-                  memory: MemoryStore, run: dict | None) -> None:
-    write_metrics_csv(out_dir / "metrics.csv", records)
-    summary = {
-        "mode": mode,
-        "config": config.to_dict(),
-        "episodes": len(records),
-        "avg_score": report.avg_score,
-        "final_score": report.final_score,
-        "avg_success": report.avg_success,
-        "final_success": report.final_success,
-        "memory_entries": len(memory),
-        "learning_curve": report.running_avg(),
-    }
-    if run is not None:
-        summary["run"] = run
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with open(out_dir / "records.jsonl", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{encode_episode_record(record)}\n" for record in records)
-
-
-def write_metrics_csv(path, records: Sequence[EpisodeRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "score", "success", "steps", "aborted", "memory_size"])
-        for record in records:
-            writer.writerow([record.episode_index, record.final_score,
-                             int(record.success), record.steps,
-                             int(record.aborted), record.memory_size])
-
-
-def encode_episode_record(record: EpisodeRecord) -> str:
-    """The record's line of records.jsonl, from a template, as json.dumps(...,
-    ensure_ascii=False) writes its dict. It leaves out what the line and the
-    run's summary.json give exactly (README, "Decision records"): each step's
-    action and history, the returns, and each decision's beta, updated logits
-    and distribution."""
-    text, value = json.encoder.encode_basestring, json_value
-    rewards = "null" if record.rewards is None else f"[{', '.join(map(value, record.rewards))}]"
-    steps = ", ".join([f'{{"state_text": {text(step.state.text)}, '
-                       f'"observation": {text(step.observation)}, '
-                       f'"score_delta": {value(step.score_delta)}}}'
-                       for step in record.trajectory])
-    decisions = ", ".join([
-        '{"candidates": [' + ", ".join([
-            f'{{"action": {text(c.action)}, "base_logit": {value(c.base_logit)}, '
-            f'"origin": {text(c.origin)}, '
-            f'"normalized_advantage": {value(c.normalized_advantage)}}}'
-            for c in decision.candidates]) + f'], "chosen": {value(decision.chosen)}}}'
-        for decision in record.decisions])
-    return (f'{{"episode": {value(record.episode_index)}, "score": {value(record.final_score)}, '
-            f'"success": {value(record.success)}, "truncated": {value(record.truncated)}, '
-            f'"aborted": {value(record.aborted)}, "abort_reason": {text(record.abort_reason)}, '
-            f'"evaluator_fallback": {value(record.evaluator_fallback)}, '
-            f'"memory_size_at_start": {value(record.memory_size_at_start)}, '
-            f'"rewards": {rewards}, "steps": [{steps}], "decisions": [{decisions}]}}')
-
-
-def _session_of(summary) -> Session:
-    """A session of the config and mode a summary.json records (a ConfigError is a ValueError)."""
-    summary = json_of(dict)(summary)
-    return Session(EngineConfig.from_dict(summary.get("config")), summary.get("mode"))
-
-
-def _episode_record(recorded) -> dict:
-    """A records.jsonl line; its ``"episode"`` is an int, not a bool, as in the bank."""
-    if not isinstance(recorded, dict) or "episode" not in recorded:
-        raise ValueError('record has no "episode" field')
-    if type(recorded["episode"]) is not int:
-        raise ValueError(f"episode must be an integer, got {recorded['episode']!r}")
-    return recorded
-
-
-def replay_episode(run_dir, episode: int, env_factory,
+def replay_episode(run_dir, summary: tuple, episode: int, env_factory,
                    proposer_factory) -> tuple[dict, bool] | None:
-    """Re-run an episode of the run written to ``run_dir``; return the fresh
+    """Re-run an episode of the run written to ``run_dir``, whose
+    :func:`~memsteer.rundir.read_summary` is ``summary``; return the fresh
     record dict and whether it equals ``records.jsonl``'s, or None if absent.
 
-    The config and the mode come from ``summary.json``. The store starts from
-    the rows of ``memory.jsonl`` (a static run's is empty) of earlier
-    episodes, inserted in order so that a capacity evicts as it did; the bank
-    is read only up to the episode's first row. A run that started from a
-    store of its own does not replay.
+    The store starts from the bank rows of earlier episodes (a static run's
+    bank is empty), inserted in order so that a capacity evicts as it did. A
+    run that started from a store of its own does not replay.
     """
-    run_dir = Path(run_dir)
-    [(_, session)] = read_json(run_dir / "summary.json", _session_of, per_line=False)
-    recorded = next((r for _, r in read_json(run_dir / "records.jsonl", _episode_record)
-                     if r["episode"] == episode), None)  # reads no line past it
+    recorded = read_record(run_dir, episode)
     if recorded is None:
         return None
-    for entry in takewhile(lambda entry: entry.episode < episode,  # rows in episode order
-                           read_bank(run_dir / "memory.jsonl")):
+    config, mode, _ = summary
+    session = Session(config, mode)
+    for entry in bank_before(run_dir, episode):
         session.memory.add(entry.state, entry.action, entry.return_value, entry.episode, entry.step)
-    fresh = json.loads(encode_episode_record(session.play(env_factory, proposer_factory, episode)))
+    record, _ = session.play(env_factory, proposer_factory, episode)
+    fresh = json.loads(encode_episode_record(record))
     return fresh, fresh == recorded
 
 

@@ -545,6 +545,34 @@ def test_replay_ends_a_missing_input_file_in_one_line(tmp_path, capsys, missing)
     assert not gone.exists()
 
 
+def test_replay_refuses_a_run_that_raised_over_a_finished_one(tmp_path, capsys):
+    # run A finishes; run B, another seed, raises in episode 3 into the same directory
+    out = tmp_path / "exp"
+    assert main(["run", "--beta", "2", "--seed", "1", "--episodes", "6", "--out", str(out)]) == 0
+    env_factory = build_env_factory("keydoor")
+    advisor_factory = build_proposer_factory("noisy-advisor", 0.3)
+    played = []
+
+    def proposer_factory(env):
+        played.append(env)
+        if len(played) == 4:
+            raise RuntimeError("proposer gone")
+        return advisor_factory(env)
+
+    config = EngineConfig.profile("text-game", 2.0, episodes=6, seed=2)
+    with pytest.raises(RuntimeError, match="proposer gone"):
+        run_experiment(config, env_factory, proposer_factory, out_dir=out)
+    # the directory holds B's episodes 0-2 and nothing of A
+    finished = tmp_path / "b-0-2"
+    run_experiment(EngineConfig.profile("text-game", 2.0, episodes=3, seed=2), env_factory,
+                   advisor_factory, out_dir=finished)
+    for name in ("memory.jsonl", "records.jsonl", "metrics.csv"):
+        assert (out / name).read_bytes() == (finished / name).read_bytes(), name
+    capsys.readouterr()
+    err = refused(["replay", str(out), "--episode", "1"], capsys)
+    assert err == f"error: {out / 'summary.json'}: invalid JSON (Expecting value)"
+
+
 def two_episode_run(tmp_path) -> Path:
     """The directory of a finished flag-only run of two episodes."""
     out = tmp_path / "exp"

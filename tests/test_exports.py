@@ -323,6 +323,11 @@ def test_the_text_game_does_not_load_the_tabular_mdp():
     assert "memsteer.envs.textgame" in loaded and "memsteer.envs.tabular" not in loaded
 
 
+def test_the_oracle_does_not_load_the_tabular_mdp():
+    loaded = _loaded_by("import memsteer.oracle")
+    assert "memsteer.oracle" in loaded and "memsteer.envs.tabular" not in loaded
+
+
 def test_the_run_path_loads_neither_the_wire_path_nor_the_text_game():
     loaded = _loaded_by("import memsteer.runner")
     assert "memsteer.runner" in loaded

@@ -23,8 +23,10 @@ from memsteer.memory import ActionNormalizer, MemoryStore, StateKey
 from memsteer.policy import Candidate, Decision, softmax
 from memsteer.proposer import CallablePolicyProposer, ProposerError, TabularProposer
 from memsteer.returns import EnvironmentTruthEvaluator, TrajectoryStep, discounted_returns
+from memsteer import rundir
+from memsteer.rundir import encode_episode_record
 from memsteer.runner import (_DRAW_BLOCK, EpisodeRecord, MetricsReport, Session, _BlockUniforms,
-                             encode_episode_record, fill_memory_from_rollouts,
+                             fill_memory_from_rollouts,
                              replay_episode, run_consistency_experiment, run_episode,
                              run_experiment, run_task_suite, seed_streams,
                              summarize_consistency, update_memory,
@@ -274,6 +276,9 @@ def bank_of_episodes_before(store, episode, path):
     return path.read_bytes()
 
 
+STREAMED = ("memory.jsonl", "records.jsonl", "metrics.csv")
+
+
 # at 4 steps an episode's rows fit in the file's write buffer; at 60 they can overflow it
 @pytest.mark.parametrize("step_limit", [60, 4])
 def test_bank_holds_every_finished_episode_when_the_next_starts(tmp_path, step_limit):
@@ -282,31 +287,37 @@ def test_bank_holds_every_finished_episode_when_the_next_starts(tmp_path, step_l
     seen = []
 
     def reading_env_factory(rng):
-        seen.append((out / "memory.jsonl").read_bytes())
+        seen.append({name: (out / name).read_bytes() for name in STREAMED})
         return env_factory(rng)
 
     config = EngineConfig.profile("text-game", beta=2.0, episodes=5, seed=7,
                                   step_limit=step_limit)
     _, memory, _ = run_experiment(config, reading_env_factory, proposer_factory,
                                   out_dir=out)
-    assert len(seen) == 5 and seen[0] == b"" and seen[-1] != b""
-    for episode, bank in enumerate(seen):
-        assert bank == bank_of_episodes_before(memory, episode, tmp_path / f"{episode}.jsonl")
+    assert len(seen) == 5 and seen[-1]["memory.jsonl"] != b""
+    assert seen[0] == dict.fromkeys(STREAMED, b"")
+    for episode, files in enumerate(seen):
+        assert files["memory.jsonl"] == bank_of_episodes_before(
+            memory, episode, tmp_path / f"{episode}.jsonl")
     assert (out / "memory.jsonl").read_bytes() == bank_of_episodes_before(
         memory, 5, tmp_path / "all.jsonl")
+    # records.jsonl a line an episode, metrics.csv a row after its header
+    records = (out / "records.jsonl").read_bytes().splitlines(keepends=True)
+    metrics = (out / "metrics.csv").read_bytes().splitlines(keepends=True)
+    assert len(records) == 5 and len(metrics) == 6
+    for episode, files in enumerate(seen[1:], start=1):
+        assert files["records.jsonl"] == b"".join(records[:episode])
+        assert files["metrics.csv"] == b"".join(metrics[:episode + 1])
 
 
 def test_bank_is_closed_and_kept_when_an_episode_raises(tmp_path, monkeypatch):
-    from memsteer import memory as memory_module, runner as runner_module
-
     opened = []
 
     def recording_open(*args, **kwargs):
         opened.append(open(*args, **kwargs))
         return opened[-1]
 
-    for module in (memory_module, runner_module):
-        monkeypatch.setattr(module, "open", recording_open, raising=False)
+    monkeypatch.setattr(rundir, "open", recording_open, raising=False)
     env_factory, advisor_factory = keydoor_factories()
     envs = []
 
@@ -321,8 +332,8 @@ def test_bank_is_closed_and_kept_when_an_episode_raises(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="proposer gone"):
         run_experiment(config, env_factory, proposer_factory, out_dir=out)
     bank = out / "memory.jsonl"
-    handles = [fh for fh in opened if Path(fh.name) == bank]
-    assert handles and all(fh.closed for fh in handles)
+    assert {Path(fh.name) for fh in opened} >= {out / name for name in STREAMED}
+    assert all(fh.closed for fh in opened)
     # the same config's first three episodes, played to the end
     _, memory, _ = run_experiment(dataclasses.replace(config, episodes=3), env_factory,
                                   advisor_factory)
@@ -853,12 +864,18 @@ def test_running_avg_learning_curve():
 # -- replay -----------------------------------------------------------------------------
 
 
+def replay(run_dir, episode, env_factory, proposer_factory):
+    """``replay_episode`` of the run written to ``run_dir``, on its summary."""
+    return replay_episode(run_dir, rundir.read_summary(run_dir), episode, env_factory,
+                          proposer_factory)
+
+
 def test_replay_reproduces_recorded_episode(tmp_path):
     env_factory, proposer_factory = keydoor_factories()
     config = EngineConfig.profile("text-game", beta=2.0, episodes=5, seed=3)
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
-    _, matches = replay_episode(tmp_path, 3, env_factory, proposer_factory)
+    _, matches = replay(tmp_path, 3, env_factory, proposer_factory)
     assert matches
 
 
@@ -870,7 +887,7 @@ def test_replay_matches_every_episode_under_capacity(tmp_path, capacity):
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
     for episode in range(8):
-        _, matches = replay_episode(tmp_path, episode, env_factory, proposer_factory)
+        _, matches = replay(tmp_path, episode, env_factory, proposer_factory)
         assert matches, f"episode {episode} did not replay"
 
 
@@ -884,7 +901,7 @@ def test_replay_reads_no_bank_row_past_the_replayed_episode(tmp_path):
     first_of_2 = next(i for i, row in enumerate(rows) if json.loads(row)["episode"] == 2)
     # past the first row of episode 2: a line that is not JSON, then a time that goes back
     bank.write_text("\n".join(rows[:first_of_2 + 1] + ["{not json", rows[0]]) + "\n")
-    _, matches = replay_episode(tmp_path, 2, env_factory, proposer_factory)
+    _, matches = replay(tmp_path, 2, env_factory, proposer_factory)
     assert matches
 
 
@@ -896,7 +913,7 @@ def test_replay_reads_no_records_line_past_the_replayed_episode(tmp_path):
     records = tmp_path / "records.jsonl"
     lines = records.read_text().splitlines()
     records.write_text("\n".join(lines[:2] + ["{not json"]) + "\n")
-    _, matches = replay_episode(tmp_path, 1, env_factory, proposer_factory)
+    _, matches = replay(tmp_path, 1, env_factory, proposer_factory)
     assert matches
 
 
@@ -910,7 +927,7 @@ def test_replay_detects_tampered_record(tmp_path):
     recorded = json.loads(lines[1])
     recorded["score"] = 999.0
     records.write_text("\n".join([lines[0], json.dumps(recorded)]) + "\n")
-    _, matches = replay_episode(tmp_path, 1, env_factory, proposer_factory)
+    _, matches = replay(tmp_path, 1, env_factory, proposer_factory)
     assert not matches
 
 
@@ -919,8 +936,8 @@ def test_replay_of_an_episode_the_records_lack_is_none(tmp_path):
     config = EngineConfig.profile("text-game", beta=2.0, episodes=2, seed=3)
     run_experiment(config, env_factory, proposer_factory, mode="memsteer",
                    out_dir=tmp_path)
-    assert replay_episode(tmp_path, 2, env_factory, proposer_factory) is None
-    assert replay_episode(tmp_path, -1, env_factory, proposer_factory) is None
+    assert replay(tmp_path, 2, env_factory, proposer_factory) is None
+    assert replay(tmp_path, -1, env_factory, proposer_factory) is None
 
 
 # -- consistency experiments --------------------------------------------------------------
