@@ -43,17 +43,9 @@ def build_env_factory(name: str):
     if name == "keydoor":
         from memsteer.envs.textgame import key_door_game
 
-        game = key_door_game()  # read and checked once: a game never mutates its config
-
-        def fresh_game(rng):
-            episode = copy.copy(game)
-            # new mutable tables, so no game aliases the template's; all else
-            # is shared. run_episode's reset builds the one first observation
-            # (and the tables once more)
-            episode.reset_tables()
-            return episode
-
-        return fresh_game
+        # read and checked once; never reset, so it has no episode to share
+        game = key_door_game()
+        return lambda rng: copy.copy(game)
     if name == "six-mdp":
         from memsteer.envs.tabular import TabularEnvAdapter, six_state_fixture
 

@@ -32,12 +32,17 @@ PROFILES = {
 # greedy ablation (memsteer.runner)
 MODES = ("memsteer", "static", "greedy-memory")
 
-# the bounds validate checks first, in order: (field, the bound its value must meet)
+# the bounds validate checks first, in order: (field, the bound its value must
+# meet); an optional field set to None meets its bound
 _BOUNDS = (("beta", "be >= 0"), ("gamma", "lie in [0, 1]"), ("k_neighbors", "be >= 1"),
            ("similarity_threshold", "lie in [0, 1]"), ("exploration_rate", "lie in [0, 1]"),
            ("exploration_bonus", "be >= 0"), ("epsilon", "be > 0"), ("n_candidates", "be >= 1"),
            ("step_limit", "be >= 1"), ("episodes", "be >= 1"), ("seed", "be >= 0"),
-           ("history_length", "be >= 0"))
+           ("history_length", "be >= 0"), ("memory_capacity", "be >= 1"),
+           ("state_weight", "lie in [0, 1]"), ("history_weight", "lie in [0, 1]"),
+           ("task_similarity_threshold", "lie in [0, 1]"),
+           ("cross_task_history_weight", "lie in [0, 1]"),
+           ("cross_task_task_weight", "lie in [0, 1]"))
 _MEETS = {"be >= 0": lambda v: v >= 0, "be >= 1": lambda v: v >= 1, "be > 0": lambda v: v > 0,
           "lie in [0, 1]": lambda v: 0 <= v <= 1, "lie in (0, 1]": lambda v: 0 < v <= 1}
 
@@ -90,29 +95,17 @@ class EngineConfig:
     def validate(self) -> None:
         self._check_types()
         for name, bound in _BOUNDS:
-            value = getattr(self, name)
-            if not meets(value, bound):
+            value = getattr(self, name)  # _check_types let None through for optional fields only
+            if value is not None and not meets(value, bound):
                 raise ConfigError(f"{name} must {bound}, got {value}")
         if self.memory_scope not in ("global", "per-task"):
             raise ConfigError(f"memory_scope must be 'global' or 'per-task', "
                               f"got {self.memory_scope!r}")
-        if self.memory_capacity is not None and self.memory_capacity < 1:
-            raise ConfigError(f"memory_capacity must be None or >= 1, "
-                              f"got {self.memory_capacity}")
-        for name in ("state_weight", "history_weight",
-                     "cross_task_history_weight", "cross_task_task_weight"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
         for first, second in (("state_weight", "history_weight"),
                               ("cross_task_history_weight", "cross_task_task_weight")):
             total = getattr(self, first) + getattr(self, second)
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError(f"{first} + {second} must equal 1, got {total}")
-        if self.task_similarity_threshold is not None \
-                and not 0.0 <= self.task_similarity_threshold <= 1.0:
-            raise ConfigError(f"task_similarity_threshold must lie in [0, 1], "
-                              f"got {self.task_similarity_threshold}")
         if not isinstance(self.action_rules, list):
             raise ConfigError(f"action_rules must be a list of [pattern, replacement], "
                               f"got {self.action_rules!r}")

@@ -6,6 +6,11 @@ key-door micro-game driven by a declarative config, and
 ``memsteer.envs.abstraction`` the observation-to-state mapping shared by
 both. The package itself holds only :class:`Observation`, so importing one
 environment does not compile the other: import each name from its own module.
+
+The env contract the episode loop relies on: an env from a factory holds no
+episode until ``reset``; ``reset`` builds the episode's one first observation;
+after ``reset`` two factory envs share no mutable state with each other or
+with the template they were made from. Each observation owns its action list.
 """
 
 from __future__ import annotations

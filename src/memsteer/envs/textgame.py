@@ -5,7 +5,7 @@ fixture):
 
 * ``name``: display name.
 * ``max_score``: total points; must equal the sum of all event points.
-* ``step_limit``: episode ends after this many steps.
+* ``step_limit``: episode ends after this many steps (at least 1).
 * ``start_room``: room id.
 * ``rooms``: map of room id -> ``{"title": str, "exits": {direction: room_id},
   "objects": [object ids initially here], "flavor": [sentences]}``. Flavor
@@ -16,10 +16,10 @@ fixture):
   A door blocks the exits between its two rooms until unlocked; ``unlock
   <title>`` is valid from either side while holding the required object.
 * ``score_events``: list of ``{"id", "action", "room", "requires": [objects],
-  "points"}``. An event fires (once per episode) when the exact action is
-  taken in the room while holding the required objects (checked before the
-  action's effects); a missing ``requires`` requires none. Points are
-  non-negative.
+  "points"}``, each id unique. An event fires (once per episode) when the
+  exact action is taken in the room while holding the required objects
+  (checked before the action's effects); a missing ``requires`` requires
+  none. Points are non-negative.
 
 Supported actions: ``go <direction>``, ``take <object>``, ``put <object>``,
 ``unlock <door title>``, ``look``. The valid-action list is deterministic and
@@ -63,76 +63,88 @@ class InvalidActionError(ValueError):
         super().__init__(f"invalid action {action!r}; valid actions: {self.valid}")
 
 
+_NOUNS = {dict: "an object", str: "a string", list: "a list", bool: "true or false",
+          int: "an integer", (int, float): "a number"}
+
+
+def _typed(value, kind, what: str):
+    """``value`` if it is a ``kind``, one of the keys of ``_NOUNS``; a bool
+    is only ever a bool, never a number."""
+    if not isinstance(value, kind) or kind is not bool and isinstance(value, bool):
+        raise GameConfigError(f"{what} must be {_NOUNS[kind]}, got {value!r}")
+    return value
+
+
 def _object_with(value, fields: tuple[str, ...], what: str) -> dict:
     """``value`` if it is a JSON object holding every one of ``fields``."""
-    if not isinstance(value, dict):
-        raise GameConfigError(f"{what} must be an object, got {value!r}")
+    _typed(value, dict, what)
     for field in fields:
         if field not in value:
             raise GameConfigError(f"{what} has no field {field!r}")
     return value
 
 
-def _list_of(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise GameConfigError(f"{what} must be a list, got {value!r}")
-    return value
-
-
 def _known(value, names: dict, kind: str, what: str) -> None:
     """Raise unless ``value`` is a string naming one of ``names``, each a ``kind``."""
-    if not isinstance(value, str):
-        raise GameConfigError(f"{what} must be a string, got {value!r}")
-    if value not in names:
+    if _typed(value, str, what) not in names:
         raise GameConfigError(f"{what} names unknown {kind} {value!r}")
-
-
-def _number(value, kinds: tuple, what: str):
-    """``value`` if its type is one of ``kinds`` (so never a bool)."""
-    if type(value) not in kinds:
-        raise GameConfigError(f"{what} must be {'a number' if float in kinds else 'an integer'}, "
-                              f"got {value!r}")
-    return value
 
 
 def validate_game_config(config: dict) -> dict:
     """``config`` if it follows the schema above, else a ``GameConfigError``
-    naming the first field that does not: the config, each room, object, door
-    and score event must be an object holding the fields the game reads, each
-    name a string naming a room or an object, and each count a number."""
+    naming the first field that does not: each part an object holding the fields
+    the game reads, each id, title, action and sentence a string, each name one
+    naming a room or an object, each count a number, ``portable`` a bool, event
+    ids unique and the step limit at least 1."""
     _object_with(config, ("name", "max_score", "step_limit", "start_room", "rooms",
                           "objects", "doors", "score_events"), "config")
-    _number(config["max_score"], (int, float), "config field 'max_score'")
-    _number(config["step_limit"], (int,), "config field 'step_limit'")
+    _typed(config["max_score"], (int, float), "config field 'max_score'")
+    if _typed(config["step_limit"], int, "config field 'step_limit'") < 1:
+        raise GameConfigError(f"config field 'step_limit' must be >= 1, "
+                              f"got {config['step_limit']}")
     rooms = _object_with(config["rooms"], (), "config field 'rooms'")
     objects = _object_with(config["objects"], (), "config field 'objects'")
     for obj_id, obj in objects.items():
-        _object_with(obj, (), f"object {obj_id!r}")
+        _typed(_object_with(obj, (), f"object {obj_id!r}").get("portable", False), bool,
+               f"object {obj_id!r} field 'portable'")
     _known(config["start_room"], rooms, "room", "config field 'start_room'")
     for room_id, room in rooms.items():
-        _object_with(room, ("title",), f"room {room_id!r}")
+        _typed(_object_with(room, ("title",), f"room {room_id!r}")["title"], str,
+               f"room {room_id!r} field 'title'")
+        flavor = _typed(room.get("flavor", []), list, f"room {room_id!r} field 'flavor'")
+        for sentence in flavor:
+            _typed(sentence, str, f"room {room_id!r} flavor")
         exits = _object_with(room.get("exits", {}), (), f"room {room_id!r} field 'exits'")
         for direction, dest in exits.items():
             _known(dest, rooms, "room", f"room {room_id!r} exit {direction!r}")
-        for obj in _list_of(room.get("objects", []), f"room {room_id!r} field 'objects'"):
+        for obj in _typed(room.get("objects", []), list, f"room {room_id!r} field 'objects'"):
             _known(obj, objects, "object", f"room {room_id!r} object")
-    for i, door in enumerate(_list_of(config["doors"], "config field 'doors'")):
+    for i, door in enumerate(_typed(config["doors"], list, "config field 'doors'")):
         _object_with(door, ("id", "title", "rooms", "requires"), f"door {i}")
-        what = f"door {door['id']!r}"
-        if len(_list_of(door["rooms"], f"{what} field 'rooms'")) != 2:
+        door_id = _typed(door["id"], str, f"door {i} field 'id'")
+        what = f"door {door_id!r}"
+        _typed(door["title"], str, f"{what} field 'title'")
+        if len(_typed(door["rooms"], list, f"{what} field 'rooms'")) != 2:
             raise GameConfigError(f"{what} field 'rooms' must name two rooms")
         for room_id in door["rooms"]:
             _known(room_id, rooms, "room", f"{what} room")
         _known(door["requires"], objects, "object", f"{what} field 'requires'")
-    total = 0
-    for i, event in enumerate(_list_of(config["score_events"], "config field 'score_events'")):
+    total, event_ids = 0, set()
+    events = _typed(config["score_events"], list, "config field 'score_events'")
+    for i, event in enumerate(events):
         _object_with(event, ("id", "action", "room", "points"), f"score event {i}")
-        points = _number(event["points"], (int, float), f"event {event['id']!r} points")
+        event_id = _typed(event["id"], str, f"score event {i} field 'id'")
+        if event_id in event_ids:
+            raise GameConfigError(f"score event {i} field 'id' repeats {event_id!r}")
+        event_ids.add(event_id)
+        what = f"event {event_id!r}"
+        _typed(event["action"], str, f"{what} field 'action'")
+        points = _typed(event["points"], (int, float), f"{what} points")
         if points < 0:
-            raise GameConfigError(f"event {event['id']!r} has negative points")
-        _known(event["room"], rooms, "room", f"event {event['id']!r} field 'room'")
-        for obj in _list_of(event.get("requires", []), f"event {event['id']!r} field 'requires'"):
-            _known(obj, objects, "object", f"event {event['id']!r} required object")
+            raise GameConfigError(f"{what} has negative points")
+        _known(event["room"], rooms, "room", f"{what} field 'room'")
+        for obj in _typed(event.get("requires", []), list, f"{what} field 'requires'"):
+            _known(obj, objects, "object", f"{what} required object")
         total += points
     if total != config["max_score"]:
         raise GameConfigError(f"event points sum to {total}, expected "
@@ -153,9 +165,11 @@ def key_door_config() -> dict:
 
 
 class TextMicroGame:
-    """Pure, replayable state machine over a validated game config. Valid
-    actions are computed once per observation, which carries a copy; the next
-    ``step`` checks its action against the kept list."""
+    """A world and its current episode. ``__init__`` builds only the world (the
+    limits and the door, exit, event and hop tables), which copies share and no
+    episode changes; ``reset`` alone builds an episode and its first observation.
+    An observation makes one pass over the room's exits and keeps the valid
+    actions (it carries a copy) and the passable exits, which ``step`` reads."""
 
     def __init__(self, config: dict):
         self.config = validate_game_config(config)
@@ -166,24 +180,16 @@ class TextMicroGame:
         for door in config["doors"]:
             self._doors.setdefault(frozenset(door["rooms"]), door)
         # each room's exits in config order as (direction, destination, door
-        # or None), the advisor's next hops and its score events by id;
-        # passability reads only the config and the open doors, so copies of
-        # a game share all three
+        # or None), the advisor's next hops and its score events by id
         self._exits: dict[str, tuple[tuple[str, str, dict | None], ...]] = {
             rid: tuple((direction, dest, self._door_at(rid, dest))
                        for direction, dest in room.get("exits", {}).items())
             for rid, room in config["rooms"].items()}
         self._hops: dict[tuple[str, str, frozenset[str]], str | None] = {}
         self._events = {event["id"]: event for event in config["score_events"]}
-        self.reset_tables()
 
     def reset(self) -> Observation:
-        """Start a new episode and observe its first state."""
-        self.reset_tables()
-        return self.observe()
-
-    def reset_tables(self) -> None:
-        """Start a new episode in fresh mutable tables, observing nothing."""
+        """Start a new episode in fresh mutable tables and observe its first state."""
         cfg = self.config
         self.room = cfg["start_room"]
         self.inventory: list[str] = []
@@ -196,7 +202,7 @@ class TextMicroGame:
         self.done = False
         self.visits = {rid: 0 for rid in cfg["rooms"]}
         self.visits[self.room] = 1
-        self._valid: list[str] | None = None  # the last observation's valid actions
+        return self.observe()
 
     @property
     def success(self) -> bool:
@@ -212,55 +218,59 @@ class TextMicroGame:
         return {direction: dest for direction, dest, door in self._exits[room]
                 if door is None or door["id"] in open_doors}
 
-    def valid_actions(self) -> list[str]:
+    def _look_around(self) -> tuple[dict[str, str], list[str], list[str]]:
+        """One pass over the current room's exits: its passable exits, the
+        text's door clauses and the valid actions."""
+        passable, clauses, unlocks = {}, [], []
+        for direction, dest, door in self._exits[self.room]:
+            if door is None or door["id"] in self.open_doors:
+                passable[direction] = dest
+            if door is not None:
+                state = "open" if door["id"] in self.open_doors else "locked"
+                clauses.append(f"the {door['title']} to the {direction} is {state}")
+                if state == "locked" and door["requires"] in self.inventory:
+                    unlocks.append(f"unlock {door['title']}")
         if self.done:
-            return []
-        actions = [f"go {d}" for d in self.passable_exits(self.room)]
-        for obj in self.room_objects[self.room]:
-            if self.config["objects"][obj].get("portable", False):
-                actions.append(f"take {obj}")
-        for obj in self.inventory:
-            actions.append(f"put {obj}")
-        for _, _, door in self._exits[self.room]:
-            if door is not None and door["id"] not in self.open_doors \
-                    and door["requires"] in self.inventory:
-                actions.append(f"unlock {door['title']}")
-        actions.append("look")
-        return actions
+            return passable, clauses, []
+        objects = self.config["objects"]
+        actions = [f"go {d}" for d in passable]
+        actions += [f"take {obj}" for obj in self.room_objects[self.room]
+                    if objects[obj].get("portable", False)]
+        actions += [f"put {obj}" for obj in self.inventory]
+        return passable, clauses, actions + unlocks + ["look"]
+
+    def valid_actions(self) -> list[str]:
+        return self._look_around()[2]
 
     def observe(self) -> Observation:
         room = self.config["rooms"][self.room]
+        passable, clauses, valid = self._look_around()
         parts = [f"location: {room['title']}"]
         objects = self.room_objects[self.room]
         if objects:
             parts.append("you see: " + ", ".join(objects))
-        for direction, _, door in self._exits[self.room]:
-            if door is not None:
-                state = "open" if door["id"] in self.open_doors else "locked"
-                parts.append(f"the {door['title']} to the {direction} is {state}")
-        exits = sorted(self.passable_exits(self.room))
-        if exits:
-            parts.append("exits: " + ", ".join(exits))
+        parts += clauses
+        if passable:
+            parts.append("exits: " + ", ".join(sorted(passable)))
         if self.inventory:
             parts.append("carrying: " + ", ".join(self.inventory))
         flavor = room.get("flavor", [])
         if flavor:
             parts.append(flavor[(self.visits[self.room] - 1) % len(flavor)])
-        self._valid = self.valid_actions()
+        self._passable, self._valid = passable, valid  # what the next step reads
         return Observation(text=". ".join(parts) + ".", score=self.score,
-                           done=self.done, valid_actions=list(self._valid))
+                           done=self.done, valid_actions=list(valid))
 
     # -- dynamics ----------------------------------------------------------
 
     def step(self, action: str) -> Observation:
-        valid = self.valid_actions() if self._valid is None else self._valid
-        if action not in valid:
-            raise InvalidActionError(action, valid)
+        if action not in self._valid:
+            raise InvalidActionError(action, self._valid)
         acted_room = self.room
         inventory_before = list(self.inventory)
         verb, _, rest = action.partition(" ")
         if verb == "go":
-            self.room = self.passable_exits(self.room)[rest]
+            self.room = self._passable[rest]
             self.visits[self.room] += 1
         elif verb == "take":
             self.room_objects[self.room].remove(rest)

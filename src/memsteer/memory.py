@@ -670,7 +670,7 @@ class MemoryStore:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{encode_record(entry)}\n" for entry in self._entries[self._start:])
+            append_records(fh, self._entries[self._start:])
 
     @classmethod
     def load(cls, path, capacity: int | None = None, state_weight: float = 0.75,

@@ -155,8 +155,7 @@ def run_episode(env, proposer: Proposer, memory: MemoryStore, config: EngineConf
             neighborhood = memory.retrieve(state, config.k_neighbors,
                                            config.similarity_threshold,
                                            task_filter=task_filter)
-        request = ProposerRequest(state.text, state.history,
-                                  list(obs.valid_actions) if obs.valid_actions else None,
+        request = ProposerRequest(state.text, state.history, obs.valid_actions or None,
                                   config.n_candidates)
         try:
             response = proposer.propose(request)

@@ -1,14 +1,16 @@
+import copy
 import json
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from memsteer import cli
 from memsteer.cli import build_env_factory, build_proposer_factory, main
 from memsteer.config import EngineConfig
-from memsteer.envs import textgame
+from memsteer.envs import Observation, tabular, textgame
 from memsteer.runner import run_experiment
 
 
@@ -38,46 +40,140 @@ def test_run_subcommand_writes_outputs(tmp_path, capsys):
     assert summary["run"] == {"env": "keydoor", "proposer": "noisy-advisor", "optimal_mass": 0.3}
 
 
-def test_keydoor_factory_checks_its_config_only_when_built_and_shares_no_table(monkeypatch):
+def test_keydoor_factory_checks_its_config_only_when_built(monkeypatch):
     checked = []
     check = textgame.validate_game_config
     monkeypatch.setattr(textgame, "validate_game_config",
                         lambda config: checked.append(config) or check(config))
     factory = build_env_factory("keydoor")
     at_build = len(checked)
-    names = ("inventory", "room_objects", "open_doors", "fired", "visits")
-    tables = []  # each episode's tables as its game was built, kept alive
-
-    def env_factory(rng):
-        game = factory(rng)
-        tables.append([getattr(game, name) for name in names])
-        tables[-1].extend(game.room_objects.values())
-        return game
-
-    run_experiment(EngineConfig.profile("text-game", 2.0, episodes=5, seed=0), env_factory,
+    run_experiment(EngineConfig.profile("text-game", 2.0, episodes=5, seed=0), factory,
                    build_proposer_factory("noisy-advisor", 0.3))
     assert at_build >= 1 and len(checked) == at_build  # no episode re-checks it
-    assert len(tables) == 5
-    every = [id(table) for episode in tables for table in episode]
-    assert len(set(every)) == len(every)
 
 
-def test_a_keydoor_episode_observes_its_start_once(monkeypatch):
-    # the factory gives a game with fresh tables and no observation, so
-    # run_episode's reset builds each episode's only first observation
-    factory = build_env_factory("keydoor")
-    observed = []
-    observe = textgame.TextMicroGame.observe
-    monkeypatch.setattr(textgame.TextMicroGame, "observe",
-                        lambda game: observed.append(game) or observe(game))
-    games = []
+# the env contract, for every env the CLI builds: a factory env holds no
+# episode until reset, reset builds the episode's one first observation, and
+# after reset two factory envs share no mutable state with each other or with
+# the template they were copied from
+
+PAIRED_PROPOSER = {"keydoor": "noisy-advisor", "six-mdp": "fixture-policy"}
+
+
+def built_with_template(monkeypatch, name):
+    """``name``'s env factory and the template it copies (None for six-mdp)."""
+    built = []
+    make = textgame.key_door_game
+    monkeypatch.setattr(textgame, "key_door_game", lambda: built.append(make()) or built[-1])
+    factory = build_env_factory(name)
+    return factory, (built[0] if built else None)
+
+
+@pytest.mark.parametrize("name", cli.ENVIRONMENTS)
+def test_a_factory_env_holds_no_episode_until_reset(monkeypatch, name):
+    factory, template = built_with_template(monkeypatch, name)
+    rng = np.random.default_rng(5)
+    env = factory(rng)
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+    for unplayed in [e for e in (env, template) if e is not None]:
+        with pytest.raises(AttributeError):  # no score or state to read
+            unplayed.success
+    world = set(vars(env))
+    assert template is None or set(vars(template)) == world
+    obs = env.reset()
+    assert obs.valid_actions and not obs.done and env.success is False
+    assert set(vars(env)) > world  # reset added the episode
+
+
+@pytest.mark.parametrize("name", cli.ENVIRONMENTS)
+def test_reset_builds_each_episodes_one_first_observation(monkeypatch, name):
+    factory = build_env_factory(name)
+    built = []  # every Observation either env builds
+    for module in (textgame, tabular):
+        monkeypatch.setattr(module, "Observation",
+                            lambda *a, **k: built.append(1) or Observation(*a, **k))
+    starts = []  # how many observations were built as each episode's env was made
+
+    def env_factory(rng):
+        starts.append(len(built))
+        return factory(rng)
+
     _, _, records = run_experiment(EngineConfig.profile("text-game", 2.0, episodes=3, seed=0),
-                                   lambda rng: games.append(factory(rng)) or games[-1],
-                                   build_proposer_factory("noisy-advisor", 0.3))
-    for game, record in zip(games, records, strict=True):
+                                   env_factory, build_proposer_factory(PAIRED_PROPOSER[name], 0.3))
+    ends = starts[1:] + [len(built)]
+    for start, end, record in zip(starts, ends, records, strict=True):
         assert record.steps > 0
-        assert sum(seen is game for seen in observed) == record.steps + 1
-    assert len(observed) == sum(record.steps + 1 for record in records)
+        assert end - start == record.steps + 1
+
+
+@pytest.mark.parametrize("name", cli.ENVIRONMENTS)
+def test_factory_envs_share_no_mutable_state_after_reset(monkeypatch, name):
+    factory, template = built_with_template(monkeypatch, name)
+    world = set(vars(factory(np.random.default_rng(0))))
+    first, second = factory(np.random.default_rng(0)), factory(np.random.default_rng(0))
+    played = first.reset().valid_actions[0]
+    second.reset()
+
+    def episode(env):  # the state reset added
+        return {key: value for key, value in vars(env).items() if key not in world}
+
+    tables = [table for env in (first, second) for table in episode(env).values()
+              if isinstance(table, (list, dict, set))]
+    tables += [row for table in tables if isinstance(table, dict) for row in table.values()
+               if isinstance(row, (list, dict, set))]
+    assert len({id(table) for table in tables}) == len(tables)
+    if template is not None:  # the world is the template's, and it played nothing
+        assert all(getattr(first, key) is getattr(template, key) for key in world)
+        assert set(vars(template)) == world
+    before = copy.deepcopy(episode(second))
+    first.step(played)
+    assert episode(second) == before != episode(first)
+
+
+def test_a_keydoor_run_builds_each_episode_once_and_reads_the_exits_once_a_state(monkeypatch):
+    # counted over 50 episodes at seed 1001: the template builds no episode,
+    # each reset builds one, and each observation reads the current room's
+    # exits once; the advisor's searches read other rows and are not counted
+    builds, reads, searching = [], [], []
+    setattr_ = textgame.TextMicroGame.__setattr__
+
+    def counted_setattr(game, key, value):
+        if key == "room_objects":  # one per table build
+            builds.append(game)
+        setattr_(game, key, value)
+
+    class CountedExits(dict):
+        def __getitem__(self, room):
+            if not searching:
+                reads.append(room)
+            return dict.__getitem__(self, room)
+
+    init = textgame.TextMicroGame.__init__
+
+    def counted_init(game, config):
+        init(game, config)
+        game._exits = CountedExits(game._exits)
+
+    search = textgame._search_next_hop
+
+    def counted_search(*args):
+        searching.append(1)
+        try:
+            return search(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(textgame.TextMicroGame, "__setattr__", counted_setattr)
+    monkeypatch.setattr(textgame.TextMicroGame, "__init__", counted_init)
+    monkeypatch.setattr(textgame, "_search_next_hop", counted_search)
+    _, _, records = run_experiment(EngineConfig.profile("text-game", 2.0, episodes=50,
+                                                        seed=1001),
+                                   build_env_factory("keydoor"),
+                                   build_proposer_factory("noisy-advisor", 0.3))
+    observations = sum(record.steps + 1 for record in records)
+    assert observations == 2050
+    assert len(builds) == 50
+    assert 0 < len(reads) <= observations
 
 
 def test_a_keydoor_run_computes_each_states_valid_actions_once(monkeypatch):
@@ -94,25 +190,6 @@ def test_a_keydoor_run_computes_each_states_valid_actions_once(monkeypatch):
     steps = sum(record.steps for record in records)
     assert steps > 0
     assert len(calls) <= steps + len(records)
-
-
-def test_keydoor_games_share_no_mutable_table_with_each_other_or_the_template(monkeypatch):
-    built = []
-    make = textgame.key_door_game
-    monkeypatch.setattr(textgame, "key_door_game", lambda: built.append(make()) or built[-1])
-    factory = build_env_factory("keydoor")
-    template, = built
-    first, second = factory(None), factory(None)
-
-    def tables(game):
-        return [game.inventory, game.room_objects, game.open_doors, game.fired, game.visits,
-                *game.room_objects.values()]
-
-    every = [id(table) for game in (template, first, second) for table in tables(game)]
-    assert len(set(every)) == len(every)
-    first.step("go north")
-    assert second.room == template.room == template.config["start_room"] != first.room
-    assert second.visits == template.visits != first.visits
 
 
 def test_run_requires_beta(capsys):
@@ -464,6 +541,10 @@ _MODES = "('memsteer', 'static', 'greedy-memory')"
     (lambda summary: "{not json",
      "invalid JSON (Expecting property name enclosed in double quotes)"),
     (lambda summary: "", "invalid JSON (Expecting value)"),
+    # the first half of the file as written: a summary cut off mid-write is
+    # refused, so writing it through a temp file and a rename adds nothing
+    (lambda summary: (text := json.dumps(summary, indent=2, sort_keys=True) + "\n")
+     [:len(text) // 2], "invalid JSON (Unterminated string starting at)"),
     (lambda summary: b"\xff\xfe{}", "not UTF-8 text"),
     (lambda summary: "[]", "not a JSON object"),
     (lambda summary: {k: v for k, v in summary.items() if k != "config"},
@@ -496,7 +577,7 @@ _MODES = "('memsteer', 'static', 'greedy-memory')"
     (lambda summary: {**summary, "run": {k: v for k, v in summary["run"].items()
                                          if k != "optimal_mass"}},
      "run optimal_mass must lie in (0, 1], got None"),
-], ids=["not-json", "empty", "not-utf8", "not-an-object", "no-config", "config-not-an-object",
+], ids=["not-json", "empty", "truncated", "not-utf8", "not-an-object", "no-config", "config-not-an-object",
         "no-mode", "bad-config-value", "bool-config-value", "unknown-config-field",
         "unknown-mode", "null-mode", "no-run", "run-not-an-object", "unknown-env",
         "unknown-proposer", "mispaired", "bool-mass", "text-mass", "no-mass"])

@@ -66,6 +66,24 @@ def test_out_of_range_values_rejected(field, value):
         EngineConfig(beta=1.0, **{field: value})
 
 
+@pytest.mark.parametrize("field,value,bound", [
+    ("memory_capacity", 0, "be >= 1"), ("memory_capacity", -5, "be >= 1"),
+    ("task_similarity_threshold", -0.1, "lie in [0, 1]"),
+    ("state_weight", -0.5, "lie in [0, 1]"), ("history_weight", 1.5, "lie in [0, 1]"),
+    ("cross_task_history_weight", 1.25, "lie in [0, 1]"),
+    ("cross_task_task_weight", -0.25, "lie in [0, 1]"),
+])
+def test_the_bounds_table_names_each_field_and_its_bound(field, value, bound):
+    with pytest.raises(ConfigError) as exc:
+        EngineConfig(beta=1.0, **{field: value})
+    assert str(exc.value) == f"{field} must {bound}, got {value}"
+
+
+def test_optional_bounded_fields_accept_none():
+    config = EngineConfig(beta=1.0, memory_capacity=None, task_similarity_threshold=None)
+    assert config.memory_capacity is None and config.task_similarity_threshold is None
+
+
 @pytest.mark.parametrize("weights", [
     dict(state_weight=1.0, history_weight=1.0), dict(state_weight=0.0, history_weight=0.0),
     dict(state_weight=0.5, history_weight=0.25),

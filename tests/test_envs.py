@@ -81,14 +81,6 @@ def test_tabular_adapter_runs_episode():
     assert obs.score > 0.0 and steps >= 1
 
 
-def test_tabular_adapter_draws_nothing_until_reset():
-    # run_episode's reset draws each episode's one start state
-    rng = np.random.default_rng(5)
-    adapter = TabularEnvAdapter(six_state_fixture()[0], rng, step_cap=200)
-    assert rng.random() == np.random.default_rng(5).random()
-    assert adapter.reset().text.startswith("s")
-
-
 def tensor_draw(cum: np.ndarray, u: float) -> int:
     return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
 
@@ -176,26 +168,6 @@ def test_score_is_monotone_and_episode_truncates():
         assert obs.score >= last
         last = obs.score
     assert game.steps <= game.step_limit
-
-
-def test_a_step_with_no_observation_since_reset_tables_checks_the_current_state():
-    game = key_door_game()
-    game.reset()
-    seen = set(game.valid_actions())
-    for action in solution_path()[:3]:  # to the library, where the key lies
-        seen.update(game.step(action).valid_actions)
-    seen.update(solution_path())
-    game.reset_tables()  # back at the start, with the library's list kept no longer
-    valid = game.valid_actions()
-    assert "take key" in seen and "take key" not in valid
-    for action in sorted(seen):
-        trial = copy.deepcopy(game)
-        if action in valid:
-            trial.step(action)
-        else:
-            with pytest.raises(InvalidActionError) as err:
-                trial.step(action)
-            assert err.value.valid == valid
 
 
 def test_changing_an_observations_actions_leaves_what_step_accepts():
@@ -325,6 +297,34 @@ MALFORMED_GAME_CONFIGS = {
                         "config field 'step_limit' must be an integer, got '60'"),
     "max-score-text": (lambda: _config_with(lambda c: c.update(max_score="100")),
                        "config field 'max_score' must be a number, got '100'"),
+    # each of these passed validation: a list id raised TypeError mid-game,
+    # and the others played on, some scoring less than max_score
+    "event-id-a-list": (lambda: _config_with(
+        lambda c: c["score_events"][0].update(id=["got-key"])),
+        "score event 0 field 'id' must be a string, got ['got-key']"),
+    "door-id-a-list": (lambda: _config_with(lambda c: c["doors"][0].update(id=["irondoor"])),
+                       "door 0 field 'id' must be a string, got ['irondoor']"),
+    "event-action-a-number": (lambda: _config_with(
+        lambda c: c["score_events"][0].update(action=5)),
+        "event 'got-key' field 'action' must be a string, got 5"),
+    "door-title-a-number": (lambda: _config_with(lambda c: c["doors"][0].update(title=7)),
+                            "door 'irondoor' field 'title' must be a string, got 7"),
+    "room-title-a-number": (lambda: _config_with(lambda c: c["rooms"]["hall"].update(title=7)),
+                            "room 'hall' field 'title' must be a string, got 7"),
+    "event-id-repeated": (lambda: _config_with(
+        lambda c: c["score_events"][1].update(id="got-key")),
+        "score event 1 field 'id' repeats 'got-key'"),
+    "flavor-a-string": (lambda: _config_with(
+        lambda c: c["rooms"]["hall"].update(flavor="it is quiet")),
+        "room 'hall' field 'flavor' must be a list, got 'it is quiet'"),
+    "flavor-a-number": (lambda: _config_with(lambda c: c["rooms"]["hall"].update(flavor=[3])),
+                        "room 'hall' flavor must be a string, got 3"),
+    "portable-text": (lambda: _config_with(lambda c: c["objects"]["key"].update(portable="no")),
+                      "object 'key' field 'portable' must be true or false, got 'no'"),
+    "step-limit-zero": (lambda: _config_with(lambda c: c.update(step_limit=0)),
+                        "config field 'step_limit' must be >= 1, got 0"),
+    "step-limit-negative": (lambda: _config_with(lambda c: c.update(step_limit=-3)),
+                            "config field 'step_limit' must be >= 1, got -3"),
 }
 
 
@@ -445,7 +445,7 @@ def test_world_queries_match_the_per_exit_reference_on_random_walks(config, monk
     for seed in range(12):
         walk = random.Random(seed)
         game = TextMicroGame(config)
-        obs = game.observe()
+        obs = game.reset()
         while True:
             for room in config["rooms"]:
                 assert game.passable_exits(room) == _reference_passable(game, room)
