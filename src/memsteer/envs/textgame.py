@@ -12,9 +12,10 @@ fixture):
   rotates with the visit count and is ignored by state abstraction.
 * ``objects``: map of object id -> ``{"portable": bool}``. Non-portable
   objects are scenery.
-* ``doors``: list of ``{"id", "title", "rooms": [a, b], "requires": object}``.
-  A door blocks the exits between its two rooms until unlocked; ``unlock
-  <title>`` is valid from either side while holding the required object.
+* ``doors``: list of ``{"id", "title", "rooms": [a, b], "requires": object}``,
+  each id unique and no two doors at one room sharing a title. A door blocks
+  the exits between its two rooms until unlocked; ``unlock <title>`` is valid
+  from either side while holding the required object.
 * ``score_events``: list of ``{"id", "action", "room", "requires": [objects],
   "points"}``, each id unique. An event fires (once per episode) when the
   exact action is taken in the room while holding the required objects
@@ -94,8 +95,8 @@ def validate_game_config(config: dict) -> dict:
     """``config`` if it follows the schema above, else a ``GameConfigError``
     naming the first field that does not: each part an object holding the fields
     the game reads, each id, title, action and sentence a string, each name one
-    naming a room or an object, each count a number, ``portable`` a bool, event
-    ids unique and the step limit at least 1."""
+    naming a room or an object, each count a number, ``portable`` a bool, door
+    and event ids and each room's door titles unique, the step limit at least 1."""
     _object_with(config, ("name", "max_score", "step_limit", "start_room", "rooms",
                           "objects", "doors", "score_events"), "config")
     _typed(config["max_score"], (int, float), "config field 'max_score'")
@@ -119,15 +120,21 @@ def validate_game_config(config: dict) -> dict:
             _known(dest, rooms, "room", f"room {room_id!r} exit {direction!r}")
         for obj in _typed(room.get("objects", []), list, f"room {room_id!r} field 'objects'"):
             _known(obj, objects, "object", f"room {room_id!r} object")
+    door_ids, titled = set(), {}  # the door of each (room, title)
     for i, door in enumerate(_typed(config["doors"], list, "config field 'doors'")):
         _object_with(door, ("id", "title", "rooms", "requires"), f"door {i}")
         door_id = _typed(door["id"], str, f"door {i} field 'id'")
+        if door_id in door_ids:
+            raise GameConfigError(f"door {i} field 'id' repeats {door_id!r}")
+        door_ids.add(door_id)
         what = f"door {door_id!r}"
-        _typed(door["title"], str, f"{what} field 'title'")
+        title = _typed(door["title"], str, f"{what} field 'title'")
         if len(_typed(door["rooms"], list, f"{what} field 'rooms'")) != 2:
             raise GameConfigError(f"{what} field 'rooms' must name two rooms")
         for room_id in door["rooms"]:
             _known(room_id, rooms, "room", f"{what} room")
+            if titled.setdefault((room_id, title), door_id) != door_id:
+                raise GameConfigError(f"{what} title {title!r} repeats at room {room_id!r}")
         _known(door["requires"], objects, "object", f"{what} field 'requires'")
     total, event_ids = 0, set()
     events = _typed(config["score_events"], list, "config field 'score_events'")
@@ -166,7 +173,7 @@ def key_door_config() -> dict:
 
 class TextMicroGame:
     """A world and its current episode. ``__init__`` builds only the world (the
-    limits and the door, exit, event and hop tables), which copies share and no
+    limits and the door, exit and hop tables), which copies share and no
     episode changes; ``reset`` alone builds an episode and its first observation.
     An observation makes one pass over the room's exits and keeps the valid
     actions (it carries a copy) and the passable exits, which ``step`` reads."""
@@ -180,13 +187,12 @@ class TextMicroGame:
         for door in config["doors"]:
             self._doors.setdefault(frozenset(door["rooms"]), door)
         # each room's exits in config order as (direction, destination, door
-        # or None), the advisor's next hops and its score events by id
+        # or None), and the advisor's next hops
         self._exits: dict[str, tuple[tuple[str, str, dict | None], ...]] = {
             rid: tuple((direction, dest, self._door_at(rid, dest))
                        for direction, dest in room.get("exits", {}).items())
             for rid, room in config["rooms"].items()}
         self._hops: dict[tuple[str, str, frozenset[str]], str | None] = {}
-        self._events = {event["id"]: event for event in config["score_events"]}
 
     def reset(self) -> Observation:
         """Start a new episode in fresh mutable tables and observe its first state."""
@@ -346,20 +352,18 @@ def _act_in(game: TextMicroGame, room: str | None, action: str) -> str:
 
 
 def advisor_action(game: TextMicroGame) -> str:
-    """Optimal next action for the key-door fixture (phase-based BFS policy)."""
-    goal_event = game._events
-    if "delivered" in game.fired:
-        return "look"
-    door = game.config["doors"][0]
-    key = door["requires"]
-    if key not in game.inventory and door["id"] not in game.open_doors:
-        return _act_in(game, _find_object_room(game, key), f"take {key}")
-    if door["id"] not in game.open_doors:
-        return _act_in(game, goal_event["door-open"]["room"], f"unlock {door['title']}")
-    prize = goal_event["got-treasure"]["action"].split(" ", 1)[1]
-    if prize not in game.inventory and "got-treasure" not in game.fired:
-        return _act_in(game, _find_object_room(game, prize), f"take {prize}")
-    return _act_in(game, goal_event["delivered"]["room"], f"put {prize}")
+    """The next action toward the first score event not yet fired: ``take`` each
+    object it requires that is not held where it lies, then its action in its
+    room; ``look`` once all have fired. This assumes the config lists its events
+    in an order a player can fire them, as ``key_door.json`` does."""
+    for event in game.config["score_events"]:
+        if event["id"] in game.fired:
+            continue
+        for obj in event.get("requires", []):
+            if obj not in game.inventory:
+                return _act_in(game, _find_object_room(game, obj), f"take {obj}")
+        return _act_in(game, event["room"], event["action"])
+    return "look"
 
 
 def noisy_advisor_policy(game: TextMicroGame, optimal_mass: float = 0.3):

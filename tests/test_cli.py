@@ -171,7 +171,7 @@ def test_a_keydoor_run_builds_each_episode_once_and_reads_the_exits_once_a_state
                                    build_env_factory("keydoor"),
                                    build_proposer_factory("noisy-advisor", 0.3))
     observations = sum(record.steps + 1 for record in records)
-    assert observations == 2050
+    assert observations == 1933
     assert len(builds) == 50
     assert 0 < len(reads) <= observations
 

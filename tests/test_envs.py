@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -325,6 +326,16 @@ MALFORMED_GAME_CONFIGS = {
                         "config field 'step_limit' must be >= 1, got 0"),
     "step-limit-negative": (lambda: _config_with(lambda c: c.update(step_limit=-3)),
                             "config field 'step_limit' must be >= 1, got -3"),
+    # each of these passed validation, and one unlock opened both doors
+    "door-id-repeated": (lambda: _config_with(lambda c: c["doors"].append(
+        {"id": "irondoor", "title": "oak gate", "rooms": ["hall", "study"], "requires": "key"})),
+        "door 1 field 'id' repeats 'irondoor'"),
+    "door-title-repeated-at-a-room": (lambda: _config_with(lambda c: c["doors"].extend([
+        {"id": "libgate", "title": "oak gate", "rooms": ["corridor", "library"],
+         "requires": "key"},
+        {"id": "galgate", "title": "oak gate", "rooms": ["corridor", "gallery"],
+         "requires": "key"}])),
+        "door 'galgate' title 'oak gate' repeats at room 'corridor'"),
 }
 
 
@@ -433,9 +444,14 @@ def _reference_next_hop(game, src, dst):
 
 def _key_in_the_hall(config):
     # the second doors lock the hall off from the library, so the key starts
-    # in the hall and walks can open them
+    # in the hall and walks can open them; the events take the key there and
+    # open the hall gate, so the advisor, which reads its goals from the
+    # events, can lead the way out
     config["rooms"]["library"]["objects"].remove("key")
     config["rooms"]["hall"]["objects"].append("key")
+    config["score_events"][0]["room"] = "hall"
+    config["score_events"].insert(1, {"id": "gate-open", "action": "unlock hall gate",
+                                      "room": "hall", "requires": ["key"], "points": 0})
     return config
 
 
@@ -501,14 +517,42 @@ def test_advisor_solves_game_in_minimal_steps():
     assert len(taken) == len(solution_path())
 
 
-def test_advisor_recovers_after_detour():
+def _episode_key(game):
+    return (game.room, tuple(game.inventory),
+            tuple((rid, tuple(objects)) for rid, objects in game.room_objects.items()),
+            frozenset(game.open_doors), frozenset(game.fired))
+
+
+def _episode_twin(game):
+    """A copy of ``game`` that shares its world and owns a copy of its episode."""
+    twin = copy.copy(game)
+    twin.inventory = list(game.inventory)
+    twin.room_objects = {rid: list(objects) for rid, objects in game.room_objects.items()}
+    twin.open_doors, twin.fired = set(game.open_doors), set(game.fired)
+    twin.visits = dict(game.visits)
+    return twin
+
+
+def test_advisor_solves_the_game_from_every_reachable_state():
+    # a BFS from reset over valid actions, each state keyed without its step
+    # count; detours such as a wander into the study, or the treasure put down
+    # short of the shrine, are among the states
     game = key_door_game()
-    game.reset()
-    game.step("go east")  # wander into the study
-    obs = game.observe()
-    while not obs.done:
-        obs = game.step(advisor_action(game))
-    assert game.success
+    queue, seen = deque([(game, game.reset())]), {_episode_key(game)}
+    while queue:
+        state, obs = queue.popleft()
+        assert advisor_action(state) in obs.valid_actions
+        follower, followed = _episode_twin(state), obs
+        while not followed.done:  # step refuses an action that is not valid
+            followed = follower.step(advisor_action(follower))
+        assert follower.score == game.max_score
+        for action in obs.valid_actions:
+            after = _episode_twin(state)
+            after_obs = after.step(action)
+            if not after_obs.done and _episode_key(after) not in seen:
+                seen.add(_episode_key(after))
+                queue.append((after, after_obs))
+    assert len(seen) == 1373
 
 
 def test_noisy_advisor_policy_masses():
@@ -520,6 +564,21 @@ def test_noisy_advisor_policy_masses():
     distribution = policy(request)
     assert sum(distribution.values()) == pytest.approx(1.0, abs=1e-12)
     assert distribution[advisor_action(game)] == pytest.approx(0.3, abs=1e-12)
+
+
+def test_noisy_advisor_policy_falls_back_to_the_first_valid_action():
+    # a 0-point first event whose action is never valid: the advisor names it,
+    # and the policy gives the advisor's mass to the first valid action
+    config = copy.deepcopy(key_door_config())
+    config["score_events"].insert(0, {"id": "dance", "action": "dance", "room": "hall",
+                                      "points": 0})
+    game = TextMicroGame(config)
+    obs = game.reset()
+    assert advisor_action(game) == "dance"
+    request = ProposerRequest(state_text="x", valid_actions=obs.valid_actions, n_candidates=3)
+    distribution = noisy_advisor_policy(game, optimal_mass=0.3)(request)
+    assert sum(distribution.values()) == pytest.approx(1.0, abs=1e-12)
+    assert distribution[obs.valid_actions[0]] == pytest.approx(0.3, abs=1e-12)
 
 
 # -- abstraction ------------------------------------------------------------------------

@@ -544,10 +544,10 @@ KEYDOOR_OUTPUT_SHA256 = {
         "summary.json": "107356872cc437804b5a547a2c5b0bfb6f5afd0322fa8b331497790a0f059da2",
         "summary.json, with temperature":
             "0285332337b1bc21defd4ea015a71a35f6d0895eeed20728f24781cd1859bd28",
-        "records.jsonl": "678f5ed683a479c0849847d84b4558a7633a8991307e11311944f63fcb611214",
+        "records.jsonl": "803a4844d1195549180489c21410918028194996b24c6213742dfa24e70d66f1",
         "records.jsonl, expanded":
-            "da88c19defdcc372d87b08240190ec0e82802b199c9ca8810fd04be09200164e",
-        "memory.jsonl": "0653e926692907f5141082e60526c73f9317fe658191131f78e304121f444a7e",
+            "1e61e6a48a2eb8c251bd33ad7023a6c9a4a104e1f2ba8b710a98009b4814c6c4",
+        "memory.jsonl": "5dc334d435686ac95010c0b254ac9ca7250f3a0311e57f70cb0738089e15bf22",
     },
     50: {
         "summary.json": "e444fb54afab6bffae6c95c0df41a3f1082811b478793d862277a9a08e0dbf35",
@@ -649,7 +649,7 @@ KEYDOOR_SCAN_SHA256 = {
     None: {
         "metrics.csv": "f835cb504d93ffdd9fc303d021c2da54aa75e44008c846b29478cea0e706b422",
         "summary.json": "4ef6d07465a171cb8b5791ebb7a2812e08593e3b22d6b7470c332372b3cbf4a6",
-        "records.jsonl": "d1efb085ac1dc652c37d48253e7f06424c4db42a83c870f37acebdd3700b6b3f",
+        "records.jsonl": "d1fa362f140b3d5fc871ef8edcb1c3060b0f48557b776f3d9d90110745fbdc5b",
         "memory.jsonl": "63a01975e9c059524788d4113462e37048cf4584da600f34b58da86ddc9b391f",
     },
     50: {
@@ -1274,7 +1274,7 @@ def test_task_suite_applies_cross_task_gate():
 # at a threshold that probes (and, unbounded, recalls from the memo) and at one
 # whose every query scans. A counting wrapper on the gate, run once when these
 # were captured, saw it both admit and reject pairs in each run (admitted /
-# rejected): 44 / 64 and 20 / 41 at 0.95, 7,819 / 3,751 and 3,770 / 1,650 at 0.2
+# rejected): 44 / 64 and 20 / 41 at 0.95, 8,156 / 4,628 and 3,770 / 1,650 at 0.2
 GATED_SUITE_TEXTS = {"vault-a": "east hall north key",
                      "vault-b": "gallery iron door north south"}
 GATED_SUITE_PINS = {
@@ -1282,8 +1282,8 @@ GATED_SUITE_PINS = {
                          "48d27d747f336554e097f67e075fbe1cfad62addbcbc03c595d3548a6349e178"),
     (0.95, 0.75, 50): ([[30.0, 0.0, 10.0], [10.0, 10.0, 10.0]],
                        "c13a95864e02f9d7d805c865b1f5788e81384a2b752326d6bcd01d8d1da21a8c"),
-    (0.2, 0.27, None): ([[30.0, 100.0, 10.0], [60.0, 60.0, 100.0]],
-                        "95d747d52b95bea78dac0ea866ca0eae990d5534ecca244e5e7c22921a26636a"),
+    (0.2, 0.27, None): ([[30.0, 100.0, 10.0], [100.0, 100.0, 60.0]],
+                        "cb1f80b9a7df5bf3863066da7d5d9104282edf547465af499a824929434778a5"),
     (0.2, 0.27, 50): ([[30.0, 100.0, 0.0], [10.0, 10.0, 10.0]],
                       "4942b2453f842fe5dc76b3ae811e1bf521c722b1532ad4935dba6d88e6ef1297"),
 }
