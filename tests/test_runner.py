@@ -1211,6 +1211,71 @@ def test_consistency_rejects_k_above_n():
                                    seeds=[0], beta=1.0, k_of=lambda n: 50)
 
 
+@pytest.mark.parametrize("k,sizes,message", [
+    (0, [200], "k must be an integer >= 1, got 0"),
+    (2.0, [200], "k must be an integer >= 1, got 2.0"),
+    (True, [200], "k must be an integer >= 1, got True"),
+    (50, [200, 10], "k=50 exceeds memory size 10"),
+], ids=["zero", "float", "bool", "later-size-too-small"])
+def test_consistency_checks_every_k_before_the_first_rollout(k, sizes, message):
+    mdp, policy = six_state_fixture()
+    episodes = []
+
+    def schedule(episode):
+        episodes.append(episode)
+        return policy
+
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_consistency_experiment(mdp, policy, gamma=0.9, memory_sizes=sizes,
+                                   seeds=[0, 1], beta=1.0, k_of=lambda n: k,
+                                   policy_schedule=schedule)
+    assert episodes == []
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["on", "off"])
+def test_consistency_fill_runs_with_the_collector_paused(collector, on):
+    (gc.enable if on else gc.disable)()
+    mdp, policy = six_state_fixture()
+    during = []
+
+    def schedule(episode):
+        during.append(gc.isenabled())
+        return policy
+
+    run_consistency_experiment(mdp, policy, gamma=0.9, memory_sizes=[200, 500],
+                               seeds=[0, 1], beta=1.0, policy_schedule=schedule)
+    assert len(during) > 100
+    assert not any(during)  # paused at every fill episode
+    assert gc.isenabled() is on
+
+
+def test_consistency_turns_the_collector_back_on_when_a_fill_raises(collector):
+    gc.enable()
+    mdp, policy = six_state_fixture()
+
+    def schedule(episode):
+        if episode == 30:
+            raise RuntimeError("schedule broke")
+        return policy
+
+    with pytest.raises(RuntimeError, match="schedule broke"):
+        run_consistency_experiment(mdp, policy, gamma=0.9, memory_sizes=[200],
+                                   seeds=[0], beta=1.0, policy_schedule=schedule)
+    assert gc.isenabled()
+
+
+def test_consistency_fill_leaves_no_cyclic_garbage(collector):
+    """Pausing the collector while a store fills defers no work past the
+    sweep: neither the fill nor the probes make a reference cycle."""
+    mdp, policy = six_state_fixture()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    run_consistency_experiment(mdp, policy, gamma=0.9, memory_sizes=[200, 2000],
+                               seeds=[0, 1], beta=1.0)
+    assert gc.collect() == 0
+
+
 # -- multi-task protocol -------------------------------------------------------------
 
 
